@@ -18,7 +18,6 @@ import configparser
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -215,7 +214,6 @@ def _write_csv(path: str, header: str, rows, stamp: str) -> None:
 def run_experiment(cfg: ExperimentConfig):
     """Execute one experiment; returns (report, output paths, exit code)."""
     out_dir = os.environ.get("QERGO_OUTPUT_DIR", cfg.output_dir)
-    threads = int(os.environ.get("QERGO_THREADS", "1"))
     os.makedirs(out_dir, exist_ok=True)
 
     built = zoo.zoo_build(cfg.model_id, cfg.model_params)
@@ -234,8 +232,7 @@ def run_experiment(cfg: ExperimentConfig):
     else:
         model = built
         label = model.label
-        with ThreadPoolExecutor(max_workers=max(threads, 1)) as ex:
-            ops = list(ex.map(lambda t: feynman_kac_operator(model, t), cfg.t_grid))
+        ops = [feynman_kac_operator(model, t) for t in cfg.t_grid]
         try:
             spec = principal_triple(model)
         except ModelError:

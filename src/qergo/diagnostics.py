@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg import eig
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
-from .operators import KernelOperator, MarkovModel, feynman_kac_operator
+from .operators import KernelOperator, MarkovModel
+from .operators import feynman_kac_operator  # noqa: F401  (re-exported; bench/tracing.py wraps it)
 from .spectral import SpectralData
 from .statespace import ExhaustingFamily, StateSpace, ball_indicator, exhaustion_time
 
@@ -36,7 +37,6 @@ __all__ = [
     "asymptotic_projection_error",
     "gsd_profile",
     "pgsd_radius",
-    "pgsd_radius_series",
     "agsd_certificate",
     "ho_pgsd_radius",
     "eta_function",
@@ -176,12 +176,27 @@ def qsd_residual(sigma, op: KernelOperator) -> float:
 def find_qsd(op: KernelOperator, tol: float = 1e-10) -> QuasiStationaryMeasure:
     """Normalized positive left fixed direction of the transition form of U_t.
 
-    Emits NonuniquenessWarning when the dominant eigenvalue of the adjoint
-    transition matrix is not simple within ``tol`` (relative), in which case
-    the returned measure is only one of several quasi-stationary candidates.
+    The two largest-modulus eigenvalues of the adjoint transition matrix come
+    from ARPACK (``eigs``, k = 2) with a fixed start vector, or from a dense
+    eig when n <= 3 or ARPACK fails (breakdown, or no convergence within 100
+    restarts).  Emits NonuniquenessWarning when the dominant eigenvalue is not
+    simple within ``tol`` (relative), in which case the returned measure is
+    only one of several quasi-stationary candidates.
     """
     T = op.transition()
-    w, vl = eig(T, left=True, right=False)
+    n = T.shape[0]
+    w = None
+    if n > 3:  # ARPACK needs k = 2 < n - 1
+        from scipy.sparse.linalg import ArpackError, eigs
+
+        # a fixed start vector keeps the result identical across repeats
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+        try:
+            w, vl = eigs(T.T, k=2, which="LM", v0=v0, maxiter=100)
+        except ArpackError:
+            pass  # no convergence (clustered spectrum) or breakdown: dense solver below
+    if w is None:
+        w, vl = eig(T, left=True, right=False)
     order = np.argsort(-np.abs(w))
     rho0 = abs(w[order[0]])
     if rho0 == 0:
@@ -227,9 +242,9 @@ def unif_conv_bound_matrix(
     left = np.ones(n)
     right = np.ones(n)
     if s > 0:
-        left = np.exp(spec.lambda0 * s) * feynman_kac_operator(model, s).survival()
+        left = np.exp(spec.lambda0 * s) * model.semigroup.survival(s)
     if r > 0:
-        right = np.exp(spec.lambda0 * r) * feynman_kac_operator(model, r).dual_survival()
+        right = np.exp(spec.lambda0 * r) * model.semigroup.dual_survival(r)
     return np.exp(-spec.gap * (t - s - r)) * np.outer(left, right)
 
 
@@ -277,9 +292,13 @@ def gsd_profile(op: KernelOperator, spec: SpectralData) -> np.ndarray:
     is <= C; the pGSD radius at level C is the largest ball radius on which
     the sup stays <= C.
     """
+    return _domination_profile(op.survival(), op.t, spec)
+
+
+def _domination_profile(survival: np.ndarray, t: float, spec: SpectralData) -> np.ndarray:
     if np.any(spec.phi0 <= 0):
         raise ValueError("phi0 must be strictly positive")
-    return np.exp(spec.lambda0 * op.t) * op.survival() / spec.phi0
+    return np.exp(spec.lambda0 * t) * survival / spec.phi0
 
 
 def pgsd_radius(
@@ -308,26 +327,6 @@ def pgsd_radius(
     return best
 
 
-def pgsd_radius_series(
-    model: MarkovModel,
-    spec: SpectralData,
-    base_point,
-    C: float,
-    t_grid,
-) -> DiagnosticSeries:
-    """Measured pGSD radii over a time grid (the empirical growth profile).
-
-    Void radii are recorded as 0; the series is the empirical counterpart of
-    the closed-form radius known for the oscillator.
-    """
-    series = DiagnosticSeries(f"pgsd_radius[C={C:g}]")
-    for t in t_grid:
-        op = feynman_kac_operator(model, t)
-        r = pgsd_radius(gsd_profile(op, spec), model.space, base_point, C)
-        series.append(t, 0.0 if r is None else r)
-    return series
-
-
 def agsd_certificate(
     model: MarkovModel, spec: SpectralData, t_grid, level: float = 10.0
 ) -> tuple[bool, float]:
@@ -345,7 +344,7 @@ def agsd_certificate(
     saturation = float(np.sum(spec.psi0 * mu) / spec.Lambda)
     worst = 0.0
     for t in t_grid:
-        prof = gsd_profile(feynman_kac_operator(model, t), spec)
+        prof = _domination_profile(model.semigroup.survival(t), t, spec)
         worst = max(worst, float(prof.max()) / saturation)
     return worst <= level, worst
 
@@ -411,9 +410,8 @@ def eta_function(
 
 
 def survival_pair(model: MarkovModel, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U_t0 1, U*_t0 1) from one exact exponential; reusable across kappa calls."""
-    op = feynman_kac_operator(model, t0)
-    return op.survival(), op.dual_survival()
+    """(U_t0 1, U*_t0 1) from the model's semigroup; reusable across kappa calls."""
+    return model.semigroup.survival(t0), model.semigroup.dual_survival(t0)
 
 
 def kappa_rate(
@@ -452,12 +450,11 @@ def uniqueness_condition_check(
     t_grid = list(t_grid)
     if len(t_grid) < 2:
         raise ValueError("need at least two grid times")
-    vals = []
-    for t in t_grid:
-        op = feynman_kac_operator(model, t)
-        vals.append(
-            float(np.exp(spec.lambda0 * t) * np.max(op.survival() + op.dual_survival()))
-        )
+    sg = model.semigroup
+    vals = [
+        float(np.exp(spec.lambda0 * t) * np.max(sg.survival(t) + sg.dual_survival(t)))
+        for t in t_grid
+    ]
     stabilized = abs(vals[-1] / vals[-2] - 1.0) <= 1e-3
     return stabilized, float(max(vals))
 

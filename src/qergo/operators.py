@@ -9,9 +9,10 @@ P_t(x, y) = u_t(x, y) mu(y).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 from scipy.special import gammaln
 
 from .errors import ModelError
@@ -19,6 +20,7 @@ from .statespace import StateSpace
 
 __all__ = [
     "MarkovModel",
+    "Semigroup",
     "KernelOperator",
     "dual_model",
     "uniformized_transition",
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 _STOCH_TOL = 1e-12
+# Q_dual == Q within a few ulps of entries in [0, 1] marks a reversible model
+_REV_TOL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +96,11 @@ class MarkovModel:
     def generator(self) -> np.ndarray:
         """G = Q - I - diag(V), acting on functions."""
         return self.Q - np.eye(self.n) - np.diag(self.V)
+
+    @cached_property
+    def semigroup(self) -> "Semigroup":
+        """The model's semigroup engine, built on first use and shared by all callers."""
+        return Semigroup(self)
 
     def is_irreducible(self) -> bool:
         from scipy.sparse.csgraph import connected_components
@@ -156,6 +165,67 @@ class KernelOperator:
         return bool(np.all(self.density > 0))
 
 
+class Semigroup:
+    """U_t = exp(tG) of one model for any t > 0, with no factorization repeated.
+
+    Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take a
+    single eigh of S = D^{1/2} G D^{-1/2} with D = diag(mu).  With
+    S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T
+    (one GEMM) and U_t 1 = B (e^{tw} B^T mu) (one GEMV).  The eigenvalue
+    problem of a symmetric matrix is well conditioned, so this agrees with
+    the exponential to round-off.  Other models use the dense
+    scaling-and-squaring exponential, memoized by t.
+    """
+
+    def __init__(self, model: MarkovModel):
+        self.model = model
+        self.reversible = bool(np.max(np.abs(model.Q_dual - model.Q)) <= _REV_TOL)
+        self._expm: dict[float, KernelOperator] = {}
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, B): ascending eigenvalues of G and L2(mu)-orthonormal eigenvectors.
+
+        Only reversible models have this factorization.
+        """
+        if not self.reversible:
+            raise ValueError("only a reversible model has a symmetric spectrum")
+        r = np.sqrt(self.model.space.mu)
+        S = r[:, None] * self.model.generator() / r[None, :]
+        w, W = eigh(0.5 * (S + S.T), driver="evd")
+        return w, W / r[:, None]
+
+    def operator(self, t: float) -> KernelOperator:
+        """U_t as a kernel operator, entries clamped at 0 against round-off."""
+        if t <= 0:
+            raise ValueError("t must be positive")
+        space = self.model.space
+        if self.reversible:
+            w, B = self.spectrum
+            u = np.maximum((B * np.exp(t * w)) @ B.T, 0.0)
+            return KernelOperator(t, u, space, {"method": "eigh"})
+        key = float(t)
+        if key not in self._expm:
+            U = np.maximum(expm(t * self.model.generator()), 0.0)
+            self._expm[key] = KernelOperator(t, U / space.mu[None, :], space, {"method": "expm"})
+        return self._expm[key]
+
+    def survival(self, t: float) -> np.ndarray:
+        """U_t 1 per point."""
+        if not self.reversible:
+            return self.operator(t).survival()
+        if t <= 0:
+            raise ValueError("t must be positive")
+        w, B = self.spectrum
+        return B @ (np.exp(t * w) * (B.T @ self.model.space.mu))
+
+    def dual_survival(self, t: float) -> np.ndarray:
+        """U*_t 1 per point; equal to U_t 1 when u_t is symmetric."""
+        if self.reversible:
+            return self.survival(t)
+        return self.operator(t).dual_survival()
+
+
 def identity_operator(space: StateSpace) -> KernelOperator:
     """The t -> 0 limit: density I/mu, the unit for composition."""
     return KernelOperator(0.0, np.diag(1.0 / space.mu), space, {"method": "identity"})
@@ -206,29 +276,25 @@ def feynman_kac_operator(
 ) -> KernelOperator:
     """U_t = exp(t (Q - I - diag(V))), as a kernel operator.
 
-    method="exact" uses the dense scaling-and-squaring exponential;
+    method="exact" takes the operator from the model's semigroup engine (one
+    eigh per reversible model, a memoized exponential otherwise);
     method="trotter" uses the Lie splitting (e^{(t/k)(Q-I)} e^{-(t/k)V})^k
     with k = steps, which converges to the exact operator as k grows.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    G = model.generator()
     if method == "exact":
-        U = expm(t * G)
-        meta = {"method": "exact-exponential"}
-    elif method == "trotter":
+        return model.semigroup.operator(t)
+    if method == "trotter":
         if steps <= 0:
             raise ValueError("trotter requires a positive number of steps")
         dt = t / steps
         kin = expm(dt * (model.Q - np.eye(model.n)))
         step = kin * np.exp(-dt * model.V)[None, :]
-        U = np.linalg.matrix_power(step, steps)
-        meta = {"method": "trotter", "steps": steps}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    U = np.maximum(U, 0.0)  # scrub exponential round-off of order 1e-17
-    density = U / model.space.mu[None, :]
-    return KernelOperator(t, density, model.space, meta)
+        U = np.maximum(np.linalg.matrix_power(step, steps), 0.0)
+        return KernelOperator(t, U / model.space.mu[None, :], model.space,
+                              {"method": "trotter", "steps": steps})
+    raise ValueError(f"unknown method {method!r}")
 
 
 def adjoint(op: KernelOperator) -> KernelOperator:

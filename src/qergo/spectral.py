@@ -72,40 +72,52 @@ def _positive_direction(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def principal_triple(model: MarkovModel) -> SpectralData:
-    """Dense eigendecomposition of -G = I - Q + diag(V).
+    """Eigendecomposition of -G = I - Q + diag(V).
 
-    Requires an irreducible Q (checked by a reachability scan).  Raises
-    NondegeneracyError when the dominant eigenvalue is not simple within
-    1e-10 and PositivityError when an eigenvector has mixed signs.
+    Reversible models read it from the eigh of their semigroup engine, where
+    psi0 = phi0; other models take a dense eig.  Requires an irreducible Q
+    (checked by a reachability scan).  Raises NondegeneracyError when the
+    dominant eigenvalue is not simple within 1e-10 and PositivityError when
+    an eigenvector has mixed signs.
     """
     if not model.is_irreducible():
         raise ModelError("principal_triple requires an irreducible jump matrix")
     mu = model.space.mu
-    A = -model.generator()
-    w, vl, vr = eig(A, left=True, right=True)
-    order = np.argsort(w.real)
-    lam0 = w[order[0]].real
-    if abs(w[order[1]] - w[order[0]]) < _DEGEN_TOL:
-        raise NondegeneracyError("dominant eigenvalue of -G is not simple")
-    gap = float(w[order[1]].real - lam0)
-    phi = _positive_direction(vr[:, order[0]], "right eigenfunction")
-    phi = phi / np.sqrt(np.sum(phi**2 * mu))
-    # plain left eigenvector of A, reweighted to the mu-pairing convention
-    psi = _positive_direction(vl[:, order[0]], "left eigenfunction") / mu
-    psi = psi / np.sqrt(np.sum(psi**2 * mu))
     G = model.generator()
+    engine = model.semigroup
+    if engine.reversible:
+        w, B = engine.spectrum
+        eigenvalues = -w[::-1]
+        right, left = B[:, -1], None
+    else:
+        w, vl, vr = eig(-G, left=True, right=True)
+        order = np.argsort(w.real)
+        eigenvalues = w[order]
+        right, left = vr[:, order[0]], vl[:, order[0]]
+    lam0 = eigenvalues[0].real
+    if abs(eigenvalues[1] - eigenvalues[0]) < _DEGEN_TOL:
+        raise NondegeneracyError("dominant eigenvalue of -G is not simple")
+    gap = float(eigenvalues[1].real - lam0)
+    phi = _positive_direction(right, "right eigenfunction")
+    phi = phi / np.sqrt(np.sum(phi**2 * mu))
+    if left is None:
+        psi = phi
+    else:
+        # plain left eigenvector of -G, reweighted to the mu-pairing convention
+        psi = _positive_direction(left, "left eigenfunction") / mu
+        psi = psi / np.sqrt(np.sum(psi**2 * mu))
     # psi0 solves the dual-generator eigenproblem (Q_dual - I - V) psi = -lam0 psi,
     # which is the mu-pairing form of the left eigenequation
     G_dual = model.Q_dual - np.eye(model.n) - np.diag(model.V)
     res_r = np.max(np.abs(G @ phi + lam0 * phi))
     res_l = np.max(np.abs(G_dual @ psi + lam0 * psi))
-    scale = max(1.0, np.abs(A).max())
+    scale = max(1.0, np.abs(G).max())
     if max(res_r, res_l) > _RESID_TOL * scale:
         raise NondegeneracyError(
             f"eigen residuals {res_r:.2e}, {res_l:.2e} exceed tolerance"
         )
     Lam = float(np.sum(phi * psi * mu))
-    return SpectralData(float(lam0), phi, psi, Lam, gap, w[order])
+    return SpectralData(float(lam0), phi, psi, Lam, gap, eigenvalues)
 
 
 def principal_triple_from_operator(op: KernelOperator) -> SpectralData:

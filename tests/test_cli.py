@@ -247,6 +247,68 @@ dir = {out}
         assert override.exists()
 
 
+FACTORIZATION_CONFIG = """
+[model]
+id = {model}
+n = {n}
+potential = power
+beta = 2.0
+scale = 0.05
+
+[times]
+t_grid = {grid}
+
+[diagnostics]
+names = heat_content kernel_convergence quasi_ergodic qsd gsd eta kappa uniqueness
+{kappa}
+[family]
+base_point = 0
+radius = linear:0.6
+
+[output]
+dir = {out}
+"""
+
+
+class TestFactorizationCounts:
+    """One run factorizes each model once: one eigh when it is reversible,
+    one exponential per distinct grid time otherwise."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import qergo.operators as operators
+
+        calls = {"eigh": 0, "expm": 0}
+
+        def counting(name):
+            original = getattr(operators, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(operators, name, counting(name))
+        return calls
+
+    def test_reversible_run_does_one_eigh(self, tmp_path, counts):
+        # kappa's t0 = 0.5 lies off the grid: its survivals still come from the eigh
+        text = FACTORIZATION_CONFIG.format(
+            model="birthdeath", n=12, grid="2 4 6 8 10 12", out=tmp_path / "o",
+            kappa="[diagnostics.kappa]\nt0 = 0.5\n")
+        run_experiment(parse_config(write_config(tmp_path, text)))
+        assert counts == {"eigh": 1, "expm": 0}
+
+    def test_nonreversible_run_does_one_expm_per_grid_time(self, tmp_path, counts):
+        grid = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+        text = FACTORIZATION_CONFIG.format(
+            model="cycle", n=8, grid=" ".join(map(str, grid)), out=tmp_path / "o", kappa="")
+        run_experiment(parse_config(write_config(tmp_path, text)))
+        assert counts == {"eigh": 0, "expm": len(grid)}
+
+
 class TestMainEntry:
     def test_list_models_stable_and_complete(self, capsys):
         assert main(["list-models"]) == 0

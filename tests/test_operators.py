@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eig, expm
 
 from qergo.errors import ModelError
-from qergo.models import build_ctmc_model
+from qergo.models import (
+    LevyProfile,
+    PotentialSpec,
+    build_ctmc_model,
+    build_fractional_model,
+    zoo_build,
+)
 from qergo.operators import (
     MarkovModel,
     adjoint,
@@ -18,6 +25,7 @@ from qergo.operators import (
     operator_to_text,
     uniformized_transition,
 )
+from qergo.spectral import principal_triple
 from qergo.statespace import StateSpace
 
 
@@ -120,6 +128,89 @@ class TestFeynmanKac:
 
     def test_positivity_improving_when_irreducible(self, birthdeath5):
         assert feynman_kac_operator(birthdeath5, 0.5).positivity_improving()
+
+
+# name -> (builder, reversible); every zoo family, both mu kinds, a user matrix
+# and a dual model
+ENGINE_ZOO = {
+    "swap2": (lambda: build_ctmc_model(2, "swap2", V=np.array([0.0, 1.0])), True),
+    "birthdeath": (
+        lambda: build_ctmc_model(8, "birth-death", V=0.2 * (np.arange(8) - 3.5) ** 2), True),
+    "birthdeath_weighted": (
+        lambda: build_ctmc_model(
+            6, "birth-death", mu=2.0 ** (-np.arange(6.0)), V=0.1 * np.arange(6.0)), True),
+    "box": (lambda: build_ctmc_model(9, "box:2", V=np.linspace(0.0, 1.0, 9)), True),
+    "complete": (lambda: build_ctmc_model(5, "complete", V=np.linspace(0.0, 1.0, 5)), True),
+    "cycle": (
+        lambda: build_ctmc_model(6, "cycle", V=np.array([0.0, 0.3, 0.8, 0.2, 0.5, 0.1])), False),
+    "user": (
+        lambda: zoo_build("user", {"q": "0.2 0.5 0.3; 0.3 0.2 0.5; 0.5 0.3 0.2", "v": "0 0.4 1"}),
+        False),
+    "frac": (
+        lambda: build_fractional_model(
+            (20.0, 0.5), LevyProfile("polynomial", alpha=1.0),
+            PotentialSpec("log-power", beta=2.0)),
+        True),
+    "dual_cycle": (
+        lambda: dual_model(build_ctmc_model(4, "cycle", V=np.array([0.0, 0.3, 0.8, 0.2]))), False),
+}
+ENGINE_TIMES = (0.3, 1.0, 4.0, 15.0)
+
+
+@pytest.fixture(params=sorted(ENGINE_ZOO))
+def zoo_model(request):
+    build, reversible = ENGINE_ZOO[request.param]
+    return build(), reversible
+
+
+class TestSemigroupEngine:
+    def test_method_follows_reversibility(self, zoo_model):
+        model, reversible = zoo_model
+        assert model.semigroup is model.semigroup  # one engine per model
+        assert model.semigroup.reversible is reversible
+        op = feynman_kac_operator(model, 1.0)
+        assert op.meta["method"] == ("eigh" if reversible else "expm")
+
+    def test_operator_matches_expm(self, zoo_model):
+        model, _ = zoo_model
+        for t in ENGINE_TIMES:
+            ref = np.maximum(expm(t * model.generator()), 0.0) / model.space.mu[None, :]
+            got = model.semigroup.operator(t).density
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_survivals_match_operator(self, zoo_model):
+        model, _ = zoo_model
+        for t in ENGINE_TIMES:
+            op = model.semigroup.operator(t)
+            for got, want in ((model.semigroup.survival(t), op.survival()),
+                              (model.semigroup.dual_survival(t), op.dual_survival())):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_nonreversible_exponentials_are_memoized(self, zoo_model):
+        model, reversible = zoo_model
+        first, second = model.semigroup.operator(2.0), model.semigroup.operator(2.0)
+        assert (first is second) == (not reversible)
+
+    def test_nonpositive_time_rejected(self, zoo_model):
+        model, _ = zoo_model
+        for call in (model.semigroup.operator, model.semigroup.survival,
+                     model.semigroup.dual_survival):
+            with pytest.raises(ValueError, match="positive"):
+                call(0.0)
+
+    @pytest.mark.parametrize("name", sorted(k for k, (_, rev) in ENGINE_ZOO.items() if rev))
+    def test_eigh_triple_matches_dense_eig(self, name):
+        model = ENGINE_ZOO[name][0]()
+        mu = model.space.mu
+        w, vr = eig(-model.generator())
+        order = np.argsort(w.real)
+        phi = np.abs(np.real(vr[:, order[0]]))
+        phi /= np.sqrt(np.sum(phi**2 * mu))
+        spec = principal_triple(model)
+        assert abs(spec.lambda0 - w[order[0]].real) <= 1e-10
+        assert abs(spec.gap - (w[order[1]].real - w[order[0]].real)) <= 1e-10
+        assert np.max(np.abs(spec.phi0 - phi)) <= 1e-10
+        assert np.array_equal(spec.psi0, spec.phi0)
 
 
 class TestAdjointCompose:
