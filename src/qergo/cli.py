@@ -564,7 +564,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure distinct from FAIL verdicts
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 1
 

@@ -278,7 +278,7 @@ def build_fractional_model(
         Q,
         V_arr,
         time_scale=rate_max,
-        label="frac",
+        label=f"frac({levy.kind},a={levy.alpha:g},d={levy.delta:g},{V.kind},b={V.beta:g})",
         meta={"levy": levy, "potential": V, "h": float(xs[1] - xs[0])},
     )
 
@@ -424,15 +424,7 @@ def zoo_build(model_id: str, params: dict):
         grid = (float(p.pop("half_width", 50.0)), float(p.pop("h", 0.25)))
         if pot is None:
             raise ModelError("frac models need a potential spec")
-        model = build_fractional_model(grid, levy, pot)
-        label = (
-            f"frac({levy.kind},a={levy.alpha:g},d={levy.delta:g},"
-            f"{pot.kind},b={pot.beta:g})"
-        )
-        return MarkovModel(
-            model.space, model.Q, model.V, Q_dual=model.Q_dual,
-            time_scale=model.time_scale, label=label, meta=model.meta,
-        )
+        return build_fractional_model(grid, levy, pot)
     if model_id == "ho":
         grid = lattice_space(float(p.pop("half_width", 8.0)), float(p.pop("h", 0.05)))
         return (lambda t: build_ho_discretization(grid, t)), grid

@@ -174,7 +174,9 @@ class Semigroup:
     (one GEMM) and U_t 1 = B (e^{tw} B^T mu) (one GEMV).  The eigenvalue
     problem of a symmetric matrix is well conditioned, so this agrees with
     the exponential to round-off.  Other models use the dense
-    scaling-and-squaring exponential, memoized by t.
+    scaling-and-squaring exponential, memoized by t; a time that is the sum
+    of two memoized times is instead their product, one GEMM, so an equally
+    spaced ascending grid costs one exponential.
     """
 
     def __init__(self, model: MarkovModel):
@@ -204,11 +206,16 @@ class Semigroup:
             w, B = self.spectrum
             u = np.maximum((B * np.exp(t * w)) @ B.T, 0.0)
             return KernelOperator(t, u, space, {"method": "eigh"})
-        key = float(t)
-        if key not in self._expm:
-            U = np.maximum(expm(t * self.model.generator()), 0.0)
-            self._expm[key] = KernelOperator(t, U / space.mu[None, :], space, {"method": "expm"})
-        return self._expm[key]
+        memo, key = self._expm, float(t)
+        if key not in memo:
+            s = next((s for s in memo if s < key and key - s in memo), None)
+            if s is None:
+                P = expm(t * self.model.generator())
+            else:  # U_t = U_s U_{t-s}: one product of nonnegative memoized factors
+                P = memo[s].transition() @ memo[key - s].transition()
+            memo[key] = KernelOperator(
+                t, np.maximum(P, 0.0) / space.mu[None, :], space, {"method": "expm"})
+        return memo[key]
 
     def survival(self, t: float) -> np.ndarray:
         """U_t 1 per point."""

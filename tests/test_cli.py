@@ -271,8 +271,9 @@ dir = {out}
 
 
 class TestFactorizationCounts:
-    """One run factorizes each model once: one eigh when it is reversible,
-    one exponential per distinct grid time otherwise."""
+    """One run factorizes each model once: one eigh when it is reversible.
+    Otherwise one exponential per grid time that is not the sum of two earlier
+    ones; those are formed by one product of memoized operators."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -301,12 +302,16 @@ class TestFactorizationCounts:
         run_experiment(parse_config(write_config(tmp_path, text)))
         assert counts == {"eigh": 1, "expm": 0}
 
-    def test_nonreversible_run_does_one_expm_per_grid_time(self, tmp_path, counts):
-        grid = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    @pytest.mark.parametrize("grid,expm_calls", [
+        ("2 4 6 8 10 12", 1),  # every later time is the sum of two earlier ones
+        ("1 3 4 9", 3),  # only 4 = 3 + 1 is composed; 3 and 9 are not reachable
+    ], ids=["uniform", "nonuniform"])
+    def test_nonreversible_run_composes_sums_of_grid_times(
+            self, tmp_path, counts, grid, expm_calls):
         text = FACTORIZATION_CONFIG.format(
-            model="cycle", n=8, grid=" ".join(map(str, grid)), out=tmp_path / "o", kappa="")
+            model="cycle", n=8, grid=grid, out=tmp_path / "o", kappa="")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        assert counts == {"eigh": 0, "expm": len(grid)}
+        assert counts == {"eigh": 0, "expm": expm_calls}
 
 
 class TestMainEntry:
@@ -340,6 +345,17 @@ class TestMainEntry:
 
     def test_unknown_model_exits_one(self, capsys):
         assert main(["spectral", "nonexistent(3)"]) == 1
+
+    def test_runtime_error_keeps_its_type(self, tmp_path, capsys, monkeypatch):
+        import qergo.cli as cli
+
+        def boom(cfg):
+            raise FloatingPointError("boom")
+
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        path = write_config(tmp_path, SWAP2_CONFIG.format(out=tmp_path / "o"))
+        assert main(["run", path]) == 1
+        assert "runtime error: FloatingPointError: boom" in capsys.readouterr().err
 
 
 def _second_listing():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eig, expm
 
+from qergo.diagnostics import qsd_from_spectral, qsd_residual
 from qergo.errors import ModelError
 from qergo.models import (
     LevyProfile,
@@ -198,6 +199,23 @@ class TestSemigroupEngine:
             with pytest.raises(ValueError, match="positive"):
                 call(0.0)
 
+    @pytest.mark.parametrize("name", sorted(k for k, (_, rev) in ENGINE_ZOO.items() if not rev))
+    def test_composed_operators_match_expm(self, name, monkeypatch):
+        import qergo.operators as operators
+
+        calls = []
+        monkeypatch.setattr(operators, "expm", lambda A: calls.append(1) or expm(A))
+        model = ENGINE_ZOO[name][0]()
+        sg = model.semigroup
+        for t in np.arange(2.0, 21.0, 2.0):  # ascending, so every t > 2 is composed
+            ref = np.maximum(expm(t * model.generator()), 0.0) / model.space.mu[None, :]
+            op = sg.operator(t)
+            assert np.max(np.abs(op.density - ref)) <= 1e-12 * np.max(np.abs(ref))
+            for got, want in ((sg.survival(t), op.survival()),
+                              (sg.dual_survival(t), op.dual_survival())):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name", sorted(k for k, (_, rev) in ENGINE_ZOO.items() if rev))
     def test_eigh_triple_matches_dense_eig(self, name):
         model = ENGINE_ZOO[name][0]()
@@ -211,6 +229,36 @@ class TestSemigroupEngine:
         assert abs(spec.gap - (w[order[1]].real - w[order[0]].real)) <= 1e-10
         assert np.max(np.abs(spec.phi0 - phi)) <= 1e-10
         assert np.array_equal(spec.psi0, spec.phi0)
+
+
+@st.composite
+def nonreversible_chains(draw):
+    """Chain on 3-6 states with its invariant mu and a V >= 0; a rotation of
+    weight >= 0.2 beside arbitrary jump weights keeps it irreducible."""
+    n = draw(st.integers(3, 6))
+    W = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)))
+    Q = W.reshape(n, n) + draw(st.floats(0.2, 1.0)) * np.roll(np.eye(n), 1, axis=1)
+    Q /= Q.sum(axis=1, keepdims=True)
+    A = np.vstack([(Q.T - np.eye(n))[:-1], np.ones(n)])
+    mu = n * np.linalg.solve(A, np.eye(n)[-1])
+    V = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    return build_ctmc_model(n, Q, mu=mu, V=V)
+
+
+class TestNonreversibleProperties:
+    @given(model=nonreversible_chains(), s=st.integers(1, 12), t=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_composed_operator_matches_compose_and_expm(self, model, s, t):
+        s, t = s / 4, t / 4  # quarters, so that (s + t) - s == t exactly
+        sg = model.semigroup
+        assume(not sg.reversible)
+        us, ut, ust = sg.operator(s), sg.operator(t), sg.operator(s + t)
+        ref = np.maximum(expm((s + t) * model.generator()), 0.0) / model.space.mu[None, :]
+        scale = np.max(ref)
+        assert np.max(np.abs(ust.density - compose(us, ut).density)) <= 1e-12 * scale
+        assert np.max(np.abs(ust.density - ref)) <= 1e-12 * scale
+        qsd = qsd_from_spectral(principal_triple(model), model.space)
+        assert qsd_residual(qsd, ust) <= 1e-9
 
 
 class TestAdjointCompose:
