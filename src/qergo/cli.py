@@ -26,8 +26,9 @@ import numpy as np
 from . import diagnostics as dg
 from . import models as zoo
 from .errors import ModelError, NonuniquenessWarning
+from .models import parse_model_string
 from .montecarlo import fk_estimate
-from .operators import MarkovModel, adjoint, feynman_kac_operator
+from .operators import adjoint, feynman_kac_operator
 from .spectral import principal_triple, principal_triple_from_operator, spectral_to_text
 from .statespace import ExhaustingFamily, ball_indicator
 
@@ -148,29 +149,36 @@ def _radius_fn(spec: str):
     raise ConfigError(f"unknown radius spec {spec!r}")
 
 
+def _state(cfg: ExperimentConfig, space, key: str, raw):
+    """The state that config key ``key`` names; a ConfigError unless it is one."""
+    try:
+        point = type(space.points[0])(raw)
+        space.index(point)
+    except (TypeError, ValueError, KeyError):
+        raise _fail_config(
+            cfg.source, key, f"{key} {raw!r} is not a state of the {space.n}-state model"
+        ) from None
+    return point
+
+
 def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
     if cfg.family is None:
         return None
-    base = cfg.family.get("base_point", space.points[0])
-    try:
-        base = type(space.points[0])(base)
-    except (TypeError, ValueError):
-        pass
     return ExhaustingFamily(
-        base_point=base,
+        base_point=_state(cfg, space, "base_point", cfg.family.get("base_point", space.points[0])),
         radius_fn=_radius_fn(cfg.family.get("radius", "linear:1.0")),
         t_min=float(cfg.family.get("t_min", 0.0)),
     )
 
 
-def _parse_sigma(spec: str, model: MarkovModel) -> np.ndarray:
+def _parse_sigma(cfg: ExperimentConfig, space) -> np.ndarray:
+    spec = cfg.diag_params["quasi_ergodic"].get("sigma", "uniform")
     kind, _, arg = spec.partition(":")
     if kind == "point":
-        pt = type(model.space.points[0])(arg)
-        return dg.point_mass(model.space, pt)
+        return dg.point_mass(space, _state(cfg, space, "sigma", arg))
     if kind == "uniform":
-        return np.full(model.n, 1.0 / model.n)
-    raise ConfigError(f"unknown sigma spec {spec!r}")
+        return np.full(space.n, 1.0 / space.n)
+    raise _fail_config(cfg.source, "sigma", f"unknown sigma spec {spec!r}")
 
 
 class _Report:
@@ -213,11 +221,13 @@ def _write_csv(path: str, header: str, rows, stamp: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig):
     """Execute one experiment; returns (report, output paths, exit code)."""
-    out_dir = os.environ.get("QERGO_OUTPUT_DIR", cfg.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
     built = zoo.zoo_build(cfg.model_id, cfg.model_params)
-    if isinstance(built, tuple):  # oscillator oracle: factory + lattice
+    model = None if isinstance(built, tuple) else built
+    space = built[1] if model is None else model.space
+    # points named by the config are checked before any operator is built
+    fam = _build_family(cfg, space)
+    sigma = _parse_sigma(cfg, space) if "quasi_ergodic" in cfg.diagnostics else None
+    if model is None:  # oscillator oracle: factory + lattice
         needs_generator = {"kappa", "uniqueness"} & set(cfg.diagnostics)
         if needs_generator:
             raise ConfigError(
@@ -227,10 +237,8 @@ def run_experiment(cfg: ExperimentConfig):
         factory, _ = built
         ops = [factory(t) for t in cfg.t_grid]
         spec = principal_triple_from_operator(ops[len(ops) // 2])
-        model = None
         label = "ho"
     else:
-        model = built
         label = model.label
         ops = [feynman_kac_operator(model, t) for t in cfg.t_grid]
         try:
@@ -246,8 +254,6 @@ def run_experiment(cfg: ExperimentConfig):
         "fit_tail": float(cfg.verdicts.get("fit_tail", 0.5)),
         "gsd_level": float(cfg.verdicts.get("gsd_level", 10.0)),
     }
-    space = ops[0].space
-    fam = _build_family(cfg, space) if cfg.family is not None else None
 
     for name in cfg.diagnostics:
         if name == "heat_content":
@@ -263,11 +269,10 @@ def run_experiment(cfg: ExperimentConfig):
             )
         elif name == "quasi_ergodic":
             p = cfg.diag_params[name].get("p", "inf")
-            sigma = _parse_sigma(cfg.diag_params[name].get("sigma", "uniform"), model)
             vals = [dg.quasi_ergodic_error(op, spec, sigma, p) for op in ops]
             _run_rate_series(report, name, vals, cfg, spec, rep_tols)
         elif name == "gsd":
-            _run_gsd(report, space, spec, ops, cfg, rep_tols)
+            _run_gsd(report, space, spec, fam, ops, cfg, rep_tols)
         elif name == "eta":
             _run_eta(report, spec, space, fam, cfg)
         elif name == "kappa":
@@ -277,6 +282,8 @@ def run_experiment(cfg: ExperimentConfig):
             report.add_sample(name, cfg.t_grid[-1], sup)
             report.add_verdict(stable, "uniqueness_condition", f"sup={_num(sup)} stabilized={stable}")
 
+    out_dir = os.environ.get("QERGO_OUTPUT_DIR", cfg.output_dir)
+    os.makedirs(out_dir, exist_ok=True)
     stamp = datetime.now().isoformat()
     paths = {
         "series": os.path.join(out_dir, "series.csv"),
@@ -367,10 +374,11 @@ def _run_rate_series(report, name, vals, cfg, spec, tols):
         )
 
 
-def _run_gsd(report, space, spec, ops, cfg, tols):
+def _run_gsd(report, space, spec, fam, ops, cfg, tols):
     inv_sup_phi = 1.0 / float(spec.phi0.max())
     level = tols["gsd_level"]
     sat = float(np.sum(spec.psi0 * space.mu) / spec.Lambda)
+    base = fam.base_point if fam is not None else space.points[0]
     sups = []
     for t, op in zip(cfg.t_grid, ops):
         prof = dg.gsd_profile(op, spec)
@@ -381,8 +389,6 @@ def _run_gsd(report, space, spec, ops, cfg, tols):
             "gsd_reverse_bound",
             f"t={_num(t)} min={_num(prof.min())} 1/sup(phi0)={_num(inv_sup_phi)}",
         )
-        base = cfg.family.get("base_point", space.points[0]) if cfg.family else space.points[0]
-        base = type(space.points[0])(base)
         r = dg.pgsd_radius(prof, space, base, level * sat)
         report.add_sample("pgsd_radius", t, -1.0 if r is None else r, extra=f"C={_num(level * sat)}")
     certified = max(sups) <= level * sat
@@ -416,8 +422,6 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
     b = float(pars.get("b", (1.0 - a) / 2.0))
     t0 = float(pars.get("t0", cfg.t_grid[0]))
     surv = dg.survival_pair(model, t0)
-    mu = model.space.mu
-    m_density = spec.psi0 / np.sum(spec.psi0 * mu)
     C = None
     ok = True
     detail = []
@@ -425,10 +429,7 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
         mask = ball_indicator(model.space, fam, a * t)
         if not mask.any():
             continue
-        u = op.density[mask]
-        surv_sel = u @ mu
-        errs = np.abs(u / surv_sel[:, None] - m_density[None, :]) @ mu
-        E = float(errs.max())
+        E = dg.progressive_error(op, spec, mask)
         kb = dg.kappa_rate(model, spec, fam, t0, b, t, survivals=surv)
         report.add_sample("kappa_b", t, kb, extra=f"E={_num(E)}")
         if C is None:
@@ -454,41 +455,6 @@ def _run_mc_block(report, model, ops, cfg, path, stamp):
             f"t={_num(t)} mc={_num(est.mean)}+-{_num(est.stderr)} matrix={_num(target)}",
         )
     _write_csv(path, "model_id,target,t,mean,stderr,n,seed", rows, stamp)
-
-
-# ---------------------------------------------------------------------------
-# model-string parsing for the spectral and mc subcommands
-
-
-def parse_model_string(text: str) -> tuple[str, dict]:
-    """Compact zoo addresses: swap2, birthdeath(20), box(2,25),
-    frac(alpha,delta,beta,kind), ho(8,0.05)."""
-    text = text.strip()
-    if "(" not in text:
-        return text, {}
-    mid, _, rest = text.partition("(")
-    args = [a.strip() for a in rest.rstrip(")").split(",") if a.strip()]
-    if mid == "birthdeath" or mid == "complete" or mid == "cycle":
-        return mid, {"n": int(args[0])}
-    if mid == "box":
-        return mid, {"d": int(args[0]), "n": int(args[1])}
-    if mid == "frac":
-        kind = args[3] if len(args) > 3 else "polynomial"
-        # default potential pairing follows the two worked example families
-        pot = "log-power" if kind == "polynomial" else "power"
-        return mid, {
-            "alpha": float(args[0]),
-            "delta": float(args[1]) if len(args) > 1 else 0.0,
-            "beta": float(args[2]) if len(args) > 2 else 1.0,
-            "kind": kind,
-            "potential": pot,
-        }
-    if mid == "ho":
-        return mid, {
-            "half_width": float(args[0]) if args else 8.0,
-            "h": float(args[1]) if len(args) > 1 else 0.05,
-        }
-    return mid, {}
 
 
 def list_models() -> str:
@@ -528,8 +494,7 @@ def main(argv=None) -> int:
             print(f"wrote {', '.join(sorted(paths.values()))}")
             return code
         if args.command == "spectral":
-            mid, params = parse_model_string(args.model)
-            built = zoo.zoo_build(mid, params)
+            built = zoo.zoo_build(*parse_model_string(args.model))
             if isinstance(built, tuple):
                 factory, _ = built
                 spec = principal_triple_from_operator(factory(1.0))
@@ -543,8 +508,7 @@ def main(argv=None) -> int:
                 print(text, end="")
             return 0
         if args.command == "mc":
-            mid, params = parse_model_string(args.model)
-            model = zoo.zoo_build(mid, params)
+            model = zoo.zoo_build(*parse_model_string(args.model))
             if isinstance(model, tuple):
                 raise ModelError("mc needs a Markov model, not the ho oracle")
             x0 = model.space.points[0] if args.x0 is None else type(model.space.points[0])(args.x0)

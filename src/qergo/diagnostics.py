@@ -34,6 +34,7 @@ __all__ = [
     "kernel_convergence_error",
     "unif_conv_bound_matrix",
     "quasi_ergodic_error",
+    "progressive_error",
     "asymptotic_projection_error",
     "gsd_profile",
     "pgsd_radius",
@@ -262,6 +263,16 @@ def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> flo
         raise DegenerateSupportError("sigma(U_t 1) vanishes")
     g = su / mass - spec.psi0 / np.sum(spec.psi0 * mu)
     return _lq_norm(g, mu, _conjugate(p))
+
+
+def progressive_error(op: KernelOperator, spec: SpectralData, mask: np.ndarray) -> float:
+    """Ball-restricted progressive error E(t): the sup over x in ``mask`` of
+    ||u_t(x, .) / (U_t 1)(x) - m||_{L^1(mu)}, the L^inf quasi-ergodic error
+    of the point masses at the masked points taken all at once."""
+    mu = op.space.mu
+    u = op.density[mask]
+    m_density = spec.psi0 / np.sum(spec.psi0 * mu)
+    return float((np.abs(u / (u @ mu)[:, None] - m_density[None, :]) @ mu).max())
 
 
 def asymptotic_projection_error(

@@ -8,8 +8,11 @@ rescale ``time_scale`` relating model time to physical time.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from math import gamma as _gamma_fn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "build_ho_discretization",
     "regime_classifier",
     "lattice_space",
+    "parse_model_string",
     "zoo_build",
     "zoo_catalog",
 ]
@@ -173,7 +177,10 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
     duality relation; a recipe/measure pair for which mu is not invariant is
     rejected as a ModelError.
     """
-    coords = None
+    mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
+    if mu_arr.shape != (n,):
+        raise ModelError(f"mu needs {n} values, got {mu_arr.size}")
+    coords = dist = None
     if isinstance(q_spec, str):
         recipe = q_spec
         if recipe == "swap2":
@@ -182,8 +189,7 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
             Q = np.array([[0.0, 1.0], [1.0, 0.0]])
             coords = np.array([[0.0], [1.0]])
         elif recipe == "birth-death":
-            w = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
-            Q = _metropolis_birth_death(w)
+            Q = _metropolis_birth_death(mu_arr)
             coords = (np.arange(n) - (n - 1) / 2.0)[:, None]
         elif recipe.startswith("box"):
             d = int(recipe.split(":", 1)[1]) if ":" in recipe else 1
@@ -194,33 +200,22 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
             coords = coords - coords.mean(axis=0)
         elif recipe == "complete":
             Q = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-            space = StateSpace(
-                tuple(range(n)),
-                np.ones(n) if mu is None else np.asarray(mu, dtype=float),
-                None,
-                1.0 - np.eye(n),  # discrete metric
-            )
-            V_arr = np.zeros(n) if V is None else (
-                V.evaluate(np.zeros(n)) if isinstance(V, PotentialSpec) else np.asarray(V, float)
-            )
-            return MarkovModel(space, Q, V_arr, label=label or "complete")
+            dist = 1.0 - np.eye(n)  # discrete metric, no coordinates: potentials read at 0
         elif recipe == "cycle":
             Q = np.roll(np.eye(n), 1, axis=1)
-            coords = np.arange(n, dtype=float)[:, None]
         else:
             raise ModelError(f"unknown kernel recipe {q_spec!r}")
     else:
         Q = np.asarray(q_spec, dtype=float)
         if Q.shape != (n, n):
             raise ModelError("user matrix has the wrong shape")
-    mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
-    if coords is None:
+    if coords is None and dist is None:
         coords = np.arange(n, dtype=float)[:, None]
-    space = StateSpace(tuple(range(n)), mu_arr, coords)
+    space = StateSpace(tuple(range(n)), mu_arr, coords, dist)
     if V is None:
         V_arr = np.zeros(n)
     elif isinstance(V, PotentialSpec):
-        V_arr = V.evaluate(np.linalg.norm(space.coords, axis=1))
+        V_arr = V.evaluate(np.zeros(n) if coords is None else np.linalg.norm(space.coords, axis=1))
     else:
         V_arr = np.asarray(V, dtype=float)
     name = label or (q_spec if isinstance(q_spec, str) else "user")
@@ -363,81 +358,166 @@ def regime_classifier(levy: LevyProfile, V: PotentialSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# zoo registry
+# zoo registry: one entry per id holds its ``list-models`` schema, the
+# signature of its compact string form and a builder that pops the keys it takes
+
+
+def _floats(raw) -> np.ndarray:
+    """Numbers given as a sequence or as one string, with spaces between the
+    numbers and ';' between the rows of a matrix: mu, v and q alike."""
+    if isinstance(raw, str):
+        rows = [[float(x) for x in row.split()] for row in raw.split(";")]
+        raw = rows if ";" in raw else rows[0]
+    return np.array(raw, dtype=float)
+
+
+def _take(p: dict, key: str, kind=float, default=...):
+    """Pop ``key`` converted by ``kind``; ``default`` when it is absent, which
+    the default ``...`` marks as an error."""
+    if key not in p:
+        if default is ...:
+            raise ModelError(f"needs a {key!r} parameter")
+        return default
+    raw = p.pop(key)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ModelError(f"bad {key!r} value {raw!r}") from None
+
+
+def _potential(p: dict) -> PotentialSpec | None:
+    """The potential/beta/scale keys, if a kind or an exponent is given."""
+    if "potential" not in p and "beta" not in p:
+        return None
+    kind = _take(p, "potential", str, "power")
+    return PotentialSpec(kind, _take(p, "beta", float, 1.0), _take(p, "scale", float, 1.0))
+
+
+def _build_chain(p, recipe: str, label: str, mu=None):
+    """The n-state chain ``recipe`` labelled ``label(n)``."""
+    n = _take(p, "n", int)
+    return partial(build_ctmc_model, n, recipe, mu=mu, V=_potential(p), label=f"{label}({n})")
+
+
+def _build_box(p):
+    d, n = _take(p, "d", int, 1), _take(p, "n", int)
+    return partial(build_ctmc_model, n, f"box:{d}", V=_potential(p), label=f"box({d},{n})")
+
+
+def _build_frac(p):
+    kind, alpha = _take(p, "kind", str, "polynomial"), _take(p, "alpha")
+    levy = LevyProfile(kind, alpha, _take(p, "delta", float, 0.0), _take(p, "m", float, 1.0))
+    grid = (_take(p, "half_width", float, 50.0), _take(p, "h", float, 0.25))
+    pot = _potential(p)
+    if pot is None:
+        raise ModelError("needs a potential spec (potential or beta)")
+    return partial(build_fractional_model, grid, levy, pot)
+
+
+def _build_ho(p):
+    grid = (_take(p, "half_width", float, 8.0), _take(p, "h", float, 0.05))
+
+    def oracle():
+        space = lattice_space(*grid)
+        return (lambda t: build_ho_discretization(space, t)), space
+
+    return oracle
+
+
+def _build_user(p):
+    Q, mu, v = _take(p, "q", _floats), _take(p, "mu", _floats, None), _take(p, "v", _floats, None)
+    return partial(build_ctmc_model, len(Q), Q, mu=mu, V=v, label="user")
+
+
+class _ZooEntry(NamedTuple):
+    """``build`` pops the keys it takes and returns the model's constructor,
+    which ``zoo_build`` calls once no key is left over.  ``args`` names the
+    compact form's positions with their types, and ``build`` decides which
+    are required; ``implied`` adds the parameters the given ones entail."""
+
+    schema: str
+    build: Callable
+    args: tuple = ()
+    implied: Callable = lambda args: {}
+
+
+_ZOO = {
+    "birthdeath": _ZooEntry(
+        "birthdeath(n) [mu=..., potential kind/beta/scale]",
+        lambda p: _build_chain(p, "birth-death", "birthdeath", _take(p, "mu", _floats, None)),
+        (("n", int),),
+    ),
+    "box": _ZooEntry("box(d, n) lazy walk on a box in Z^d", _build_box, (("d", int), ("n", int))),
+    "complete": _ZooEntry(
+        "complete(n) uniform jumps", lambda p: _build_chain(p, "complete", "complete"), (("n", int),)
+    ),
+    "cycle": _ZooEntry(
+        "cycle(n) non-reversible rotation", lambda p: _build_chain(p, "cycle", "cycle"), (("n", int),)
+    ),
+    "frac": _ZooEntry(
+        "frac(alpha, delta, beta, kind) 1D fractional Schrodinger lattice",
+        _build_frac,
+        (("alpha", float), ("delta", float), ("beta", float), ("kind", str)),
+        # each kind's potential follows the two worked example families:
+        # polynomial with log-power, exponential with power
+        lambda args: {"potential": "power" if args.get("kind") == "exponential" else "log-power"},
+    ),
+    "ho": _ZooEntry(
+        "ho(half_width, h) closed-form oscillator kernel lattice",
+        _build_ho,
+        (("half_width", float), ("h", float)),
+    ),
+    "swap2": _ZooEntry(
+        "swap2 canonical 2-state swap",
+        lambda p: partial(build_ctmc_model, 2, "swap2", V=_potential(p), label="swap2"),
+    ),
+    "user": _ZooEntry("user [q = rows separated by ';', mu = ..., v = ...]", _build_user),
+}
+
+
+def _zoo_entry(model_id: str) -> _ZooEntry:
+    if model_id not in _ZOO:
+        raise ModelError(f"unknown zoo id {model_id!r}")
+    return _ZOO[model_id]
 
 
 def zoo_catalog() -> list[tuple[str, str]]:
     """Stable-ordered (id, parameter schema) listing of the model zoo."""
-    return [
-        ("birthdeath", "birthdeath(n) [mu=..., potential kind/beta/scale]"),
-        ("box", "box(d, n) lazy walk on a box in Z^d"),
-        ("complete", "complete(n) uniform jumps"),
-        ("cycle", "cycle(n) non-reversible rotation"),
-        ("frac", "frac(alpha, delta, beta, kind) 1D fractional Schrodinger lattice"),
-        ("ho", "ho(half_width, h) closed-form oscillator kernel lattice"),
-        ("swap2", "swap2 canonical 2-state swap"),
-        ("user", "user [q = rows separated by ';', mu = ..., v = ...]"),
-    ]
+    return [(model_id, entry.schema) for model_id, entry in sorted(_ZOO.items())]
 
 
-def _pop_required(p: dict, key: str, model_id: str):
+def parse_model_string(text: str) -> tuple[str, dict]:
+    """Compact zoo address ``id`` or ``id(arg, ...)``: swap2, birthdeath(20),
+    box(2,25), frac(alpha,delta,beta,kind), ho(8,0.05).  The arguments fill
+    the id's signature in order; ``zoo_build`` gives the omitted ones their
+    defaults or rejects them as missing."""
+    text = text.strip()
+    model_id, paren, rest = (s.strip() for s in text.partition("("))
+    entry = _zoo_entry(model_id)
+    if not paren:
+        return model_id, {}
+    args = [a.strip() for a in rest[:-1].split(",")] if rest[:-1].strip() else []
+    names = [name for name, _ in entry.args]
+    if not rest.endswith(")") or len(args) > len(names):
+        raise ModelError(f"{text!r} does not match {model_id}({', '.join(names)})")
+    given = dict(zip(names, args))
     try:
-        return p.pop(key)
-    except KeyError:
-        raise ModelError(f"model {model_id!r} needs a {key!r} parameter") from None
+        params = {name: _take(given, name, kind) for name, kind in entry.args[: len(args)]}
+    except ModelError as exc:
+        raise ModelError(f"{text!r}: {exc}") from None
+    return model_id, {**params, **entry.implied(params)}
 
 
 def zoo_build(model_id: str, params: dict):
     """Build a zoo entry by id; returns a MarkovModel, except for "ho" which
-    returns a factory t -> KernelOperator plus its lattice."""
+    returns a factory t -> KernelOperator plus its lattice.  A key that the
+    entry's builder does not take is a ModelError, raised before any build."""
+    entry = _zoo_entry(model_id)
     p = dict(params)
-    pot = None
-    if "potential" in p or "beta" in p:
-        pot = PotentialSpec(
-            kind=p.pop("potential", "power"),
-            beta=float(p.pop("beta", 1.0)),
-            scale=float(p.pop("scale", 1.0)),
-        )
-    if model_id == "swap2":
-        return build_ctmc_model(2, "swap2", V=p.pop("V", pot), label="swap2")
-    if model_id == "birthdeath":
-        n = int(_pop_required(p, "n", model_id))
-        mu = p.pop("mu", None)
-        return build_ctmc_model(n, "birth-death", mu=mu, V=pot, label=f"birthdeath({n})")
-    if model_id == "box":
-        d = int(p.pop("d", 1))
-        n = int(_pop_required(p, "n", model_id))
-        return build_ctmc_model(n, f"box:{d}", V=pot, label=f"box({d},{n})")
-    if model_id == "complete":
-        n = int(_pop_required(p, "n", model_id))
-        return build_ctmc_model(n, "complete", V=pot, label=f"complete({n})")
-    if model_id == "cycle":
-        n = int(_pop_required(p, "n", model_id))
-        return build_ctmc_model(n, "cycle", V=pot, label=f"cycle({n})")
-    if model_id == "frac":
-        levy = LevyProfile(
-            kind=p.pop("kind", "polynomial"),
-            alpha=float(_pop_required(p, "alpha", model_id)),
-            delta=float(p.pop("delta", 0.0)),
-            m=float(p.pop("m", 1.0)),
-        )
-        grid = (float(p.pop("half_width", 50.0)), float(p.pop("h", 0.25)))
-        if pot is None:
-            raise ModelError("frac models need a potential spec")
-        return build_fractional_model(grid, levy, pot)
-    if model_id == "ho":
-        grid = lattice_space(float(p.pop("half_width", 8.0)), float(p.pop("h", 0.05)))
-        return (lambda t: build_ho_discretization(grid, t)), grid
-    if model_id == "user":
-        q = _pop_required(p, "q", model_id)
-        if isinstance(q, str):
-            q = [[float(v) for v in row.split()] for row in q.split(";")]
-        Q = np.asarray(q, dtype=float)
-        mu = p.pop("mu", None)
-        if isinstance(mu, str):
-            mu = [float(v) for v in mu.split()]
-        v = p.pop("v", None)
-        if isinstance(v, str):
-            v = [float(x) for x in v.split()]
-        return build_ctmc_model(Q.shape[0], Q, mu=mu, V=v, label="user")
-    raise ModelError(f"unknown zoo id {model_id!r}")
+    try:
+        construct = entry.build(p)
+        if p:
+            raise ModelError(f"unknown parameter(s) {', '.join(map(repr, sorted(p)))}")
+    except ModelError as exc:
+        raise ModelError(f"model {model_id!r}: {exc}") from None
+    return construct()

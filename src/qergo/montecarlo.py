@@ -17,35 +17,13 @@ from .models import PotentialSpec
 from .operators import MarkovModel
 
 __all__ = [
-    "PathSample",
     "EstimateWithError",
-    "sample_ctmc_path",
     "fk_estimate",
     "fk_conditioned_estimate",
     "exit_probability",
     "sample_stable_increment",
     "fk_estimate_levy",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """One uniformized-chain trajectory with its exact Feynman-Kac weight."""
-
-    jump_times: np.ndarray
-    states: tuple
-    weight: float
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        if np.any(np.diff(jt) < 0):
-            raise ValueError("jump times must be nondecreasing")
-        if len(self.states) != len(jt) + 1:
-            raise ValueError("a path visits one more state than it has jumps")
-        if not self.weight > 0:
-            raise ValueError("Feynman-Kac weights are strictly positive")
-        object.__setattr__(self, "jump_times", jt)
-        jt.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -68,34 +46,15 @@ class EstimateWithError:
         return abs(self.mean - target) <= max(k * self.stderr, atol)
 
 
-def _normalize_rng(rng) -> tuple[np.random.Generator, int | None]:
+def _normalize_rng(rng, n: int = 2) -> tuple[np.random.Generator, int | None]:
+    """(generator, recorded seed) for an estimator that draws ``n`` samples."""
+    if n < 2:
+        raise ValueError("need at least two samples")
     if rng is None:
         return np.random.default_rng(), None
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng)), int(rng)
     return rng, None
-
-
-def sample_ctmc_path(model: MarkovModel, x0, t: float, rng) -> PathSample:
-    """One path of the rate-1 chain: Poisson(t) jumps at uniform order
-    statistics, discrete steps from the rows of Q, exact holding-time weight."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    gen, _ = _normalize_rng(rng)
-    i = model.space.index(x0)
-    n_jumps = int(gen.poisson(t))
-    times = np.sort(gen.uniform(0.0, t, n_jumps))
-    cum = np.cumsum(model.Q, axis=1)
-    states = [i]
-    for _ in range(n_jumps):
-        r = gen.random()
-        i = int(np.searchsorted(cum[i], r, side="right"))
-        i = min(i, model.n - 1)
-        states.append(i)
-    bounds = np.concatenate([[0.0], times, [t]])
-    durations = np.diff(bounds)
-    weight = float(np.exp(-np.sum(model.V[np.array(states)] * durations)))
-    return PathSample(times, tuple(model.space.points[s] for s in states), weight)
 
 
 def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
@@ -134,21 +93,24 @@ def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
     return np.exp(logw), state, stayed
 
 
-def fk_estimate(model: MarkovModel, x0, t: float, f, n: int, rng) -> EstimateWithError:
-    """Sample mean of weight * f(X_t) over n paths; unbiased for (U_t f)(x0).
+def _sample_mean(vals: np.ndarray, seed: int | None) -> EstimateWithError:
+    n = len(vals)
+    return EstimateWithError(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)), n, seed)
 
-    f may be an array of per-state values or a callable on the coordinate
-    rows of the state space.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    gen, seed = _normalize_rng(rng)
+
+def _fk_batch(model: MarkovModel, x0, t: float, f, n: int, rng):
+    """(weights, weight * f(X_t), seed) of n paths from x0."""
+    gen, seed = _normalize_rng(rng, n)
     fv = np.asarray(f(model.space.coords), float) if callable(f) else np.asarray(f, float)
     w, end, _ = _simulate_batch(model, x0, t, n, gen)
-    vals = w * fv[end]
-    return EstimateWithError(
-        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)), n, seed
-    )
+    return w, w * fv[end], seed
+
+
+def fk_estimate(model: MarkovModel, x0, t: float, f, n: int, rng) -> EstimateWithError:
+    """Sample mean of weight * f(X_t) over n paths; unbiased for (U_t f)(x0).
+    f is an array of per-state values or a callable on the coordinate rows."""
+    _, vals, seed = _fk_batch(model, x0, t, f, n, rng)
+    return _sample_mean(vals, seed)
 
 
 def fk_conditioned_estimate(
@@ -157,12 +119,7 @@ def fk_conditioned_estimate(
     """Survival-conditioned ratio estimator of E[w f(X_t)] / E[w], the
     Monte Carlo reading of sigma(U_t f)/sigma(U_t 1) for sigma = delta_x0,
     with a delta-method standard error."""
-    if n < 2:
-        raise ValueError("need at least two samples")
-    gen, seed = _normalize_rng(rng)
-    fv = np.asarray(f(model.space.coords), float) if callable(f) else np.asarray(f, float)
-    w, end, _ = _simulate_batch(model, x0, t, n, gen)
-    a = w * fv[end]
+    w, a, seed = _fk_batch(model, x0, t, f, n, rng)
     ratio = a.mean() / w.mean()
     cov = np.cov(a, w, ddof=1)
     var = (
@@ -178,14 +135,9 @@ def exit_probability(
 ) -> EstimateWithError:
     """Estimate of P^{x0}(t <= tau_{B_radius(x0)}), the chance of staying in
     the closed metric ball around the start point up to the horizon."""
-    if n < 2:
-        raise ValueError("need at least two samples")
-    gen, seed = _normalize_rng(rng)
+    gen, seed = _normalize_rng(rng, n)
     _, _, stayed = _simulate_batch(model, x0, t, n, gen, radius=radius)
-    vals = stayed.astype(float)
-    return EstimateWithError(
-        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)), n, seed
-    )
+    return _sample_mean(stayed.astype(float), seed)
 
 
 def _stable_batch(alpha: float, size: int, gen) -> np.ndarray:
@@ -228,16 +180,11 @@ def fk_estimate_levy(
         raise ValueError("alpha must lie in (0, 2]")
     if n_steps < 4:
         raise ValueError("need at least 4 Euler steps")
-    if n < 2:
-        raise ValueError("need at least two samples")
-    gen, seed = _normalize_rng(rng)
+    gen, seed = _normalize_rng(rng, n)
     dt = t / n_steps
     X = np.full(n, float(x0))
     logw = np.zeros(n)
     for _ in range(n_steps):
         logw -= V.evaluate(X) * dt
         X = X + dt ** (1.0 / alpha) * _stable_batch(alpha, n, gen)
-    w = np.exp(logw)
-    return EstimateWithError(
-        float(w.mean()), float(w.std(ddof=1) / np.sqrt(n)), n, seed
-    )
+    return _sample_mean(np.exp(logw), seed)

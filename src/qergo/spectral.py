@@ -49,11 +49,6 @@ class SpectralData:
             if arr is not None:
                 np.asarray(arr).setflags(write=False)
 
-    def qsd_weights(self, mu: np.ndarray) -> np.ndarray:
-        """m = psi0 mu / ||psi0||_{L1(mu)}."""
-        w = self.psi0 * mu
-        return w / w.sum()
-
 
 def _positive_direction(v: np.ndarray, what: str) -> np.ndarray:
     """Fix the sign of a principal eigenvector and insist on positivity.

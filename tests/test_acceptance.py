@@ -26,6 +26,7 @@ from qergo.diagnostics import (
     kernel_convergence_error,
     pgsd_radius,
     point_mass,
+    progressive_error,
     qsd_from_spectral,
     qsd_residual,
     quasi_ergodic_error,
@@ -368,16 +369,12 @@ def test_criterion_08_progressive_bound():
     a = b = 1.0 / 3.0
     t0 = 1.0
     surv = survival_pair(model, t0)
-    m_density = spec.psi0 / np.sum(spec.psi0 * mu)
     dist = model.space.dist[model.space.index(base)]
     C = None
     rows = []
     for t in (12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0):
         op = feynman_kac_operator(model, t)
-        mask = dist <= fam.radius_fn(a * t)
-        u = op.density[mask]
-        surv_sel = u @ mu
-        E = float((np.abs(u / surv_sel[:, None] - m_density[None, :]) @ mu).max())
+        E = progressive_error(op, spec, dist <= fam.radius_fn(a * t))
         kb = kappa_rate(model, spec, fam, t0, b, t, survivals=surv)
         if C is None:
             C = E / kb

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from qergo.cli import (
     parse_model_string,
     run_experiment,
 )
+from qergo.models import zoo_build
+
+BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
 
 
 SWAP2_CONFIG = """
@@ -345,6 +349,52 @@ class TestMainEntry:
 
     def test_unknown_model_exits_one(self, capsys):
         assert main(["spectral", "nonexistent(3)"]) == 1
+
+    @pytest.mark.parametrize("text,named", [
+        ("birthdeath()", "'n'"),
+        ("box(2)", "'n'"),
+        ("frac()", "'alpha'"),
+        ("cycle(abc)", "'abc'"),
+        ("birthdeath(20, 5)", "birthdeath(n)"),
+        ("swap2(3)", "swap2()"),
+    ])
+    def test_malformed_model_string_exits_one(self, capsys, text, named):
+        assert main(["spectral", text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_unknown_model_key_exits_one(self, tmp_path, capsys):
+        text = "[model]\nid = cycle\nn = 4\npotential = power\nbta = 3.0\n[times]\nt_grid = 1 2\n"
+        assert main(["run", write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'bta'" in err
+
+    def test_vector_model_key_from_config(self, tmp_path):
+        text = "[model]\nid = birthdeath\nn = 4\nmu = 1 2 4 8\n[times]\nt_grid = 1 2\n"
+        cfg = parse_config(write_config(tmp_path, text))
+        model = zoo_build(cfg.model_id, cfg.model_params)
+        np.testing.assert_array_equal(model.space.mu, [1.0, 2.0, 4.0, 8.0])
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("base_point = 5", "base_point = 99", "base_point '99'"),
+        ("sigma = point:3", "sigma = point:77", "sigma '77'"),
+    ])
+    def test_point_outside_the_model_exits_one(
+            self, tmp_path, capsys, monkeypatch, old, new, named):
+        import qergo.cli as cli
+
+        def no_operator(*args):
+            raise AssertionError("an operator was built before the point check")
+
+        monkeypatch.setattr(cli, "feynman_kac_operator", no_operator)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = BIRTHDEATH_FULL.read_text()
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, new))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(old) + 1
+        assert err.startswith(f"error: {path}:{line}: ") and named in err
 
     def test_runtime_error_keeps_its_type(self, tmp_path, capsys, monkeypatch):
         import qergo.cli as cli

@@ -18,6 +18,7 @@ from qergo.diagnostics import (
     kernel_error_matrix,
     pgsd_radius,
     point_mass,
+    progressive_error,
     qsd_from_spectral,
     qsd_residual,
     quasi_ergodic_error,
@@ -237,6 +238,21 @@ class TestQuasiErgodicError:
         dead = KernelOperator(1.0, np.zeros((2, 2)), swap2_v01.space)
         with pytest.raises(DegenerateSupportError):
             quasi_ergodic_error(dead, spec, point_mass(swap2_v01.space, 0), 2)
+
+
+class TestProgressiveError:
+    @pytest.mark.parametrize("name", ["weighted_bd", "cycle4"])  # reversible, non-reversible
+    def test_sup_of_point_mass_errors(self, name, request):
+        model = request.getfixturevalue(name)
+        spec = principal_triple(model)
+        op = feynman_kac_operator(model, 1.3)
+        mask = np.zeros(model.n, dtype=bool)
+        mask[[0, 2, 3]] = True
+        expected = max(
+            quasi_ergodic_error(op, spec, point_mass(model.space, x), "inf")
+            for x in np.asarray(model.space.points)[mask]
+        )
+        assert progressive_error(op, spec, mask) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAsymptoticProjection:

@@ -10,6 +10,7 @@ from qergo.models import (
     build_ho_discretization,
     check_djp,
     lattice_space,
+    parse_model_string,
     physical_time_operator,
     regime_classifier,
     stable_constant,
@@ -224,6 +225,54 @@ class TestZoo:
     def test_unknown_id(self):
         with pytest.raises(ModelError, match="unknown"):
             zoo_build("pushforward", {})
+
+
+    # one example per id with a compact string form: all but user
+    COMPACT = {
+        "birthdeath": ("birthdeath(6)", 6),
+        "box": ("box(2, 9)", 9),
+        "complete": ("complete(4)", 4),
+        "cycle": ("cycle(5)", 5),
+        "frac": ("frac(1.0, 0.0, 2.0, polynomial)", 401),
+        "ho": ("ho(4, 0.25)", 33),
+        "swap2": ("swap2", 2),
+    }
+
+    def test_every_compact_form_builds(self):
+        assert set(self.COMPACT) | {"user"} == {name for name, _ in zoo_catalog()}
+        for text, n in self.COMPACT.values():
+            built = zoo_build(*parse_model_string(text))
+            assert (built[1].n if isinstance(built, tuple) else built.n) == n
+
+    @pytest.mark.parametrize("text,named", [
+        ("birthdeath()", "'n'"),
+        ("box(2)", "'n'"),
+        ("frac()", "'alpha'"),
+        ("cycle(abc)", "'abc'"),
+        ("birthdeath(20, 5)", "birthdeath(n)"),
+        ("swap2(3)", "swap2()"),
+        ("user(2)", "user()"),
+        ("cycle(5", "cycle(n)"),
+        ("pushforward(3)", "pushforward"),
+    ])
+    def test_malformed_compact_form_is_model_error(self, text, named):
+        with pytest.raises(ModelError) as exc:
+            zoo_build(*parse_model_string(text))
+        assert named in str(exc.value)
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ModelError, match="'bta'"):
+            zoo_build("cycle", {"n": "4", "potential": "power", "bta": "3.0"})
+
+    def test_vector_parameters_from_text(self):
+        model = zoo_build("birthdeath", {"n": "4", "mu": "1 2 4 8"})
+        np.testing.assert_array_equal(model.space.mu, [1.0, 2.0, 4.0, 8.0])
+        with pytest.raises(ModelError, match="mu needs 4 values"):
+            zoo_build("birthdeath", {"n": "4", "mu": "1 2"})
+        with pytest.raises(ModelError, match="'q'"):
+            zoo_build("user", {"q": "0 1; 1"})
+        with pytest.raises(ModelError, match="'v'"):
+            zoo_build("user", {"q": "0 1; 1 0", "v": "0 x"})
 
 
 class TestPotentialSpec:

@@ -5,11 +5,11 @@ from qergo.diagnostics import qsd_from_spectral
 from qergo.models import PotentialSpec, build_ctmc_model
 from qergo.montecarlo import (
     EstimateWithError,
+    _simulate_batch,
     exit_probability,
     fk_conditioned_estimate,
     fk_estimate,
     fk_estimate_levy,
-    sample_ctmc_path,
     sample_stable_increment,
 )
 from qergo.operators import feynman_kac_operator, uniformized_transition
@@ -17,50 +17,30 @@ from qergo.spectral import principal_triple
 
 
 class TestPathSampler:
+    """The batch path simulator that every estimator draws from."""
+
     def test_identity_kernel_never_moves(self):
         model = build_ctmc_model(3, np.eye(3), V=np.array([0.3, 0.5, 0.7]))
         t = 1.7
-        path = sample_ctmc_path(model, 1, t, rng=5)
-        assert set(path.states) == {1}
-        assert path.weight == pytest.approx(np.exp(-0.5 * t))
-
-    def test_jump_count_mean_is_poisson(self, birthdeath5):
-        rng = np.random.default_rng(42)
-        t = 2.0
-        counts = [len(sample_ctmc_path(birthdeath5, 2, t, rng).jump_times) for _ in range(4000)]
-        mean = np.mean(counts)
-        stderr = np.std(counts, ddof=1) / np.sqrt(len(counts))
-        assert abs(mean - t) <= 3 * stderr
-
-    def test_steps_supported_by_Q(self, weighted_bd):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            path = sample_ctmc_path(weighted_bd, 0, 3.0, rng)
-            idx = [weighted_bd.space.index(s) for s in path.states]
-            for a, b in zip(idx, idx[1:]):
-                assert weighted_bd.Q[a, b] > 0
+        w, end, stayed = _simulate_batch(model, 1, t, 500, np.random.default_rng(5), radius=0.0)
+        assert np.all(end == model.space.index(1)) and stayed.all()
+        np.testing.assert_allclose(w, np.exp(-0.5 * t), rtol=1e-13)
 
     def test_weight_bounds(self, birthdeath20_confining):
-        rng = np.random.default_rng(2)
-        t = 1.5
-        for _ in range(100):
-            path = sample_ctmc_path(birthdeath20_confining, 9, t, rng)
-            assert 0.0 < path.weight <= 1.0  # V >= 0 here
+        w, _, _ = _simulate_batch(birthdeath20_confining, 9, 1.5, 5000, np.random.default_rng(2))
+        assert np.all(w > 0.0) and np.all(w <= 1.0)  # V >= 0 here
 
-    def test_occupation_matches_uniformized_row(self, birthdeath5):
-        # empirical endpoint law under V = 0 vs the matrix transition row
+    def test_occupation_matches_uniformized_row(self):
+        # endpoint law under V = 0 against the matrix transition row; it holds
+        # only with Poisson(t) jump counts and steps drawn from the rows of Q
         free = build_ctmc_model(5, "birth-death")
         t, n = 1.0, 20000
-        rng = np.random.default_rng(11)
-        hits = np.zeros(5)
-        for _ in range(n):
-            path = sample_ctmc_path(free, 0, t, rng)
-            hits[free.space.index(path.states[-1])] += 1
-        freq = hits / n
+        w, end, _ = _simulate_batch(free, 0, t, n, np.random.default_rng(11))
+        assert np.all(w == 1.0)
+        freq = np.bincount(end, minlength=5) / n
         row = uniformized_transition(free, t).transition()[0]
-        for k in range(5):
-            stderr = np.sqrt(row[k] * (1 - row[k]) / n)
-            assert abs(freq[k] - row[k]) <= 4 * stderr
+        stderr = np.sqrt(row * (1 - row) / n)
+        assert np.all(np.abs(freq - row) <= 4 * stderr)
 
 
 class TestFkEstimate:
