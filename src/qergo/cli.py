@@ -30,7 +30,7 @@ from .models import parse_model_string
 from .montecarlo import fk_estimate
 from .operators import adjoint, feynman_kac_operator
 from .spectral import principal_triple, principal_triple_from_operator, spectral_to_text
-from .statespace import ExhaustingFamily, ball_indicator
+from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
 
 DIAGNOSTIC_NAMES = (
     "heat_content",
@@ -130,34 +130,33 @@ def parse_config(path: str) -> ExperimentConfig:
     )
 
 
-def _radius_fn(spec: str):
+def _radius_fn(cfg: ExperimentConfig):
+    spec = cfg.family.get("radius", "linear:1.0")
     kind, _, arg = spec.partition(":")
-    if kind == "linear":
-        v = float(arg)
-        return lambda t: v * t
-    if kind == "const":
-        r = float(arg)
-        return lambda t: r
-    if kind == "power":
-        a, b = (float(x) for x in arg.split(","))
-        return lambda t: a * t**b
-    if kind == "table":
-        pairs = [tuple(float(v) for v in p.split(":")) for p in arg.split(",")]
-        from .statespace import tabulated_radius
-
-        return tabulated_radius([p[0] for p in pairs], [p[1] for p in pairs])
-    raise ConfigError(f"unknown radius spec {spec!r}")
+    try:
+        if kind in ("linear", "const"):
+            v = float(arg)
+            return (lambda t: v * t) if kind == "linear" else (lambda t: v)
+        if kind == "power":
+            a, b = (float(x) for x in arg.split(","))
+            return lambda t: a * t**b
+        if kind == "table":  # table:t1:r1,t2:r2,...
+            pairs = [p.split(":") for p in arg.split(",")]
+            return tabulated_radius(*zip(*[(float(t), float(r)) for t, r in pairs]))
+        raise ValueError("unknown kind; known: linear, const, power, table")
+    except ValueError as exc:
+        raise _fail_config(cfg.source, "radius", f"bad radius {spec!r}: {exc}") from None
 
 
-def _state(cfg: ExperimentConfig, space, key: str, raw):
-    """The state that config key ``key`` names; a ConfigError unless it is one."""
+def _state(space, key: str, raw, source: str | None = None):
+    """The state that ``key`` (a config key read from ``source``, or a command
+    line option) names; a ConfigError unless it is one."""
     try:
         point = type(space.points[0])(raw)
         space.index(point)
     except (TypeError, ValueError, KeyError):
-        raise _fail_config(
-            cfg.source, key, f"{key} {raw!r} is not a state of the {space.n}-state model"
-        ) from None
+        msg = f"{key} {raw!r} is not a state of the {space.n}-state model"
+        raise (ConfigError(msg) if source is None else _fail_config(source, key, msg)) from None
     return point
 
 
@@ -165,8 +164,9 @@ def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
     if cfg.family is None:
         return None
     return ExhaustingFamily(
-        base_point=_state(cfg, space, "base_point", cfg.family.get("base_point", space.points[0])),
-        radius_fn=_radius_fn(cfg.family.get("radius", "linear:1.0")),
+        base_point=_state(
+            space, "base_point", cfg.family.get("base_point", space.points[0]), cfg.source),
+        radius_fn=_radius_fn(cfg),
         t_min=float(cfg.family.get("t_min", 0.0)),
     )
 
@@ -175,7 +175,7 @@ def _parse_sigma(cfg: ExperimentConfig, space) -> np.ndarray:
     spec = cfg.diag_params["quasi_ergodic"].get("sigma", "uniform")
     kind, _, arg = spec.partition(":")
     if kind == "point":
-        return dg.point_mass(space, _state(cfg, space, "sigma", arg))
+        return dg.point_mass(space, _state(space, "sigma", arg, cfg.source))
     if kind == "uniform":
         return np.full(space.n, 1.0 / space.n)
     raise _fail_config(cfg.source, "sigma", f"unknown sigma spec {spec!r}")
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
             model = zoo.zoo_build(*parse_model_string(args.model))
             if isinstance(model, tuple):
                 raise ModelError("mc needs a Markov model, not the ho oracle")
-            x0 = model.space.points[0] if args.x0 is None else type(model.space.points[0])(args.x0)
+            x0 = model.space.points[0] if args.x0 is None else _state(model.space, "--x0", args.x0)
             est = fk_estimate(model, x0, args.t, np.ones(model.n), args.n, args.seed)
             op = feynman_kac_operator(model, args.t)
             target = float(op.survival()[model.space.index(x0)])

@@ -229,14 +229,11 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
 # fractional lattice model
 
 
-def _half_count(half_width: float, h: float) -> int:
-    """K of the lattice {-K h, ..., K h}; the lattice has 2K + 1 points."""
-    return int(round(half_width / h))
-
-
 def lattice_space(half_width: float, h: float) -> StateSpace:
-    """Symmetric 1D lattice {-K h, ..., K h} with mu = h per point."""
-    K = _half_count(half_width, h)
+    """Symmetric 1D lattice {-K h, ..., K h}, mu = h per point, within the state budget."""
+    K = int(round(half_width / h))
+    if 2 * K + 1 > 2001:
+        raise ModelError(f"lattice of {2 * K + 1} points exceeds the 2000-state desk-scale budget")
     xs = (np.arange(-K, K + 1)) * h
     return StateSpace(tuple(range(len(xs))), np.full(len(xs), h), xs[:, None])
 
@@ -253,15 +250,11 @@ def build_fractional_model(
     ``time_scale`` = rate_max maps model time to physical time exactly, and
     the stored potential is V/rate_max.
     """
-    # the budget is checked before the lattice allocates its n x n distances
-    n = grid.n if isinstance(grid, StateSpace) else 2 * _half_count(*grid) + 1
-    if n > 2001:
-        raise ModelError("lattice exceeds the 2000-state desk-scale budget")
     space = grid if isinstance(grid, StateSpace) else lattice_space(*grid)
     xs = space.coords[:, 0]
     diff = xs[None, :] - xs[:, None]
-    off = ~np.eye(n, dtype=bool)
-    w = np.zeros((n, n))
+    off = ~np.eye(space.n, dtype=bool)
+    w = np.zeros(off.shape)
     w[off] = levy.profile(np.abs(diff[off])) * (xs[1] - xs[0])
     rates = w.sum(axis=1)
     rate_max = float(rates.max())

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eig
 
 from .errors import ModelError, NondegeneracyError, PositivityError
-from .operators import KernelOperator, MarkovModel
+from .operators import _REV_TOL, KernelOperator, MarkovModel, _mu_symmetric_eigh
 
 __all__ = [
     "SpectralData",
@@ -118,30 +118,28 @@ def principal_triple(model: MarkovModel) -> SpectralData:
 def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
     """Eigentriple extracted from a single kernel operator at time t > 0.
 
-    Used for closed-form operators that carry no generator (the oscillator
-    oracle): the transition form has dominant eigenvalue e^{-lambda0 t}, and
-    the gap comes from the modulus of the subdominant eigenvalue.
+    Self-adjoint kernels only (the oscillator oracle, which has no generator):
+    a symmetric density makes U_t self-adjoint in L2(mu), so one eigh gives
+    e^{-lambda0 t} with psi0 = phi0, and the gap comes from the second-largest
+    eigenvalue modulus over the whole real spectrum.
     """
     if op.t <= 0:
         raise ValueError("need a positive-time operator")
-    mu = op.space.mu
-    T = op.transition()
-    w, vl, vr = eig(T, left=True, right=True)
+    u, mu = op.density, op.space.mu
+    if np.max(np.abs(u - u.T)) > _REV_TOL * np.abs(u).max():
+        raise ValueError("kernel density is not symmetric; U_t is not self-adjoint")
+    w, B = _mu_symmetric_eigh(op.transition(), mu)
     order = np.argsort(-np.abs(w))
-    rho0 = w[order[0]].real
+    rho0, rho1 = w[order[0]], abs(w[order[1]])
     if rho0 <= 0:
         raise NondegeneracyError("dominant transition eigenvalue is not positive")
-    if abs(abs(w[order[1]]) - abs(w[order[0]])) < _DEGEN_TOL * abs(rho0):
+    if rho0 - rho1 < _DEGEN_TOL * rho0:
         raise NondegeneracyError("dominant eigenvalue of U_t is not simple")
     lam0 = -np.log(rho0) / op.t
-    rho1 = abs(w[order[1]])
     gap = (-np.log(rho1) / op.t - lam0) if rho1 > 0 else np.inf
-    phi = _positive_direction(vr[:, order[0]], "right eigenfunction")
+    phi = _positive_direction(B[:, order[0]], "principal eigenfunction")
     phi = phi / np.sqrt(np.sum(phi**2 * mu))
-    psi = _positive_direction(vl[:, order[0]], "left eigenfunction") / mu
-    psi = psi / np.sqrt(np.sum(psi**2 * mu))
-    Lam = float(np.sum(phi * psi * mu))
-    return SpectralData(float(lam0), phi, psi, Lam, float(gap), w[order])
+    return SpectralData(float(lam0), phi, phi, float(np.sum(phi**2 * mu)), float(gap), w[order])
 
 
 def eigen_residuals(spec: SpectralData, op: KernelOperator) -> tuple[float, float]:

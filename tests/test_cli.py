@@ -15,6 +15,7 @@ from qergo.cli import (
 from qergo.models import zoo_build
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
+HO_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "ho_oracle.ini"
 
 
 SWAP2_CONFIG = """
@@ -317,6 +318,19 @@ class TestFactorizationCounts:
         run_experiment(parse_config(write_config(tmp_path, text)))
         assert counts == {"eigh": 0, "expm": expm_calls}
 
+    def test_ho_oracle_run_does_one_eigh_and_no_eig(self, tmp_path, counts, monkeypatch):
+        # the Mehler kernel is symmetric: its triple needs no general eig
+        import qergo.spectral as spectral
+
+        eig_calls = []
+        general_eig = spectral.eig
+        monkeypatch.setattr(
+            spectral, "eig", lambda *a, **k: eig_calls.append(1) or general_eig(*a, **k))
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        _, _, code = run_experiment(parse_config(str(HO_ORACLE)))
+        assert code == 0
+        assert counts == {"eigh": 1, "expm": 0} and not eig_calls
+
 
 class TestMainEntry:
     def test_list_models_stable_and_complete(self, capsys):
@@ -340,6 +354,18 @@ class TestMainEntry:
         assert main(["mc", "birthdeath(6)", "--t", "0.5", "--n", "2000", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "agree3sigma=True" in out
+
+    @pytest.mark.parametrize("x0", ["99", "abc"])
+    def test_mc_start_point_outside_the_model_exits_one(self, capsys, monkeypatch, x0):
+        import qergo.cli as cli
+
+        def no_simulation(*args):
+            raise AssertionError("paths were simulated before the point check")
+
+        monkeypatch.setattr(cli, "fk_estimate", no_simulation)
+        assert main(["mc", "birthdeath(6)", "--x0", x0]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{x0}'" in err and "6-state" in err
 
     def test_run_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -395,6 +421,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         line = text.splitlines().index(old) + 1
         assert err.startswith(f"error: {path}:{line}: ") and named in err
+
+    @pytest.mark.parametrize("radius", ["linear:abc", "power:1", "table:1", "bogus:1"])
+    def test_malformed_radius_exits_one(self, tmp_path, capsys, monkeypatch, radius):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = BIRTHDEATH_FULL.read_text()
+        old = "radius = linear:0.6"
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, f"radius = {radius}"))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(old) + 1
+        assert err.startswith(f"error: {path}:{line}: ") and repr(radius) in err
 
     def test_runtime_error_keeps_its_type(self, tmp_path, capsys, monkeypatch):
         import qergo.cli as cli

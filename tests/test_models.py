@@ -102,6 +102,15 @@ class TestFractionalModel:
             build_fractional_model((2000.0, 0.5), LevyProfile("polynomial", alpha=1.0),
                                    PotentialSpec("log-power", beta=1.0))
 
+    def test_lattice_budget_is_shared_by_frac_and_ho(self):
+        # the check sits in lattice_space, so the oscillator lattice is bounded
+        # too, and n = 2001 is the largest lattice either family may build
+        assert lattice_space(500.0, 0.5).n == 2001
+        with pytest.raises(ModelError, match="2003 points .* 2000"):
+            lattice_space(500.5, 0.5)
+        with pytest.raises(ModelError, match="2000"):
+            zoo_build("ho", {"half_width": 6.0, "h": 0.004})
+
     def test_time_scale_semantics(self):
         # physical-time operator equals the exponential of rate (Q - I) - V_phys
         from scipy.linalg import expm

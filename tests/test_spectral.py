@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 from qergo.errors import ModelError, NondegeneracyError
 from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space
-from qergo.operators import MarkovModel, feynman_kac_operator, identity_operator
+from qergo.operators import (
+    KernelOperator,
+    MarkovModel,
+    feynman_kac_operator,
+    identity_operator,
+)
 from qergo.spectral import (
     eigen_residuals,
     principal_triple,
@@ -118,6 +124,34 @@ class TestHODiscretization:
         op = build_ho_discretization(lattice_space(8.0, 0.05), 1.0)
         spec = principal_triple_from_operator(op)
         assert spec.gap == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("h", [0.4, 0.1])
+    @pytest.mark.parametrize("t", [0.5, 1.25])
+    def test_eigh_matches_left_right_eig_oracle(self, h, t):
+        op = build_ho_discretization(lattice_space(6.0, h), t)
+        mu = op.space.mu
+        w, vl, vr = eig(op.transition(), left=True, right=True)
+        order = np.argsort(-np.abs(w))
+        lam0 = -np.log(w[order[0]].real) / t
+        gap = -np.log(abs(w[order[1]])) / t - lam0
+
+        def unit(v):
+            v = np.abs(np.real(v))
+            return v / np.sqrt(np.sum(v**2 * mu))
+
+        spec = principal_triple_from_operator(op)
+        assert spec.lambda0 == pytest.approx(lam0, rel=1e-12)
+        assert spec.gap == pytest.approx(gap, rel=1e-12)
+        assert np.max(np.abs(spec.phi0 - unit(vr[:, order[0]]))) <= 1e-10
+        # the plain left eigenvector, reweighted to the mu-pairing convention
+        assert np.max(np.abs(spec.psi0 - unit(vl[:, order[0]] / mu))) <= 1e-10
+
+    def test_nonsymmetric_density_rejected(self):
+        space = lattice_space(2.0, 0.5)
+        u = build_ho_discretization(space, 1.0).density.copy()
+        u[0, 1] *= 1.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            principal_triple_from_operator(KernelOperator(1.0, u, space))
 
 
 class TestEigenResiduals:
