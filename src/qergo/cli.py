@@ -163,11 +163,16 @@ def _state(space, key: str, raw, source: str | None = None):
 def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
     if cfg.family is None:
         return None
+    raw = cfg.family.get("t_min", "0.0")
+    try:
+        t_min = float(raw)
+    except ValueError:
+        raise _fail_config(cfg.source, "t_min", f"bad t_min {raw!r}: not a number") from None
     return ExhaustingFamily(
         base_point=_state(
             space, "base_point", cfg.family.get("base_point", space.points[0]), cfg.source),
         radius_fn=_radius_fn(cfg),
-        t_min=float(cfg.family.get("t_min", 0.0)),
+        t_min=t_min,
     )
 
 

@@ -17,7 +17,7 @@ from scipy.linalg import eig
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
 from .operators import KernelOperator, MarkovModel
 from .operators import feynman_kac_operator  # noqa: F401  (re-exported; bench/tracing.py wraps it)
-from .spectral import SpectralData
+from .spectral import SpectralData, _positive_direction
 from .statespace import ExhaustingFamily, StateSpace, ball_indicator, exhaustion_time
 
 __all__ = [
@@ -182,7 +182,8 @@ def find_qsd(op: KernelOperator, tol: float = 1e-10) -> QuasiStationaryMeasure:
     eig when n <= 3 or ARPACK fails (breakdown, or no convergence within 100
     restarts).  Emits NonuniquenessWarning when the dominant eigenvalue is not
     simple within ``tol`` (relative), in which case the returned measure is
-    only one of several quasi-stationary candidates.
+    only one of several quasi-stationary candidates.  Otherwise a direction
+    with mixed signs raises PositivityError.
     """
     T = op.transition()
     n = T.shape[0]
@@ -202,13 +203,16 @@ def find_qsd(op: KernelOperator, tol: float = 1e-10) -> QuasiStationaryMeasure:
     rho0 = abs(w[order[0]])
     if rho0 == 0:
         raise DegenerateSupportError("transition operator is nilpotent")
+    v = vl[:, order[0]]
     if abs(w[order[1]]) >= rho0 * (1.0 - max(tol, 1e-12)):
         warnings.warn(
             "dominant transition eigenvalue is not simple; the quasi-stationary "
             "measure need not be unique",
             NonuniquenessWarning,
         )
-    v = np.abs(np.real(vl[:, order[0]]))
+        v = np.abs(np.real(v))  # one candidate of the dominant eigenspace
+    else:
+        v = _positive_direction(v, "quasi-stationary direction")
     return QuasiStationaryMeasure(v / v.sum(), source="from-fixed-point")
 
 

@@ -231,6 +231,9 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
 
 def lattice_space(half_width: float, h: float) -> StateSpace:
     """Symmetric 1D lattice {-K h, ..., K h}, mu = h per point, within the state budget."""
+    for name, value in (("half_width", half_width), ("h", h)):
+        if not (np.isfinite(value) and value > 0):
+            raise ModelError(f"lattice {name} must be finite and positive, got {value!r}")
     K = int(round(half_width / h))
     if 2 * K + 1 > 2001:
         raise ModelError(f"lattice of {2 * K + 1} points exceeds the 2000-state desk-scale budget")

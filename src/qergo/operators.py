@@ -8,6 +8,7 @@ P_t(x, y) = u_t(x, y) mu(y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +40,9 @@ __all__ = [
 _STOCH_TOL = 1e-12
 # Q_dual == Q within a few ulps of entries in [0, 1] marks a reversible model
 _REV_TOL = 8 * np.finfo(float).eps
+# relative floor of a non-reversible transition form: far below round-off, and
+# the product of two entries above it is a normal number while max(P) > 2^-11
+_FLOOR = 2.0**-500
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +169,13 @@ class KernelOperator:
         return bool(np.all(self.density > 0))
 
 
+def _floored(P: np.ndarray) -> np.ndarray:
+    """P, in place, clamped at 0 and with entries below 2^-500 max(P) zeroed."""
+    np.maximum(P, 0.0, out=P)
+    P[P < _FLOOR * P.max()] = 0.0
+    return P
+
+
 def _mu_symmetric_eigh(M: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, B) of a matrix M self-adjoint in L2(mu): ascending eigenvalues and
     L2(mu)-orthonormal eigenvectors B = D^{-1/2} W, from one eigh of the
@@ -183,10 +194,19 @@ class Semigroup:
     S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T
     (one GEMM) and U_t 1 = B (e^{tw} B^T mu) (one GEMV).  The eigenvalue
     problem of a symmetric matrix is well conditioned, so this agrees with
-    the exponential to round-off.  Other models use the dense
-    scaling-and-squaring exponential, memoized by t; a time that is the sum
-    of two memoized times is instead their product, one GEMM, so an equally
-    spaced ascending grid costs one exponential.
+    the exponential to round-off.
+
+    Other models scale and square: with k the fewest halvings that bring
+    t ||G||_1 below 1, the dense exponential of the unit-norm step
+    (t / 2^k) G is squared k times.  Operators are memoized by t; a time that
+    is the sum of two memoized times is instead their product, one GEMM, so
+    an equally spaced ascending grid costs one exponential.  After the
+    exponential, each squaring and each product, the transition form is
+    clamped at 0 and entries below 2^-500 max(P) are zeroed.  That floor lies
+    ~1e-135 below the exponential's normwise error eps max(P), so it drops
+    nothing the error bound resolves, and it keeps the spatially decaying
+    entries of a non-normal U_t out of the subnormal range, where x86
+    arithmetic runs in slow microcode.
     """
 
     def __init__(self, model: MarkovModel):
@@ -217,11 +237,14 @@ class Semigroup:
         if key not in memo:
             s = next((s for s in memo if s < key and key - s in memo), None)
             if s is None:
-                P = expm(t * self.model.generator())
+                A = key * self.model.generator()
+                k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
+                P = _floored(expm(A / 2.0**k))
+                for _ in range(k):
+                    P = _floored(P @ P)
             else:  # U_t = U_s U_{t-s}: one product of nonnegative memoized factors
-                P = memo[s].transition() @ memo[key - s].transition()
-            memo[key] = KernelOperator(
-                t, np.maximum(P, 0.0) / space.mu[None, :], space, {"method": "expm"})
+                P = _floored(memo[s].transition() @ memo[key - s].transition())
+            memo[key] = KernelOperator(t, P / space.mu[None, :], space, {"method": "expm"})
         return memo[key]
 
     def survival(self, t: float) -> np.ndarray:

@@ -277,11 +277,16 @@ dir = {out}
 
 class TestFactorizationCounts:
     """One run factorizes each model once: one eigh when it is reversible.
-    Otherwise one exponential per grid time that is not the sum of two earlier
-    ones; those are formed by one product of memoized operators."""
+    Otherwise one exponential of a step of 1-norm at most 1 per grid time that
+    is not the sum of two earlier ones; those are formed by one product of
+    memoized operators."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
+    def expm_norms(self):
+        return []
+
+    @pytest.fixture
+    def counts(self, monkeypatch, expm_norms):
         import qergo.operators as operators
 
         calls = {"eigh": 0, "expm": 0}
@@ -291,6 +296,8 @@ class TestFactorizationCounts:
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "expm":
+                    expm_norms.append(np.linalg.norm(args[0], 1))
                 return original(*args, **kwargs)
 
             return wrapper
@@ -312,11 +319,12 @@ class TestFactorizationCounts:
         ("1 3 4 9", 3),  # only 4 = 3 + 1 is composed; 3 and 9 are not reachable
     ], ids=["uniform", "nonuniform"])
     def test_nonreversible_run_composes_sums_of_grid_times(
-            self, tmp_path, counts, grid, expm_calls):
+            self, tmp_path, counts, expm_norms, grid, expm_calls):
         text = FACTORIZATION_CONFIG.format(
             model="cycle", n=8, grid=grid, out=tmp_path / "o", kappa="")
         run_experiment(parse_config(write_config(tmp_path, text)))
         assert counts == {"eigh": 0, "expm": expm_calls}
+        assert len(expm_norms) == expm_calls and max(expm_norms) <= 1.0
 
     def test_ho_oracle_run_does_one_eigh_and_no_eig(self, tmp_path, counts, monkeypatch):
         # the Mehler kernel is symmetric: its triple needs no general eig
@@ -383,6 +391,10 @@ class TestMainEntry:
         ("cycle(abc)", "'abc'"),
         ("birthdeath(20, 5)", "birthdeath(n)"),
         ("swap2(3)", "swap2()"),
+        ("ho(6, 0)", "lattice h must be finite and positive"),
+        ("ho(6, -0.1)", "lattice h must be finite and positive"),
+        ("ho(6, nan)", "lattice h must be finite and positive"),
+        ("ho(0, 0.1)", "lattice half_width must be finite and positive"),
     ])
     def test_malformed_model_string_exits_one(self, capsys, text, named):
         assert main(["spectral", text]) == 1
@@ -433,6 +445,17 @@ class TestMainEntry:
         err = capsys.readouterr().err
         line = text.splitlines().index(old) + 1
         assert err.startswith(f"error: {path}:{line}: ") and repr(radius) in err
+
+    def test_malformed_t_min_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = BIRTHDEATH_FULL.read_text()
+        old = "t_min = 0.0"
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, "t_min = abc"))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(old) + 1
+        assert err.startswith(f"error: {path}:{line}: ") and "'abc'" in err
 
     def test_runtime_error_keeps_its_type(self, tmp_path, capsys, monkeypatch):
         import qergo.cli as cli

@@ -26,7 +26,12 @@ from qergo.diagnostics import (
     unif_conv_bound_matrix,
     uniqueness_condition_check,
 )
-from qergo.errors import DegenerateSupportError, FitError, NonuniquenessWarning
+from qergo.errors import (
+    DegenerateSupportError,
+    FitError,
+    NonuniquenessWarning,
+    PositivityError,
+)
 from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space
 from qergo.operators import (
     KernelOperator,
@@ -132,6 +137,18 @@ class TestFindQsd:
         op = feynman_kac_operator(model, 1.0)
         with pytest.warns(NonuniquenessWarning):
             find_qsd(op)
+
+    def test_mixed_sign_direction_of_a_simple_eigenvalue_raises(self, birthdeath20, monkeypatch):
+        import scipy.sparse.linalg
+
+        def mixed_sign_eigs(A, k, **kwargs):
+            v = np.ones(A.shape[0])
+            v[0] = -1.0
+            return np.array([1.0, 0.5], dtype=complex), np.column_stack([v, v]).astype(complex)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", mixed_sign_eigs)
+        with pytest.raises(PositivityError, match="mixed signs"):
+            find_qsd(feynman_kac_operator(birthdeath20, 1.0))
 
 
 def eig_oracle_2x2(v):

@@ -111,6 +111,18 @@ class TestFractionalModel:
         with pytest.raises(ModelError, match="2000"):
             zoo_build("ho", {"half_width": 6.0, "h": 0.004})
 
+    @pytest.mark.parametrize("half_width,h", [
+        (6.0, 0.0), (6.0, -0.1), (6.0, float("nan")), (6.0, float("inf")),
+        (0.0, 0.1), (-6.0, 0.1), (float("inf"), 0.1),
+    ])
+    def test_lattice_rejects_bad_width_or_spacing(self, half_width, h):
+        with pytest.raises(ModelError, match="finite and positive"):
+            lattice_space(half_width, h)
+        with pytest.raises(ModelError, match="finite and positive"):
+            zoo_build("ho", {"half_width": half_width, "h": h})
+        with pytest.raises(ModelError, match="finite and positive"):
+            zoo_build("frac", {"alpha": "1.0", "beta": "2.0", "half_width": half_width, "h": h})
+
     def test_time_scale_semantics(self):
         # physical-time operator equals the exponential of rate (Q - I) - V_phys
         from scipy.linalg import expm

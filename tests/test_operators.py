@@ -231,6 +231,35 @@ class TestSemigroupEngine:
         assert np.array_equal(spec.psi0, spec.phi0)
 
 
+CYCLE_GRID = (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)
+
+
+def cycle_and_dual(n, scale):
+    model = zoo_build("cycle", {"n": n, "potential": "power", "beta": "1.0", "scale": scale})
+    return model, dual_model(model)
+
+
+class TestNonreversibleScalingAndSquaring:
+    """The non-reversible engine squares the exponential of a unit-norm step
+    and zeroes transition entries below 2^-500 max(P), far below round-off."""
+
+    def test_no_subnormal_entries(self):
+        # expm(20 G) of cycle(500) holds thousands of subnormal entries
+        tiny = np.finfo(float).tiny
+        for model in cycle_and_dual("500", "2e-4"):
+            for t in CYCLE_GRID:
+                P = model.semigroup.operator(t).transition()
+                assert np.all((P == 0) | (P >= tiny)), (model.label, t)
+
+    @pytest.mark.parametrize("scale", ["2e-4", "1e-2"])
+    def test_matches_expm_on_the_cycle(self, scale):
+        for model in cycle_and_dual("200", scale):
+            for t in CYCLE_GRID:
+                ref = expm(t * model.generator())
+                got = model.semigroup.operator(t).transition()
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (model.label, t)
+
+
 @st.composite
 def nonreversible_chains(draw):
     """Chain on 3-6 states with its invariant mu and a V >= 0; a rotation of
