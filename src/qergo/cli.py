@@ -28,8 +28,8 @@ from . import models as zoo
 from .errors import ModelError, NonuniquenessWarning
 from .models import parse_model_string
 from .montecarlo import fk_estimate
-from .operators import adjoint, feynman_kac_operator
-from .spectral import principal_triple, principal_triple_from_operator, spectral_to_text
+from .operators import MarkovModel, adjoint, feynman_kac_operator
+from .spectral import principal_triple, spectral_to_text
 from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
 
 DIAGNOSTIC_NAMES = (
@@ -226,32 +226,26 @@ def _write_csv(path: str, header: str, rows, stamp: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig):
     """Execute one experiment; returns (report, output paths, exit code)."""
-    built = zoo.zoo_build(cfg.model_id, cfg.model_params)
-    model = None if isinstance(built, tuple) else built
-    space = built[1] if model is None else model.space
+    model = zoo.zoo_build(cfg.model_id, cfg.model_params)
+    space = model.space
     # points named by the config are checked before any operator is built
     fam = _build_family(cfg, space)
     sigma = _parse_sigma(cfg, space) if "quasi_ergodic" in cfg.diagnostics else None
-    if model is None:  # oscillator oracle: factory + lattice
-        needs_generator = {"kappa", "uniqueness"} & set(cfg.diagnostics)
+    if not isinstance(model, MarkovModel):
+        needs_generator = sorted({"kappa", "uniqueness"} & set(cfg.diagnostics))
+        needs_generator += ["[mc]"] if cfg.mc is not None else []
         if needs_generator:
             raise ConfigError(
-                f"diagnostics {sorted(needs_generator)} need a Markov generator; "
-                "the ho oracle is kernel-only"
+                f"{', '.join(needs_generator)}: needs a Markov generator; "
+                f"the {model.label} oracle is kernel-only"
             )
-        factory, _ = built
-        ops = [factory(t) for t in cfg.t_grid]
-        spec = principal_triple_from_operator(ops[len(ops) // 2])
-        label = "ho"
-    else:
-        label = model.label
-        ops = [feynman_kac_operator(model, t) for t in cfg.t_grid]
-        try:
-            spec = principal_triple(model)
-        except ModelError:
-            spec = None  # reducible chain: spectral diagnostics are unavailable
+    ops = [model.semigroup.operator(t) for t in cfg.t_grid]
+    try:
+        spec = principal_triple(model)
+    except ModelError:
+        spec = None  # reducible chain: spectral diagnostics are unavailable
 
-    report = _Report(label)
+    report = _Report(model.label)
     rep_tols = {
         "qsd_tol": float(cfg.verdicts.get("qsd_tol", 1e-9)),
         "match_tol": float(cfg.verdicts.get("match_tol", 1e-8)),
@@ -277,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig):
             vals = [dg.quasi_ergodic_error(op, spec, sigma, p) for op in ops]
             _run_rate_series(report, name, vals, cfg, spec, rep_tols)
         elif name == "gsd":
-            _run_gsd(report, space, spec, fam, ops, cfg, rep_tols)
+            _run_gsd(report, model, spec, fam, ops, cfg, rep_tols)
         elif name == "eta":
             _run_eta(report, spec, space, fam, cfg)
         elif name == "kappa":
@@ -304,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig):
         else:
             fh.write("# no spectral record: reducible chain\n")
 
-    if cfg.mc is not None and model is not None:
+    if cfg.mc is not None:
         paths["mc"] = os.path.join(out_dir, "mc.csv")
         _run_mc_block(report, model, ops, cfg, paths["mc"], stamp)
 
@@ -329,7 +323,7 @@ def _run_heat_content(report, model, ops, cfg, tols):
             "heat_content_duality",
             f"t={_num(t)} |Z-Z*|={_num(abs(z - z_dual))}",
         )
-        if model is not None:
+        if isinstance(model, MarkovModel):
             bound = dg.heat_content_upper_bound(model, t)
             report.add_verdict(
                 z <= bound * (1.0 + 1e-12),
@@ -379,16 +373,15 @@ def _run_rate_series(report, name, vals, cfg, spec, tols):
         )
 
 
-def _run_gsd(report, space, spec, fam, ops, cfg, tols):
+def _run_gsd(report, model, spec, fam, ops, cfg, tols):
+    space = model.space
     inv_sup_phi = 1.0 / float(spec.phi0.max())
     level = tols["gsd_level"]
     sat = float(np.sum(spec.psi0 * space.mu) / spec.Lambda)
     base = fam.base_point if fam is not None else space.points[0]
-    sups = []
     for t, op in zip(cfg.t_grid, ops):
         prof = dg.gsd_profile(op, spec)
-        sups.append(float(prof.max()))
-        report.add_sample("gsd_sup", t, sups[-1])
+        report.add_sample("gsd_sup", t, float(prof.max()))
         report.add_verdict(
             bool(prof.min() >= inv_sup_phi * (1.0 - 1e-9)),
             "gsd_reverse_bound",
@@ -396,7 +389,7 @@ def _run_gsd(report, space, spec, fam, ops, cfg, tols):
         )
         r = dg.pgsd_radius(prof, space, base, level * sat)
         report.add_sample("pgsd_radius", t, -1.0 if r is None else r, extra=f"C={_num(level * sat)}")
-    certified = max(sups) <= level * sat
+    certified, _ = dg.agsd_certificate(model, spec, cfg.t_grid, level)
     report.add_sample("gsd_certified", cfg.t_grid[-1], float(certified), extra=f"level={_num(level)}")
 
 
@@ -499,12 +492,7 @@ def main(argv=None) -> int:
             print(f"wrote {', '.join(sorted(paths.values()))}")
             return code
         if args.command == "spectral":
-            built = zoo.zoo_build(*parse_model_string(args.model))
-            if isinstance(built, tuple):
-                factory, _ = built
-                spec = principal_triple_from_operator(factory(1.0))
-            else:
-                spec = principal_triple(built)
+            spec = principal_triple(zoo.zoo_build(*parse_model_string(args.model)))
             text = spectral_to_text(spec)
             if args.output:
                 with open(args.output, "w") as fh:
@@ -514,8 +502,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "mc":
             model = zoo.zoo_build(*parse_model_string(args.model))
-            if isinstance(model, tuple):
-                raise ModelError("mc needs a Markov model, not the ho oracle")
+            if not isinstance(model, MarkovModel):
+                raise ModelError(f"mc needs a Markov model, not the {model.label} oracle")
             x0 = model.space.points[0] if args.x0 is None else _state(model.space, "--x0", args.x0)
             est = fk_estimate(model, x0, args.t, np.ones(model.n), args.n, args.seed)
             op = feynman_kac_operator(model, args.t)

@@ -16,7 +16,6 @@ from scipy.linalg import eig
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
 from .operators import KernelOperator, MarkovModel
-from .operators import feynman_kac_operator  # noqa: F401  (re-exported; bench/tracing.py wraps it)
 from .spectral import SpectralData, _positive_direction
 from .statespace import ExhaustingFamily, StateSpace, ball_indicator, exhaustion_time
 
@@ -279,15 +278,8 @@ def progressive_error(op: KernelOperator, spec: SpectralData, mask: np.ndarray) 
     return float((np.abs(u / (u @ mu)[:, None] - m_density[None, :]) @ mu).max())
 
 
-def asymptotic_projection_error(
-    op: KernelOperator, spec: SpectralData, sigma, f, p=None
-) -> float:
-    """|e^{lambda0 t} sigma(U_t f) - (1/Lambda) sigma(phi0) sum f psi0 mu|.
-
-    The norm index ``p`` is accepted for interface symmetry with the
-    quasi-ergodic error but does not enter the value, which is computed for
-    the one concrete f supplied.
-    """
+def asymptotic_projection_error(op: KernelOperator, spec: SpectralData, sigma, f) -> float:
+    """|e^{lambda0 t} sigma(U_t f) - (1/Lambda) sigma(phi0) sum f psi0 mu| for one f."""
     w = _as_weights(sigma)
     mu = op.space.mu
     fv = np.asarray(f, dtype=float)
@@ -342,9 +334,7 @@ def pgsd_radius(
     return best
 
 
-def agsd_certificate(
-    model: MarkovModel, spec: SpectralData, t_grid, level: float = 10.0
-) -> tuple[bool, float]:
+def agsd_certificate(model, spec: SpectralData, t_grid, level: float = 10.0) -> tuple[bool, float]:
     """Desk-scale asymptotic-domination certificate on a truncated window.
 
     On a finite window every semigroup is eventually dominated, and the
@@ -353,7 +343,8 @@ def agsd_certificate(
     regime is therefore that sup_x profile stays within ``level`` times the
     saturation value across the whole grid; models outside the regime exceed
     it by orders of magnitude over the same grid while their domination
-    radius is still sweeping the window.  Returns (certified, worst ratio).
+    radius is still sweeping the window.  Any zoo model works, as only its
+    semigroup's survival is read.  Returns (certified, worst ratio).
     """
     mu = model.space.mu
     saturation = float(np.sum(spec.psi0 * mu) / spec.Lambda)

@@ -27,6 +27,7 @@ __all__ = [
     "build_fractional_model",
     "check_djp",
     "build_ho_discretization",
+    "OscillatorOracle",
     "regime_classifier",
     "lattice_space",
     "parse_model_string",
@@ -323,6 +324,40 @@ def build_ho_discretization(grid: StateSpace | tuple, t: float) -> KernelOperato
     return KernelOperator(t, u, space, {"method": "mehler-closed-form"})
 
 
+class OscillatorOracle:
+    """Kernel-only model of the oscillator on a lattice: it has a space, a
+    label and a semigroup like a MarkovModel, but no Q, V or generator.
+
+    It is its own engine: ``operator(t)`` is the Mehler-kernel operator,
+    built once per t and kept for the oracle's lifetime, and ``survival(t)``
+    its lattice row sums U_t 1.
+    """
+
+    label = "ho"
+
+    def __init__(self, space: StateSpace):
+        self.space = space
+        self._ops: dict[float, KernelOperator] = {}
+
+    @property
+    def n(self) -> int:
+        return self.space.n
+
+    @property
+    def semigroup(self) -> "OscillatorOracle":
+        return self
+
+    def operator(self, t: float) -> KernelOperator:
+        key = float(t)
+        if key not in self._ops:
+            self._ops[key] = build_ho_discretization(self.space, key)
+        return self._ops[key]
+
+    def survival(self, t: float) -> np.ndarray:
+        """U_t 1 per point."""
+        return self.operator(t).survival()
+
+
 # ---------------------------------------------------------------------------
 # regime classification
 
@@ -412,12 +447,7 @@ def _build_frac(p):
 
 def _build_ho(p):
     grid = (_take(p, "half_width", float, 8.0), _take(p, "h", float, 0.05))
-
-    def oracle():
-        space = lattice_space(*grid)
-        return (lambda t: build_ho_discretization(space, t)), space
-
-    return oracle
+    return lambda: OscillatorOracle(lattice_space(*grid))
 
 
 def _build_user(p):
@@ -505,9 +535,10 @@ def parse_model_string(text: str) -> tuple[str, dict]:
 
 
 def zoo_build(model_id: str, params: dict):
-    """Build a zoo entry by id; returns a MarkovModel, except for "ho" which
-    returns a factory t -> KernelOperator plus its lattice.  A key that the
-    entry's builder does not take is a ModelError, raised before any build."""
+    """Build a zoo entry by id: a model with ``space``, ``label``, ``n`` and
+    ``semigroup``, a MarkovModel for every id but "ho", whose kernel-only
+    OscillatorOracle has no generator.  A key that the entry's builder does
+    not take is a ModelError, raised before any build."""
     entry = _zoo_entry(model_id)
     p = dict(params)
     try:

@@ -33,8 +33,6 @@ __all__ = [
     "log_mehler_kernel",
     "ho_survival",
     "log_ho_survival",
-    "operator_to_text",
-    "operator_from_text",
 ]
 
 _STOCH_TOL = 1e-12
@@ -308,30 +306,11 @@ def uniformized_transition(model: MarkovModel, t: float, eps: float = 1e-14) -> 
     )
 
 
-def feynman_kac_operator(
-    model: MarkovModel, t: float, method: str = "exact", steps: int = 0
-) -> KernelOperator:
-    """U_t = exp(t (Q - I - diag(V))), as a kernel operator.
-
-    method="exact" takes the operator from the model's semigroup engine (one
-    eigh per reversible model, a memoized exponential otherwise);
-    method="trotter" uses the Lie splitting (e^{(t/k)(Q-I)} e^{-(t/k)V})^k
-    with k = steps, which converges to the exact operator as k grows.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if method == "exact":
-        return model.semigroup.operator(t)
-    if method == "trotter":
-        if steps <= 0:
-            raise ValueError("trotter requires a positive number of steps")
-        dt = t / steps
-        kin = expm(dt * (model.Q - np.eye(model.n)))
-        step = kin * np.exp(-dt * model.V)[None, :]
-        U = np.maximum(np.linalg.matrix_power(step, steps), 0.0)
-        return KernelOperator(t, U / model.space.mu[None, :], model.space,
-                              {"method": "trotter", "steps": steps})
-    raise ValueError(f"unknown method {method!r}")
+def feynman_kac_operator(model: MarkovModel, t: float) -> KernelOperator:
+    """U_t = exp(t (Q - I - diag(V))) as a kernel operator, taken from the
+    model's semigroup engine: one eigh per reversible model, a memoized
+    exponential otherwise.  Raises ValueError for t <= 0."""
+    return model.semigroup.operator(t)
 
 
 def adjoint(op: KernelOperator) -> KernelOperator:
@@ -389,21 +368,3 @@ def log_ho_survival(t: float, x) -> np.ndarray | float:
 def ho_survival(t: float, x) -> np.ndarray | float:
     """U_t 1(x) = (cosh 2t)^{-d/2} exp(-|x|^2 / (2 coth 2t)) for the oscillator."""
     return np.exp(log_ho_survival(t, x))
-
-
-def operator_to_text(op: KernelOperator) -> str:
-    """Serialize to the plain-text matrix exchange format: 't n' then n rows."""
-    lines = [f"{format(op.t, '.17g')} {op.space.n}"]
-    for row in op.density:
-        lines.append(" ".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def operator_from_text(text: str, space: StateSpace) -> KernelOperator:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    t_str, n_str = lines[0].split()
-    t, n = float(t_str), int(n_str)
-    if n != space.n or len(lines) != n + 1:
-        raise ValueError("serialized operator does not match the space")
-    u = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    return KernelOperator(t, u, space, {"method": "from-text"})

@@ -66,15 +66,18 @@ def _positive_direction(v: np.ndarray, what: str) -> np.ndarray:
     return np.abs(v)
 
 
-def principal_triple(model: MarkovModel) -> SpectralData:
-    """Eigendecomposition of -G = I - Q + diag(V).
+def principal_triple(model) -> SpectralData:
+    """Eigendecomposition of -G = I - Q + diag(V), the one triple of any zoo model.
 
     Reversible models read it from the eigh of their semigroup engine, where
-    psi0 = phi0; other models take a dense eig.  Requires an irreducible Q
-    (checked by a reachability scan).  Raises NondegeneracyError when the
-    dominant eigenvalue is not simple within 1e-10 and PositivityError when
-    an eigenvector has mixed signs.
+    psi0 = phi0; other Markov models take a dense eig.  Requires an
+    irreducible Q (checked by a reachability scan).  A kernel-only model,
+    which has no generator, gives the triple of its operator at t = 1.
+    Raises NondegeneracyError when the dominant eigenvalue is not simple
+    within 1e-10 and PositivityError when an eigenvector has mixed signs.
     """
+    if not isinstance(model, MarkovModel):
+        return principal_triple_from_operator(model.semigroup.operator(1.0))
     if not model.is_irreducible():
         raise ModelError("principal_triple requires an irreducible jump matrix")
     mu = model.space.mu

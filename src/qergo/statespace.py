@@ -11,7 +11,6 @@ __all__ = [
     "StateSpace",
     "ExhaustingFamily",
     "ball_indicator",
-    "frostman_constant",
     "exhaustion_time",
     "tabulated_radius",
 ]
@@ -83,41 +82,6 @@ class StateSpace:
     def with_mu(self, mu) -> "StateSpace":
         return StateSpace(self.points, np.asarray(mu, float), self.coords, self.dist)
 
-    @classmethod
-    def from_table(cls, path) -> "StateSpace":
-        """Load a space from a plain-text table: ``id coord... mu`` per row."""
-        ids, rows = [], []
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                cols = line.split()
-                ids.append(cols[0])
-                rows.append([float(c) for c in cols[1:]])
-        if not ids:
-            raise ValueError(f"no points found in {path}")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("all rows must have the same number of columns")
-        data = np.array(rows)
-        mu = data[:, -1]
-        coords = data[:, :-1] if width > 1 else None
-        if coords is None:
-            # no coordinates: fall back to the discrete metric
-            n = len(ids)
-            dist = 1.0 - np.eye(n)
-            return cls(tuple(ids), mu, None, dist)
-        return cls(tuple(ids), mu, coords)
-
-    def to_table(self, path) -> None:
-        with open(path, "w") as fh:
-            for i, p in enumerate(self.points):
-                cs = "" if self.coords is None else " ".join(
-                    format(c, ".17g") for c in self.coords[i]
-                ) + " "
-                fh.write(f"{p} {cs}{format(self.mu[i], '.17g')}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class ExhaustingFamily:
@@ -161,26 +125,6 @@ def exhaustion_time(space: StateSpace, fam: ExhaustingFamily, t_max: float = 1e1
         else:
             lo = mid
     return hi
-
-
-def frostman_constant(space: StateSpace, d_M: float) -> float:
-    """sup over centers x and positive pairwise radii r of mu(B_r(x)) / r^d_M.
-
-    Finite on any finite space; a value that keeps growing under grid
-    refinement signals failure of the Frostman property at exponent d_M.
-    A one-point space has no positive distances and uses r = 1 by convention.
-    """
-    if d_M <= 0:
-        raise ValueError("d_M must be positive")
-    radii = np.unique(space.dist)
-    radii = radii[radii > 0]
-    if radii.size == 0:
-        radii = np.array([1.0])
-    best = 0.0
-    for r in radii:
-        masses = np.where(space.dist <= r, space.mu[None, :], 0.0).sum(axis=1)
-        best = max(best, float(masses.max()) / r**d_M)
-    return best
 
 
 def tabulated_radius(ts: Sequence[float], rs: Sequence[float]) -> Callable[[float], float]:

@@ -12,7 +12,8 @@ from qergo.cli import (
     parse_model_string,
     run_experiment,
 )
-from qergo.models import zoo_build
+from qergo.models import build_ho_discretization, lattice_space, zoo_build
+from qergo.spectral import principal_triple_from_operator, spectral_to_text
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
 HO_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "ho_oracle.ini"
@@ -232,6 +233,28 @@ dir = {out}
         with pytest.raises(ConfigError, match="kernel-only"):
             run_experiment(cfg)
 
+    def test_ho_oracle_with_mc_section_exits_one(self, tmp_path, capsys, monkeypatch):
+        import qergo.models as models
+
+        def no_operator(*args):
+            raise AssertionError("an operator was built before the [mc] check")
+
+        monkeypatch.setattr(models, "build_ho_discretization", no_operator)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        path = write_config(tmp_path, HO_ORACLE.read_text() + "\n[mc]\nn = 100\nseed = 1\n")
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[mc]" in err and "kernel-only" in err
+
+    def test_ho_run_writes_the_triple_of_u1(self, tmp_path, monkeypatch):
+        # the middle grid time is 1.1; the oracle's triple is still taken at t = 1
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = HO_ORACLE.read_text().replace("t_grid = 0.5 0.75 1.0 1.25", "t_grid = 0.5 0.8 1.1 1.4")
+        _, paths, code = run_experiment(parse_config(write_config(tmp_path, text)))
+        assert code == 0
+        u1 = build_ho_discretization(lattice_space(6.0, 0.1), 1.0)
+        assert open(paths["spectral"]).read() == spectral_to_text(principal_triple_from_operator(u1))
+
     def test_thread_override_is_deterministic(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "serial", tmp_path / "threaded"
         cfg1 = parse_config(write_config(tmp_path, SWAP2_CONFIG.format(out=out1), "s.ini"))
@@ -327,17 +350,22 @@ class TestFactorizationCounts:
         assert len(expm_norms) == expm_calls and max(expm_norms) <= 1.0
 
     def test_ho_oracle_run_does_one_eigh_and_no_eig(self, tmp_path, counts, monkeypatch):
-        # the Mehler kernel is symmetric: its triple needs no general eig
+        # the Mehler kernel is symmetric: its triple needs no general eig, and
+        # it reuses the grid's U_1, so the kernel is built once per grid time
+        import qergo.models as models
         import qergo.spectral as spectral
 
-        eig_calls = []
-        general_eig = spectral.eig
+        eig_calls, builds = [], []
+        general_eig, build = spectral.eig, models.build_ho_discretization
         monkeypatch.setattr(
             spectral, "eig", lambda *a, **k: eig_calls.append(1) or general_eig(*a, **k))
+        monkeypatch.setattr(
+            models, "build_ho_discretization", lambda grid, t: builds.append(t) or build(grid, t))
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         _, _, code = run_experiment(parse_config(str(HO_ORACLE)))
         assert code == 0
         assert counts == {"eigh": 1, "expm": 0} and not eig_calls
+        assert builds == [0.5, 0.75, 1.0, 1.25]
 
 
 class TestMainEntry:
@@ -357,6 +385,12 @@ class TestMainEntry:
         out = capsys.readouterr().out
         lam0 = float(out.splitlines()[0].split()[1])
         assert lam0 == pytest.approx(1.0, abs=1e-6)
+
+    def test_spectral_matches_the_ho_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        _, paths, _ = run_experiment(parse_config(str(HO_ORACLE)))
+        assert main(["spectral", "ho(6, 0.1)"]) == 0
+        assert capsys.readouterr().out == open(paths["spectral"]).read()
 
     def test_mc_subcommand(self, capsys):
         assert main(["mc", "birthdeath(6)", "--t", "0.5", "--n", "2000", "--seed", "3"]) == 0
@@ -419,12 +453,12 @@ class TestMainEntry:
     ])
     def test_point_outside_the_model_exits_one(
             self, tmp_path, capsys, monkeypatch, old, new, named):
-        import qergo.cli as cli
+        from qergo.operators import Semigroup
 
         def no_operator(*args):
             raise AssertionError("an operator was built before the point check")
 
-        monkeypatch.setattr(cli, "feynman_kac_operator", no_operator)
+        monkeypatch.setattr(Semigroup, "operator", no_operator)
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         text = BIRTHDEATH_FULL.read_text()
         assert old in text

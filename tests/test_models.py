@@ -4,6 +4,7 @@ import pytest
 from qergo.errors import ClassifierError, ModelError
 from qergo.models import (
     LevyProfile,
+    OscillatorOracle,
     PotentialSpec,
     build_ctmc_model,
     build_fractional_model,
@@ -228,9 +229,16 @@ class TestZoo:
         assert model.time_scale > 0 and model.n == 41
 
     def test_build_ho_returns_factory(self):
-        factory, grid = zoo_build("ho", {"half_width": 4.0, "h": 0.25})
-        op = factory(1.0)
-        assert op.t == 1.0 and op.space.n == grid.n
+        # a kernel-only model: the MarkovModel interface without a generator
+        oracle = zoo_build("ho", {"half_width": 4.0, "h": 0.25})
+        assert isinstance(oracle, OscillatorOracle) and not hasattr(oracle, "Q")
+        assert oracle.n == oracle.space.n == 33 and oracle.label == "ho"
+        op = oracle.semigroup.operator(1.0)
+        assert oracle.semigroup.operator(1.0) is op and op.t == 1.0
+        np.testing.assert_array_equal(op.density, build_ho_discretization(oracle.space, 1.0).density)
+        np.testing.assert_array_equal(oracle.semigroup.survival(1.0), op.survival())
+        with pytest.raises(ValueError, match="positive"):
+            oracle.semigroup.operator(0.0)
 
     def test_build_user_matrix(self):
         model = zoo_build("user", {"q": "0 1; 1 0", "mu": "1 1", "v": "0 0.5"})
@@ -262,8 +270,10 @@ class TestZoo:
     def test_every_compact_form_builds(self):
         assert set(self.COMPACT) | {"user"} == {name for name, _ in zoo_catalog()}
         for text, n in self.COMPACT.values():
-            built = zoo_build(*parse_model_string(text))
-            assert (built[1].n if isinstance(built, tuple) else built.n) == n
+            model = zoo_build(*parse_model_string(text))
+            assert model.n == model.space.n == n
+            assert model.label.startswith(text.split("(")[0])
+            assert model.semigroup.operator(1.0).space is model.space
 
     @pytest.mark.parametrize("text,named", [
         ("birthdeath()", "'n'"),

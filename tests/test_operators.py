@@ -22,8 +22,6 @@ from qergo.operators import (
     identity_operator,
     ho_survival,
     mehler_kernel,
-    operator_from_text,
-    operator_to_text,
     uniformized_transition,
 )
 from qergo.spectral import principal_triple
@@ -112,20 +110,6 @@ class TestFeynmanKac:
         expected = eig_expm(t * G)
         got = feynman_kac_operator(model, t).transition()
         np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_trotter_requires_positive_steps(self, swap2_v01):
-        with pytest.raises(ValueError):
-            feynman_kac_operator(swap2_v01, 1.0, method="trotter", steps=0)
-
-    def test_trotter_converges_and_halves(self, birthdeath5):
-        t = 1.0
-        exact = feynman_kac_operator(birthdeath5, t).density
-        errs = []
-        for k in (8, 16, 32, 64):
-            tr = feynman_kac_operator(birthdeath5, t, method="trotter", steps=k).density
-            errs.append(np.max(np.abs(tr - exact)))
-        for a, b in zip(errs, errs[1:]):
-            assert b <= 0.62 * a  # first-order splitting: error at least halves
 
     def test_positivity_improving_when_irreducible(self, birthdeath5):
         assert feynman_kac_operator(birthdeath5, 0.5).positivity_improving()
@@ -406,17 +390,3 @@ class TestMehler:
         y = np.array([1.0, 0.0])
         one_d = mehler_kernel(1.0, x[0], y[0]) * mehler_kernel(1.0, x[1], y[1])
         assert mehler_kernel(1.0, x, y) == pytest.approx(one_d)  # product structure
-
-
-def test_serialization_roundtrip(birthdeath5):
-    op = feynman_kac_operator(birthdeath5, 0.9)
-    text = operator_to_text(op)
-    back = operator_from_text(text, birthdeath5.space)
-    assert back.t == op.t
-    np.testing.assert_array_equal(back.density, op.density)
-
-
-def test_serialization_rejects_wrong_space(birthdeath5, swap2):
-    op = feynman_kac_operator(birthdeath5, 0.9)
-    with pytest.raises(ValueError):
-        operator_from_text(operator_to_text(op), swap2.space)

@@ -175,10 +175,14 @@ class TestEigenResiduals:
             assert max(r1, r2) <= 1e-8
 
     def test_trotter_residual_exceeds_exact(self, swap2_v01):
+        # an inexact U_1: the density of U_{1.1} labelled t = 1
         spec = principal_triple(swap2_v01)
         exact = feynman_kac_operator(swap2_v01, 1.0)
-        trotter = feynman_kac_operator(swap2_v01, 1.0, method="trotter", steps=4)
-        assert max(eigen_residuals(spec, trotter)) > max(eigen_residuals(spec, exact))
+        inexact = KernelOperator(1.0, feynman_kac_operator(swap2_v01, 1.1).density, swap2_v01.space)
+        defect = (np.exp(-spec.lambda0) - np.exp(-1.1 * spec.lambda0)) * spec.phi0.max()
+        r1, r2 = eigen_residuals(spec, inexact)
+        assert max(eigen_residuals(spec, exact)) <= 1e-10 < defect * 0.5
+        assert r1 == pytest.approx(defect, rel=1e-8) and r2 == pytest.approx(defect, rel=1e-8)
 
 
 def test_spectral_text_record(cycle4):

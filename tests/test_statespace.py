@@ -7,7 +7,6 @@ from qergo.statespace import (
     StateSpace,
     ball_indicator,
     exhaustion_time,
-    frostman_constant,
     tabulated_radius,
 )
 
@@ -41,21 +40,6 @@ class TestStateSpace:
         bad = np.array([[0.5, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="vanish"):
             StateSpace((0, 1), np.ones(2), None, bad)
-
-    def test_table_roundtrip(self, tmp_path):
-        sp = grid1d(0, 3, mu=np.array([1.0, 2.0, 3.0, 4.0]))
-        path = tmp_path / "space.txt"
-        sp.to_table(path)
-        back = StateSpace.from_table(path)
-        assert back.points == ("0", "1", "2", "3")
-        np.testing.assert_allclose(back.mu, sp.mu)
-        np.testing.assert_allclose(back.coords, sp.coords)
-
-    def test_table_rejects_ragged_rows(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("a 0.0 1.0\nb 1.0\n")
-        with pytest.raises(ValueError, match="columns"):
-            StateSpace.from_table(path)
 
 
 class TestBallIndicator:
@@ -101,50 +85,6 @@ class TestBallIndicator:
         t_exh = exhaustion_time(sp, fam)
         assert ball_indicator(sp, fam, t_exh).all()
         assert not ball_indicator(sp, fam, t_exh - 1e-6).all()
-
-
-def brute_force_frostman(space, d_M):
-    """Independent oracle: exhaustive scan over all centers and radii."""
-    best = 0.0
-    radii = sorted({space.dist[i, j] for i in range(space.n) for j in range(space.n)} - {0.0})
-    if not radii:
-        radii = [1.0]
-    for r in radii:
-        for i in range(space.n):
-            mass = sum(space.mu[j] for j in range(space.n) if space.dist[i, j] <= r)
-            best = max(best, mass / r**d_M)
-    return best
-
-
-class TestFrostman:
-    def test_single_point_convention(self):
-        sp = StateSpace((0,), np.array([3.0]), np.array([[0.0]]))
-        assert frostman_constant(sp, 1.0) == pytest.approx(3.0)
-
-    @pytest.mark.parametrize("n", [3, 7, 12])
-    def test_unit_grid_matches_brute_force_and_stays_small(self, n):
-        sp = grid1d(0, n)
-        c = frostman_constant(sp, 1.0)
-        assert c == pytest.approx(brute_force_frostman(sp, 1.0))
-        assert 1.0 <= c <= 3.0
-
-    def test_doubling_weights_grow(self):
-        c_prev = 0.0
-        for n in (4, 8, 12):
-            mu = 2.0 ** np.arange(n + 1, dtype=float)
-            c = frostman_constant(grid1d(0, n, mu=mu), 1.0)
-            assert c > c_prev
-            c_prev = c
-
-    @pytest.mark.parametrize("d1,d2", [(0.5, 1.0), (1.0, 2.0), (0.7, 3.1)])
-    def test_monotone_nonincreasing_in_exponent(self, d1, d2):
-        # inter-point distances >= 1, so larger exponents can only shrink the sup
-        sp = grid1d(0, 9)
-        assert frostman_constant(sp, d2) <= frostman_constant(sp, d1) + 1e-12
-
-    def test_requires_positive_exponent(self):
-        with pytest.raises(ValueError):
-            frostman_constant(grid1d(0, 3), 0.0)
 
 
 def test_tabulated_radius_is_monotone_and_clamped():
