@@ -28,7 +28,7 @@ from . import models as zoo
 from .errors import ModelError, NonuniquenessWarning
 from .models import parse_model_string
 from .montecarlo import fk_estimate
-from .operators import MarkovModel, adjoint, feynman_kac_operator
+from .operators import MarkovModel, feynman_kac_operator
 from .spectral import principal_triple, spectral_to_text
 from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
 
@@ -235,10 +235,9 @@ def run_experiment(cfg: ExperimentConfig):
         needs_generator = sorted({"kappa", "uniqueness"} & set(cfg.diagnostics))
         needs_generator += ["[mc]"] if cfg.mc is not None else []
         if needs_generator:
-            raise ConfigError(
-                f"{', '.join(needs_generator)}: needs a Markov generator; "
-                f"the {model.label} oracle is kernel-only"
-            )
+            raise _fail_config(cfg.source, "mc" if needs_generator == ["[mc]"] else "names",
+                               f"{', '.join(needs_generator)}: needs a Markov generator; "
+                               f"the {model.label} oracle is kernel-only")
     ops = [model.semigroup.operator(t) for t in cfg.t_grid]
     try:
         spec = principal_triple(model)
@@ -317,7 +316,7 @@ def _run_heat_content(report, model, ops, cfg, tols):
     for t, op in zip(cfg.t_grid, ops):
         z = dg.heat_content(op)
         report.add_sample("heat_content", t, z)
-        z_dual = dg.heat_content(adjoint(op))
+        z_dual = dg.heat_content(op, dual=True)
         report.add_verdict(
             abs(z - z_dual) <= 1e-10 * max(1.0, z),
             "heat_content_duality",

@@ -16,7 +16,7 @@ from scipy.linalg import eig
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
 from .operators import KernelOperator, MarkovModel
-from .spectral import SpectralData, _positive_direction
+from .spectral import SpectralData, _arpack_start, _positive_direction
 from .statespace import ExhaustingFamily, StateSpace, ball_indicator, exhaustion_time
 
 __all__ = [
@@ -129,10 +129,10 @@ def _lq_norm(g: np.ndarray, mu: np.ndarray, q: float) -> float:
 # heat content
 
 
-def heat_content(op: KernelOperator) -> float:
-    """Z(t) = sum_x (U_t 1)(x) mu(x); identical for the adjoint operator."""
-    mu = op.space.mu
-    return float(mu @ op.density @ mu)
+def heat_content(op: KernelOperator, dual: bool = False) -> float:
+    """Z(t) = <U_t 1, 1>_mu, or with ``dual`` the same number <1, U*_t 1>_mu of
+    the adjoint, summed in the other order and without copying the density."""
+    return float((op.dual_survival() if dual else op.survival()) @ op.space.mu)
 
 
 def heat_content_upper_bound(model: MarkovModel, t: float) -> float:
@@ -190,10 +190,8 @@ def find_qsd(op: KernelOperator, tol: float = 1e-10) -> QuasiStationaryMeasure:
     if n > 3:  # ARPACK needs k = 2 < n - 1
         from scipy.sparse.linalg import ArpackError, eigs
 
-        # a fixed start vector keeps the result identical across repeats
-        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
         try:
-            w, vl = eigs(T.T, k=2, which="LM", v0=v0, maxiter=100)
+            w, vl = eigs(T.T, k=2, which="LM", v0=_arpack_start(n), maxiter=100)
         except ArpackError:
             pass  # no convergence (clustered spectrum) or breakdown: dense solver below
     if w is None:

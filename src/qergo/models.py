@@ -178,6 +178,8 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
     duality relation; a recipe/measure pair for which mu is not invariant is
     rejected as a ModelError.
     """
+    if n < 2:
+        raise ModelError(f"{n}-state model: a gap, rate or QSD needs at least 2 states")
     mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
     if mu_arr.shape != (n,):
         raise ModelError(f"mu needs {n} values, got {mu_arr.size}")
@@ -236,6 +238,8 @@ def lattice_space(half_width: float, h: float) -> StateSpace:
         if not (np.isfinite(value) and value > 0):
             raise ModelError(f"lattice {name} must be finite and positive, got {value!r}")
     K = int(round(half_width / h))
+    if K < 1:
+        raise ModelError("1-state lattice: a gap, rate or QSD needs at least 2 states")
     if 2 * K + 1 > 2001:
         raise ModelError(f"lattice of {2 * K + 1} points exceeds the 2000-state desk-scale budget")
     xs = (np.arange(-K, K + 1)) * h

@@ -174,16 +174,6 @@ def _floored(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _mu_symmetric_eigh(M: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, B) of a matrix M self-adjoint in L2(mu): ascending eigenvalues and
-    L2(mu)-orthonormal eigenvectors B = D^{-1/2} W, from one eigh of the
-    symmetric S = D^{1/2} M D^{-1/2} = W diag(w) W^T with D = diag(mu)."""
-    r = np.sqrt(mu)
-    S = r[:, None] * M / r[None, :]
-    w, W = eigh(0.5 * (S + S.T), driver="evd")
-    return w, W / r[:, None]
-
-
 class Semigroup:
     """U_t = exp(tG) of one model for any t > 0, with no factorization repeated.
 
@@ -220,7 +210,10 @@ class Semigroup:
         """
         if not self.reversible:
             raise ValueError("only a reversible model has a symmetric spectrum")
-        return _mu_symmetric_eigh(self.model.generator(), self.model.space.mu)
+        r = np.sqrt(self.model.space.mu)
+        S = r[:, None] * self.model.generator() / r[None, :]
+        w, W = eigh(0.5 * (S + S.T), driver="evd")
+        return w, W / r[:, None]
 
     def operator(self, t: float) -> KernelOperator:
         """U_t as a kernel operator, entries clamped at 0 against round-off."""

@@ -7,13 +7,13 @@ from the plain-transpose left eigenvector by a factor 1/mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig
 
 from .errors import ModelError, NondegeneracyError, PositivityError
-from .operators import _REV_TOL, KernelOperator, MarkovModel, _mu_symmetric_eigh
+from .operators import _REV_TOL, KernelOperator, MarkovModel
 
 __all__ = [
     "SpectralData",
@@ -42,12 +42,15 @@ class SpectralData:
     psi0: np.ndarray
     Lambda: float
     gap: float
-    eigenvalues: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        for arr in (self.phi0, self.psi0, self.eigenvalues):
-            if arr is not None:
-                np.asarray(arr).setflags(write=False)
+        for arr in (self.phi0, self.psi0):
+            np.asarray(arr).setflags(write=False)
+
+
+def _arpack_start(n: int) -> np.ndarray:
+    """The fixed ARPACK start vector, which keeps results identical across repeats."""
+    return np.random.default_rng(0).uniform(0.5, 1.5, n)
 
 
 def _positive_direction(v: np.ndarray, what: str) -> np.ndarray:
@@ -115,23 +118,38 @@ def principal_triple(model) -> SpectralData:
             f"eigen residuals {res_r:.2e}, {res_l:.2e} exceed tolerance"
         )
     Lam = float(np.sum(phi * psi * mu))
-    return SpectralData(float(lam0), phi, psi, Lam, gap, eigenvalues)
+    return SpectralData(float(lam0), phi, psi, Lam, gap)
 
 
 def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
     """Eigentriple extracted from a single kernel operator at time t > 0.
 
     Self-adjoint kernels only (the oscillator oracle, which has no generator):
-    a symmetric density makes U_t self-adjoint in L2(mu), so one eigh gives
-    e^{-lambda0 t} with psi0 = phi0, and the gap comes from the second-largest
-    eigenvalue modulus over the whole real spectrum.
+    a symmetric density makes U_t self-adjoint in L2(mu), so psi0 = phi0, and
+    ARPACK Lanczos (``eigsh``, k = 2, fixed start vector) on D^{1/2} u_t D^{1/2}
+    gives e^{-lambda0 t} and the second-largest eigenvalue modulus over the
+    whole real spectrum, which sets the gap.  Lanczos can miss a second copy of
+    a repeated eigenvalue, so Perron-Frobenius certifies a simple dominant one
+    first: the density is strictly positive or its support graph connected.
     """
     if op.t <= 0:
         raise ValueError("need a positive-time operator")
     u, mu = op.density, op.space.mu
     if np.max(np.abs(u - u.T)) > _REV_TOL * np.abs(u).max():
         raise ValueError("kernel density is not symmetric; U_t is not self-adjoint")
-    w, B = _mu_symmetric_eigh(op.transition(), mu)
+    if not op.positivity_improving():
+        from scipy.sparse.csgraph import connected_components
+
+        if connected_components(u > 0, directed=False)[0] > 1:
+            raise NondegeneracyError("kernel is reducible: its support graph is not connected")
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    r = np.sqrt(mu)
+    S = r[:, None] * u * r[None, :]
+    try:
+        w, W = eigsh(0.5 * (S + S.T), k=2, which="LM", v0=_arpack_start(op.space.n), maxiter=100)
+    except ArpackNoConvergence:
+        raise NondegeneracyError("Lanczos did not converge within 100 restarts") from None
     order = np.argsort(-np.abs(w))
     rho0, rho1 = w[order[0]], abs(w[order[1]])
     if rho0 <= 0:
@@ -140,9 +158,9 @@ def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
         raise NondegeneracyError("dominant eigenvalue of U_t is not simple")
     lam0 = -np.log(rho0) / op.t
     gap = (-np.log(rho1) / op.t - lam0) if rho1 > 0 else np.inf
-    phi = _positive_direction(B[:, order[0]], "principal eigenfunction")
+    phi = _positive_direction(W[:, order[0]] / r, "principal eigenfunction")
     phi = phi / np.sqrt(np.sum(phi**2 * mu))
-    return SpectralData(float(lam0), phi, phi, float(np.sum(phi**2 * mu)), float(gap), w[order])
+    return SpectralData(float(lam0), phi, phi, float(np.sum(phi**2 * mu)), float(gap))
 
 
 def eigen_residuals(spec: SpectralData, op: KernelOperator) -> tuple[float, float]:

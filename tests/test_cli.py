@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,18 @@ dir = {out}
         err = capsys.readouterr().err
         assert err.startswith("error:") and "[mc]" in err and "kernel-only" in err
 
+    @pytest.mark.parametrize("names,mc,key", [
+        ("heat_content kappa", "", "names ="),
+        ("heat_content", "[mc]\nn = 10\n", "[mc]"),
+    ], ids=["names", "mc"])
+    def test_ho_oracle_generator_error_names_the_config_line(self, tmp_path, names, mc, key):
+        text = ("[model]\nid = ho\nhalf_width = 2.0\nh = 0.5\n\n[times]\nt_grid = 0.5 1.0\n\n"
+                f"[diagnostics]\nnames = {names}\n\n{mc}")
+        path = write_config(tmp_path, text)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(key))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:{line}: .*kernel-only"):
+            run_experiment(parse_config(path))
+
     def test_ho_run_writes_the_triple_of_u1(self, tmp_path, monkeypatch):
         # the middle grid time is 1.1; the oracle's triple is still taken at t = 1
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
@@ -349,22 +362,32 @@ class TestFactorizationCounts:
         assert counts == {"eigh": 0, "expm": expm_calls}
         assert len(expm_norms) == expm_calls and max(expm_norms) <= 1.0
 
-    def test_ho_oracle_run_does_one_eigh_and_no_eig(self, tmp_path, counts, monkeypatch):
-        # the Mehler kernel is symmetric: its triple needs no general eig, and
-        # it reuses the grid's U_1, so the kernel is built once per grid time
+    @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
+                             ids=["ho_oracle", "ho_kernel"])
+    def test_ho_oracle_run_does_one_eigsh_no_eigh_or_eig(
+            self, tmp_path, counts, monkeypatch, h, base_point):
+        # the Mehler kernel is symmetric and positive: its triple is one Lanczos
+        # solve on the grid's U_1, so the kernel is built once per grid time
+        import scipy.sparse.linalg as arpack
+
         import qergo.models as models
         import qergo.spectral as spectral
 
-        eig_calls, builds = [], []
-        general_eig, build = spectral.eig, models.build_ho_discretization
+        eig_calls, eigsh_calls, builds = [], [], []
+        general_eig, lanczos = spectral.eig, arpack.eigsh
+        build = models.build_ho_discretization
         monkeypatch.setattr(
             spectral, "eig", lambda *a, **k: eig_calls.append(1) or general_eig(*a, **k))
         monkeypatch.setattr(
+            arpack, "eigsh", lambda *a, **k: eigsh_calls.append(1) or lanczos(*a, **k))
+        monkeypatch.setattr(
             models, "build_ho_discretization", lambda grid, t: builds.append(t) or build(grid, t))
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
-        _, _, code = run_experiment(parse_config(str(HO_ORACLE)))
+        text = HO_ORACLE.read_text().replace("h = 0.1", f"h = {h}")
+        text = text.replace("base_point = 60", f"base_point = {base_point}")
+        _, _, code = run_experiment(parse_config(write_config(tmp_path, text)))
         assert code == 0
-        assert counts == {"eigh": 1, "expm": 0} and not eig_calls
+        assert counts == {"eigh": 0, "expm": 0} and not eig_calls and len(eigsh_calls) == 1
         assert builds == [0.5, 0.75, 1.0, 1.25]
 
 
@@ -385,6 +408,13 @@ class TestMainEntry:
         out = capsys.readouterr().out
         lam0 = float(out.splitlines()[0].split()[1])
         assert lam0 == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("model", ["birthdeath(1)", "cycle(1)", "ho(0.05, 0.1)"])
+    def test_one_state_model_exits_one(self, capsys, model):
+        # no gap, rate or QSD uniqueness is defined on one state
+        assert main(["spectral", model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1-state" in err
 
     def test_spectral_matches_the_ho_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))

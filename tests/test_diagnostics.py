@@ -69,6 +69,13 @@ class TestHeatContent:
         op = feynman_kac_operator(cycle4, 1.1)
         assert heat_content(op) == pytest.approx(heat_content(adjoint(op)), abs=1e-10)
 
+    def test_dual_sum_is_the_adjoint_heat_content(self, cycle4, frac_small):
+        # the dual sum reads the transposed density in place of a copied adjoint
+        for op in (feynman_kac_operator(cycle4, 1.1), feynman_kac_operator(frac_small, 0.7)):
+            z_dual = heat_content(op, dual=True)
+            assert z_dual == pytest.approx(heat_content(adjoint(op)), rel=1e-14)
+            assert z_dual == pytest.approx(heat_content(op), rel=1e-14)
+
 
 class TestQsd:
     def test_symmetric_measures_coincide(self, birthdeath5):

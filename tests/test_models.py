@@ -221,6 +221,21 @@ class TestZoo:
         model = zoo_build("birthdeath", {"n": 8})
         assert model.n == 8 and model.label == "birthdeath(8)"
 
+    @pytest.mark.parametrize("model_id,params", [
+        ("birthdeath", {"n": 0}),
+        ("birthdeath", {"n": 1}),
+        ("complete", {"n": 1}),
+        ("cycle", {"n": 1}),
+        ("box", {"d": 2, "n": 1}),
+        ("user", {"q": "1"}),
+        ("ho", {"half_width": 0.05, "h": 0.1}),
+        ("frac", {"alpha": 1.0, "beta": 1.0, "half_width": 0.1, "h": 0.25}),
+    ], ids=["birthdeath0", "birthdeath1", "complete1", "cycle1", "box1", "user1", "ho", "frac"])
+    def test_fewer_than_two_states_rejected(self, model_id, params):
+        # no gap, rate or QSD uniqueness is defined on one state
+        with pytest.raises(ModelError, match=r"[01]-state"):
+            zoo_build(model_id, params)
+
     def test_build_frac_with_potential(self):
         model = zoo_build(
             "frac",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import eig
+from scipy.linalg import eig, eigh
 
 from qergo.errors import ModelError, NondegeneracyError
 from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space
@@ -145,6 +145,67 @@ class TestHODiscretization:
         assert np.max(np.abs(spec.phi0 - unit(vr[:, order[0]]))) <= 1e-10
         # the plain left eigenvector, reweighted to the mu-pairing convention
         assert np.max(np.abs(spec.psi0 - unit(vl[:, order[0]] / mu))) <= 1e-10
+
+    @pytest.mark.parametrize("h", [0.4, 0.1])
+    @pytest.mark.parametrize("t", [0.5, 1.25])
+    def test_lanczos_matches_dense_eigh_oracle(self, h, t):
+        op = build_ho_discretization(lattice_space(6.0, h), t)
+        mu = op.space.mu
+        r = np.sqrt(mu)
+        w, W = eigh(r[:, None] * op.density * r[None, :])
+        order = np.argsort(-np.abs(w))
+        lam0 = -np.log(w[order[0]]) / t
+        gap = -np.log(abs(w[order[1]])) / t - lam0
+        phi = np.abs(W[:, order[0]]) / r
+        phi = phi / np.sqrt(np.sum(phi**2 * mu))
+
+        spec = principal_triple_from_operator(op)
+        assert spec.lambda0 == pytest.approx(lam0, rel=1e-12)
+        assert spec.gap == pytest.approx(gap, rel=1e-12)
+        assert np.max(np.abs(spec.phi0 - phi)) <= 1e-10
+        # the fixed start vector makes a repeat bit-identical
+        assert np.array_equal(principal_triple_from_operator(op).phi0, spec.phi0)
+
+    def test_negative_second_eigenvalue_sets_the_gap(self):
+        # strictly positive but nearly bipartite: the heavy weights join the two
+        # halves, so the second-largest modulus is a negative eigenvalue
+        rng = np.random.default_rng(7)
+        m = 20
+        block = rng.uniform(0.5, 1.5, (m, m))
+        u = np.full((2 * m, 2 * m), 0.05)
+        u[:m, m:] += block
+        u[m:, :m] += block.T
+        space = StateSpace(tuple(range(2 * m)), rng.uniform(0.5, 1.5, 2 * m), np.arange(2 * m))
+        r = np.sqrt(space.mu)
+        w = np.linalg.eigvalsh(r[:, None] * u * r[None, :])
+        order = np.argsort(-np.abs(w))
+        assert w[order[1]] < 0 < w[order[0]] and abs(w[order[1]]) > 2 * abs(w[order[2]])
+
+        spec = principal_triple_from_operator(KernelOperator(0.5, u, space))
+        assert spec.lambda0 == pytest.approx(-np.log(w[order[0]]) / 0.5, rel=1e-12)
+        assert spec.gap == pytest.approx(np.log(w[order[0]] / abs(w[order[1]])) / 0.5, rel=1e-12)
+
+    def test_two_identical_mehler_blocks_rejected(self):
+        # a reducible kernel has a doubled dominant eigenvalue, a copy of which
+        # Lanczos could miss; the support-graph scan rejects it first
+        block = build_ho_discretization(lattice_space(3.0, 0.25), 1.0)
+        n = block.space.n
+        u = np.zeros((2 * n, 2 * n))
+        u[:n, :n] = u[n:, n:] = block.density
+        space = StateSpace(tuple(range(2 * n)), np.tile(block.space.mu, 2), np.arange(2 * n))
+        with pytest.raises(NondegeneracyError):
+            principal_triple_from_operator(KernelOperator(1.0, u, space))
+
+    def test_lanczos_without_convergence_names_the_cap(self, monkeypatch):
+        import scipy.sparse.linalg as arpack
+
+        def stalled(*args, **kwargs):
+            raise arpack.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(arpack, "eigsh", stalled)
+        op = build_ho_discretization(lattice_space(2.0, 0.25), 1.0)
+        with pytest.raises(NondegeneracyError, match="100 restarts"):
+            principal_triple_from_operator(op)
 
     def test_nonsymmetric_density_rejected(self):
         space = lattice_space(2.0, 0.5)
