@@ -64,21 +64,54 @@ class ExperimentConfig:
     source: str = "<memory>"
 
 
-def _line_of(path: str, needle: str) -> int | None:
+# verdict tolerances and their defaults
+_TOLERANCES = {
+    "qsd_tol": 1e-9, "match_tol": 1e-8, "rate_tol": 0.10, "fit_tail": 0.5, "gsd_level": 10.0}
+# the numeric keys of each config section; those of [mc] are integers
+_NUMBERS = {
+    "diagnostics.kappa": ("a", "b", "t0"), "diagnostics.eta": ("gamma",),
+    "diagnostics.quasi_ergodic": ("p",), "family": ("t_min",),
+    "verdicts": tuple(_TOLERANCES), "mc": ("n", "seed"),
+}
+
+
+def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
+    """Line of the section [needle], or of the key ``needle`` in ``section`` or any."""
+    current = None
     try:
         with open(path) as fh:
             for i, line in enumerate(fh, 1):
-                if line.split("=")[0].strip() == needle or line.strip() == f"[{needle}]":
+                text = line.strip()
+                if text == f"[{needle}]":
+                    return i
+                if text.startswith("[") and text.endswith("]"):
+                    current = text[1:-1]
+                elif text.split("=")[0].strip() == needle and section in (None, current):
                     return i
     except OSError:
         return None
     return None
 
 
-def _fail_config(path: str, key: str, msg: str) -> ConfigError:
-    line = _line_of(path, key)
+def _fail_config(path: str, key: str, msg: str, section: str | None = None) -> ConfigError:
+    line = _line_of(path, key, section)
     where = f"{path}:{line}" if line else path
     return ConfigError(f"{where}: {msg}")
+
+
+def _section(cp: configparser.ConfigParser, path: str, name: str) -> dict:
+    """Section ``name`` with its numeric keys converted; a value that is not
+    a number of the key's type is a ConfigError naming its line."""
+    values = dict(cp[name])
+    kind, what = (int, "an integer") if name == "mc" else (float, "a number")
+    for key in _NUMBERS.get(name, ()):
+        if key in values:
+            try:
+                values[key] = kind(values[key])
+            except ValueError:
+                msg = f"bad {key} {values[key]!r}: not {what}"
+                raise _fail_config(path, key, msg, name) from None
+    return values
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -109,24 +142,23 @@ def parse_config(path: str) -> ExperimentConfig:
             raise _fail_config(
                 path, "names", f"unknown diagnostic {name!r}; known: {DIAGNOSTIC_NAMES}"
             )
-    diag_params = {}
-    for name in names:
-        sect = f"diagnostics.{name}"
-        diag_params[name] = dict(cp[sect]) if sect in cp else {}
+    sections = {name: _section(cp, path, name) for name in cp.sections()}
+    diag_params = {name: sections.get(f"diagnostics.{name}", {}) for name in names}
 
-    kp = diag_params.get("kappa", {})
-    if "a" in kp and "b" in kp:
-        a, b = float(kp["a"]), float(kp["b"])
+    if "kappa" in diag_params:  # the split the run uses, defaults filled in
+        kp = diag_params["kappa"]
+        key = "a" if "a" in kp else "b"
+        a = kp.setdefault("a", 1.0 / 3.0)
+        b = kp.setdefault("b", (1.0 - a) / 2.0)
+        kp.setdefault("t0", t_grid[0])
         if abs(a + 2.0 * b - 1.0) > 1e-12:
-            raise _fail_config(path, "a", f"kappa needs a + 2b = 1, got {a + 2 * b}")
+            raise _fail_config(
+                path, key, f"kappa needs a + 2b = 1, got {a + 2 * b}", "diagnostics.kappa")
 
-    family = dict(cp["family"]) if "family" in cp else None
-    verdicts = dict(cp["verdicts"]) if "verdicts" in cp else {}
-    mc = dict(cp["mc"]) if "mc" in cp else None
-    output_dir = cp.get("output", "dir", fallback="out")
     return ExperimentConfig(
-        model_id, model_params, t_grid, names, diag_params, family, verdicts, mc,
-        output_dir, source=path,
+        model_id, model_params, t_grid, names, diag_params, sections.get("family"),
+        sections.get("verdicts", {}), sections.get("mc"),
+        cp.get("output", "dir", fallback="out"), source=path,
     )
 
 
@@ -163,16 +195,11 @@ def _state(space, key: str, raw, source: str | None = None):
 def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
     if cfg.family is None:
         return None
-    raw = cfg.family.get("t_min", "0.0")
-    try:
-        t_min = float(raw)
-    except ValueError:
-        raise _fail_config(cfg.source, "t_min", f"bad t_min {raw!r}: not a number") from None
     return ExhaustingFamily(
         base_point=_state(
             space, "base_point", cfg.family.get("base_point", space.points[0]), cfg.source),
         radius_fn=_radius_fn(cfg),
-        t_min=t_min,
+        t_min=cfg.family.get("t_min", 0.0),
     )
 
 
@@ -231,13 +258,9 @@ def run_experiment(cfg: ExperimentConfig):
     # points named by the config are checked before any operator is built
     fam = _build_family(cfg, space)
     sigma = _parse_sigma(cfg, space) if "quasi_ergodic" in cfg.diagnostics else None
-    if not isinstance(model, MarkovModel):
-        needs_generator = sorted({"kappa", "uniqueness"} & set(cfg.diagnostics))
-        needs_generator += ["[mc]"] if cfg.mc is not None else []
-        if needs_generator:
-            raise _fail_config(cfg.source, "mc" if needs_generator == ["[mc]"] else "names",
-                               f"{', '.join(needs_generator)}: needs a Markov generator; "
-                               f"the {model.label} oracle is kernel-only")
+    if cfg.mc is not None and not isinstance(model, MarkovModel):
+        raise _fail_config(cfg.source, "mc", "[mc]: needs a Markov generator; "
+                           f"the {model.label} oracle is kernel-only")
     ops = [model.semigroup.operator(t) for t in cfg.t_grid]
     try:
         spec = principal_triple(model)
@@ -245,13 +268,7 @@ def run_experiment(cfg: ExperimentConfig):
         spec = None  # reducible chain: spectral diagnostics are unavailable
 
     report = _Report(model.label)
-    rep_tols = {
-        "qsd_tol": float(cfg.verdicts.get("qsd_tol", 1e-9)),
-        "match_tol": float(cfg.verdicts.get("match_tol", 1e-8)),
-        "rate_tol": float(cfg.verdicts.get("rate_tol", 0.10)),
-        "fit_tail": float(cfg.verdicts.get("fit_tail", 0.5)),
-        "gsd_level": float(cfg.verdicts.get("gsd_level", 10.0)),
-    }
+    rep_tols = {key: cfg.verdicts.get(key, default) for key, default in _TOLERANCES.items()}
 
     for name in cfg.diagnostics:
         if name == "heat_content":
@@ -396,7 +413,7 @@ def _run_eta(report, spec, space, fam, cfg):
     if fam is None:
         report.add_verdict(False, "eta", "SKIPPED: no [family] section")
         return
-    gamma = float(cfg.diag_params["eta"].get("gamma", spec.gap))
+    gamma = cfg.diag_params["eta"].get("gamma", spec.gap)
     vals = []
     for t in cfg.t_grid:
         try:
@@ -414,10 +431,7 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
     if fam is None:
         report.add_verdict(False, "kappa", "SKIPPED: no [family] section")
         return
-    pars = cfg.diag_params["kappa"]
-    a = float(pars.get("a", 1.0 / 3.0))
-    b = float(pars.get("b", (1.0 - a) / 2.0))
-    t0 = float(pars.get("t0", cfg.t_grid[0]))
+    a, b, t0 = (cfg.diag_params["kappa"][key] for key in ("a", "b", "t0"))
     surv = dg.survival_pair(model, t0)
     C = None
     ok = True
@@ -438,8 +452,7 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
 
 
 def _run_mc_block(report, model, ops, cfg, path, stamp):
-    n = int(cfg.mc.get("n", 10000))
-    seed = int(cfg.mc.get("seed", 0))
+    n, seed = cfg.mc.get("n", 10000), cfg.mc.get("seed", 0)
     x0 = model.space.points[0]
     rows = []
     for t, op in zip(cfg.t_grid, ops):

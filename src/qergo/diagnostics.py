@@ -16,7 +16,7 @@ from scipy.linalg import eig
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
 from .operators import KernelOperator, MarkovModel
-from .spectral import SpectralData, _arpack_start, _positive_direction
+from .spectral import _DEGEN_TOL, SpectralData, _arpack_start, _positive_direction
 from .statespace import ExhaustingFamily, StateSpace, ball_indicator, exhaustion_time
 
 __all__ = [
@@ -173,14 +173,14 @@ def qsd_residual(sigma, op: KernelOperator) -> float:
     return float(np.sum(np.abs(evolved / mass - w)))
 
 
-def find_qsd(op: KernelOperator, tol: float = 1e-10) -> QuasiStationaryMeasure:
+def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
     """Normalized positive left fixed direction of the transition form of U_t.
 
     The two largest-modulus eigenvalues of the adjoint transition matrix come
     from ARPACK (``eigs``, k = 2) with a fixed start vector, or from a dense
     eig when n <= 3 or ARPACK fails (breakdown, or no convergence within 100
     restarts).  Emits NonuniquenessWarning when the dominant eigenvalue is not
-    simple within ``tol`` (relative), in which case the returned measure is
+    simple within 1e-10 (relative), in which case the returned measure is
     only one of several quasi-stationary candidates.  Otherwise a direction
     with mixed signs raises PositivityError.
     """
@@ -201,7 +201,7 @@ def find_qsd(op: KernelOperator, tol: float = 1e-10) -> QuasiStationaryMeasure:
     if rho0 == 0:
         raise DegenerateSupportError("transition operator is nilpotent")
     v = vl[:, order[0]]
-    if abs(w[order[1]]) >= rho0 * (1.0 - max(tol, 1e-12)):
+    if abs(w[order[1]]) >= rho0 * (1.0 - _DEGEN_TOL):
         warnings.warn(
             "dominant transition eigenvalue is not simple; the quasi-stationary "
             "measure need not be unique",
@@ -315,21 +315,11 @@ def pgsd_radius(
     """
     d = space.dist[space.index(base_point)]
     order = np.argsort(d, kind="stable")
-    ds, ps = d[order], profile[order]
-    best = None
-    running = -np.inf
-    i = 0
-    while i < len(ds):
-        j = i
-        while j < len(ds) and ds[j] == ds[i]:
-            j += 1
-        running = max(running, float(ps[i:j].max()))
-        if running <= C:
-            best = float(ds[i])
-        else:
-            break
-        i = j
-    return best
+    ds = d[order]
+    # the sup over B_r is the running max up to the last point at distance r
+    sup = np.maximum.accumulate(profile[order])[np.searchsorted(ds, ds, side="right") - 1]
+    inside = ds[sup <= C]
+    return float(inside[-1]) if inside.size else None
 
 
 def agsd_certificate(model, spec: SpectralData, t_grid, level: float = 10.0) -> tuple[bool, float]:
@@ -413,13 +403,13 @@ def eta_function(
     return lo
 
 
-def survival_pair(model: MarkovModel, t0: float) -> tuple[np.ndarray, np.ndarray]:
+def survival_pair(model, t0: float) -> tuple[np.ndarray, np.ndarray]:
     """(U_t0 1, U*_t0 1) from the model's semigroup; reusable across kappa calls."""
     return model.semigroup.survival(t0), model.semigroup.dual_survival(t0)
 
 
 def kappa_rate(
-    model: MarkovModel,
+    model,
     spec: SpectralData,
     fam: ExhaustingFamily,
     t0: float,
@@ -444,7 +434,7 @@ def kappa_rate(
 
 
 def uniqueness_condition_check(
-    model: MarkovModel, spec: SpectralData, t_grid
+    model, spec: SpectralData, t_grid
 ) -> tuple[bool, float]:
     """Boundedness probe of e^{lambda0 t} sup_x (U_t 1 + U*_t 1)(x) over a grid.
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ClassifierError, ModelError
-from .operators import KernelOperator, MarkovModel, feynman_kac_operator, mehler_kernel
+from .operators import Engine, KernelOperator, MarkovModel, feynman_kac_operator, mehler_kernel
 from .statespace import StateSpace
 
 __all__ = [
@@ -275,7 +275,6 @@ def build_fractional_model(
         V_arr,
         time_scale=rate_max,
         label=f"frac({levy.kind},a={levy.alpha:g},d={levy.delta:g},{V.kind},b={V.beta:g})",
-        meta={"levy": levy, "potential": V, "h": float(xs[1] - xs[0])},
     )
 
 
@@ -328,20 +327,17 @@ def build_ho_discretization(grid: StateSpace | tuple, t: float) -> KernelOperato
     return KernelOperator(t, u, space, {"method": "mehler-closed-form"})
 
 
-class OscillatorOracle:
+class OscillatorOracle(Engine):
     """Kernel-only model of the oscillator on a lattice: it has a space, a
     label and a semigroup like a MarkovModel, but no Q, V or generator.
 
-    It is its own engine: ``operator(t)`` is the Mehler-kernel operator,
-    built once per t and kept for the oracle's lifetime, and ``survival(t)``
-    its lattice row sums U_t 1.
+    It is its own engine, whose operator at time t is the Mehler kernel.
     """
 
     label = "ho"
 
     def __init__(self, space: StateSpace):
         self.space = space
-        self._ops: dict[float, KernelOperator] = {}
 
     @property
     def n(self) -> int:
@@ -351,15 +347,8 @@ class OscillatorOracle:
     def semigroup(self) -> "OscillatorOracle":
         return self
 
-    def operator(self, t: float) -> KernelOperator:
-        key = float(t)
-        if key not in self._ops:
-            self._ops[key] = build_ho_discretization(self.space, key)
-        return self._ops[key]
-
-    def survival(self, t: float) -> np.ndarray:
-        """U_t 1 per point."""
-        return self.operator(t).survival()
+    def _build(self, t: float) -> KernelOperator:
+        return build_ho_discretization(self.space, t)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .statespace import StateSpace
 
 __all__ = [
     "MarkovModel",
+    "Engine",
     "Semigroup",
     "KernelOperator",
     "dual_model",
@@ -59,7 +60,6 @@ class MarkovModel:
     Q_dual: np.ndarray = field(default=None)  # type: ignore[assignment]
     time_scale: float = 1.0
     label: str = "model"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.space.n
@@ -120,7 +120,6 @@ def dual_model(model: MarkovModel) -> MarkovModel:
         Q_dual=model.Q,
         time_scale=model.time_scale,
         label=model.label + "*",
-        meta=dict(model.meta),
     )
 
 
@@ -174,33 +173,56 @@ def _floored(P: np.ndarray) -> np.ndarray:
     return P
 
 
-class Semigroup:
-    """U_t = exp(tG) of one model for any t > 0, with no factorization repeated.
+class Engine:
+    """U_t of one model for any t > 0, built by the subclass hook ``_build(t)``
+    once per t and kept for the engine's lifetime.  U_t 1 and U*_t 1 are that
+    operator's row and column sums."""
+
+    @cached_property
+    def _ops(self) -> dict[float, KernelOperator]:
+        return {}
+
+    def operator(self, t: float) -> KernelOperator:
+        if t <= 0:
+            raise ValueError("t must be positive")
+        key = float(t)
+        if key not in self._ops:
+            self._ops[key] = self._build(key)
+        return self._ops[key]
+
+    def survival(self, t: float) -> np.ndarray:
+        """U_t 1 per point."""
+        return self.operator(t).survival()
+
+    def dual_survival(self, t: float) -> np.ndarray:
+        """U*_t 1 per point."""
+        return self.operator(t).dual_survival()
+
+
+class Semigroup(Engine):
+    """U_t = exp(tG) of one model, entries clamped at 0, no factorization repeated.
 
     Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take a
     single eigh of S = D^{1/2} G D^{-1/2} with D = diag(mu).  With
-    S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T
-    (one GEMM) and U_t 1 = B (e^{tw} B^T mu) (one GEMV).  The eigenvalue
-    problem of a symmetric matrix is well conditioned, so this agrees with
-    the exponential to round-off.
+    S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T,
+    one GEMM.  The eigenvalue problem of a symmetric matrix is well
+    conditioned, so this agrees with the exponential to round-off.
 
     Other models scale and square: with k the fewest halvings that bring
-    t ||G||_1 below 1, the dense exponential of the unit-norm step
-    (t / 2^k) G is squared k times.  Operators are memoized by t; a time that
-    is the sum of two memoized times is instead their product, one GEMM, so
-    an equally spaced ascending grid costs one exponential.  After the
-    exponential, each squaring and each product, the transition form is
-    clamped at 0 and entries below 2^-500 max(P) are zeroed.  That floor lies
-    ~1e-135 below the exponential's normwise error eps max(P), so it drops
-    nothing the error bound resolves, and it keeps the spatially decaying
-    entries of a non-normal U_t out of the subnormal range, where x86
-    arithmetic runs in slow microcode.
+    t ||G||_1 below 1, the dense exponential of the unit-norm step (t / 2^k) G
+    is squared k times.  A time that is the sum of two cached times is instead
+    their product, one GEMM, so an equally spaced ascending grid costs one
+    exponential.  After the exponential, each squaring and each product, the
+    transition form is clamped at 0 and entries below 2^-500 max(P) are
+    zeroed.  That floor lies ~1e-135 below the exponential's normwise error
+    eps max(P), so it drops nothing the error bound resolves, and it keeps the
+    spatially decaying entries of a non-normal U_t out of the subnormal range,
+    where x86 arithmetic runs in slow microcode.
     """
 
     def __init__(self, model: MarkovModel):
         self.model = model
         self.reversible = bool(np.max(np.abs(model.Q_dual - model.Q)) <= _REV_TOL)
-        self._expm: dict[float, KernelOperator] = {}
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -215,43 +237,22 @@ class Semigroup:
         w, W = eigh(0.5 * (S + S.T), driver="evd")
         return w, W / r[:, None]
 
-    def operator(self, t: float) -> KernelOperator:
-        """U_t as a kernel operator, entries clamped at 0 against round-off."""
-        if t <= 0:
-            raise ValueError("t must be positive")
+    def _build(self, t: float) -> KernelOperator:
         space = self.model.space
         if self.reversible:
             w, B = self.spectrum
             u = np.maximum((B * np.exp(t * w)) @ B.T, 0.0)
             return KernelOperator(t, u, space, {"method": "eigh"})
-        memo, key = self._expm, float(t)
-        if key not in memo:
-            s = next((s for s in memo if s < key and key - s in memo), None)
-            if s is None:
-                A = key * self.model.generator()
-                k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
-                P = _floored(expm(A / 2.0**k))
-                for _ in range(k):
-                    P = _floored(P @ P)
-            else:  # U_t = U_s U_{t-s}: one product of nonnegative memoized factors
-                P = _floored(memo[s].transition() @ memo[key - s].transition())
-            memo[key] = KernelOperator(t, P / space.mu[None, :], space, {"method": "expm"})
-        return memo[key]
-
-    def survival(self, t: float) -> np.ndarray:
-        """U_t 1 per point."""
-        if not self.reversible:
-            return self.operator(t).survival()
-        if t <= 0:
-            raise ValueError("t must be positive")
-        w, B = self.spectrum
-        return B @ (np.exp(t * w) * (B.T @ self.model.space.mu))
-
-    def dual_survival(self, t: float) -> np.ndarray:
-        """U*_t 1 per point; equal to U_t 1 when u_t is symmetric."""
-        if self.reversible:
-            return self.survival(t)
-        return self.operator(t).dual_survival()
+        s = next((s for s in self._ops if s < t and t - s in self._ops), None)
+        if s is None:
+            A = t * self.model.generator()
+            k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
+            P = _floored(expm(A / 2.0**k))
+            for _ in range(k):
+                P = _floored(P @ P)
+        else:  # U_t = U_s U_{t-s}: one product of nonnegative cached factors
+            P = _floored(self._ops[s].transition() @ self._ops[t - s].transition())
+        return KernelOperator(t, P / space.mu[None, :], space, {"method": "expm"})
 
 
 def identity_operator(space: StateSpace) -> KernelOperator:
@@ -301,7 +302,7 @@ def uniformized_transition(model: MarkovModel, t: float, eps: float = 1e-14) -> 
 
 def feynman_kac_operator(model: MarkovModel, t: float) -> KernelOperator:
     """U_t = exp(t (Q - I - diag(V))) as a kernel operator, taken from the
-    model's semigroup engine: one eigh per reversible model, a memoized
+    model's semigroup engine: one eigh per reversible model, a cached
     exponential otherwise.  Raises ValueError for t <= 0."""
     return model.semigroup.operator(t)
 

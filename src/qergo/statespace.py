@@ -15,6 +15,8 @@ __all__ = [
     "tabulated_radius",
 ]
 
+_T_MAX = 1e12  # largest family parameter exhaustion_time tries
+
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
@@ -52,14 +54,15 @@ class StateSpace:
             if coords is None:
                 raise ValueError("need coords or an explicit distance matrix")
             diff = coords[:, None, :] - coords[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-        dist = np.asarray(dist, dtype=float)
-        if dist.shape != (n, n):
-            raise ValueError("distance matrix has wrong shape")
-        if np.any(dist < 0) or not np.allclose(dist, dist.T, atol=1e-12):
-            raise ValueError("metric must be symmetric and nonnegative")
-        if not np.allclose(np.diag(dist), 0.0, atol=1e-12):
-            raise ValueError("metric(x, x) must vanish")
+            dist = np.sqrt((diff**2).sum(axis=2))  # a metric by construction
+        else:
+            dist = np.asarray(dist, dtype=float)
+            if dist.shape != (n, n):
+                raise ValueError("distance matrix has wrong shape")
+            if np.any(dist < 0) or not np.allclose(dist, dist.T, atol=1e-12):
+                raise ValueError("metric must be symmetric and nonnegative")
+            if not np.allclose(np.diag(dist), 0.0, atol=1e-12):
+                raise ValueError("metric(x, x) must vanish")
         object.__setattr__(self, "dist", dist)
         for arr in (mu, self.coords, dist):
             if arr is not None:
@@ -105,18 +108,18 @@ def ball_indicator(space: StateSpace, fam: ExhaustingFamily, t: float) -> np.nda
     return space.dist[space.index(fam.base_point)] <= r
 
 
-def exhaustion_time(space: StateSpace, fam: ExhaustingFamily, t_max: float = 1e12) -> float:
+def exhaustion_time(space: StateSpace, fam: ExhaustingFamily) -> float:
     """Smallest family parameter at which K_t covers the whole space.
 
-    Found by doubling then bisecting on t; resolution is relative 1e-12.
+    Found by doubling t up to 1e12, then bisecting; resolution is relative 1e-12.
     """
     if ball_indicator(space, fam, fam.t_min).all():
         return fam.t_min
     hi = max(fam.t_min, 1.0)
     while not ball_indicator(space, fam, hi).all():
         hi *= 2.0
-        if hi > t_max:
-            raise ValueError("family does not exhaust the space below t_max")
+        if hi > _T_MAX:
+            raise ValueError(f"family does not exhaust the space below t = {_T_MAX:g}")
     lo = fam.t_min
     while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)

@@ -216,23 +216,14 @@ dir = {out}
         series = open(paths["series"]).read()
         assert "pgsd_radius" in series and "gsd_sup" in series
 
-    def test_ho_oracle_rejects_generator_diagnostics(self, tmp_path):
-        text = """
-[model]
-id = ho
-
-[times]
-t_grid = 0.5 1.0
-
-[diagnostics]
-names = uniqueness
-
-[output]
-dir = {out}
-"""
-        cfg = parse_config(write_config(tmp_path, text.format(out=tmp_path / "x")))
-        with pytest.raises(ConfigError, match="kernel-only"):
-            run_experiment(cfg)
+    def test_ho_oracle_runs_kappa_and_uniqueness(self, tmp_path, monkeypatch):
+        # the oracle's engine has U_t 1 and U*_t 1, all these two read
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = HO_ORACLE.read_text().replace(
+            "names = heat_content kernel_convergence gsd", "names = kappa uniqueness")
+        _, paths, _ = run_experiment(parse_config(write_config(tmp_path, text)))
+        checked = [line.split()[1] for line in open(paths["verdict"]) if not line.startswith("#")]
+        assert checked == ["kappa_progressive_bound", "uniqueness_condition"]
 
     def test_ho_oracle_with_mc_section_exits_one(self, tmp_path, capsys, monkeypatch):
         import qergo.models as models
@@ -248,9 +239,8 @@ dir = {out}
         assert err.startswith("error:") and "[mc]" in err and "kernel-only" in err
 
     @pytest.mark.parametrize("names,mc,key", [
-        ("heat_content kappa", "", "names ="),
-        ("heat_content", "[mc]\nn = 10\n", "[mc]"),
-    ], ids=["names", "mc"])
+        ("heat_content kappa", "[mc]\nn = 10\n", "[mc]"),
+    ], ids=["mc"])
     def test_ho_oracle_generator_error_names_the_config_line(self, tmp_path, names, mc, key):
         text = ("[model]\nid = ho\nhalf_width = 2.0\nh = 0.5\n\n[times]\nt_grid = 0.5 1.0\n\n"
                 f"[diagnostics]\nnames = {names}\n\n{mc}")
@@ -520,6 +510,49 @@ class TestMainEntry:
         err = capsys.readouterr().err
         line = text.splitlines().index(old) + 1
         assert err.startswith(f"error: {path}:{line}: ") and "'abc'" in err
+
+    @pytest.mark.parametrize("old,new,bad", [
+        ("t0 = 1.0", "t0 = abc", "t0 = abc"),
+        ("a = 0.333333333333333333", "a = abc", "a = abc"),
+        ("[output]", "[verdicts]\nrate_tol = abc\n\n[output]", "rate_tol = abc"),
+        ("n = 20000", "n = abc", "n = abc"),
+        ("seed = 1234", "seed = 1.5", "seed = 1.5"),
+        ("[output]", "[diagnostics.eta]\ngamma = abc\n\n[output]", "gamma = abc"),
+        ("p = inf", "p = abc", "p = abc"),
+        ("a = 0.333333333333333333\nb = 0.333333333333333333", "b = 0.45", "b = 0.45"),
+    ], ids=["kappa_t0", "kappa_a", "rate_tol", "mc_n", "mc_seed", "eta_gamma", "qe_p",
+            "kappa_b_alone"])
+    def test_bad_config_number_exits_one_before_any_build(
+            self, tmp_path, capsys, monkeypatch, old, new, bad):
+        import qergo.models as models
+
+        def no_model(*args):
+            raise AssertionError("a model was built before the config check")
+
+        monkeypatch.setattr(models, "zoo_build", no_model)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = BIRTHDEATH_FULL.read_text()
+        assert old in text
+        text = text.replace(old, new)
+        path = write_config(tmp_path, text)
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(bad) + 1
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verdicts,code", [("", 0), ("[verdicts]\nrate_tol = 0\n", 2)],
+                             ids=["pass", "fail"])
+    def test_run_prints_the_verdicts_then_the_outputs(self, tmp_path, capsys, verdicts, code):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, SWAP2_CONFIG.format(out=out) + verdicts)
+        assert main(["run", path]) == code
+        printed = capsys.readouterr().out.splitlines()
+        lines = [row for row in open(out / "verdict.txt").read().splitlines()
+                 if not row.startswith("#")]
+        assert ("FAIL" in " ".join(lines)) == (code == 2)
+        names = ("series.csv", "spectral.txt", "summary.csv", "verdict.txt")
+        assert printed == lines + [f"wrote {', '.join(str(out / name) for name in names)}"]
 
     def test_runtime_error_keeps_its_type(self, tmp_path, capsys, monkeypatch):
         import qergo.cli as cli

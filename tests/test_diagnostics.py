@@ -362,6 +362,23 @@ class TestGsdProfile:
         growth = np.array(radii[1:]) / np.array(radii[:-1])
         np.testing.assert_allclose(growth, np.exp(2 * 0.25), rtol=0.05)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pgsd_radius_matches_brute_force_with_ties(self, dim):
+        # integer coordinates and integer profile values: many points share a
+        # distance from the base point, and many share a profile value
+        rng = np.random.default_rng(dim)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            space = StateSpace(tuple(range(n)), np.ones(n), rng.integers(-3, 4, (n, dim)))
+            profile = rng.integers(0, 6, n).astype(float)
+            base = int(rng.integers(n))
+            d = space.dist[base]
+            assert pgsd_radius(profile, space, base, profile[base] - 0.5) is None
+            for C in np.concatenate([np.unique(profile), np.unique(profile) + 0.5]):
+                admissible = [r for r in np.unique(d) if profile[d <= r].max() <= C]
+                want = float(max(admissible)) if admissible else None
+                assert pgsd_radius(profile, space, base, C) == want
+
 
 def bisect_ho_radius(t, C, d, hi=1e3):
     """Oracle: bisection on U_t1(|x|) <= C e^{-dt} phi0(|x|) using closed forms."""
