@@ -147,13 +147,17 @@ def parse_config(path: str) -> ExperimentConfig:
 
     if "kappa" in diag_params:  # the split the run uses, defaults filled in
         kp = diag_params["kappa"]
-        key = "a" if "a" in kp else "b"
+        key = "b" if "b" in kp else "a"
         a = kp.setdefault("a", 1.0 / 3.0)
         b = kp.setdefault("b", (1.0 - a) / 2.0)
         kp.setdefault("t0", t_grid[0])
         if abs(a + 2.0 * b - 1.0) > 1e-12:
             raise _fail_config(
                 path, key, f"kappa needs a + 2b = 1, got {a + 2 * b}", "diagnostics.kappa")
+        if not 0.0 < b < 0.5:
+            raise _fail_config(path, key, f"kappa needs b in (0, 1/2), got {b}", "diagnostics.kappa")
+    if not diag_params.get("quasi_ergodic", {}).get("p", 1.0) >= 1.0:  # nan fails too
+        raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
 
     return ExperimentConfig(
         model_id, model_params, t_grid, names, diag_params, sections.get("family"),

@@ -34,7 +34,6 @@ __all__ = [
     "unif_conv_bound_matrix",
     "quasi_ergodic_error",
     "progressive_error",
-    "asymptotic_projection_error",
     "gsd_profile",
     "pgsd_radius",
     "agsd_certificate",
@@ -274,16 +273,6 @@ def progressive_error(op: KernelOperator, spec: SpectralData, mask: np.ndarray) 
     u = op.density[mask]
     m_density = spec.psi0 / np.sum(spec.psi0 * mu)
     return float((np.abs(u / (u @ mu)[:, None] - m_density[None, :]) @ mu).max())
-
-
-def asymptotic_projection_error(op: KernelOperator, spec: SpectralData, sigma, f) -> float:
-    """|e^{lambda0 t} sigma(U_t f) - (1/Lambda) sigma(phi0) sum f psi0 mu| for one f."""
-    w = _as_weights(sigma)
-    mu = op.space.mu
-    fv = np.asarray(f, dtype=float)
-    lhs = np.exp(spec.lambda0 * op.t) * float(w @ op.apply(fv))
-    rhs = float(w @ spec.phi0) * float(np.sum(fv * spec.psi0 * mu)) / spec.Lambda
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

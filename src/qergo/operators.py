@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, expm
-from scipy.special import gammaln
 
 from .errors import ModelError
 from .statespace import StateSpace
@@ -24,12 +23,10 @@ __all__ = [
     "Engine",
     "Semigroup",
     "KernelOperator",
-    "dual_model",
     "uniformized_transition",
     "feynman_kac_operator",
     "adjoint",
     "compose",
-    "identity_operator",
     "mehler_kernel",
     "log_mehler_kernel",
     "ho_survival",
@@ -109,18 +106,6 @@ class MarkovModel:
 
         ncomp, _ = connected_components(self.Q > 0, directed=True, connection="strong")
         return ncomp == 1
-
-
-def dual_model(model: MarkovModel) -> MarkovModel:
-    """The model of the adjoint semigroup: jump kernel Q_dual, same V."""
-    return MarkovModel(
-        model.space,
-        model.Q_dual,
-        model.V,
-        Q_dual=model.Q,
-        time_scale=model.time_scale,
-        label=model.label + "*",
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +240,6 @@ class Semigroup(Engine):
         return KernelOperator(t, P / space.mu[None, :], space, {"method": "expm"})
 
 
-def identity_operator(space: StateSpace) -> KernelOperator:
-    """The t -> 0 limit: density I/mu, the unit for composition."""
-    return KernelOperator(0.0, np.diag(1.0 / space.mu), space, {"method": "identity"})
-
-
 def _poisson_terms(t: float, eps: float) -> int:
     """Smallest N with Poisson(t) tail mass above N below eps.
 
@@ -284,6 +264,8 @@ def uniformized_transition(model: MarkovModel, t: float, eps: float = 1e-14) -> 
         raise ValueError("t must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    from scipy.special import gammaln
+
     N = _poisson_terms(t, eps)
     n = model.n
     # log-space Poisson weights keep t^k/k! finite for large t

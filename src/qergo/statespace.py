@@ -79,12 +79,6 @@ class StateSpace:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n > 1 else 0.0
 
-    def total_mass(self) -> float:
-        return float(self.mu.sum())
-
-    def with_mu(self, mu) -> "StateSpace":
-        return StateSpace(self.points, np.asarray(mu, float), self.coords, self.dist)
-
 
 @dataclass(frozen=True, eq=False)
 class ExhaustingFamily:

@@ -305,7 +305,7 @@ class TestFactorizationCounts:
     """One run factorizes each model once: one eigh when it is reversible.
     Otherwise one exponential of a step of 1-norm at most 1 per grid time that
     is not the sum of two earlier ones; those are formed by one product of
-    memoized operators."""
+    memoized operators.  No run takes a dense eig of its generator."""
 
     @pytest.fixture
     def expm_norms(self):
@@ -314,11 +314,12 @@ class TestFactorizationCounts:
     @pytest.fixture
     def counts(self, monkeypatch, expm_norms):
         import qergo.operators as operators
+        import qergo.spectral as spectral
 
-        calls = {"eigh": 0, "expm": 0}
+        calls = {"eigh": 0, "expm": 0, "eig": 0}
 
-        def counting(name):
-            original = getattr(operators, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -328,8 +329,8 @@ class TestFactorizationCounts:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(operators, name, counting(name))
+        for module, name in ((operators, "eigh"), (operators, "expm"), (spectral, "eig")):
+            monkeypatch.setattr(module, name, counting(module, name))
         return calls
 
     def test_reversible_run_does_one_eigh(self, tmp_path, counts):
@@ -338,7 +339,7 @@ class TestFactorizationCounts:
             model="birthdeath", n=12, grid="2 4 6 8 10 12", out=tmp_path / "o",
             kappa="[diagnostics.kappa]\nt0 = 0.5\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        assert counts == {"eigh": 1, "expm": 0}
+        assert counts == {"eigh": 1, "expm": 0, "eig": 0}
 
     @pytest.mark.parametrize("grid,expm_calls", [
         ("2 4 6 8 10 12", 1),  # every later time is the sum of two earlier ones
@@ -349,7 +350,8 @@ class TestFactorizationCounts:
         text = FACTORIZATION_CONFIG.format(
             model="cycle", n=8, grid=grid, out=tmp_path / "o", kappa="")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        assert counts == {"eigh": 0, "expm": expm_calls}
+        # the triple is shift-invert ARPACK on one LU, not a dense eig
+        assert counts == {"eigh": 0, "expm": expm_calls, "eig": 0}
         assert len(expm_norms) == expm_calls and max(expm_norms) <= 1.0
 
     @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
@@ -361,13 +363,9 @@ class TestFactorizationCounts:
         import scipy.sparse.linalg as arpack
 
         import qergo.models as models
-        import qergo.spectral as spectral
 
-        eig_calls, eigsh_calls, builds = [], [], []
-        general_eig, lanczos = spectral.eig, arpack.eigsh
-        build = models.build_ho_discretization
-        monkeypatch.setattr(
-            spectral, "eig", lambda *a, **k: eig_calls.append(1) or general_eig(*a, **k))
+        eigsh_calls, builds = [], []
+        lanczos, build = arpack.eigsh, models.build_ho_discretization
         monkeypatch.setattr(
             arpack, "eigsh", lambda *a, **k: eigsh_calls.append(1) or lanczos(*a, **k))
         monkeypatch.setattr(
@@ -377,7 +375,7 @@ class TestFactorizationCounts:
         text = text.replace("base_point = 60", f"base_point = {base_point}")
         _, _, code = run_experiment(parse_config(write_config(tmp_path, text)))
         assert code == 0
-        assert counts == {"eigh": 0, "expm": 0} and not eig_calls and len(eigsh_calls) == 1
+        assert counts == {"eigh": 0, "expm": 0, "eig": 0} and len(eigsh_calls) == 1
         assert builds == [0.5, 0.75, 1.0, 1.25]
 
 
@@ -520,8 +518,13 @@ class TestMainEntry:
         ("[output]", "[diagnostics.eta]\ngamma = abc\n\n[output]", "gamma = abc"),
         ("p = inf", "p = abc", "p = abc"),
         ("a = 0.333333333333333333\nb = 0.333333333333333333", "b = 0.45", "b = 0.45"),
+        # in range only: a + 2b = 1 holds, but b leaves (0, 1/2) or p falls below 1
+        ("a = 0.333333333333333333\nb = 0.333333333333333333", "a = 1.2\nb = -0.1", "b = -0.1"),
+        ("a = 0.333333333333333333\nb = 0.333333333333333333", "a = 0.0\nb = 0.5", "b = 0.5"),
+        ("p = inf", "p = 0.5", "p = 0.5"),
+        ("p = inf", "p = nan", "p = nan"),
     ], ids=["kappa_t0", "kappa_a", "rate_tol", "mc_n", "mc_seed", "eta_gamma", "qe_p",
-            "kappa_b_alone"])
+            "kappa_b_alone", "kappa_b_negative", "kappa_b_half", "qe_p_below_one", "qe_p_nan"])
     def test_bad_config_number_exits_one_before_any_build(
             self, tmp_path, capsys, monkeypatch, old, new, bad):
         import qergo.models as models

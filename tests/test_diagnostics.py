@@ -4,13 +4,11 @@ import pytest
 from qergo.diagnostics import (
     DiagnosticSeries,
     QuasiStationaryMeasure,
-    asymptotic_projection_error,
     eta_function,
     find_qsd,
     fit_exponential_rate,
     gsd_profile,
     heat_content,
-    heat_content_limit,
     heat_content_upper_bound,
     ho_pgsd_radius,
     kappa_rate,
@@ -50,7 +48,7 @@ class TestHeatContent:
     def test_conservative_mass(self, birthdeath20):
         for t in (0.5, 1.0, 4.0):
             z = heat_content(feynman_kac_operator(birthdeath20, t))
-            assert z == pytest.approx(birthdeath20.space.total_mass(), abs=1e-9)
+            assert z == pytest.approx(birthdeath20.space.mu.sum(), abs=1e-9)
 
     def test_constant_potential(self, swap2):
         c = 0.4
@@ -156,14 +154,6 @@ class TestFindQsd:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", mixed_sign_eigs)
         with pytest.raises(PositivityError, match="mixed signs"):
             find_qsd(feynman_kac_operator(birthdeath20, 1.0))
-
-
-def eig_oracle_2x2(v):
-    lam0 = (2.0 + v - np.sqrt(v**2 + 4.0)) / 2.0
-    lam1 = (2.0 + v + np.sqrt(v**2 + 4.0)) / 2.0
-    phi = np.array([1.0, 1.0 - lam0])
-    phi /= np.linalg.norm(phi)
-    return lam0, lam1, phi
 
 
 class TestKernelConvergence:
@@ -277,50 +267,6 @@ class TestProgressiveError:
             for x in np.asarray(model.space.points)[mask]
         )
         assert progressive_error(op, spec, mask) == pytest.approx(expected, rel=1e-12)
-
-
-class TestAsymptoticProjection:
-    def test_eigenfunction_direction_exact(self, weighted_bd, cycle4):
-        for model in (weighted_bd, cycle4):
-            spec = principal_triple(model)
-            op = feynman_kac_operator(model, 1.2)
-            sigma = point_mass(model.space, 1)
-            assert asymptotic_projection_error(op, spec, sigma, spec.phi0) < 1e-10
-
-    def test_two_state_indicator_matches_oracle(self, swap2_v01):
-        lam0, lam1, phi = eig_oracle_2x2(1.0)
-        t = 0.8
-        G = np.array([[-1.0, 1.0], [1.0, -2.0]])
-        w, Vm = np.linalg.eig(t * G)
-        E = np.real((Vm * np.exp(w)) @ np.linalg.inv(Vm))
-        f = np.array([1.0, 0.0])
-        expected = abs(np.exp(lam0 * t) * E[0] @ f - phi[0] * np.sum(f * phi) / 1.0)
-        spec = principal_triple(swap2_v01)
-        op = feynman_kac_operator(swap2_v01, t)
-        got = asymptotic_projection_error(op, spec, point_mass(swap2_v01.space, 0), f)
-        assert got == pytest.approx(expected, abs=1e-11)
-
-    def test_heat_content_specialization(self, birthdeath20_confining):
-        spec = principal_triple(birthdeath20_confining)
-        mu = birthdeath20_confining.space.mu
-        op = feynman_kac_operator(birthdeath20_confining, 2.0)
-        err = asymptotic_projection_error(op, spec, mu, np.ones(20))
-        direct = abs(
-            np.exp(spec.lambda0 * 2.0) * heat_content(op) - heat_content_limit(spec, mu)
-        )
-        assert err == pytest.approx(direct, rel=1e-12)
-
-    def test_decay_at_gap_rate(self, birthdeath5):
-        # reversible model: real spectrum, so the pointwise decay is clean
-        spec = principal_triple(birthdeath5)
-        sigma = point_mass(birthdeath5.space, 0)
-        f = np.array([0.3, -1.0, 0.2, 0.9, 0.1])
-        series = DiagnosticSeries("proj")
-        for t in np.linspace(3.0 / spec.gap, 6.0 / spec.gap, 6):
-            op = feynman_kac_operator(birthdeath5, t)
-            series.append(t, asymptotic_projection_error(op, spec, sigma, f))
-        rate, _, _ = fit_exponential_rate(series, tail_fraction=1.0)
-        assert -rate == pytest.approx(spec.gap, rel=0.10)
 
 
 class TestGsdProfile:

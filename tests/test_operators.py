@@ -14,18 +14,22 @@ from qergo.models import (
     zoo_build,
 )
 from qergo.operators import (
+    KernelOperator,
     MarkovModel,
     adjoint,
     compose,
-    dual_model,
     feynman_kac_operator,
-    identity_operator,
     ho_survival,
     mehler_kernel,
     uniformized_transition,
 )
 from qergo.spectral import principal_triple
 from qergo.statespace import StateSpace
+
+
+def dual_model(model):
+    """The model of the adjoint semigroup: jump kernel Q_dual, same V."""
+    return MarkovModel(model.space, model.Q_dual, model.V, label=model.label + "*")
 
 
 def eig_expm(A):
@@ -171,7 +175,7 @@ class TestSemigroupEngine:
                               (model.semigroup.dual_survival(t), op.dual_survival())):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
-    def test_nonreversible_exponentials_are_memoized(self, zoo_model):
+    def test_operators_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
         model, _ = zoo_model
         first, second = model.semigroup.operator(2.0), model.semigroup.operator(2)
@@ -313,7 +317,7 @@ class TestAdjointCompose:
 
     def test_compose_identity_element(self, birthdeath5):
         op = feynman_kac_operator(birthdeath5, 0.7)
-        ident = identity_operator(birthdeath5.space)
+        ident = KernelOperator(0.0, np.diag(1.0 / birthdeath5.space.mu), birthdeath5.space)
         np.testing.assert_allclose(compose(ident, op).density, op.density, atol=1e-12)
         np.testing.assert_allclose(compose(op, ident).density, op.density, atol=1e-12)
 

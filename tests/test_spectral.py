@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig, eigh
+from scipy.optimize import brentq
 
 from qergo.errors import ModelError, NondegeneracyError
-from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space
+from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space, zoo_build
 from qergo.operators import (
     KernelOperator,
     MarkovModel,
     feynman_kac_operator,
-    identity_operator,
 )
 from qergo.spectral import (
     eigen_residuals,
@@ -91,9 +92,9 @@ class TestPrincipalTriple:
         assert sym.Lambda == pytest.approx(1.0, abs=1e-10)
 
     def test_scale_invariance_of_mu(self, weighted_bd):
-        c = 7.0
+        c, sp = 7.0, weighted_bd.space
         scaled = MarkovModel(
-            weighted_bd.space.with_mu(c * weighted_bd.space.mu),
+            StateSpace(sp.points, c * sp.mu, sp.coords, sp.dist),
             weighted_bd.Q,
             weighted_bd.V,
         )
@@ -107,6 +108,65 @@ class TestPrincipalTriple:
         ma = a.psi0 * weighted_bd.space.mu
         mb = b.psi0 * scaled.space.mu
         np.testing.assert_allclose(mb / mb.sum(), ma / ma.sum(), atol=1e-13)
+
+
+@st.composite
+def arpack_sized_chains(draw):
+    """Non-reversible chain on 8-12 states, past the dense fallback, with its
+    invariant mu and a V >= 0; a rotation of weight >= 0.2 keeps it irreducible."""
+    n = draw(st.integers(8, 12))
+    W = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)))
+    Q = W.reshape(n, n) + draw(st.floats(0.2, 1.0)) * np.roll(np.eye(n), 1, axis=1)
+    Q /= Q.sum(axis=1, keepdims=True)
+    A = np.vstack([(Q.T - np.eye(n))[:-1], np.ones(n)])
+    mu = n * np.linalg.solve(A, np.eye(n)[-1])
+    V = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    return build_ctmc_model(n, Q, mu=mu, V=V)
+
+
+class TestShiftInvertTriple:
+    """The non-reversible triple: shift-invert ARPACK on one LU below min V."""
+
+    @given(model=arpack_sized_chains())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_eig(self, model):
+        mu = model.space.mu
+        w, vl, vr = eig(-model.generator(), left=True, right=True)
+        order = np.argsort(w.real)
+        lam0, gap = w[order[0]].real, w[order[1]].real - w[order[0]].real
+
+        def unit(v):
+            v = np.abs(np.real(v))
+            return v / np.sqrt(np.sum(v**2 * mu))
+
+        phi, psi = unit(vr[:, order[0]]), unit(vl[:, order[0]] / mu)
+        spec = principal_triple(model)
+        assert spec.lambda0 == pytest.approx(lam0, rel=1e-9, abs=1e-12)  # V = 0 gives lam0 = 0
+        assert spec.gap == pytest.approx(gap, rel=1e-9)
+        assert spec.Lambda == pytest.approx(np.sum(phi * psi * mu), rel=1e-9)
+        assert np.max(np.abs(spec.phi0 - phi)) <= 1e-8 * phi.max()
+        assert np.max(np.abs(spec.psi0 - psi)) <= 1e-8 * psi.max()
+
+    @pytest.mark.parametrize("v", [0.0, 0.3])
+    def test_constant_potential_cycle(self, v, monkeypatch):
+        # min V is lambda0 itself here, so a shift at min V would be singular
+        import qergo.spectral as spectral
+
+        monkeypatch.setattr(spectral, "eig", None)  # no dense fallback
+        model = build_ctmc_model(12, "cycle", V=np.full(12, v))
+        spec = principal_triple(model)
+        assert spec.lambda0 == pytest.approx(v, abs=1e-12)
+        np.testing.assert_allclose(spec.phi0, 1.0 / np.sqrt(12), rtol=1e-10)
+        np.testing.assert_allclose(spec.psi0, 1.0 / np.sqrt(12), rtol=1e-10)
+
+    def test_cycle_lambda0_solves_the_characteristic_equation(self):
+        # -G = I - R + diag V with R the rotation: det = prod(1 + V_i - lam) - 1,
+        # whose one real root below 1 + min V is lambda0
+        model = zoo_build("cycle", {"n": 500, "potential": "power", "beta": "1.0", "scale": "2e-4"})
+        V = model.V
+        root = brentq(lambda lam: np.sum(np.log1p(V - lam)), V.min(), V.min() + 0.999,
+                      xtol=1e-16, rtol=4 * np.finfo(float).eps)
+        assert principal_triple(model).lambda0 == pytest.approx(root, rel=1e-12)
 
 
 class TestHODiscretization:
@@ -218,7 +278,7 @@ class TestHODiscretization:
 class TestEigenResiduals:
     def test_identity_limit(self, swap2_v01):
         spec = principal_triple(swap2_v01)
-        ident = identity_operator(swap2_v01.space)
+        ident = KernelOperator(0.0, np.diag(1.0 / swap2_v01.space.mu), swap2_v01.space)
         r1, r2 = eigen_residuals(spec, ident)
         assert r1 < 1e-12 and r2 < 1e-12
 
