@@ -175,7 +175,7 @@ class TestSemigroupEngine:
                               (model.semigroup.dual_survival(t), op.dual_survival())):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
-    def test_operators_are_memoized(self, zoo_model):
+    def test_nonreversible_exponentials_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
         model, _ = zoo_model
         first, second = model.semigroup.operator(2.0), model.semigroup.operator(2)
