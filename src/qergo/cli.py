@@ -44,6 +44,7 @@ DIAGNOSTIC_NAMES = (
 )
 
 _FMT = ".17g"
+_LOG_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 
 
 class ConfigError(ValueError):
@@ -135,6 +136,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise _fail_config(path, "t_grid", f"bad t_grid: {exc}")
     if any(s >= t for s, t in zip(t_grid, t_grid[1:])) or not t_grid:
         raise _fail_config(path, "t_grid", "t_grid must be strictly increasing")
+    if not all(0.0 < t < np.inf for t in t_grid):  # nan fails too
+        raise _fail_config(path, "t_grid", "t_grid times must be finite and > 0")
 
     names = cp.get("diagnostics", "names", fallback="").split()
     for name in names:
@@ -142,6 +145,8 @@ def parse_config(path: str) -> ExperimentConfig:
             raise _fail_config(
                 path, "names", f"unknown diagnostic {name!r}; known: {DIAGNOSTIC_NAMES}"
             )
+    if "uniqueness" in names and len(t_grid) < 2:
+        raise _fail_config(path, "t_grid", "uniqueness needs at least two grid times")
     sections = {name: _section(cp, path, name) for name in cp.sections()}
     diag_params = {name: sections.get(f"diagnostics.{name}", {}) for name in names}
 
@@ -156,6 +161,11 @@ def parse_config(path: str) -> ExperimentConfig:
                 path, key, f"kappa needs a + 2b = 1, got {a + 2 * b}", "diagnostics.kappa")
         if not 0.0 < b < 0.5:
             raise _fail_config(path, key, f"kappa needs b in (0, 1/2), got {b}", "diagnostics.kappa")
+    for name, key in (("kappa", "t0"), ("eta", "gamma")):
+        value = diag_params.get(name, {}).get(key, 1.0)
+        if not 0.0 < value < np.inf:  # nan fails too
+            raise _fail_config(
+                path, key, f"{name} needs a finite {key} > 0, got {value}", f"diagnostics.{name}")
     if not diag_params.get("quasi_ergodic", {}).get("p", 1.0) >= 1.0:  # nan fails too
         raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
 
@@ -270,6 +280,12 @@ def run_experiment(cfg: ExperimentConfig):
         spec = principal_triple(model)
     except ModelError:
         spec = None  # reducible chain: spectral diagnostics are unavailable
+    # these diagnostics scale U_t by e^{lambda0 t}, which overflows past the double range
+    if spec is not None and {"kernel_convergence", "gsd", "uniqueness"} & set(cfg.diagnostics):
+        if spec.lambda0 * cfg.t_grid[-1] > _LOG_MAX:
+            raise _fail_config(
+                cfg.source, "t_grid", f"e^(lambda0 t) overflows: lambda0 = {spec.lambda0:.6g}, "
+                f"so the largest usable t is {_LOG_MAX / spec.lambda0:.6g}")
 
     report = _Report(model.label)
     rep_tols = {key: cfg.verdicts.get(key, default) for key, default in _TOLERANCES.items()}

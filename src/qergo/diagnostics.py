@@ -29,9 +29,7 @@ __all__ = [
     "qsd_from_spectral",
     "qsd_residual",
     "find_qsd",
-    "kernel_error_matrix",
     "kernel_convergence_error",
-    "unif_conv_bound_matrix",
     "quasi_ergodic_error",
     "progressive_error",
     "gsd_profile",
@@ -216,37 +214,10 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
 # convergence errors
 
 
-def kernel_error_matrix(op: KernelOperator, spec: SpectralData) -> np.ndarray:
-    """Pointwise defect |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda|."""
-    target = np.outer(spec.phi0, spec.psi0) / spec.Lambda
-    return np.abs(np.exp(spec.lambda0 * op.t) * op.density - target)
-
-
 def kernel_convergence_error(op: KernelOperator, spec: SpectralData) -> float:
     """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda|."""
-    return float(kernel_error_matrix(op, spec).max())
-
-
-def unif_conv_bound_matrix(
-    model: MarkovModel, spec: SpectralData, t: float, s: float = 0.0, r: float = 0.0
-) -> np.ndarray:
-    """Shape matrix kappa(t,s,r,x,y) of the refined uniform-convergence bound.
-
-    For s, r >= 0 with t - s - r > 0 this is
-    e^{-gamma (t-s-r)} [e^{lambda0 s} U_s 1(x)] [e^{lambda0 r} U*_r 1(y)],
-    where a factor degenerates to 1 when its time vanishes.  The measured
-    kernel error is bounded by C * kappa for a single calibration constant C.
-    """
-    if s < 0 or r < 0 or t - s - r <= 0:
-        raise ValueError("need s, r >= 0 and t - s - r > 0")
-    n = model.n
-    left = np.ones(n)
-    right = np.ones(n)
-    if s > 0:
-        left = np.exp(spec.lambda0 * s) * model.semigroup.survival(s)
-    if r > 0:
-        right = np.exp(spec.lambda0 * r) * model.semigroup.dual_survival(r)
-    return np.exp(-spec.gap * (t - s - r)) * np.outer(left, right)
+    target = np.outer(spec.phi0, spec.psi0) / spec.Lambda
+    return float(np.abs(np.exp(spec.lambda0 * op.t) * op.density - target).max())
 
 
 def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> float:
@@ -286,13 +257,9 @@ def gsd_profile(op: KernelOperator, spec: SpectralData) -> np.ndarray:
     is <= C; the pGSD radius at level C is the largest ball radius on which
     the sup stays <= C.
     """
-    return _domination_profile(op.survival(), op.t, spec)
-
-
-def _domination_profile(survival: np.ndarray, t: float, spec: SpectralData) -> np.ndarray:
     if np.any(spec.phi0 <= 0):
         raise ValueError("phi0 must be strictly positive")
-    return np.exp(spec.lambda0 * t) * survival / spec.phi0
+    return np.exp(spec.lambda0 * op.t) * op.survival() / spec.phi0
 
 
 def pgsd_radius(
@@ -327,7 +294,7 @@ def agsd_certificate(model, spec: SpectralData, t_grid, level: float = 10.0) -> 
     saturation = float(np.sum(spec.psi0 * mu) / spec.Lambda)
     worst = 0.0
     for t in t_grid:
-        prof = _domination_profile(model.semigroup.survival(t), t, spec)
+        prof = gsd_profile(model.semigroup.operator(t), spec)
         worst = max(worst, float(prof.max()) / saturation)
     return worst <= level, worst
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ClassifierError, ModelError
-from .operators import Engine, KernelOperator, MarkovModel, feynman_kac_operator, mehler_kernel
+from .operators import Engine, KernelOperator, MarkovModel, mehler_kernel
 from .statespace import StateSpace
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "LevyProfile",
     "build_ctmc_model",
     "build_fractional_model",
-    "check_djp",
     "build_ho_discretization",
     "OscillatorOracle",
     "regime_classifier",
@@ -276,43 +275,6 @@ def build_fractional_model(
         time_scale=rate_max,
         label=f"frac({levy.kind},a={levy.alpha:g},d={levy.delta:g},{V.kind},b={V.beta:g})",
     )
-
-
-def physical_time_operator(model: MarkovModel, t_phys: float) -> KernelOperator:
-    """Operator of the physical-time semigroup e^{t(rate (Q - I) - V_phys)}."""
-    return feynman_kac_operator(model, model.time_scale * t_phys)
-
-
-def check_djp(levy: LevyProfile, grid: StateSpace | tuple) -> float | None:
-    """Direct-jump constant sup_x (f1 * f1)(x) h / f1(x) with f1 = f ^ 1.
-
-    The convolution is scanned on the given lattice and again on a lattice of
-    twice the range; None is returned when the constant keeps growing under
-    the range extension (no stable DJP constant).
-    """
-    space = grid if isinstance(grid, StateSpace) else lattice_space(*grid)
-    xs = space.coords[:, 0]
-    h = xs[1] - xs[0]
-    R = float(xs.max())
-
-    def const(R_range: float) -> float:
-        K = int(round(R_range / h))
-        zs = np.arange(-K, K + 1) * h
-        f1 = np.minimum(levy.profile(np.abs(np.where(zs == 0, h, zs))), 1.0)
-        conv = np.convolve(f1, f1)[K : 3 * K + 1] * h
-        # underflowed profile tails with surviving convolution mass are an
-        # immediate divergence signal
-        ratio = np.full_like(f1, 0.0)
-        pos = f1 > 0
-        ratio[pos] = conv[pos] / f1[pos]
-        if np.any(~pos & (conv > 0)):
-            return np.inf
-        return float(ratio.max())
-
-    c1, c2 = const(R), const(2.0 * R)
-    if not np.isfinite(c2) or c2 > 1.10 * c1:
-        return None
-    return c2
 
 
 def build_ho_discretization(grid: StateSpace | tuple, t: float) -> KernelOperator:

@@ -14,7 +14,7 @@ from qergo.cli import (
     run_experiment,
 )
 from qergo.models import build_ho_discretization, lattice_space, zoo_build
-from qergo.spectral import principal_triple_from_operator, spectral_to_text
+from qergo.spectral import principal_triple, principal_triple_from_operator, spectral_to_text
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
 HO_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "ho_oracle.ini"
@@ -523,8 +523,19 @@ class TestMainEntry:
         ("a = 0.333333333333333333\nb = 0.333333333333333333", "a = 0.0\nb = 0.5", "b = 0.5"),
         ("p = inf", "p = 0.5", "p = 0.5"),
         ("p = inf", "p = nan", "p = nan"),
+        ("t0 = 1.0", "t0 = -1.0", "t0 = -1.0"),
+        ("[output]", "[diagnostics.eta]\ngamma = -1.0\n\n[output]", "gamma = -1.0"),
+        ("[output]", "[diagnostics.eta]\ngamma = 0.0\n\n[output]", "gamma = 0.0"),
+        # grid times: each must be finite and > 0, and uniqueness needs two of them
+        ("t_grid = 6.7", "t_grid = 0", "t_grid = 0 8.0 9.3 10.6 11.9 13.2"),
+        ("t_grid = 6.7", "t_grid = -6.7", "t_grid = -6.7 8.0 9.3 10.6 11.9 13.2"),
+        ("t_grid = 6.7", "t_grid = 6.7 nan", "t_grid = 6.7 nan 8.0 9.3 10.6 11.9 13.2"),
+        ("13.2", "13.2 inf", "t_grid = 6.7 8.0 9.3 10.6 11.9 13.2 inf"),
+        ("t_grid = 6.7 8.0 9.3 10.6 11.9 13.2", "t_grid = 6.7", "t_grid = 6.7"),
     ], ids=["kappa_t0", "kappa_a", "rate_tol", "mc_n", "mc_seed", "eta_gamma", "qe_p",
-            "kappa_b_alone", "kappa_b_negative", "kappa_b_half", "qe_p_below_one", "qe_p_nan"])
+            "kappa_b_alone", "kappa_b_negative", "kappa_b_half", "qe_p_below_one", "qe_p_nan",
+            "kappa_t0_negative", "eta_gamma_negative", "eta_gamma_zero", "t_grid_zero",
+            "t_grid_negative", "t_grid_nan", "t_grid_inf", "uniqueness_one_time"])
     def test_bad_config_number_exits_one_before_any_build(
             self, tmp_path, capsys, monkeypatch, old, new, bad):
         import qergo.models as models
@@ -543,6 +554,28 @@ class TestMainEntry:
         line = text.splitlines().index(bad) + 1
         assert err.startswith(f"error: {path}:{line}: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("names,code", [
+        ("kernel_convergence", 1), ("gsd", 1), ("uniqueness", 1), ("heat_content", 0)])
+    def test_grid_past_the_double_range_exits_one(self, tmp_path, capsys, monkeypatch, names, code):
+        # lambda0 ~ 0.346, so e^{lambda0 t} overflows from t ~ 2051 on; only the
+        # diagnostics that scale by it are refused, on the t_grid line ([mc] is
+        # left out: 20000 paths to t = 6000 take most of a minute)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = BIRTHDEATH_FULL.read_text()
+        grid = "t_grid = 3000 4000 5000 6000"
+        text = text.replace("t_grid = 6.7 8.0 9.3 10.6 11.9 13.2", grid).replace(
+            "names = heat_content kernel_convergence quasi_ergodic qsd gsd eta kappa uniqueness",
+            f"names = {names}").replace("[mc]\nn = 20000\nseed = 1234\n", "")
+        path = write_config(tmp_path, text)
+        assert main(["run", path]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            lambda0 = principal_triple(zoo_build("birthdeath", parse_config(path).model_params)).lambda0
+            t_max = np.log(np.finfo(float).max) / lambda0
+            assert err.startswith(f"error: {path}:{text.splitlines().index(grid) + 1}: ")
+            assert f"largest usable t is {t_max:.6g}" in err and 2000 < t_max < 2100
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verdicts,code", [("", 0), ("[verdicts]\nrate_tol = 0\n", 2)],
                              ids=["pass", "fail"])

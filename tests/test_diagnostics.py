@@ -13,7 +13,6 @@ from qergo.diagnostics import (
     ho_pgsd_radius,
     kappa_rate,
     kernel_convergence_error,
-    kernel_error_matrix,
     pgsd_radius,
     point_mass,
     progressive_error,
@@ -21,7 +20,6 @@ from qergo.diagnostics import (
     qsd_residual,
     quasi_ergodic_error,
     survival_pair,
-    unif_conv_bound_matrix,
     uniqueness_condition_check,
 )
 from qergo.errors import (
@@ -185,25 +183,6 @@ class TestKernelConvergence:
                 series.append(t, kernel_convergence_error(feynman_kac_operator(model, t), spec))
             rate, _, _ = fit_exponential_rate(series, tail_fraction=0.5)
             assert -rate == pytest.approx(spec.gap, rel=0.05)
-
-    def test_refined_bound_with_calibrated_constant(self, weighted_bd):
-        # lem-style refinement: measured error <= C kappa(t,s,r,x,y) pointwise,
-        # with C calibrated once at the earliest time
-        spec = principal_triple(weighted_bd)
-        s = r = 0.4
-        t1 = 2.0 / spec.gap
-        err1 = kernel_error_matrix(feynman_kac_operator(weighted_bd, t1), spec)
-        kap1 = unif_conv_bound_matrix(weighted_bd, spec, t1, s, r)
-        C = float((err1 / kap1).max())
-        for t in (1.3 * t1, 1.8 * t1, 2.5 * t1):
-            err = kernel_error_matrix(feynman_kac_operator(weighted_bd, t), spec)
-            kap = unif_conv_bound_matrix(weighted_bd, spec, t, s, r)
-            assert np.all(err <= C * kap * (1.0 + 1e-6))
-
-    def test_refined_bound_time_guard(self, weighted_bd):
-        spec = principal_triple(weighted_bd)
-        with pytest.raises(ValueError):
-            unif_conv_bound_matrix(weighted_bd, spec, 1.0, 0.6, 0.6)
 
 
 class TestQuasiErgodicError:

@@ -9,10 +9,8 @@ from qergo.models import (
     build_ctmc_model,
     build_fractional_model,
     build_ho_discretization,
-    check_djp,
     lattice_space,
     parse_model_string,
-    physical_time_operator,
     regime_classifier,
     stable_constant,
     zoo_build,
@@ -135,7 +133,7 @@ class TestFractionalModel:
         xs = model.space.coords[:, 0]
         G_phys = model.time_scale * (model.Q - np.eye(model.n)) - np.diag(pot.evaluate(xs))
         direct = expm(t * G_phys)
-        via_model = physical_time_operator(model, t).transition()
+        via_model = feynman_kac_operator(model, model.time_scale * t).transition()
         np.testing.assert_allclose(via_model, direct, atol=1e-12)
 
     def test_irreducible_and_positivity(self):
@@ -143,23 +141,6 @@ class TestFractionalModel:
                                        PotentialSpec("log-power", beta=0.5))
         assert model.is_irreducible()
         assert feynman_kac_operator(model, 0.5).positivity_improving()
-
-
-class TestDjp:
-    def test_polynomial_profile_stable(self):
-        c = check_djp(LevyProfile("polynomial", alpha=0.5), (30.0, 0.25))
-        assert c is not None and np.isfinite(c)
-
-    def test_exponential_profile_stable(self):
-        c = check_djp(LevyProfile("exponential", alpha=1.0, delta=1.5), (30.0, 0.25))
-        assert c is not None and np.isfinite(c)
-
-    def test_gaussian_decay_fails(self):
-        class GaussianProfile:
-            def profile(self, r):
-                return np.exp(-np.asarray(r) ** 2)
-
-        assert check_djp(GaussianProfile(), (15.0, 0.25)) is None
 
 
 class TestHoDiscretization:
