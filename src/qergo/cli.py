@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import models as zoo
 from .errors import ModelError, NonuniquenessWarning
-from .models import parse_model_string
+from .models import MAX_PATH_STEPS, parse_model_string
 from .montecarlo import fk_estimate
 from .operators import MarkovModel, feynman_kac_operator
 from .spectral import principal_triple, spectral_to_text
@@ -115,6 +115,22 @@ def _section(cp: configparser.ConfigParser, path: str, name: str) -> dict:
     return values
 
 
+def _mc_problem(n: int, seed: int, t_max: float) -> tuple[str, str] | None:
+    """(key, message) of the first out-of-range value of a Monte Carlo block
+    of n paths to the horizon t_max, or None when all are in range."""
+    if n < 2:
+        return "n", f"mc needs n >= 2 paths, got {n}"
+    if seed < 0:
+        return "seed", f"mc needs a seed >= 0, got {seed}"
+    if not 0.0 < t_max < np.inf:  # nan fails too
+        return "t", f"mc needs a finite t > 0, got {t_max}"
+    steps = max(t_max, 1.0)  # a path costs at least one step, however short its horizon
+    if n * steps > MAX_PATH_STEPS:
+        return "n", (f"{n} paths to t = {t_max:g} exceed the budget of {MAX_PATH_STEPS} path steps "
+                     f"(n * max(t_max, 1)); the largest usable n is {int(MAX_PATH_STEPS // steps)}")
+    return None
+
+
 def parse_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
@@ -168,10 +184,16 @@ def parse_config(path: str) -> ExperimentConfig:
                 path, key, f"{name} needs a finite {key} > 0, got {value}", f"diagnostics.{name}")
     if not diag_params.get("quasi_ergodic", {}).get("p", 1.0) >= 1.0:  # nan fails too
         raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
+    mc = sections.get("mc")
+    if mc is not None:
+        problem = _mc_problem(mc.get("n", 10000), mc.get("seed", 0), t_grid[-1])
+        if problem:  # a key left out takes its default; the [mc] line is named then
+            key, msg = problem
+            raise _fail_config(path, key if key in mc else "mc", msg, "mc")
 
     return ExperimentConfig(
         model_id, model_params, t_grid, names, diag_params, sections.get("family"),
-        sections.get("verdicts", {}), sections.get("mc"),
+        sections.get("verdicts", {}), mc,
         cp.get("output", "dir", fallback="out"), source=path,
     )
 
@@ -533,6 +555,9 @@ def main(argv=None) -> int:
                 print(text, end="")
             return 0
         if args.command == "mc":
+            problem = _mc_problem(args.n, args.seed, args.t)
+            if problem:
+                raise ConfigError(f"--{problem[0]}: {problem[1]}")
             model = zoo.zoo_build(*parse_model_string(args.model))
             if not isinstance(model, MarkovModel):
                 raise ModelError(f"mc needs a Markov model, not the {model.label} oracle")

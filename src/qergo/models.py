@@ -231,6 +231,13 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
 # fractional lattice model
 
 
+# desk-scale budgets: the points of a lattice, and the path steps (paths times
+# horizon, one at least) of a Monte Carlo batch, whose path arrays hold about
+# that many doubles
+MAX_LATTICE_POINTS = 2001
+MAX_PATH_STEPS = 2**25
+
+
 def lattice_space(half_width: float, h: float) -> StateSpace:
     """Symmetric 1D lattice {-K h, ..., K h}, mu = h per point, within the state budget."""
     for name, value in (("half_width", half_width), ("h", h)):
@@ -239,7 +246,7 @@ def lattice_space(half_width: float, h: float) -> StateSpace:
     K = int(round(half_width / h))
     if K < 1:
         raise ModelError("1-state lattice: a gap, rate or QSD needs at least 2 states")
-    if 2 * K + 1 > 2001:
+    if 2 * K + 1 > MAX_LATTICE_POINTS:
         raise ModelError(f"lattice of {2 * K + 1} points exceeds the 2000-state desk-scale budget")
     xs = (np.arange(-K, K + 1)) * h
     return StateSpace(tuple(range(len(xs))), np.full(len(xs), h), xs[:, None])

@@ -57,38 +57,67 @@ def _normalize_rng(rng, n: int = 2) -> tuple[np.random.Generator, int | None]:
     return rng, None
 
 
+# buckets of the guide table; a power of two, so floor(x * B) is exact
+_GUIDE_BUCKETS = 1024
+
+
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """Guide table of the inverse-transform step (Chen & Asau 1974).
+
+    ``G[s, b]`` is #{j : cum[s, j] < b/B} when no threshold of row s lies in
+    the bucket [b/B, (b+1)/B); that count is then exact for every r in the
+    bucket, whether or not the row is monotone.  Buckets that hold a
+    threshold are -1 and need the full count.  G is returned flat, so that
+    entry (s, b) sits at s * B + b.
+    """
+    n, B = cum.shape[0], _GUIDE_BUCKETS
+    # bucket of each threshold: -1 below 0, B at or above 1
+    idx = np.clip(np.floor(cum * B), -1, B).astype(np.intp) + 1
+    slots = np.bincount((np.arange(n)[:, None] * (B + 2) + idx).ravel(), minlength=n * (B + 2))
+    slots = slots.reshape(n, B + 2)
+    below = np.cumsum(slots[:, :B], axis=1)
+    return np.where(slots[:, 1:B + 1] == 0, below, -1).ravel()
+
+
 def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
     """Vectorized batch of uniformized paths.
 
     Returns (weights, end_state_indices, stayed) where ``stayed`` flags paths
     whose every visited state lies within the closed ball B_radius(x0); it is
-    all-True when radius is None.
+    all-True when radius is None.  A jump from state s to the first j with
+    cum[s, j] >= r is read from a guide table in O(1), with the exact O(n)
+    count only where r falls in a bucket that holds a threshold.
     """
     i0 = model.space.index(x0)
     counts = gen.poisson(t, n)
     M = int(counts.max()) if n else 0
-    raw = gen.uniform(0.0, t, (n, M)) if M else np.zeros((n, 0))
-    masked = np.where(np.arange(M)[None, :] < counts[:, None], raw, np.inf)
-    times = np.sort(masked, axis=1)
+    # jump times, masked and sorted in place: the batch's one n x M array
+    times = gen.uniform(0.0, t, (n, M)) if M else np.zeros((n, 0))
+    times[np.arange(M)[None, :] >= counts[:, None]] = np.inf
+    times.sort(axis=1)
     cum = np.cumsum(model.Q, axis=1)
+    guide = _guide_table(cum)
     dist_row = model.space.dist[i0]
     state = np.full(n, i0)
     logw = np.zeros(n)
     stayed = np.ones(n, dtype=bool)
     prev = np.zeros(n)
     for k in range(M):
-        end = np.where(counts > k, times[:, k], t)
+        live = counts > k
+        end = np.where(live, times[:, k], t)
         logw -= model.V[state] * (end - prev)
         prev = end
-        active = counts > k
-        if active.any():
-            r = gen.random(int(active.sum()))
-            rows = cum[state[active]]
-            nxt = (rows < r[:, None]).sum(axis=1)
-            np.minimum(nxt, model.n - 1, out=nxt)
-            state[active] = nxt
-            if radius is not None:
-                stayed[active] &= dist_row[nxt] <= radius
+        active = np.flatnonzero(live)  # never empty: k < M = counts.max()
+        r = gen.random(active.size)
+        src = state[active]
+        nxt = guide.take(src * _GUIDE_BUCKETS + (r * _GUIDE_BUCKETS).astype(np.intp))
+        amb = np.flatnonzero(nxt < 0)
+        if amb.size:
+            nxt[amb] = (cum[src[amb]] < r[amb, None]).sum(axis=1)
+        np.minimum(nxt, model.n - 1, out=nxt)
+        state[active] = nxt
+        if radius is not None:
+            stayed[active] &= dist_row[nxt] <= radius
     logw -= model.V[state] * (t - prev)
     return np.exp(logw), state, stayed
 

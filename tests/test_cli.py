@@ -7,13 +7,14 @@ import pytest
 
 from qergo.cli import (
     ConfigError,
+    _mc_problem,
     list_models,
     main,
     parse_config,
     parse_model_string,
     run_experiment,
 )
-from qergo.models import build_ho_discretization, lattice_space, zoo_build
+from qergo.models import MAX_PATH_STEPS, build_ho_discretization, lattice_space, zoo_build
 from qergo.spectral import principal_triple, principal_triple_from_operator, spectral_to_text
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
@@ -415,6 +416,26 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "agree3sigma=True" in out
 
+    @pytest.mark.parametrize("args,named", [
+        (["--n", "1"], "--n"), (["--n", "0"], "--n"), (["--n", "-5"], "--n"),
+        (["--t", "-1"], "--t"), (["--t", "0"], "--t"), (["--t", "nan"], "--t"),
+        (["--t", "inf"], "--t"), (["--seed", "-1"], "--seed"),
+        (["--n", "100000", "--t", "1000"], "largest usable n is 33554"),
+        # a short horizon still costs every path a step: 1e9 paths are ~16 GB of state
+        (["--n", "1000000000", "--t", "0.001"], f"largest usable n is {MAX_PATH_STEPS}"),
+    ], ids=["n_one", "n_zero", "n_negative", "t_negative", "t_zero", "t_nan", "t_inf",
+            "seed_negative", "past_the_budget", "short_horizon_past_the_budget"])
+    def test_mc_bad_option_exits_one(self, capsys, monkeypatch, args, named):
+        import qergo.cli as cli
+
+        def no_simulation(*args):
+            raise AssertionError("paths were simulated before the option check")
+
+        monkeypatch.setattr(cli, "fk_estimate", no_simulation)
+        assert main(["mc", "birthdeath(6)", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and named in err
+
     @pytest.mark.parametrize("x0", ["99", "abc"])
     def test_mc_start_point_outside_the_model_exits_one(self, capsys, monkeypatch, x0):
         import qergo.cli as cli
@@ -532,10 +553,15 @@ class TestMainEntry:
         ("t_grid = 6.7", "t_grid = 6.7 nan", "t_grid = 6.7 nan 8.0 9.3 10.6 11.9 13.2"),
         ("13.2", "13.2 inf", "t_grid = 6.7 8.0 9.3 10.6 11.9 13.2 inf"),
         ("t_grid = 6.7 8.0 9.3 10.6 11.9 13.2", "t_grid = 6.7", "t_grid = 6.7"),
+        # a Monte Carlo block needs two paths and a seed numpy accepts
+        ("n = 20000", "n = 1", "n = 1"),
+        ("n = 20000", "n = 0", "n = 0"),
+        ("seed = 1234", "seed = -1", "seed = -1"),
     ], ids=["kappa_t0", "kappa_a", "rate_tol", "mc_n", "mc_seed", "eta_gamma", "qe_p",
             "kappa_b_alone", "kappa_b_negative", "kappa_b_half", "qe_p_below_one", "qe_p_nan",
             "kappa_t0_negative", "eta_gamma_negative", "eta_gamma_zero", "t_grid_zero",
-            "t_grid_negative", "t_grid_nan", "t_grid_inf", "uniqueness_one_time"])
+            "t_grid_negative", "t_grid_nan", "t_grid_inf", "uniqueness_one_time",
+            "mc_n_one", "mc_n_zero", "mc_seed_negative"])
     def test_bad_config_number_exits_one_before_any_build(
             self, tmp_path, capsys, monkeypatch, old, new, bad):
         import qergo.models as models
@@ -576,6 +602,38 @@ class TestMainEntry:
             assert err.startswith(f"error: {path}:{text.splitlines().index(grid) + 1}: ")
             assert f"largest usable t is {t_max:.6g}" in err and 2000 < t_max < 2100
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mc,bad", [
+        ("[mc]\nn = 20000\nseed = 1234\n", "n = 20000"), ("[mc]\nseed = 1234\n", "[mc]"),
+    ], ids=["n", "default_n"])
+    def test_mc_past_the_path_step_budget_exits_one(self, tmp_path, capsys, monkeypatch, mc, bad):
+        # 20000 (or the default 10000) paths to t = 6000 are ~1e8 path steps, past
+        # the 2^25 budget; refused on the [mc] n line (or the [mc] line when n is
+        # left out) before any model is built or output written
+        import qergo.models as models
+
+        def no_model(*args):
+            raise AssertionError("a model was built before the [mc] budget check")
+
+        monkeypatch.setattr(models, "zoo_build", no_model)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = BIRTHDEATH_FULL.read_text().replace(
+            "t_grid = 6.7 8.0 9.3 10.6 11.9 13.2", "t_grid = 3000 4000 5000 6000").replace(
+            "names = heat_content kernel_convergence quasi_ergodic qsd gsd eta kappa uniqueness",
+            "names = heat_content").replace("[mc]\nn = 20000\nseed = 1234\n", mc)
+        path = write_config(tmp_path, text)
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(bad) + 1
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert f"largest usable n is {MAX_PATH_STEPS // 6000}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_shipped_mc_blocks_are_within_the_budget(self):
+        # the shipped config and the README's `qergo mc` example must still run
+        cfg = parse_config(str(BIRTHDEATH_FULL))
+        assert _mc_problem(cfg.mc["n"], cfg.mc["seed"], cfg.t_grid[-1]) is None
+        assert _mc_problem(100_000, 7, 1.0) is None
 
     @pytest.mark.parametrize("verdicts,code", [("", 0), ("[verdicts]\nrate_tol = 0\n", 2)],
                              ids=["pass", "fail"])

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qergo.cli import parse_config
 from qergo.diagnostics import qsd_from_spectral
-from qergo.models import PotentialSpec, build_ctmc_model
+from qergo.models import PotentialSpec, build_ctmc_model, zoo_build
 from qergo.montecarlo import (
+    _GUIDE_BUCKETS,
     EstimateWithError,
     _simulate_batch,
     exit_probability,
@@ -41,6 +46,127 @@ class TestPathSampler:
         row = uniformized_transition(free, t).transition()[0]
         stderr = np.sqrt(row * (1 - row) / n)
         assert np.all(np.abs(freq - row) <= 4 * stderr)
+
+
+def reference_batch(model, x0, t: float, n: int, gen, radius=None):
+    """The path simulator before its guide table: every jump counts the whole
+    cumulative row, O(n).  ``_simulate_batch`` must reproduce it bit for bit."""
+    i0 = model.space.index(x0)
+    counts = gen.poisson(t, n)
+    M = int(counts.max()) if n else 0
+    raw = gen.uniform(0.0, t, (n, M)) if M else np.zeros((n, 0))
+    masked = np.where(np.arange(M)[None, :] < counts[:, None], raw, np.inf)
+    times = np.sort(masked, axis=1)
+    cum = np.cumsum(model.Q, axis=1)
+    dist_row = model.space.dist[i0]
+    state = np.full(n, i0)
+    logw = np.zeros(n)
+    stayed = np.ones(n, dtype=bool)
+    prev = np.zeros(n)
+    for k in range(M):
+        end = np.where(counts > k, times[:, k], t)
+        logw -= model.V[state] * (end - prev)
+        prev = end
+        active = counts > k
+        if active.any():
+            r = gen.random(int(active.sum()))
+            rows = cum[state[active]]
+            nxt = (rows < r[:, None]).sum(axis=1)
+            np.minimum(nxt, model.n - 1, out=nxt)
+            state[active] = nxt
+            if radius is not None:
+                stayed[active] &= dist_row[nxt] <= radius
+    logw -= model.V[state] * (t - prev)
+    return np.exp(logw), state, stayed
+
+
+class EdgeDraws:
+    """A seeded generator whose uniform [0, 1) jump draws land, a quarter of
+    the time each, on a threshold of ``cum``, a bucket edge b/B or the float
+    either side of one, and on the largest double below 1, which passes the
+    end of a row that sums to less than 1: the places where a bucket lookup
+    could disagree with the full count."""
+
+    def __init__(self, seed: int, cum: np.ndarray):
+        self._gen = np.random.default_rng(seed)
+        edges = np.concatenate([cum.ravel(), np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS])
+        pool = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        self._pool = np.unique(pool[(pool >= 0.0) & (pool < 1.0)])
+
+    def poisson(self, lam, size):
+        return self._gen.poisson(lam, size)
+
+    def uniform(self, low, high, size):
+        return self._gen.uniform(low, high, size)
+
+    def random(self, size):
+        r = self._gen.random(size)
+        kind = self._gen.integers(0, 4, size)  # 0, 1: plain, 2: an edge, 3: the top
+        r[kind == 2] = self._gen.choice(self._pool, int(np.sum(kind == 2)))
+        r[kind == 3] = np.nextafter(1.0, 0.0)
+        return r
+
+
+@st.composite
+def doubly_stochastic_chains(draw):
+    """Chain on 2-40 states, invariant for the uniform mu: a mix of the flat
+    kernel and a few permutations, so rows hold exact zeros and repeated
+    thresholds.  Some zeros become entries in [-1e-12, 0), one per row and
+    column, so those rows have a non-monotone cumsum that ends below 1."""
+    n = draw(st.integers(2, 40))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(perms) + 1,
+                                     max_size=len(perms) + 1)))
+    weights[0] *= draw(st.booleans())  # with or without the flat part
+    weights /= weights.sum()
+    Q = np.full((n, n), weights[0] / n)
+    for w, perm in zip(weights[1:], perms):
+        Q[np.arange(n), perm] += w
+    dent = np.array(draw(st.permutations(range(n))))
+    depth = np.array(draw(st.lists(st.floats(0.0, 0.99e-12), min_size=n, max_size=n)))
+    rows = np.flatnonzero((Q[np.arange(n), dent] == 0.0) & (depth > 0.0))
+    Q[rows, dent[rows]] = -depth[rows]
+    V = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    return build_ctmc_model(n, Q, V=V)
+
+
+class TestGuideTable:
+    """The guide-table jump step against the full count it replaces."""
+
+    @given(model=doubly_stochastic_chains(), start=st.integers(0, 39),
+           t=st.floats(0.0, 30.0, exclude_min=True), paths=st.integers(2, 300),
+           radius=st.none() | st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1),
+           edges=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_full_count_bit_for_bit(self, model, start, t, paths, radius, seed, edges):
+        x0 = model.space.points[start % model.n]
+        cum = np.cumsum(model.Q, axis=1)
+
+        def gen():
+            return EdgeDraws(seed, cum) if edges else np.random.default_rng(seed)
+
+        got = _simulate_batch(model, x0, t, paths, gen(), radius=radius)
+        want = reference_batch(model, x0, t, paths, gen(), radius=radius)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_shipped_config_estimates_are_pinned(self):
+        # fk_estimate on configs/birthdeath_full.ini at its [mc] seed, as the
+        # full-count simulator gave them: the stream behind every mc.csv
+        cfg = parse_config(str(Path(__file__).parents[1] / "configs" / "birthdeath_full.ini"))
+        model = zoo_build(cfg.model_id, cfg.model_params)
+        pinned = {
+            6.7: ("0x1.31c0c978d0f91p-14", "0x1.166076457b6a5p-17"),
+            8.0: ("0x1.79c9b560a89d1p-15", "0x1.38f8d89e19d9cp-18"),
+            9.3: ("0x1.108f701630be4p-15", "0x1.2cf3a9ca0085fp-18"),
+            10.6: ("0x1.63ba750c84527p-16", "0x1.80c184305e3ecp-19"),
+            11.9: ("0x1.014f2c78f8396p-16", "0x1.bfa704c705831p-19"),
+            13.2: ("0x1.ee54613fa5c40p-18", "0x1.4dbb9c1cc6725p-20"),
+        }
+        assert cfg.t_grid == list(pinned) and cfg.mc == {"n": 20000, "seed": 1234}
+        for t, (mean, stderr) in pinned.items():
+            est = fk_estimate(model, model.space.points[0], t, np.ones(model.n), 20000, 1234)
+            assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr), t
 
 
 class TestFkEstimate:
