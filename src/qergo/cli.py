@@ -493,20 +493,29 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
     report.add_verdict(ok, "kappa_progressive_bound", f"C={_num(C or 0)} " + " ".join(detail))
 
 
+_MC_HEADER = "model_id,target,t,mean,stderr,n,seed"
+
+
+def _mc_check(model, x0, op, n: int, seed: int):
+    """Feynman-Kac estimate of U_t 1(x0) from n seeded paths, at the time of
+    ``op``, against the matrix value: (estimate, target, mc.csv row)."""
+    est = fk_estimate(model, x0, op.t, np.ones(model.n), n, seed)
+    target = float(op.survival()[model.space.index(x0)])
+    return est, target, (model.label, "fk_survival", op.t, est.mean, est.stderr, n, seed)
+
+
 def _run_mc_block(report, model, ops, cfg, path, stamp):
     n, seed = cfg.mc.get("n", 10000), cfg.mc.get("seed", 0)
-    x0 = model.space.points[0]
     rows = []
-    for t, op in zip(cfg.t_grid, ops):
-        est = fk_estimate(model, x0, t, np.ones(model.n), n, seed)
-        target = float(op.survival()[model.space.index(x0)])
-        rows.append((model.label, "fk_survival", t, est.mean, est.stderr, n, seed))
+    for op in ops:
+        est, target, row = _mc_check(model, model.space.points[0], op, n, seed)
+        rows.append(row)
         report.add_verdict(
             est.within(target),
             "mc_fk_vs_matrix",
-            f"t={_num(t)} mc={_num(est.mean)}+-{_num(est.stderr)} matrix={_num(target)}",
+            f"t={_num(op.t)} mc={_num(est.mean)}+-{_num(est.stderr)} matrix={_num(target)}",
         )
-    _write_csv(path, "model_id,target,t,mean,stderr,n,seed", rows, stamp)
+    _write_csv(path, _MC_HEADER, rows, stamp)
 
 
 def list_models() -> str:
@@ -562,13 +571,10 @@ def main(argv=None) -> int:
             if not isinstance(model, MarkovModel):
                 raise ModelError(f"mc needs a Markov model, not the {model.label} oracle")
             x0 = model.space.points[0] if args.x0 is None else _state(model.space, "--x0", args.x0)
-            est = fk_estimate(model, x0, args.t, np.ones(model.n), args.n, args.seed)
             op = feynman_kac_operator(model, args.t)
-            target = float(op.survival()[model.space.index(x0)])
-            stamp = datetime.now().isoformat()
-            row = (model.label, "fk_survival", args.t, est.mean, est.stderr, args.n, args.seed)
+            est, target, row = _mc_check(model, x0, op, args.n, args.seed)
             if args.output:
-                _write_csv(args.output, "model_id,target,t,mean,stderr,n,seed", [row], stamp)
+                _write_csv(args.output, _MC_HEADER, [row], datetime.now().isoformat())
             print(
                 f"fk_survival t={args.t:g} mc={est.mean:.6g}+-{est.stderr:.2g} "
                 f"matrix={target:.6g} agree3sigma={est.within(target)}"

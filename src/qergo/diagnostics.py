@@ -17,7 +17,7 @@ from scipy.linalg import eig
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
 from .operators import KernelOperator, MarkovModel
 from .spectral import _DEGEN_TOL, SpectralData, _arpack_start, _positive_direction
-from .statespace import ExhaustingFamily, StateSpace, ball_indicator, exhaustion_time
+from .statespace import ExhaustingFamily, StateSpace, _radius_crossing, ball_indicator, exhaustion_time
 
 __all__ = [
     "DiagnosticSeries",
@@ -329,34 +329,21 @@ def eta_function(
     """Generalized inverse matching the ground-state infimum to e^{-gamma t}.
 
     With h(s) = min(inf_{K_s} phi0, inf_{K_s} psi0), returns the largest
-    family parameter s with h(s) >= e^{-gamma t}, located by bisection; when
-    h never drops below the target the exhaustion time is returned.  Raises
-    for t below the admissible range (target above h(t_min)).
+    family parameter s with h(s) >= e^{-gamma t}: the parameter at which the
+    ball first reaches a point below the target, found by bisecting the
+    radius law; when no point lies below the target the exhaustion time is
+    returned.  Raises for t below the admissible range (target above h(t_min)).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    both = np.minimum(spec.phi0, spec.psi0)
-
-    def h(s: float) -> float:
-        mask = ball_indicator(space, fam, s)
-        return float(both[mask].min()) if mask.any() else np.inf
-
-    target = np.exp(-gamma * t)
-    if h(fam.t_min) < target:
-        raise ValueError(
-            "t below the admissible range: e^{-gamma t} exceeds h at t_min"
-        )
+    d = space.dist[space.index(fam.base_point)]
+    below = d[np.minimum(spec.phi0, spec.psi0) < np.exp(-gamma * t)]
+    if below.size and float(fam.radius_fn(fam.t_min)) >= below.min():
+        raise ValueError("t below the admissible range: e^{-gamma t} exceeds h at t_min")
     s_exh = exhaustion_time(space, fam)
-    if h(s_exh) >= target:
+    if not below.size:
         return s_exh
-    lo, hi = fam.t_min, s_exh
-    while hi - lo > 1e-12 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _radius_crossing(fam, float(below.min()), fam.t_min, s_exh)[0]
 
 
 def survival_pair(model, t0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -39,18 +39,17 @@ __all__ = [
 class PotentialSpec:
     """Killing potential profile evaluated on point coordinates.
 
-    log-power: scale * (1 v log|x|)^beta, power: scale * (1 v |x|)^beta;
-    confining kinds need beta > 0.  ``table`` supplies explicit per-point
-    values for kind == "custom-table".
+    log-power: scale * (1 v log|x|)^beta, power: scale * (1 v |x|)^beta,
+    constant: scale; confining kinds need beta > 0.  A per-point potential is
+    an array, given to ``build_ctmc_model`` as V.
     """
 
     kind: str
     beta: float = 1.0
     scale: float = 1.0
-    table: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("log-power", "power", "constant", "custom-table"):
+        if self.kind not in ("log-power", "power", "constant"):
             raise ModelError(f"unknown potential kind {self.kind!r}")
         if self.kind in ("log-power", "power") and self.beta <= 0:
             raise ModelError("confining potentials need beta > 0")
@@ -63,12 +62,7 @@ class PotentialSpec:
             return self.scale * np.maximum(1.0, np.log(np.maximum(ax, 1e-300))) ** self.beta
         if self.kind == "power":
             return self.scale * np.maximum(1.0, ax) ** self.beta
-        if self.kind == "constant":
-            return np.full_like(ax, self.scale)
-        vals = np.asarray(self.table, dtype=float)
-        if vals.shape != ax.shape:
-            raise ModelError("custom-table length must match the point count")
-        return vals
+        return np.full_like(ax, self.scale)
 
 
 def stable_constant(alpha: float, d: int = 1) -> float:
@@ -182,6 +176,8 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
     mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
     if mu_arr.shape != (n,):
         raise ModelError(f"mu needs {n} values, got {mu_arr.size}")
+    if not np.all((mu_arr > 0) & (mu_arr < np.inf)):
+        raise ModelError("mu must be finite and > 0 at every point")
     coords = dist = None
     if isinstance(q_spec, str):
         recipe = q_spec

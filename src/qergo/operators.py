@@ -43,10 +43,11 @@ _FLOOR = 2.0**-500
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
-    """Generator data (Q, Q_dual, V) of a Feynman-Kac semigroup on a space.
+    """Generator data (Q, V) of a Feynman-Kac semigroup on a space.
 
-    Q is the one-step jump matrix of a rate-1 continuous-time chain; the dual
-    kernel satisfies mu(x) Q(x,y) = mu(y) Q_dual(y,x).  Both must be
+    Q is the one-step jump matrix of a rate-1 continuous-time chain.  The
+    dual kernel ``Q_dual`` = D^{-1} Q^T D, D = diag(mu), is derived from the
+    duality relation mu(x) Q(x,y) = mu(y) Q_dual(y,x); both must be
     row-stochastic, which forces mu to be invariant for Q.  The generator
     acting on functions is G = Q - I - diag(V).
     """
@@ -54,7 +55,6 @@ class MarkovModel:
     space: StateSpace
     Q: np.ndarray
     V: np.ndarray
-    Q_dual: np.ndarray = field(default=None)  # type: ignore[assignment]
     time_scale: float = 1.0
     label: str = "model"
 
@@ -62,8 +62,8 @@ class MarkovModel:
         n = self.space.n
         Q = np.asarray(self.Q, dtype=float)
         V = np.asarray(self.V, dtype=float)
-        if Q.shape != (n, n):
-            raise ModelError("Q must be square over the state space")
+        if Q.shape != (n, n) or not np.all(np.isfinite(Q)):
+            raise ModelError("Q must be square over the state space, with finite entries")
         if np.any(Q < -_STOCH_TOL):
             raise ModelError("Q has negative entries")
         if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _STOCH_TOL:
@@ -71,17 +71,9 @@ class MarkovModel:
         if V.shape != (n,) or not np.all(np.isfinite(V)):
             raise ModelError("V must be one finite value per point")
         mu = self.space.mu
-        Qd = self.Q_dual
-        if Qd is None:
-            Qd = (Q * mu[:, None]).T / mu[:, None]
-        else:
-            Qd = np.asarray(Qd, dtype=float)
-        if np.max(np.abs(mu[:, None] * Q - (mu[:, None] * Qd).T)) > _STOCH_TOL:
-            raise ModelError("duality identity mu(x)Q(x,y) = mu(y)Q_dual(y,x) violated")
+        Qd = (Q * mu[:, None]).T / mu[:, None]
         if np.max(np.abs(Qd.sum(axis=1) - 1.0)) > _STOCH_TOL:
-            raise ModelError(
-                "dual kernel is not stochastic: mu is not an invariant measure of Q"
-            )
+            raise ModelError("dual kernel is not stochastic: mu is not an invariant measure of Q")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "Q_dual", Qd)

@@ -39,8 +39,8 @@ class StateSpace:
         n = len(self.points)
         if len(set(self.points)) != n:
             raise ValueError("point identifiers must be unique")
-        if mu.shape != (n,) or not np.all(mu > 0):
-            raise ValueError("mu must hold one strictly positive weight per point")
+        if mu.shape != (n,) or not np.all((mu > 0) & (mu < np.inf)):
+            raise ValueError("mu must hold one finite, strictly positive weight per point")
         coords = self.coords
         if coords is not None:
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -102,26 +102,33 @@ def ball_indicator(space: StateSpace, fam: ExhaustingFamily, t: float) -> np.nda
     return space.dist[space.index(fam.base_point)] <= r
 
 
-def exhaustion_time(space: StateSpace, fam: ExhaustingFamily) -> float:
-    """Smallest family parameter at which K_t covers the whole space.
-
-    Found by doubling t up to 1e12, then bisecting; resolution is relative 1e-12.
-    """
-    if ball_indicator(space, fam, fam.t_min).all():
-        return fam.t_min
-    hi = max(fam.t_min, 1.0)
-    while not ball_indicator(space, fam, hi).all():
-        hi *= 2.0
-        if hi > _T_MAX:
-            raise ValueError(f"family does not exhaust the space below t = {_T_MAX:g}")
-    lo = fam.t_min
-    while hi - lo > 1e-12 * max(1.0, hi):
+def _radius_crossing(fam: ExhaustingFamily, r: float, lo: float, hi: float) -> tuple[float, float]:
+    """Bisect [lo, hi] down to relative 1e-12 for the parameter at which
+    ``radius_fn`` reaches r, keeping radius_fn(hi) >= r and radius_fn(lo) < r."""
+    while hi - lo > 1e-12 * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        if ball_indicator(space, fam, mid).all():
+        if float(fam.radius_fn(mid)) >= r:
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
+
+
+def exhaustion_time(space: StateSpace, fam: ExhaustingFamily) -> float:
+    """Smallest family parameter at which K_t covers the whole space, i.e. at
+    which the radius reaches the largest distance from the base point.
+
+    Found by doubling t up to 1e12, then bisecting; resolution is relative 1e-12.
+    """
+    R = float(space.dist[space.index(fam.base_point)].max())
+    if float(fam.radius_fn(fam.t_min)) >= R:
+        return fam.t_min
+    hi = max(fam.t_min, 1.0)
+    while not float(fam.radius_fn(hi)) >= R:
+        hi *= 2.0
+        if hi > _T_MAX:
+            raise ValueError(f"family does not exhaust the space below t = {_T_MAX:g}")
+    return _radius_crossing(fam, R, fam.t_min, hi)[1]
 
 
 def tabulated_radius(ts: Sequence[float], rs: Sequence[float]) -> Callable[[float], float]:

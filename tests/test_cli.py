@@ -259,17 +259,6 @@ dir = {out}
         u1 = build_ho_discretization(lattice_space(6.0, 0.1), 1.0)
         assert open(paths["spectral"]).read() == spectral_to_text(principal_triple_from_operator(u1))
 
-    def test_thread_override_is_deterministic(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        cfg1 = parse_config(write_config(tmp_path, SWAP2_CONFIG.format(out=out1), "s.ini"))
-        run_experiment(cfg1)
-        monkeypatch.setenv("QERGO_THREADS", "4")
-        cfg2 = parse_config(write_config(tmp_path, SWAP2_CONFIG.format(out=out2), "t.ini"))
-        run_experiment(cfg2)
-        body1 = open(out1 / "series.csv").read().splitlines()[1:]
-        body2 = open(out2 / "series.csv").read().splitlines()[1:]
-        assert body1 == body2
-
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(override))
@@ -416,6 +405,16 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "agree3sigma=True" in out
 
+    def test_mc_writes_the_row_of_the_run(self, tmp_path):
+        text = ("[model]\nid = birthdeath\nn = 8\n[times]\nt_grid = 0.5 1.5\n"
+                f"[mc]\nn = 3000\nseed = 11\n[output]\ndir = {tmp_path / 'run'}\n")
+        assert main(["run", write_config(tmp_path, text)]) == 0
+        one = tmp_path / "one.csv"
+        args = ["--t", "1.5", "--n", "3000", "--seed", "11", "-o", str(one)]
+        assert main(["mc", "birthdeath(8)", *args]) == 0
+        run_rows = (tmp_path / "run" / "mc.csv").read_text().splitlines()[1:]
+        assert one.read_text().splitlines()[1:] == [run_rows[0], run_rows[2]]
+
     @pytest.mark.parametrize("args,named", [
         (["--n", "1"], "--n"), (["--n", "0"], "--n"), (["--n", "-5"], "--n"),
         (["--t", "-1"], "--t"), (["--t", "0"], "--t"), (["--t", "nan"], "--t"),
@@ -479,6 +478,21 @@ class TestMainEntry:
         assert main(["run", write_config(tmp_path, text)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'bta'" in err
+
+    @pytest.mark.parametrize("data,named", [
+        ("q = nan 1 ; 1 0", "finite entries"),
+        ("q = 0 1 ; inf 0", "finite entries"),
+        ("q = 0 1 ; 1 0\nmu = 1 inf", "mu must be finite and > 0"),
+        ("q = 0 1 ; 1 0\nmu = 1 -1", "mu must be finite and > 0"),
+    ], ids=["q_nan", "q_inf", "mu_inf", "mu_negative"])
+    def test_nonfinite_user_data_exits_one_before_any_output(self, tmp_path, capsys, data, named):
+        out = tmp_path / "o"
+        text = (f"[model]\nid = user\n{data}\n[times]\nt_grid = 1 2\n"
+                f"[diagnostics]\nnames = heat_content\n[output]\ndir = {out}\n")
+        assert main(["run", write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
 
     def test_vector_model_key_from_config(self, tmp_path):
         text = "[model]\nid = birthdeath\nn = 4\nmu = 1 2 4 8\n[times]\nt_grid = 1 2\n"

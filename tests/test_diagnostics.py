@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from qergo.diagnostics import (
     DiagnosticSeries,
@@ -36,7 +39,13 @@ from qergo.operators import (
     feynman_kac_operator,
 )
 from qergo.spectral import principal_triple, principal_triple_from_operator
-from qergo.statespace import ExhaustingFamily, StateSpace
+from qergo.statespace import (
+    ExhaustingFamily,
+    StateSpace,
+    ball_indicator,
+    exhaustion_time,
+    tabulated_radius,
+)
 
 
 GOLDEN_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1 - lambda0 for the swap with V=(0,1)
@@ -385,6 +394,84 @@ class TestEta:
         fam = ExhaustingFamily(0, lambda s: s, t_min=0.0)
         with pytest.raises(ValueError, match="admissible"):
             eta_function(spec, birthdeath20_confining.space, fam, spec.gap, 1e-9)
+
+
+def reference_eta(spec, space, fam, gamma, t):
+    """The ball-scan loop that eta_function replaced: bisection on
+    h(s) = min over K_s of min(phi0, psi0), one full ball scan per step."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    both = np.minimum(spec.phi0, spec.psi0)
+
+    def h(s):
+        mask = ball_indicator(space, fam, s)
+        return float(both[mask].min()) if mask.any() else np.inf
+
+    target = np.exp(-gamma * t)
+    if h(fam.t_min) < target:
+        raise ValueError("t below the admissible range: e^{-gamma t} exceeds h at t_min")
+    s_exh = exhaustion_time(space, fam)
+    if h(s_exh) >= target:
+        return s_exh
+    lo, hi = fam.t_min, s_exh
+    while hi - lo > 1e-12 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if h(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+RADIUS_LAWS = {
+    "linear": lambda a, b: lambda t: a * t,
+    "power": lambda a, b: lambda t: a * t**b,
+    "const": lambda a, b: lambda t: a,
+    "table": lambda a, b: tabulated_radius([0.0, b, 2.0 * b + 1.0], [0.5 * a, a, 3.0 * a]),
+}
+
+
+@st.composite
+def eta_cases(draw):
+    """A space of integer points (tied distances), a radius law of each config
+    kind with t_min at 0 or above, ground states on a coarse grid of values
+    (tied values), and a target e^{-gamma t} at, near or between them."""
+    n = draw(st.integers(1, 8))
+    xs = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+    space = StateSpace(tuple(range(n)), np.ones(n), xs[:, None])
+    law = RADIUS_LAWS[draw(st.sampled_from(sorted(RADIUS_LAWS)))]
+    fam = ExhaustingFamily(
+        draw(st.integers(0, n - 1)),
+        law(draw(st.floats(0.05, 5.0)), draw(st.floats(0.2, 3.0))),
+        t_min=draw(st.sampled_from([0.0]) | st.floats(0.01, 1.0)),
+    )
+    grid = st.lists(st.sampled_from([0.1, 0.2, 0.4, 0.7, 1.0]), min_size=n, max_size=n)
+    spec = SimpleNamespace(phi0=np.array(draw(grid)), psi0=np.array(draw(grid)))
+    if draw(st.booleans()):  # the base point at the top, so that t_min is admissible
+        spec.phi0[fam.base_point] = spec.psi0[fam.base_point] = 1.0
+    level = draw(st.sampled_from([0.1, 0.2, 0.4, 0.7, 1.0]) | st.floats(0.05, 1.2))
+    gamma = draw(st.floats(0.1, 3.0))
+    return spec, space, fam, gamma, -np.log(level) / gamma
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300)
+@given(eta_cases())
+def test_eta_equals_the_ball_scan_loop(case):
+    spec, space, fam, gamma, t = case
+    got = outcome(eta_function, *case)
+    if isinstance(got, str):
+        event("admissible" if "admissible" in got else "no exhaustion")
+    else:
+        event("exhaustion time" if got == outcome(exhaustion_time, space, fam) else "bisection")
+    assert got == outcome(reference_eta, *case)
 
 
 class TestKappa:

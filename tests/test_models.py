@@ -296,6 +296,9 @@ class TestZoo:
         np.testing.assert_array_equal(model.space.mu, [1.0, 2.0, 4.0, 8.0])
         with pytest.raises(ModelError, match="mu needs 4 values"):
             zoo_build("birthdeath", {"n": "4", "mu": "1 2"})
+        for mu in ("1 inf", "1 nan", "1 -1", "1 0"):
+            with pytest.raises(ModelError, match="mu must be finite and > 0"):
+                zoo_build("birthdeath", {"n": "2", "mu": mu})
         with pytest.raises(ModelError, match="'q'"):
             zoo_build("user", {"q": "0 1; 1"})
         with pytest.raises(ModelError, match="'v'"):
@@ -312,17 +315,17 @@ class TestPotentialSpec:
         pot = PotentialSpec("power", beta=1.0, scale=2.0)
         np.testing.assert_allclose(pot.evaluate([0.0, 0.5, 3.0]), [2.0, 2.0, 6.0])
 
-    def test_custom_table(self):
-        pot = PotentialSpec("custom-table", table=(1.0, 2.0, 3.0))
-        np.testing.assert_allclose(pot.evaluate(np.zeros(3)), [1.0, 2.0, 3.0])
-        with pytest.raises(ModelError, match="length"):
-            pot.evaluate(np.zeros(4))
-
     def test_confining_needs_positive_beta(self):
         with pytest.raises(ModelError):
             PotentialSpec("power", beta=0.0)
         with pytest.raises(ModelError):
             PotentialSpec("banana")
+
+    def test_per_point_potential_is_an_array(self):
+        with pytest.raises(ModelError, match="unknown potential kind 'custom-table'"):
+            zoo_build("birthdeath", {"n": 3, "potential": "custom-table"})
+        model = build_ctmc_model(3, "birth-death", V=np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(model.V, [1.0, 2.0, 3.0])
 
 
 def test_frac_spectral_sanity(frac_small):

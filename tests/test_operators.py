@@ -57,6 +57,18 @@ class TestMarkovModel:
         with pytest.raises(ModelError, match="invariant"):
             MarkovModel(sp, Q, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_jump_matrix_rejected(self, bad):
+        with pytest.raises(ModelError, match="finite entries"):
+            build_ctmc_model(2, np.array([[bad, 1.0], [1.0, 0.0]]))
+
+    def test_dual_kernel_is_derived(self, weighted_bd):
+        mu = weighted_bd.space.mu
+        want = (weighted_bd.Q * mu[:, None]).T / mu[:, None]
+        np.testing.assert_array_equal(weighted_bd.Q_dual, want)
+        with pytest.raises(TypeError):
+            MarkovModel(weighted_bd.space, weighted_bd.Q, weighted_bd.V, Q_dual=weighted_bd.Q)
+
     def test_nonfinite_potential_rejected(self, swap2):
         with pytest.raises(ModelError, match="finite"):
             MarkovModel(swap2.space, swap2.Q, np.array([0.0, np.inf]))

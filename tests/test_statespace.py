@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from qergo.statespace import (
     ExhaustingFamily,
@@ -28,8 +28,9 @@ class TestStateSpace:
             StateSpace((0, 0), np.ones(2), np.array([[0.0], [1.0]]))
 
     def test_nonpositive_mu_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            StateSpace((0, 1), np.array([1.0, 0.0]), np.array([[0.0], [1.0]]))
+        for bad in (0.0, -1.0, np.inf, np.nan):  # non-finite weights too
+            with pytest.raises(ValueError, match="finite, strictly positive"):
+                StateSpace((0, 1), np.array([1.0, bad]), np.array([[0.0], [1.0]]))
 
     def test_asymmetric_metric_rejected(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -85,6 +86,66 @@ class TestBallIndicator:
         t_exh = exhaustion_time(sp, fam)
         assert ball_indicator(sp, fam, t_exh).all()
         assert not ball_indicator(sp, fam, t_exh - 1e-6).all()
+
+
+def reference_exhaustion_time(space, fam):
+    """The full-ball-scan loop that exhaustion_time replaced: doubling, then
+    bisection on ball_indicator(...).all()."""
+    if ball_indicator(space, fam, fam.t_min).all():
+        return fam.t_min
+    hi = max(fam.t_min, 1.0)
+    while not ball_indicator(space, fam, hi).all():
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValueError("family does not exhaust the space below t = 1e+12")
+    lo = fam.t_min
+    while hi - lo > 1e-12 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if ball_indicator(space, fam, mid).all():
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# the config's radius kinds with parameters (a, b), nondecreasing for t >= 0
+RADIUS_LAWS = {
+    "linear": lambda a, b: lambda t: a * t,
+    "power": lambda a, b: lambda t: a * t**b,
+    "const": lambda a, b: lambda t: a,
+    "table": lambda a, b: tabulated_radius([0.0, b, 2.0 * b + 1.0], [0.5 * a, a, 3.0 * a]),
+}
+
+
+@st.composite
+def spaces_and_families(draw):
+    """Integer points in the plane, so distances tie often, one radius law of
+    each config kind, and t_min at 0 or above."""
+    n = draw(st.integers(1, 8))
+    coords = np.array(draw(st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n, max_size=n)), float)
+    space = StateSpace(tuple(range(n)), np.ones(n), coords)
+    law = RADIUS_LAWS[draw(st.sampled_from(sorted(RADIUS_LAWS)))]
+    a, b = draw(st.floats(0.05, 5.0)), draw(st.floats(0.2, 3.0))
+    t_min = draw(st.sampled_from([0.0]) | st.floats(0.01, 4.0))
+    base = draw(st.integers(0, n - 1))
+    return space, ExhaustingFamily(base, law(a, b), t_min=t_min)
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(spaces_and_families())
+def test_exhaustion_time_equals_the_ball_scan_loop(case):
+    space, fam = case
+    got = outcome(exhaustion_time, space, fam)
+    event("raises" if isinstance(got, str) else "at t_min" if got == fam.t_min else "bisects")
+    assert got == outcome(reference_exhaustion_time, space, fam)
 
 
 def test_tabulated_radius_is_monotone_and_clamped():
