@@ -41,6 +41,11 @@ _REV_TOL = 8 * np.finfo(float).eps
 _FLOOR = 2.0**-500
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
     """Generator data (Q, V) of a Feynman-Kac semigroup on a space.
@@ -74,11 +79,9 @@ class MarkovModel:
         Qd = (Q * mu[:, None]).T / mu[:, None]
         if np.max(np.abs(Qd.sum(axis=1) - 1.0)) > _STOCH_TOL:
             raise ModelError("dual kernel is not stochastic: mu is not an invariant measure of Q")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "Q_dual", Qd)
-        for arr in (Q, V, Qd):
-            arr.setflags(write=False)
+        object.__setattr__(self, "Q", _read_only(Q))
+        object.__setattr__(self, "V", _read_only(V))
+        object.__setattr__(self, "Q_dual", _read_only(Qd))
 
     @property
     def n(self) -> int:
@@ -116,8 +119,7 @@ class KernelOperator:
             raise ValueError("density must be square over the state space")
         if np.any(u < -1e-14):
             raise ValueError("kernel density must be nonnegative")
-        object.__setattr__(self, "density", u)
-        u.setflags(write=False)
+        object.__setattr__(self, "density", _read_only(u))
 
     def apply(self, f) -> np.ndarray:
         """U_t f(x) = sum_y u(x,y) f(y) mu(y)."""
@@ -128,12 +130,20 @@ class KernelOperator:
         return self.density.T @ (np.asarray(g, float) * self.space.mu)
 
     def survival(self) -> np.ndarray:
-        """U_t 1 per point."""
-        return self.density @ self.space.mu
+        """U_t 1 per point, formed on first use and read-only."""
+        return self._survival
 
     def dual_survival(self) -> np.ndarray:
-        """U*_t 1 per point."""
-        return self.density.T @ self.space.mu
+        """U*_t 1 per point, formed on first use and read-only."""
+        return self._dual_survival
+
+    @cached_property
+    def _survival(self) -> np.ndarray:
+        return _read_only(self.density @ self.space.mu)
+
+    @cached_property
+    def _dual_survival(self) -> np.ndarray:
+        return _read_only(self.density.T @ self.space.mu)
 
     def transition(self) -> np.ndarray:
         """Transition form P_t(x,y) = u(x,y) mu(y)."""
@@ -182,8 +192,13 @@ class Semigroup(Engine):
     Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take a
     single eigh of S = D^{1/2} G D^{-1/2} with D = diag(mu).  With
     S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T,
-    one GEMM.  The eigenvalue problem of a symmetric matrix is well
-    conditioned, so this agrees with the exponential to round-off.
+    one GEMM over the modes with t (w_k - max w) >= log(eps c) only, where
+    c = min(min(mu) max g^2, (g.mu)^2 / sum(mu)) <= 1 for the ground mode g.
+    The modes dropped have L2(mu) norm below eps ||U_t||, under the error
+    ~t eps ||S|| the eigh already leaves in e^{tw}; c also puts them below eps
+    times max u, max U_t 1 and <U_t 1, 1>_mu where mu is far from uniform.
+    The eigenvalue problem of a symmetric matrix is well conditioned, so this
+    agrees with the exponential to round-off.
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the dense exponential of the unit-norm step (t / 2^k) G
@@ -218,8 +233,11 @@ class Semigroup(Engine):
         space = self.model.space
         if self.reversible:
             w, B = self.spectrum
-            u = np.maximum((B * np.exp(t * w)) @ B.T, 0.0)
-            return KernelOperator(t, u, space, {"method": "eigh"})
+            g, mu = B[:, -1], space.mu  # the ground mode and the measure
+            c = min(mu.min() * np.max(g**2), (g @ mu) ** 2 / mu.sum())
+            k = int(np.searchsorted(t * (w - w[-1]), np.log(np.finfo(float).eps * c)))
+            u = np.maximum((B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T, 0.0)
+            return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)
         if s is None:
             A = t * self.model.generator()

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from qergo.spectral import principal_triple, principal_triple_from_operator, spe
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
 HO_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "ho_oracle.ini"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 SWAP2_CONFIG = """
@@ -647,7 +649,15 @@ class TestMainEntry:
         # the shipped config and the README's `qergo mc` example must still run
         cfg = parse_config(str(BIRTHDEATH_FULL))
         assert _mc_problem(cfg.mc["n"], cfg.mc["seed"], cfg.t_grid[-1]) is None
-        assert _mc_problem(100_000, 7, 1.0) is None
+        assert _mc_problem(2000, 7, 1.0) is None
+
+    def test_readme_mc_example_checks_a_survival_below_one(self, capsys):
+        # frac carries a potential, so U_t 1 < 1 and the 3-sigma check can fail
+        line = next(row for row in README.read_text().splitlines() if row.startswith("qergo mc "))
+        assert main(shlex.split(line)[1:]) == 0
+        out = capsys.readouterr().out
+        assert float(re.search(r"matrix=(\S+)", out).group(1)) < 1.0
+        assert "agree3sigma=True" in out
 
     @pytest.mark.parametrize("verdicts,code", [("", 0), ("[verdicts]\nrate_tol = 0\n", 2)],
                              ids=["pass", "fail"])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eig, expm
 
-from qergo.diagnostics import qsd_from_spectral, qsd_residual
+from qergo.diagnostics import heat_content, qsd_from_spectral, qsd_residual
 from qergo.errors import ModelError
 from qergo.models import (
     LevyProfile,
@@ -187,6 +187,28 @@ class TestSemigroupEngine:
                               (model.semigroup.dual_survival(t), op.dual_survival())):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
+    def test_survivals_are_formed_once_and_read_only(self, zoo_model):
+        model, _ = zoo_model
+        op = model.semigroup.operator(1.0)
+        for got, want in ((op.survival, op.density @ op.space.mu),
+                          (op.dual_survival, op.density.T @ op.space.mu)):
+            first = got()
+            assert got() is first
+            np.testing.assert_array_equal(first, want)
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 0.0
+
+    def test_reversible_operator_keeps_the_modes_above_round_off(self):
+        # the frac_rev benchmark model: at its grid times a few of the 801 modes
+        # are above round-off, and fewer remain as t grows
+        model = build_fractional_model(
+            (100.0, 0.25), LevyProfile("polynomial", alpha=1.0),
+            PotentialSpec("log-power", beta=2.0, scale=1.0))
+        grid = (31.2, 37.4, 43.6, 49.9, 56.1, 62.3)
+        modes = [model.semigroup.operator(t).meta["modes"] for t in grid]
+        assert model.n == 801 and modes[0] <= 40
+        assert modes == sorted(modes, reverse=True)
+
     def test_nonreversible_exponentials_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
         model, _ = zoo_model
@@ -230,6 +252,32 @@ class TestSemigroupEngine:
         assert abs(spec.gap - (w[order[1]].real - w[order[0]].real)) <= 1e-10
         assert np.max(np.abs(spec.phi0 - phi)) <= 1e-10
         assert np.array_equal(spec.psi0, spec.phi0)
+
+
+class TestReversibleTruncation:
+    """A reversible U_t is the product over the modes above the round-off
+    floor only; it matches the full-rank product B e^{tw} B^T."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(V=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=40), weighted=st.booleans(),
+           t=st.floats(0.1, 200.0))
+    # a well at the light end of a 2^-k measure: the heat content needs modes
+    # that the largest density entry does not
+    @example(V=[2.0] * 15 + [0.0], weighted=True, t=23.25)
+    def test_matches_the_full_rank_product(self, V, weighted, t):
+        n = len(V)
+        mu = 2.0 ** -np.arange(n) if weighted else None
+        model = build_ctmc_model(n, "birth-death", mu=mu, V=np.array(V))
+        w, B = model.semigroup.spectrum
+        full = np.maximum((B * np.exp(t * w)) @ B.T, 0.0)
+        op = model.semigroup.operator(t)
+        event(f"modes dropped: {op.meta['modes'] < n}")
+        if op.meta["modes"] == n:  # nothing dropped: the same product, bit for bit
+            np.testing.assert_array_equal(op.density, full)
+        assert np.max(np.abs(op.density - full)) <= 1e-13 * np.max(full)
+        mu = model.space.mu
+        z = (full @ mu) @ mu
+        assert abs(heat_content(op) - z) <= 1e-13 * z
 
 
 CYCLE_GRID = (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)
