@@ -12,10 +12,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
-from .operators import KernelOperator, MarkovModel
+from .operators import KernelOperator, MarkovModel, strongly_connected
 from .spectral import _DEGEN_TOL, SpectralData, _arpack_start, _positive_direction
 from .statespace import ExhaustingFamily, StateSpace, _radius_crossing, ball_indicator, exhaustion_time
 
@@ -170,17 +169,47 @@ def qsd_residual(sigma, op: KernelOperator) -> float:
     return float(np.sum(np.abs(evolved / mass - w)))
 
 
+def _power_qsd(op: KernelOperator) -> np.ndarray | None:
+    """The left Perron vector of a primitive self-adjoint transition form by power
+    iteration from the ARPACK start vector, to a step of 1e-14 in L1 within 40
+    steps; None for any other operator, or once a step is more than half the one
+    before (a small gap t): 40 steps would not do, and the step no longer bounds
+    the error left."""
+    u = op.density
+    if not (op.self_adjoint() and np.all(np.diag(u) > 0) and strongly_connected(u > 0)):
+        return None
+    T = op.transition()
+    v = _arpack_start(op.space.n)
+    v /= v.sum()
+    step = np.inf
+    for _ in range(40):
+        x = v @ T
+        x /= x.sum()
+        step, last = np.abs(x - v).sum(), step
+        if step <= 1e-14:
+            return x
+        if step > 0.5 * last:
+            return None
+        v = x
+    return None
+
+
 def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
     """Normalized positive left fixed direction of the transition form of U_t.
 
-    The two largest-modulus eigenvalues of the adjoint transition matrix come
-    from ARPACK (``eigs``, k = 2) with a fixed start vector, or from a dense
-    eig when n <= 3 or ARPACK fails (breakdown, or no convergence within 100
-    restarts).  Emits NonuniquenessWarning when the dominant eigenvalue is not
-    simple within 1e-10 (relative), in which case the returned measure is
-    only one of several quasi-stationary candidates.  Otherwise a direction
-    with mixed signs raises PositivityError.
+    A self-adjoint U_t whose diagonal is positive and support strongly
+    connected has a primitive transition form, whose dominant eigenvalue is
+    simple and positive by Perron-Frobenius: it takes a power iteration.
+    Otherwise, or when that stalls, the two largest-modulus eigenvalues of the
+    adjoint transition matrix come from ARPACK (``eigs``, k = 2) with a fixed
+    start vector, or from a dense eig when n <= 3 or ARPACK fails (breakdown,
+    or no convergence within 100 restarts).  Emits NonuniquenessWarning when
+    the dominant eigenvalue is not simple within 1e-10 (relative), in which
+    case the returned measure is only one of several quasi-stationary
+    candidates.  Otherwise a direction with mixed signs raises PositivityError.
     """
+    if (v := _power_qsd(op)) is not None:
+        return QuasiStationaryMeasure(v, source="from-fixed-point")
     T = op.transition()
     n = T.shape[0]
     w = None
@@ -192,6 +221,8 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
         except ArpackError:
             pass  # no convergence (clustered spectrum) or breakdown: dense solver below
     if w is None:
+        from scipy.linalg import eig
+
         w, vl = eig(T, left=True, right=False)
     order = np.argsort(-np.abs(w))
     rho0 = abs(w[order[0]])
@@ -216,8 +247,11 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
 
 def kernel_convergence_error(op: KernelOperator, spec: SpectralData) -> float:
     """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda|."""
-    target = np.outer(spec.phi0, spec.psi0) / spec.Lambda
-    return float(np.abs(np.exp(spec.lambda0 * op.t) * op.density - target).max())
+    scale, err = np.exp(spec.lambda0 * op.t), 0.0
+    for i in range(0, op.space.n, 128):  # row blocks keep the n x n temporaries small
+        target = np.outer(spec.phi0[i:i + 128], spec.psi0) / spec.Lambda
+        err = max(err, float(np.abs(scale * op.density[i:i + 128] - target).max()))
+    return err
 
 
 def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> float:

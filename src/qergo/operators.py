@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, expm
 
 from .errors import ModelError
 from .statespace import StateSpace
 
 __all__ = [
     "MarkovModel",
+    "strongly_connected",
     "Engine",
     "Semigroup",
     "KernelOperator",
@@ -44,6 +44,20 @@ _FLOOR = 2.0**-500
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def strongly_connected(adj: np.ndarray) -> bool:
+    """Whether every state reaches every other along the boolean adjacency ``adj``:
+    a breadth-first search from state 0 along ``adj`` and along its transpose."""
+    for a in (adj, adj.T):
+        seen = np.zeros(adj.shape[0], dtype=bool)
+        frontier = np.array([0])
+        while frontier.size:
+            seen[frontier] = True
+            frontier = np.flatnonzero(a[frontier].any(axis=0) & ~seen)
+        if not seen.all():
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +111,12 @@ class MarkovModel:
         return Semigroup(self)
 
     def is_irreducible(self) -> bool:
-        from scipy.sparse.csgraph import connected_components
+        """Whether the jump graph Q > 0 is strongly connected, found once per model."""
+        return self._irreducible
 
-        ncomp, _ = connected_components(self.Q > 0, directed=True, connection="strong")
-        return ncomp == 1
+    @cached_property
+    def _irreducible(self) -> bool:
+        return strongly_connected(self.Q > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +167,11 @@ class KernelOperator:
 
     def positivity_improving(self) -> bool:
         return bool(np.all(self.density > 0))
+
+    def self_adjoint(self) -> bool:
+        """Whether the density is symmetric within a few ulps of its largest entry."""
+        u = self.density
+        return bool(np.max(np.abs(u - u.T)) <= _REV_TOL * np.abs(u).max())
 
 
 def _floored(P: np.ndarray) -> np.ndarray:
@@ -226,7 +247,7 @@ class Semigroup(Engine):
             raise ValueError("only a reversible model has a symmetric spectrum")
         r = np.sqrt(self.model.space.mu)
         S = r[:, None] * self.model.generator() / r[None, :]
-        w, W = eigh(0.5 * (S + S.T), driver="evd")
+        w, W = np.linalg.eigh(0.5 * (S + S.T))
         return w, W / r[:, None]
 
     def _build(self, t: float) -> KernelOperator:
@@ -240,6 +261,8 @@ class Semigroup(Engine):
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)
         if s is None:
+            from scipy.linalg import expm
+
             A = t * self.model.generator()
             k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
             P = _floored(expm(A / 2.0**k))

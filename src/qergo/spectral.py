@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, lu_factor, lu_solve
 
 from .errors import ModelError, NondegeneracyError, PositivityError
-from .operators import _REV_TOL, KernelOperator, MarkovModel
+from .operators import KernelOperator, MarkovModel, strongly_connected
 
 __all__ = [
     "SpectralData",
@@ -79,6 +78,8 @@ def _nearest_eigenpairs(A: np.ndarray, sigma: float):
     irreducible 6-12 state chains (k = 4 missed it twice) and on cycle(500).
     A dense eig is the fallback: n <= 7, or ARPACK stalls within 100 restarts.
     """
+    from scipy.linalg import eig, lu_factor, lu_solve
+
     n = A.shape[0]
     if n > 7:  # ARPACK needs k = 6 < n - 1
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
@@ -166,12 +167,11 @@ def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
     if op.t <= 0:
         raise ValueError("need a positive-time operator")
     u, mu = op.density, op.space.mu
-    if np.max(np.abs(u - u.T)) > _REV_TOL * np.abs(u).max():
+    if not op.self_adjoint():
         raise ValueError("kernel density is not symmetric; U_t is not self-adjoint")
     if not op.positivity_improving():
-        from scipy.sparse.csgraph import connected_components
-
-        if connected_components(u > 0, directed=False)[0] > 1:
+        adj = u > 0
+        if not strongly_connected(adj | adj.T):
             raise NondegeneracyError("kernel is reducible: its support graph is not connected")
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 

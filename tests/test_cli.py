@@ -305,8 +305,11 @@ class TestFactorizationCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch, expm_norms):
-        import qergo.operators as operators
-        import qergo.spectral as spectral
+        # the engine calls numpy.linalg.eigh and imports expm and eig from
+        # scipy.linalg at call time; ARPACK is loaded first so that it binds
+        # the unpatched scipy.linalg names
+        import scipy.linalg
+        import scipy.sparse.linalg  # noqa: F401
 
         calls = {"eigh": 0, "expm": 0, "eig": 0}
 
@@ -321,7 +324,7 @@ class TestFactorizationCounts:
 
             return wrapper
 
-        for module, name in ((operators, "eigh"), (operators, "expm"), (spectral, "eig")):
+        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "expm"), (scipy.linalg, "eig")):
             monkeypatch.setattr(module, name, counting(module, name))
         return calls
 
@@ -403,17 +406,20 @@ class TestMainEntry:
         assert capsys.readouterr().out == open(paths["spectral"]).read()
 
     def test_mc_subcommand(self, capsys):
-        assert main(["mc", "birthdeath(6)", "--t", "0.5", "--n", "2000", "--seed", "3"]) == 0
+        # frac carries a potential, so its survival is below 1 and the check can fail
+        assert main(["mc", "frac(1.0)", "--t", "0.5", "--n", "2000", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "agree3sigma=True" in out
+        assert float(out.split("matrix=")[1].split()[0]) < 1.0
 
     def test_mc_writes_the_row_of_the_run(self, tmp_path):
-        text = ("[model]\nid = birthdeath\nn = 8\n[times]\nt_grid = 0.5 1.5\n"
+        # frac(1.0) with its potential: a survival below 1, so the row pins the stream
+        text = ("[model]\nid = frac\nalpha = 1.0\npotential = log-power\n[times]\nt_grid = 0.5 1.5\n"
                 f"[mc]\nn = 3000\nseed = 11\n[output]\ndir = {tmp_path / 'run'}\n")
         assert main(["run", write_config(tmp_path, text)]) == 0
         one = tmp_path / "one.csv"
         args = ["--t", "1.5", "--n", "3000", "--seed", "11", "-o", str(one)]
-        assert main(["mc", "birthdeath(8)", *args]) == 0
+        assert main(["mc", "frac(1.0)", *args]) == 0
         run_rows = (tmp_path / "run" / "mc.csv").read_text().splitlines()[1:]
         assert one.read_text().splitlines()[1:] == [run_rows[0], run_rows[2]]
 

@@ -38,7 +38,7 @@ from qergo.operators import (
     adjoint,
     feynman_kac_operator,
 )
-from qergo.spectral import principal_triple, principal_triple_from_operator
+from qergo.spectral import SpectralData, principal_triple, principal_triple_from_operator
 from qergo.statespace import (
     ExhaustingFamily,
     StateSpace,
@@ -150,6 +150,42 @@ class TestFindQsd:
         with pytest.warns(NonuniquenessWarning):
             find_qsd(op)
 
+    @pytest.fixture
+    def arpack_calls(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls, eigs = [], scipy.sparse.linalg.eigs
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "eigs", lambda *a, **k: calls.append(1) or eigs(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("name", ["weighted_bd", "birthdeath20_confining", "frac_small"])
+    def test_power_path_matches_arpack(self, name, request, arpack_calls, monkeypatch):
+        import qergo.diagnostics as dg
+
+        model = request.getfixturevalue(name)
+        op = feynman_kac_operator(model, 4.0 / principal_triple(model).gap)
+        power = find_qsd(op)
+        assert arpack_calls == []  # gap t = 4: a self-adjoint primitive U_t converges
+        monkeypatch.setattr(dg, "_power_qsd", lambda op: None)
+        arpack = find_qsd(op)
+        assert arpack_calls == [1]
+        assert np.abs(power.weights - arpack.weights).sum() <= 1e-12
+
+    def test_small_gap_falls_back_to_arpack(self, birthdeath20, arpack_calls):
+        # gap t = 0.012: the power iteration does not converge within its 40 steps
+        op = feynman_kac_operator(birthdeath20, 1.0)
+        assert op.self_adjoint() and np.all(np.diag(op.density) > 0)
+        fixed = find_qsd(op)
+        assert arpack_calls == [1]
+        np.testing.assert_allclose(fixed.weights, 1.0 / 20, atol=1e-10)
+
+    def test_non_self_adjoint_operator_skips_the_power_path(self, cycle4):
+        # gap t is large here, but the gate keeps a non-normal U_t on ARPACK
+        import qergo.diagnostics as dg
+
+        assert dg._power_qsd(feynman_kac_operator(cycle4, 30.0)) is None
+
     def test_mixed_sign_direction_of_a_simple_eigenvalue_raises(self, birthdeath20, monkeypatch):
         import scipy.sparse.linalg
 
@@ -170,6 +206,22 @@ class TestKernelConvergence:
         u = np.exp(-spec.lambda0 * t) * np.outer(spec.phi0, spec.psi0) / spec.Lambda
         op = KernelOperator(t, u, cycle4.space)
         assert kernel_convergence_error(op, spec) < 1e-13
+
+    @pytest.mark.parametrize("row", [0, 127, 128, 255, 299])
+    def test_row_blocks_give_the_whole_matrix_value(self, row):
+        # n = 300 spans three row blocks; a bump in any row sets the sup, and
+        # the value is the unblocked one bit for bit
+        n, t = 300, 0.7
+        sp = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+        phi = np.linspace(0.5, 1.5, n) / np.sqrt(n)
+        spec = SpectralData(0.3, phi, phi[::-1].copy(), float(phi @ phi[::-1]), 0.1)
+        target = np.outer(spec.phi0, spec.psi0) / spec.Lambda
+        density = np.exp(-spec.lambda0 * t) * target
+        density[row, n - 1 - row] *= 1.5
+        op = KernelOperator(t, density, sp)
+        whole = float(np.abs(np.exp(spec.lambda0 * t) * op.density - target).max())
+        assert kernel_convergence_error(op, spec) == whole
+        assert whole == pytest.approx(0.5 * target[row, n - 1 - row], rel=1e-12)
 
     def test_decay_rate_matches_gap(self, swap2_v01):
         spec = principal_triple(swap2_v01)

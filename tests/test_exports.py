@@ -1,8 +1,10 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +20,19 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def _scipy_loaded_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = os.path.dirname(os.path.dirname(qergo.__file__))
+    probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after ``import qergo.cli``."""
-    src = os.path.dirname(os.path.dirname(qergo.__file__))
-    code = f"import sys, qergo.cli; print({module!r} in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip() == "True"
+    return module in _scipy_loaded_after("import sys, qergo.cli")
 
 
 def test_cli_import_leaves_arpack_unloaded():
@@ -37,3 +44,51 @@ def test_cli_import_leaves_arpack_unloaded():
 def test_cli_import_leaves_scipy_special_unloaded():
     # gammaln is imported by uniformized_transition, the one function that uses it
     assert not _loaded_by_cli_import("scipy.special")
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_loaded_after("import sys, qergo.cli") == []
+
+
+# a reversible fractional lattice (n = 81) with every diagnostic, on its
+# [3/gap, 6/gap] grid (gap = 0.189)
+SMALL_FRAC = """\
+[model]
+id = frac
+kind = polynomial
+alpha = 1.0
+potential = log-power
+beta = 2.0
+scale = 1.0
+half_width = 20.0
+h = 0.5
+
+[times]
+t_grid = 15.9 19.0 22.2 25.4 28.5 31.7
+
+[diagnostics]
+names = heat_content kernel_convergence quasi_ergodic qsd gsd eta kappa uniqueness
+
+[diagnostics.quasi_ergodic]
+p = inf
+sigma = point:40
+
+[family]
+base_point = 40
+radius = linear:0.6
+"""
+
+
+@pytest.mark.parametrize("config", ["birthdeath_full", "small_frac"])
+def test_reversible_run_loads_no_scipy(tmp_path, config):
+    # one eigh, the products of U_t, a numpy connectivity test and the power
+    # iteration of find_qsd: a reversible run needs numpy only
+    if config == "small_frac":
+        path = tmp_path / "frac.ini"
+        path.write_text(SMALL_FRAC)
+    else:
+        path = Path(__file__).parents[1] / "configs" / "birthdeath_full.ini"
+    code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
+            f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
+    assert _scipy_loaded_after(code) == []
+    assert (tmp_path / "o" / "verdict.txt").exists()

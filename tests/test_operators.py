@@ -21,6 +21,7 @@ from qergo.operators import (
     feynman_kac_operator,
     ho_survival,
     mehler_kernel,
+    strongly_connected,
     uniformized_transition,
 )
 from qergo.spectral import principal_triple
@@ -72,6 +73,47 @@ class TestMarkovModel:
     def test_nonfinite_potential_rejected(self, swap2):
         with pytest.raises(ModelError, match="finite"):
             MarkovModel(swap2.space, swap2.Q, np.array([0.0, np.inf]))
+
+
+@st.composite
+def digraphs(draw):
+    """Boolean adjacency matrices on 1-12 states: sparse random edges over a
+    relabelled cycle, a path, or two blocks joined one way only (reducible)."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    kind = draw(st.sampled_from(["random", "cycle", "path", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < p
+    perm = rng.permutation(n)
+    if kind in ("cycle", "path"):
+        k = n if kind == "cycle" else n - 1
+        adj[perm[:k], np.roll(perm, -1)[:k]] = True
+    elif kind == "blocks" and n > 1:
+        a, b = perm[: n // 2], perm[n // 2:]
+        adj[np.ix_(b, a)] = False  # nothing leads back from b to a
+    return adj
+
+
+class TestStronglyConnected:
+    @settings(max_examples=300, deadline=None)
+    @given(adj=digraphs())
+    def test_matches_csgraph(self, adj):
+        from scipy.sparse.csgraph import connected_components
+
+        want = connected_components(adj, directed=True, connection="strong")[0] == 1
+        event(f"strongly connected: {want}")
+        assert strongly_connected(adj) == want
+
+    def test_irreducibility_is_found_once_per_model(self, birthdeath5, monkeypatch):
+        import qergo.operators as operators
+
+        calls = []
+        bfs = operators.strongly_connected
+        monkeypatch.setattr(operators, "strongly_connected", lambda a: calls.append(1) or bfs(a))
+        model = MarkovModel(birthdeath5.space, birthdeath5.Q, birthdeath5.V)
+        assert model.is_irreducible() and model.is_irreducible()
+        principal_triple(model)
+        assert calls == [1]
 
 
 class TestUniformized:
@@ -224,10 +266,10 @@ class TestSemigroupEngine:
 
     @pytest.mark.parametrize("name", sorted(k for k, (_, rev) in ENGINE_ZOO.items() if not rev))
     def test_composed_operators_match_expm(self, name, monkeypatch):
-        import qergo.operators as operators
+        import scipy.linalg  # the engine imports expm from here at call time
 
         calls = []
-        monkeypatch.setattr(operators, "expm", lambda A: calls.append(1) or expm(A))
+        monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(1) or expm(A))
         model = ENGINE_ZOO[name][0]()
         sg = model.semigroup
         for t in np.arange(2.0, 21.0, 2.0):  # ascending, so every t > 2 is composed
