@@ -339,8 +339,8 @@ def compose(op_s: KernelOperator, op_t: KernelOperator) -> KernelOperator:
 def _pair_norms(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sq_plus = np.sum(np.atleast_1d(x + y) ** 2, axis=-1)
-    sq_minus = np.sum(np.atleast_1d(x - y) ** 2, axis=-1)
+    sq_plus = np.asarray(np.sum(np.atleast_1d(x + y) ** 2, axis=-1))
+    sq_minus = np.asarray(np.sum(np.atleast_1d(x - y) ** 2, axis=-1))
     d = np.atleast_1d(x).shape[-1] if np.ndim(x) else 1
     return sq_plus, sq_minus, d
 
@@ -350,9 +350,12 @@ def log_mehler_kernel(t: float, x, y) -> np.ndarray | float:
     if t <= 0:
         raise ValueError("t must be positive")
     sq_plus, sq_minus, d = _pair_norms(x, y)
-    out = -0.5 * d * np.log(2.0 * np.pi * np.sinh(2.0 * t)) - 0.25 * (
-        np.tanh(t) * sq_plus + sq_minus / np.tanh(t)
-    )
+    # c - (tanh t |x+y|^2 + |x-y|^2 / tanh t) / 4 in place: a lattice kernel
+    # takes no n x n temporary past the two norms
+    out = np.multiply(sq_plus, np.tanh(t), out=sq_plus)
+    out += np.divide(sq_minus, np.tanh(t), out=sq_minus)
+    out *= 0.25
+    np.subtract(-0.5 * d * np.log(2.0 * np.pi * np.sinh(2.0 * t)), out, out=out)
     return out if out.shape else float(out)
 
 
@@ -361,7 +364,8 @@ def mehler_kernel(t: float, x, y) -> np.ndarray | float:
 
     u_t(x,y) = (2 pi sinh 2t)^{-d/2} exp(-(tanh t |x+y|^2 + coth t |x-y|^2)/4).
     """
-    return np.exp(log_mehler_kernel(t, x, y))
+    log_u = log_mehler_kernel(t, x, y)
+    return np.exp(log_u, out=log_u) if isinstance(log_u, np.ndarray) else np.exp(log_u)
 
 
 def log_ho_survival(t: float, x) -> np.ndarray | float:

@@ -351,18 +351,23 @@ class TestFactorizationCounts:
 
     @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
                              ids=["ho_oracle", "ho_kernel"])
-    def test_ho_oracle_run_does_one_eigsh_no_eigh_or_eig(
+    def test_ho_oracle_run_takes_no_arpack_and_no_dense_eigh(
             self, tmp_path, counts, monkeypatch, h, base_point):
-        # the Mehler kernel is symmetric and positive: its triple is one Lanczos
-        # solve on the grid's U_1, so the kernel is built once per grid time
+        # the Mehler kernel is symmetric and positive: its triple is a block
+        # subspace iteration on the grid's U_1, whose only eigh calls are the
+        # 8 x 8 Ritz solves, so the kernel is built once per grid time
         import scipy.sparse.linalg as arpack
 
         import qergo.models as models
 
-        eigsh_calls, builds = [], []
-        lanczos, build = arpack.eigsh, models.build_ho_discretization
+        arpack_calls, eigh_shapes, builds = [], [], []
+        for name in ("eigs", "eigsh"):
+            solver = getattr(arpack, name)
+            monkeypatch.setattr(arpack, name, lambda *a, _name=name, _solver=solver, **k:
+                                arpack_calls.append(_name) or _solver(*a, **k))
+        ritz, build = np.linalg.eigh, models.build_ho_discretization
         monkeypatch.setattr(
-            arpack, "eigsh", lambda *a, **k: eigsh_calls.append(1) or lanczos(*a, **k))
+            np.linalg, "eigh", lambda a, *r, **k: eigh_shapes.append(a.shape) or ritz(a, *r, **k))
         monkeypatch.setattr(
             models, "build_ho_discretization", lambda grid, t: builds.append(t) or build(grid, t))
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
@@ -370,7 +375,8 @@ class TestFactorizationCounts:
         text = text.replace("base_point = 60", f"base_point = {base_point}")
         _, _, code = run_experiment(parse_config(write_config(tmp_path, text)))
         assert code == 0
-        assert counts == {"eigh": 0, "expm": 0, "eig": 0} and len(eigsh_calls) == 1
+        assert counts["expm"] == counts["eig"] == 0 and arpack_calls == []
+        assert eigh_shapes and set(eigh_shapes) == {(8, 8)}
         assert builds == [0.5, 0.75, 1.0, 1.25]
 
 

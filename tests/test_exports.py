@@ -79,16 +79,29 @@ radius = linear:0.6
 """
 
 
-@pytest.mark.parametrize("config", ["birthdeath_full", "small_frac"])
-def test_reversible_run_loads_no_scipy(tmp_path, config):
-    # one eigh, the products of U_t, a numpy connectivity test and the power
-    # iteration of find_qsd: a reversible run needs numpy only
+@pytest.mark.parametrize("config", ["birthdeath_full", "small_frac", "ho_oracle"])
+def test_reversible_or_oracle_run_loads_no_scipy(tmp_path, config):
+    # a reversible run is one eigh, the products of U_t, a numpy connectivity
+    # test and the power iteration of find_qsd; the oscillator oracle's triple
+    # is a numpy subspace iteration on its U_1: both need numpy only
     if config == "small_frac":
         path = tmp_path / "frac.ini"
         path.write_text(SMALL_FRAC)
     else:
-        path = Path(__file__).parents[1] / "configs" / "birthdeath_full.ini"
+        path = Path(__file__).parents[1] / "configs" / f"{config}.ini"
     code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
             f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
     assert _scipy_loaded_after(code) == []
     assert (tmp_path / "o" / "verdict.txt").exists()
+
+
+def test_nonreversible_run_loads_scipy(tmp_path):
+    # the control of the guard above: a cycle's triple and U_t need ARPACK and expm
+    path = tmp_path / "cycle.ini"
+    path.write_text("[model]\nid = cycle\nn = 12\npotential = power\nbeta = 2.0\nscale = 0.05\n\n"
+                    "[times]\nt_grid = 1 2\n\n[diagnostics]\nnames = heat_content\n\n"
+                    "[family]\nbase_point = 0\nradius = linear:0.6\n")
+    code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
+            f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
+    loaded = _scipy_loaded_after(code)
+    assert "scipy.linalg" in loaded and "scipy.sparse.linalg" in loaded

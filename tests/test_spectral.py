@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,8 +250,8 @@ class TestHODiscretization:
         assert spec.gap == pytest.approx(np.log(w[order[0]] / abs(w[order[1]])) / 0.5, rel=1e-12)
 
     def test_two_identical_mehler_blocks_rejected(self):
-        # a reducible kernel has a doubled dominant eigenvalue, a copy of which
-        # Lanczos could miss; the support-graph scan rejects it first
+        # a reducible kernel has a doubled dominant eigenvalue; the
+        # support-graph scan rejects it before any solve
         block = build_ho_discretization(lattice_space(3.0, 0.25), 1.0)
         n = block.space.n
         u = np.zeros((2 * n, 2 * n))
@@ -258,23 +260,128 @@ class TestHODiscretization:
         with pytest.raises(NondegeneracyError):
             principal_triple_from_operator(KernelOperator(1.0, u, space))
 
-    def test_lanczos_without_convergence_names_the_cap(self, monkeypatch):
-        import scipy.sparse.linalg as arpack
-
-        def stalled(*args, **kwargs):
-            raise arpack.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(arpack, "eigsh", stalled)
-        op = build_ho_discretization(lattice_space(2.0, 0.25), 1.0)
-        with pytest.raises(NondegeneracyError, match="100 restarts"):
-            principal_triple_from_operator(op)
-
     def test_nonsymmetric_density_rejected(self):
         space = lattice_space(2.0, 0.5)
         u = build_ho_discretization(space, 1.0).density.copy()
         u[0, 1] *= 1.5
         with pytest.raises(ValueError, match="not symmetric"):
             principal_triple_from_operator(KernelOperator(1.0, u, space))
+
+
+@st.composite
+def symmetric_kernels(draw):
+    """A symmetric nonnegative density on 2-60 states with a random mu, scaled
+    so that e^{-lambda0} = 1/2: strictly positive, on a sparse connected
+    support (a random tree and a few chords, with a positive diagonal so that
+    -rho0 is no eigenvalue), or nearly bipartite, where the second-largest
+    modulus is a negative eigenvalue."""
+    n = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["positive", "sparse", "negative"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "positive":
+        u = rng.uniform(0.01, 1.0, (n, n))
+    elif kind == "sparse":
+        u = np.diag(rng.uniform(0.1, 1.0, n))
+        order = rng.permutation(n)
+        for i in range(1, n):
+            u[order[i], order[rng.integers(i)]] = rng.uniform(0.5, 1.5)
+        chords = rng.random((n, n)) < 0.05
+        u[chords] = rng.uniform(0.5, 1.5, chords.sum())
+    else:
+        m = int(rng.integers(1, n))
+        u = np.full((n, n), 0.05)
+        u[:m, m:] += rng.uniform(0.5, 1.5, (m, n - m))
+    u = u + u.T
+    mu = np.exp(rng.uniform(-2.0, 2.0, n))
+    r = np.sqrt(mu)
+    u *= 0.5 / np.linalg.eigvalsh(r[:, None] * u * r[None, :])[-1]
+    return KernelOperator(1.0, u, StateSpace(tuple(range(n)), mu, np.arange(n)))
+
+
+class TestSubspaceTriple:
+    """The kernel triple by block subspace iteration, against a dense eigh."""
+
+    @staticmethod
+    def dense_triple(op):
+        r = np.sqrt(op.space.mu)
+        w, W = np.linalg.eigh(r[:, None] * op.density * r[None, :])
+        order = np.argsort(-np.abs(w))
+        phi = np.abs(W[:, order[0]]) / r
+        phi = phi / np.sqrt(np.sum(phi**2 * op.space.mu))
+        lam0 = -np.log(w[order[0]]) / op.t
+        return lam0, -np.log(abs(w[order[1]])) / op.t - lam0, phi
+
+    @given(op=symmetric_kernels())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_eigh(self, op):
+        lam0, gap, phi = self.dense_triple(op)
+        spec = principal_triple_from_operator(op)
+        assert spec.lambda0 == pytest.approx(lam0, rel=1e-12)
+        assert spec.gap == pytest.approx(gap, rel=1e-12)
+        assert np.max(np.abs(spec.phi0 - phi)) <= 1e-10 * phi.max()
+        # the fixed start block makes a repeat bit-identical
+        again = principal_triple_from_operator(op)
+        assert np.array_equal(again.phi0, spec.phi0)
+        assert (again.lambda0, again.gap) == (spec.lambda0, spec.gap)
+
+    def test_one_state_kernel_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        op = KernelOperator(1.0, np.array([[0.5]]), StateSpace((0,), np.ones(1), np.arange(1)))
+        with pytest.raises(ValueError, match="gap needs at least 2 states"):
+            principal_triple_from_operator(op)
+
+    def test_two_state_kernel_is_exact(self):
+        # S = [[a, b], [b, c]] with mu = 1 has eigenvalues
+        # (a + c)/2 +- sqrt(((a - c)/2)^2 + b^2)
+        a, b, c = 0.5, 0.2, 0.3
+        space = StateSpace((0, 1), np.ones(2), np.arange(2))
+        op = KernelOperator(1.0, np.array([[a, b], [b, c]]), space)
+        root = np.hypot((a - c) / 2, b)
+        rho0, rho1 = (a + c) / 2 + root, (a + c) / 2 - root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = principal_triple_from_operator(op)
+        assert spec.lambda0 == pytest.approx(-np.log(rho0), rel=1e-14)
+        assert spec.gap == pytest.approx(np.log(rho0 / rho1), rel=1e-14)
+        phi = np.array([b, rho0 - a])
+        np.testing.assert_allclose(spec.phi0, phi / np.linalg.norm(phi), rtol=1e-14)
+
+    def test_three_state_kernel_is_exact(self):
+        u = np.array([[0.4, 0.1, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.1]])
+        op = KernelOperator(0.5, u, StateSpace((0, 1, 2), np.array([0.5, 1.0, 2.0]), np.arange(3)))
+        lam0, gap, phi = self.dense_triple(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = principal_triple_from_operator(op)
+        assert spec.lambda0 == pytest.approx(lam0, rel=1e-14)
+        assert spec.gap == pytest.approx(gap, rel=1e-14)
+        np.testing.assert_allclose(spec.phi0, phi, rtol=1e-14)
+
+    def test_phi0_tails_keep_their_relative_accuracy(self):
+        # phi0 falls to 1.5e-8 of its peak at the lattice edge; the returned
+        # S x0 holds the eigen-identity entry by entry, where the bare Ritz
+        # vector x0 misses it by ~4e-9 relative
+        op = build_ho_discretization(lattice_space(6.0, 0.1), 1.0)
+        spec = principal_triple_from_operator(op)
+        phi = spec.phi0
+        assert phi.min() < 1e-7 * phi.max()
+        assert np.max(np.abs(op.apply(phi) - np.exp(-spec.lambda0) * phi) / phi) <= 1e-13
+
+    def test_stalled_iteration_takes_the_dense_eigh(self, monkeypatch):
+        # at t = 0.01 the Mehler spectrum decays too slowly for the 8-column
+        # block (|rho8 / rho1| ~ 0.87): the step cap is hit and one dense eigh
+        # of the n x n matrix gives the triple
+        op = build_ho_discretization(lattice_space(6.0, 0.1), 0.01)
+        lam0, gap, phi = self.dense_triple(op)
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k))
+        spec = principal_triple_from_operator(op)
+        n = op.space.n
+        assert shapes[-1] == (n, n) and shapes[:-1] == [(8, 8)] * (len(shapes) - 1)
+        assert spec.lambda0 == pytest.approx(lam0, rel=1e-12)
+        assert spec.gap == pytest.approx(gap, rel=1e-12)
+        assert np.max(np.abs(spec.phi0 - phi)) <= 1e-12 * phi.max()
 
 
 class TestEigenResiduals:
