@@ -58,16 +58,19 @@ class ExperimentConfig:
     t_grid: list
     diagnostics: list
     diag_params: dict = field(default_factory=dict)
-    family: dict | None = None
+    family: dict | None = None  # its "radius" holds the law, read at parse
     verdicts: dict = field(default_factory=dict)
     mc: dict | None = None
     output_dir: str = "out"
     source: str = "<memory>"
 
 
-# verdict tolerances and their defaults
+# verdict tolerances: the default, and the range as a test (nan fails every one) and in words
+_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 _TOLERANCES = {
-    "qsd_tol": 1e-9, "match_tol": 1e-8, "rate_tol": 0.10, "fit_tail": 0.5, "gsd_level": 10.0}
+    "qsd_tol": (1e-9, *_NONNEGATIVE), "match_tol": (1e-8, *_NONNEGATIVE),
+    "rate_tol": (0.10, *_NONNEGATIVE), "fit_tail": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "gsd_level": (10.0, lambda v: 0.0 < v < np.inf, "finite and > 0")}
 # the numeric keys of each config section; those of [mc] are integers
 _NUMBERS = {
     "diagnostics.kappa": ("a", "b", "t0"), "diagnostics.eta": ("gamma",),
@@ -184,6 +187,12 @@ def parse_config(path: str) -> ExperimentConfig:
                 path, key, f"{name} needs a finite {key} > 0, got {value}", f"diagnostics.{name}")
     if not diag_params.get("quasi_ergodic", {}).get("p", 1.0) >= 1.0:  # nan fails too
         raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
+    verdicts = sections.get("verdicts", {})
+    for key, (_, in_range, what) in _TOLERANCES.items():
+        if key in verdicts and not in_range(verdicts[key]):
+            raise _fail_config(path, key, f"{key} must be {what}, got {verdicts[key]}", "verdicts")
+    if (family := sections.get("family")) is not None:
+        family["radius"] = _radius_law(family.get("radius", "linear:1.0"), path)
     mc = sections.get("mc")
     if mc is not None:
         problem = _mc_problem(mc.get("n", 10000), mc.get("seed", 0), t_grid[-1])
@@ -192,28 +201,35 @@ def parse_config(path: str) -> ExperimentConfig:
             raise _fail_config(path, key if key in mc else "mc", msg, "mc")
 
     return ExperimentConfig(
-        model_id, model_params, t_grid, names, diag_params, sections.get("family"),
-        sections.get("verdicts", {}), mc,
+        model_id, model_params, t_grid, names, diag_params, family, verdicts, mc,
         cp.get("output", "dir", fallback="out"), source=path,
     )
 
 
-def _radius_fn(cfg: ExperimentConfig):
-    spec = cfg.family.get("radius", "linear:1.0")
+def _nonnegative(x: str) -> float:
+    v = float(x)
+    if not 0.0 <= v < np.inf:  # nan fails too
+        raise ValueError(f"{x} is not finite and >= 0: the law must be nondecreasing from 0 on")
+    return v
+
+
+def _radius_law(spec: str, path: str):
+    """The radius law ``spec`` names; a ConfigError on the radius line unless
+    it is nonnegative and nondecreasing, as an exhausting family needs."""
     kind, _, arg = spec.partition(":")
     try:
         if kind in ("linear", "const"):
-            v = float(arg)
+            v = _nonnegative(arg)
             return (lambda t: v * t) if kind == "linear" else (lambda t: v)
         if kind == "power":
-            a, b = (float(x) for x in arg.split(","))
+            a, b = (_nonnegative(x) for x in arg.split(","))
             return lambda t: a * t**b
-        if kind == "table":  # table:t1:r1,t2:r2,...
+        if kind == "table":  # table:t1:r1,t2:r2,...; the radii are made nondecreasing
             pairs = [p.split(":") for p in arg.split(",")]
-            return tabulated_radius(*zip(*[(float(t), float(r)) for t, r in pairs]))
+            return tabulated_radius(*zip(*[(float(t), _nonnegative(r)) for t, r in pairs]))
         raise ValueError("unknown kind; known: linear, const, power, table")
     except ValueError as exc:
-        raise _fail_config(cfg.source, "radius", f"bad radius {spec!r}: {exc}") from None
+        raise _fail_config(path, "radius", f"bad radius {spec!r}: {exc}", "family") from None
 
 
 def _state(space, key: str, raw, source: str | None = None):
@@ -234,7 +250,7 @@ def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
     return ExhaustingFamily(
         base_point=_state(
             space, "base_point", cfg.family.get("base_point", space.points[0]), cfg.source),
-        radius_fn=_radius_fn(cfg),
+        radius_fn=cfg.family["radius"],
         t_min=cfg.family.get("t_min", 0.0),
     )
 
@@ -310,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig):
                 f"so the largest usable t is {_LOG_MAX / spec.lambda0:.6g}")
 
     report = _Report(model.label)
-    rep_tols = {key: cfg.verdicts.get(key, default) for key, default in _TOLERANCES.items()}
+    rep_tols = {key: cfg.verdicts.get(key, default) for key, (default, *_) in _TOLERANCES.items()}
 
     for name in cfg.diagnostics:
         if name == "heat_content":

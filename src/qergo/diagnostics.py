@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
-from .operators import KernelOperator, MarkovModel, strongly_connected
-from .spectral import _DEGEN_TOL, SpectralData, _arpack_start, _positive_direction
+from .operators import KernelOperator, MarkovModel
+from .spectral import _DEGEN_TOL, SpectralData, _arpack_start, _positive_direction, _top_two
 from .statespace import ExhaustingFamily, StateSpace, _radius_crossing, ball_indicator, exhaustion_time
 
 __all__ = [
@@ -169,67 +169,46 @@ def qsd_residual(sigma, op: KernelOperator) -> float:
     return float(np.sum(np.abs(evolved / mass - w)))
 
 
-def _power_qsd(op: KernelOperator) -> np.ndarray | None:
-    """The left Perron vector of a primitive self-adjoint transition form by power
-    iteration from the ARPACK start vector, to a step of 1e-14 in L1 within 40
-    steps; None for any other operator, or once a step is more than half the one
-    before (a small gap t): 40 steps would not do, and the step no longer bounds
-    the error left."""
-    u = op.density
-    if not (op.self_adjoint() and np.all(np.diag(u) > 0) and strongly_connected(u > 0)):
-        return None
-    T = op.transition()
-    v = _arpack_start(op.space.n)
-    v /= v.sum()
-    step = np.inf
-    for _ in range(40):
-        x = v @ T
-        x /= x.sum()
-        step, last = np.abs(x - v).sum(), step
-        if step <= 1e-14:
-            return x
-        if step > 0.5 * last:
-            return None
-        v = x
-    return None
-
-
 def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
-    """Normalized positive left fixed direction of the transition form of U_t.
+    """Normalized positive left fixed direction of the transition form u D of U_t.
 
-    A self-adjoint U_t whose diagonal is positive and support strongly
-    connected has a primitive transition form, whose dominant eigenvalue is
-    simple and positive by Perron-Frobenius: it takes a power iteration.
-    Otherwise, or when that stalls, the two largest-modulus eigenvalues of the
-    adjoint transition matrix come from ARPACK (``eigs``, k = 2) with a fixed
-    start vector, or from a dense eig when n <= 3 or ARPACK fails (breakdown,
-    or no convergence within 100 restarts).  Emits NonuniquenessWarning when
-    the dominant eigenvalue is not simple within 1e-10 (relative), in which
-    case the returned measure is only one of several quasi-stationary
-    candidates.  Otherwise a direction with mixed signs raises PositivityError.
+    A self-adjoint U_t takes the two largest-modulus eigenvalues of
+    S = D^{1/2} u D^{1/2} and S x0 from ``_top_two``, the kernel triple's block
+    subspace iteration, which also finds both copies of a repeated one (two
+    blocks with equal Perron roots); the left Perron vector of u D is D^{1/2} S x0.
+    Any other U_t takes the two largest-modulus eigenvalues of the adjoint
+    transition matrix from ARPACK (``eigs``, k = 2) with a fixed start vector,
+    or from a dense eig when n <= 3 or ARPACK fails (breakdown, or no
+    convergence within 100 restarts).  Emits NonuniquenessWarning when the
+    dominant eigenvalue is not simple within 1e-10 (relative): the measure is
+    then one of several quasi-stationary candidates.  Otherwise a direction
+    with mixed signs raises PositivityError.
     """
-    if (v := _power_qsd(op)) is not None:
-        return QuasiStationaryMeasure(v, source="from-fixed-point")
-    T = op.transition()
-    n = T.shape[0]
-    w = None
-    if n > 3:  # ARPACK needs k = 2 < n - 1
-        from scipy.sparse.linalg import ArpackError, eigs
+    if op.self_adjoint():
+        r = np.sqrt(op.space.mu)
+        w, Sx0 = _top_two(op.density, r)  # one Ritz value when n = 1
+        v = r * Sx0
+    else:
+        T = op.transition()
+        n = T.shape[0]
+        w = None
+        if n > 3:  # ARPACK needs k = 2 < n - 1
+            from scipy.sparse.linalg import ArpackError, eigs
 
-        try:
-            w, vl = eigs(T.T, k=2, which="LM", v0=_arpack_start(n), maxiter=100)
-        except ArpackError:
-            pass  # no convergence (clustered spectrum) or breakdown: dense solver below
-    if w is None:
-        from scipy.linalg import eig
+            try:
+                w, vl = eigs(T.T, k=2, which="LM", v0=_arpack_start(n), maxiter=100)
+            except ArpackError:
+                pass  # no convergence (clustered spectrum) or breakdown: dense solver below
+        if w is None:
+            from scipy.linalg import eig
 
-        w, vl = eig(T, left=True, right=False)
-    order = np.argsort(-np.abs(w))
-    rho0 = abs(w[order[0]])
+            w, vl = eig(T, left=True, right=False)
+        order = np.argsort(-np.abs(w))[:2]
+        w, v = w[order], vl[:, order[0]]
+    rho0 = abs(w[0])
     if rho0 == 0:
         raise DegenerateSupportError("transition operator is nilpotent")
-    v = vl[:, order[0]]
-    if abs(w[order[1]]) >= rho0 * (1.0 - _DEGEN_TOL):
+    if len(w) > 1 and abs(w[1]) >= rho0 * (1.0 - _DEGEN_TOL):
         warnings.warn(
             "dominant transition eigenvalue is not simple; the quasi-stationary "
             "measure need not be unique",

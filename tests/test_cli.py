@@ -328,13 +328,18 @@ class TestFactorizationCounts:
             monkeypatch.setattr(module, name, counting(module, name))
         return calls
 
-    def test_reversible_run_does_one_eigh(self, tmp_path, counts):
-        # kappa's t0 = 0.5 lies off the grid: its survivals still come from the eigh
+    def test_reversible_run_does_one_eigh(self, tmp_path, counts, monkeypatch):
+        # kappa's t0 = 0.5 lies off the grid: its survivals still come from the
+        # eigh; find_qsd's subspace iteration adds only 8 x 8 Ritz solves
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k))
         text = FACTORIZATION_CONFIG.format(
             model="birthdeath", n=12, grid="2 4 6 8 10 12", out=tmp_path / "o",
             kappa="[diagnostics.kappa]\nt0 = 0.5\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        assert counts == {"eigh": 1, "expm": 0, "eig": 0}
+        assert counts["expm"] == counts["eig"] == 0
+        assert shapes.count((12, 12)) == 1 and set(shapes) <= {(12, 12), (8, 8)}
 
     @pytest.mark.parametrize("grid,expm_calls", [
         ("2 4 6 8 10 12", 1),  # every later time is the sum of two earlier ones
@@ -547,6 +552,18 @@ class TestMainEntry:
         line = text.splitlines().index(old) + 1
         assert err.startswith(f"error: {path}:{line}: ") and repr(radius) in err
 
+    @pytest.mark.parametrize("old,new", [
+        ("linear:0.6", "linear:0"), ("linear:0.6", "const:0"), ("linear:0.6", "power:2,0"),
+        ("linear:0.6", "power:0,3"), ("linear:0.6", "table:0:2,5:1,9:4"),
+        ("[output]", "[verdicts]\nqsd_tol = 0\nrate_tol = 0\nfit_tail = 1\n\n[output]"),
+    ], ids=["linear_zero", "const_zero", "power_constant", "power_zero", "table", "verdicts"])
+    def test_range_edges_parse(self, tmp_path, old, new):
+        text = BIRTHDEATH_FULL.read_text()
+        assert old in text
+        cfg = parse_config(write_config(tmp_path, text.replace(old, new)))
+        radius = cfg.family["radius"]
+        assert all(0.0 <= radius(s) <= radius(t) for s, t in [(0.0, 1.0), (1.0, 7.0)])
+
     def test_malformed_t_min_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         text = BIRTHDEATH_FULL.read_text()
@@ -585,11 +602,32 @@ class TestMainEntry:
         ("n = 20000", "n = 1", "n = 1"),
         ("n = 20000", "n = 0", "n = 0"),
         ("seed = 1234", "seed = -1", "seed = -1"),
+        # verdict values: tolerances finite and >= 0, gsd_level finite and > 0,
+        # fit_tail in (0, 1]
+        ("[output]", "[verdicts]\nqsd_tol = -1\n\n[output]", "qsd_tol = -1"),
+        ("[output]", "[verdicts]\nmatch_tol = inf\n\n[output]", "match_tol = inf"),
+        ("[output]", "[verdicts]\nrate_tol = nan\n\n[output]", "rate_tol = nan"),
+        ("[output]", "[verdicts]\ngsd_level = -1\n\n[output]", "gsd_level = -1"),
+        ("[output]", "[verdicts]\ngsd_level = 0\n\n[output]", "gsd_level = 0"),
+        ("[output]", "[verdicts]\nfit_tail = 2\n\n[output]", "fit_tail = 2"),
+        ("[output]", "[verdicts]\nfit_tail = 0\n\n[output]", "fit_tail = 0"),
+        # the radius law must be nonnegative and nondecreasing
+        ("linear:0.6", "linear:-1", "radius = linear:-1"),
+        ("linear:0.6", "const:-2", "radius = const:-2"),
+        ("linear:0.6", "power:-1,1", "radius = power:-1,1"),
+        ("linear:0.6", "power:1,-1", "radius = power:1,-1"),
+        ("linear:0.6", "linear:nan", "radius = linear:nan"),
+        ("linear:0.6", "const:inf", "radius = const:inf"),
+        ("linear:0.6", "table:0:1,5:-1", "radius = table:0:1,5:-1"),
     ], ids=["kappa_t0", "kappa_a", "rate_tol", "mc_n", "mc_seed", "eta_gamma", "qe_p",
             "kappa_b_alone", "kappa_b_negative", "kappa_b_half", "qe_p_below_one", "qe_p_nan",
             "kappa_t0_negative", "eta_gamma_negative", "eta_gamma_zero", "t_grid_zero",
             "t_grid_negative", "t_grid_nan", "t_grid_inf", "uniqueness_one_time",
-            "mc_n_one", "mc_n_zero", "mc_seed_negative"])
+            "mc_n_one", "mc_n_zero", "mc_seed_negative", "qsd_tol_negative", "match_tol_inf",
+            "rate_tol_nan", "gsd_level_negative", "gsd_level_zero", "fit_tail_above_one",
+            "fit_tail_zero", "radius_linear_negative", "radius_const_negative",
+            "radius_power_coefficient_negative", "radius_power_exponent_negative",
+            "radius_linear_nan", "radius_const_inf", "radius_table_negative"])
     def test_bad_config_number_exits_one_before_any_build(
             self, tmp_path, capsys, monkeypatch, old, new, bad):
         import qergo.models as models

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,6 +129,42 @@ class TestQsd:
             qsd_residual(point_mass(swap2_v01.space, 0), dead)
 
 
+@st.composite
+def symmetric_qsd_cases(draw):
+    """(op, equal_roots): a symmetric nonnegative density on 1-40 states with a
+    random mu, strictly positive, on a sparse connected support (a random tree
+    and a few chords, with a positive diagonal), with a zero diagonal and
+    positive off-diagonal entries (3 or more states, so that it is primitive),
+    or two copies of one block on shuffled states, whose Perron roots are equal."""
+    kind = draw(st.sampled_from(["positive", "sparse", "zero_diagonal", "two_blocks"]))
+    n = draw(st.integers(3 if kind == "zero_diagonal" else 2 if kind == "two_blocks" else 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = np.exp(rng.uniform(-2.0, 2.0, n))
+    if kind == "positive":
+        u = rng.uniform(0.01, 1.0, (n, n))
+    elif kind == "sparse":
+        u = np.diag(rng.uniform(0.1, 1.0, n))
+        order = rng.permutation(n)
+        for i in range(1, n):
+            u[order[i], order[rng.integers(i)]] = rng.uniform(0.5, 1.5)
+        chords = rng.random((n, n)) < 0.05
+        u[chords] = rng.uniform(0.5, 1.5, chords.sum())
+    elif kind == "zero_diagonal":
+        u = rng.uniform(0.01, 1.0, (n, n))
+        np.fill_diagonal(u, 0.0)
+    else:
+        k = n // 2
+        block = rng.uniform(0.01, 1.0, (k, k))
+        u = np.zeros((2 * k, 2 * k))
+        u[:k, :k] = u[k:, k:] = block
+        mu = np.tile(mu[:k], 2)
+        shuffle = rng.permutation(2 * k)
+        u, mu = u[np.ix_(shuffle, shuffle)], mu[shuffle]
+    u = u + u.T
+    space = StateSpace(tuple(range(len(mu))), mu, np.arange(len(mu))[:, None])
+    return KernelOperator(1.0, u, space), kind == "two_blocks"
+
+
 class TestFindQsd:
     def test_matches_spectral_on_zoo(self, swap2_v01, weighted_bd, cycle4, frac_small):
         for model in (swap2_v01, weighted_bd, cycle4, frac_small):
@@ -159,34 +196,47 @@ class TestFindQsd:
             scipy.sparse.linalg, "eigs", lambda *a, **k: calls.append(1) or eigs(*a, **k))
         return calls
 
-    @pytest.mark.parametrize("name", ["weighted_bd", "birthdeath20_confining", "frac_small"])
-    def test_power_path_matches_arpack(self, name, request, arpack_calls, monkeypatch):
-        import qergo.diagnostics as dg
+    @staticmethod
+    def dense_left_perron(op):
+        """The left Perron vector of the transition form by a dense scipy eig."""
+        from scipy.linalg import eig
 
+        w, vl = eig(op.transition(), left=True, right=False)
+        v = np.abs(np.real(vl[:, np.argmax(np.abs(w))]))
+        return v / v.sum()
+
+    @pytest.mark.parametrize("name", ["weighted_bd", "birthdeath20_confining", "frac_small"])
+    def test_symmetric_branch_matches_dense_eig(self, name, request, arpack_calls):
         model = request.getfixturevalue(name)
         op = feynman_kac_operator(model, 4.0 / principal_triple(model).gap)
-        power = find_qsd(op)
-        assert arpack_calls == []  # gap t = 4: a self-adjoint primitive U_t converges
-        monkeypatch.setattr(dg, "_power_qsd", lambda op: None)
-        arpack = find_qsd(op)
-        assert arpack_calls == [1]
-        assert np.abs(power.weights - arpack.weights).sum() <= 1e-12
-
-    def test_small_gap_falls_back_to_arpack(self, birthdeath20, arpack_calls):
-        # gap t = 0.012: the power iteration does not converge within its 40 steps
-        op = feynman_kac_operator(birthdeath20, 1.0)
-        assert op.self_adjoint() and np.all(np.diag(op.density) > 0)
         fixed = find_qsd(op)
-        assert arpack_calls == [1]
+        assert arpack_calls == []  # a self-adjoint U_t takes the subspace iteration
+        assert np.abs(fixed.weights - self.dense_left_perron(op)).sum() <= 1e-12
+
+    def test_small_gap_takes_no_arpack(self, birthdeath20, arpack_calls):
+        # gap t = 0.012: a slowly decaying top of the spectrum, which the
+        # 8-column block handles without ARPACK
+        fixed = find_qsd(feynman_kac_operator(birthdeath20, 1.0))
+        assert arpack_calls == []
         np.testing.assert_allclose(fixed.weights, 1.0 / 20, atol=1e-10)
 
-    def test_non_self_adjoint_operator_skips_the_power_path(self, cycle4):
-        # gap t is large here, but the gate keeps a non-normal U_t on ARPACK
-        import qergo.diagnostics as dg
+    def test_non_self_adjoint_operator_takes_arpack(self, cycle4, arpack_calls):
+        op = feynman_kac_operator(cycle4, 30.0)
+        assert not op.self_adjoint()
+        fixed = find_qsd(op)
+        assert arpack_calls == [1]
+        assert np.abs(fixed.weights - self.dense_left_perron(op)).sum() <= 1e-12
 
-        assert dg._power_qsd(feynman_kac_operator(cycle4, 30.0)) is None
+    def test_one_state_kernel_is_the_point_mass(self):
+        space = StateSpace((0,), np.array([2.0]), np.zeros((1, 1)))
+        op = KernelOperator(1.0, np.array([[0.3]]), space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed = find_qsd(op)
+        assert np.array_equal(fixed.weights, [1.0])
 
-    def test_mixed_sign_direction_of_a_simple_eigenvalue_raises(self, birthdeath20, monkeypatch):
+    def test_mixed_sign_direction_of_a_simple_eigenvalue_raises(self, cycle4, monkeypatch):
+        # a non-self-adjoint U_t (n = 4 > 3) reaches the patched ARPACK solve
         import scipy.sparse.linalg
 
         def mixed_sign_eigs(A, k, **kwargs):
@@ -196,7 +246,22 @@ class TestFindQsd:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", mixed_sign_eigs)
         with pytest.raises(PositivityError, match="mixed signs"):
-            find_qsd(feynman_kac_operator(birthdeath20, 1.0))
+            find_qsd(feynman_kac_operator(cycle4, 1.0))
+
+    @given(case=symmetric_qsd_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_symmetric_kernels_match_dense_eig(self, case):
+        op, equal_roots = case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fixed = find_qsd(op)
+        assert [w.category for w in caught] == ([NonuniquenessWarning] if equal_roots else [])
+        if not equal_roots:
+            assert np.abs(fixed.weights - self.dense_left_perron(op)).sum() <= 1e-10
+        # the fixed start block makes a repeat bit-identical
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonuniquenessWarning)
+            assert np.array_equal(find_qsd(op).weights, fixed.weights)
 
 
 class TestKernelConvergence:

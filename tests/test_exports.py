@@ -79,14 +79,21 @@ radius = linear:0.6
 """
 
 
-@pytest.mark.parametrize("config", ["birthdeath_full", "small_frac", "ho_oracle"])
+@pytest.mark.parametrize(
+    "config", ["birthdeath_full", "small_frac", "small_frac_early", "ho_oracle"])
 def test_reversible_or_oracle_run_loads_no_scipy(tmp_path, config):
     # a reversible run is one eigh, the products of U_t, a numpy connectivity
-    # test and the power iteration of find_qsd; the oscillator oracle's triple
-    # is a numpy subspace iteration on its U_1: both need numpy only
-    if config == "small_frac":
+    # test and find_qsd's subspace iteration, also on an early grid (gap t
+    # from 0.09), where the middle U_t's spectrum decays slowly; the oscillator
+    # oracle's triple is the same iteration on its U_1: both need numpy only
+    if config.startswith("small_frac"):
         path = tmp_path / "frac.ini"
-        path.write_text(SMALL_FRAC)
+        text = SMALL_FRAC
+        if config == "small_frac_early":
+            old = "t_grid = 15.9 19.0 22.2 25.4 28.5 31.7"
+            assert old in text
+            text = text.replace(old, "t_grid = 0.5 1.0 1.5 2.0 2.5 3.0")
+        path.write_text(text)
     else:
         path = Path(__file__).parents[1] / "configs" / f"{config}.ini"
     code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
