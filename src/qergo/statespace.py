@@ -119,7 +119,10 @@ def exhaustion_time(space: StateSpace, fam: ExhaustingFamily) -> float:
     which the radius reaches the largest distance from the base point.
 
     Found by doubling t up to 1e12, then bisecting; resolution is relative 1e-12.
+    Raises ValueError for a t_min that is not finite, where neither would end.
     """
+    if not abs(fam.t_min) < np.inf:  # nan fails too
+        raise ValueError(f"t_min must be finite, got {fam.t_min}")
     R = float(space.dist[space.index(fam.base_point)].max())
     if float(fam.radius_fn(fam.t_min)) >= R:
         return fam.t_min

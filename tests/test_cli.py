@@ -294,7 +294,8 @@ dir = {out}
 
 
 class TestFactorizationCounts:
-    """One run factorizes each model once: one eigh when it is reversible.
+    """One run factorizes each model once: when it is reversible, one eigh, or
+    one pair of half-size eigh when its symmetrized generator is centrosymmetric.
     Otherwise one exponential of a step of 1-norm at most 1 per grid time that
     is not the sum of two earlier ones; those are formed by one product of
     memoized operators.  No run takes a dense eig of its generator."""
@@ -328,18 +329,33 @@ class TestFactorizationCounts:
             monkeypatch.setattr(module, name, counting(module, name))
         return calls
 
-    def test_reversible_run_does_one_eigh(self, tmp_path, counts, monkeypatch):
-        # kappa's t0 = 0.5 lies off the grid: its survivals still come from the
-        # eigh; find_qsd's subspace iteration adds only 8 x 8 Ritz solves
+    def eigh_shapes_of_a_run(self, tmp_path, monkeypatch, extra=""):
+        """The shapes of every numpy.linalg.eigh of a birthdeath(12) run, with
+        ``extra`` lines added to its [model] section."""
         shapes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(
             np.linalg, "eigh", lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k))
         text = FACTORIZATION_CONFIG.format(
             model="birthdeath", n=12, grid="2 4 6 8 10 12", out=tmp_path / "o",
-            kappa="[diagnostics.kappa]\nt0 = 0.5\n")
+            kappa="[diagnostics.kappa]\nt0 = 0.5\n").replace("n = 12\n", f"n = 12\n{extra}")
         run_experiment(parse_config(write_config(tmp_path, text)))
+        return shapes
+
+    def test_reversible_run_does_one_eigh(self, tmp_path, counts, monkeypatch):
+        # an even potential on uniform mu: S = J S J, so the one solve is a pair
+        # of 6 x 6 blocks and no 12 x 12 eigh.  kappa's t0 = 0.5 lies off the
+        # grid: its survivals still come from that solve; find_qsd's subspace
+        # iteration adds only 8 x 8 Ritz solves
+        shapes = self.eigh_shapes_of_a_run(tmp_path, monkeypatch)
         assert counts["expm"] == counts["eig"] == 0
-        assert shapes.count((12, 12)) == 1 and set(shapes) <= {(12, 12), (8, 8)}
+        assert [s for s in shapes if s != (8, 8)] == [(6, 6), (6, 6)]
+
+    def test_non_centrosymmetric_reversible_run_does_one_full_eigh(
+            self, tmp_path, counts, monkeypatch):
+        # a heavier last state breaks the mirror symmetry of S: one 12 x 12 eigh
+        shapes = self.eigh_shapes_of_a_run(tmp_path, monkeypatch, "mu = " + "1 " * 11 + "2\n")
+        assert counts["expm"] == counts["eig"] == 0
+        assert [s for s in shapes if s != (8, 8)] == [(12, 12)]
 
     @pytest.mark.parametrize("grid,expm_calls", [
         ("2 4 6 8 10 12", 1),  # every later time is the sum of two earlier ones
@@ -619,6 +635,10 @@ class TestMainEntry:
         ("linear:0.6", "linear:nan", "radius = linear:nan"),
         ("linear:0.6", "const:inf", "radius = const:inf"),
         ("linear:0.6", "table:0:1,5:-1", "radius = table:0:1,5:-1"),
+        # a t_min that is not finite would never end the exhaustion search
+        ("t_min = 0.0", "t_min = nan", "t_min = nan"),
+        ("t_min = 0.0", "t_min = inf", "t_min = inf"),
+        ("t_min = 0.0", "t_min = -inf", "t_min = -inf"),
     ], ids=["kappa_t0", "kappa_a", "rate_tol", "mc_n", "mc_seed", "eta_gamma", "qe_p",
             "kappa_b_alone", "kappa_b_negative", "kappa_b_half", "qe_p_below_one", "qe_p_nan",
             "kappa_t0_negative", "eta_gamma_negative", "eta_gamma_zero", "t_grid_zero",
@@ -627,7 +647,8 @@ class TestMainEntry:
             "rate_tol_nan", "gsd_level_negative", "gsd_level_zero", "fit_tail_above_one",
             "fit_tail_zero", "radius_linear_negative", "radius_const_negative",
             "radius_power_coefficient_negative", "radius_power_exponent_negative",
-            "radius_linear_nan", "radius_const_inf", "radius_table_negative"])
+            "radius_linear_nan", "radius_const_inf", "radius_table_negative", "t_min_nan",
+            "t_min_inf", "t_min_neg_inf"])
     def test_bad_config_number_exits_one_before_any_build(
             self, tmp_path, capsys, monkeypatch, old, new, bad):
         import qergo.models as models

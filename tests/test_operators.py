@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -14,8 +17,11 @@ from qergo.models import (
     zoo_build,
 )
 from qergo.operators import (
+    _REV_TOL,
     KernelOperator,
     MarkovModel,
+    _max_abs_diff,
+    _symmetric_eigh,
     adjoint,
     compose,
     feynman_kac_operator,
@@ -320,6 +326,152 @@ class TestReversibleTruncation:
         mu = model.space.mu
         z = (full @ mu) @ mu
         assert abs(heat_content(op) - z) <= 1e-13 * z
+
+
+@st.composite
+def centrosymmetric(draw):
+    """A symmetric S equal to its index reversal J S J, n = 1-60: a generic
+    one, a sparse one with entries in {-1, 0, 1} (many repeated eigenvalues),
+    or two mirror copies of one block around a decoupled centre, whose
+    spectrum is that block's twice over, once per parity."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["generic", "sparse", "mirror"]))
+    event(f"{kind}, n {'odd' if n % 2 else 'even'}")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mirror":
+        h = n // 2
+        M = np.zeros((n, n))
+        M[:h, :h] = rng.standard_normal((h, h))
+        M[n - h:, n - h:] = M[:h, :h][::-1, ::-1]
+        if n % 2:
+            M[h, h] = rng.standard_normal()
+    elif kind == "sparse":
+        M = rng.integers(-1, 2, size=(n, n)) * (rng.random((n, n)) < 0.2)
+    else:
+        M = rng.standard_normal((n, n))
+    C = 0.5 * (M + M[::-1, ::-1])  # both halvings keep S = J S J exactly
+    return 0.5 * (C + C.T)
+
+
+def dyadic_centrosymmetric():
+    """A 4 x 4 symmetric S = J S J with dyadic entries and max |S| = 1, so
+    that the bar _REV_TOL max |S| = 2^-49 and a step past it are exact."""
+    return np.array([[1.0, 0.5, 0.25, 0.125], [0.5, 0.75, 0.375, 0.25],
+                     [0.25, 0.375, 0.75, 0.5], [0.125, 0.25, 0.5, 1.0]])
+
+
+EDGE = [(0.0, True), (2.0**-52, False)]  # at the bar 2^-49, and one step past it
+
+
+def record_eigh(monkeypatch):
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k))
+    return shapes
+
+
+class TestParitySplit:
+    """A symmetric S that commutes with the index reversal J is solved as two
+    half-size eigh, one per parity; the result stands in for one n x n eigh."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(S=centrosymmetric())
+    def test_matches_the_full_eigh(self, S):
+        n = S.shape[0]
+        shapes, eigh = [], np.linalg.eigh
+        with mock.patch.object(np.linalg, "eigh",
+                               lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k)):
+            w, W = _symmetric_eigh(S)
+        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2]  # even block, then odd
+        w_full, W_full = np.linalg.eigh(S)
+        norm = np.max(np.abs(w_full), initial=0.0)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - w_full)) <= 1e-12 * norm
+        assert np.max(np.abs(W.T @ W - np.eye(n))) <= 1e-12
+        assert np.max(np.abs(S @ W - W * w)) <= 1e-12 * norm
+        for t in (0.1, 30.0):  # in units of 1 / ||S||
+            t /= max(norm, 1.0)
+            full = (W_full * np.exp(t * (w_full - w_full[-1]))) @ W_full.T
+            got = (W * np.exp(t * (w - w_full[-1]))) @ W.T
+            assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
+        w2, W2 = _symmetric_eigh(S)
+        assert np.array_equal(w, w2) and np.array_equal(W, W2)
+
+    @pytest.mark.parametrize("step,split", EDGE, ids=["at_the_bar", "past_the_bar"])
+    def test_the_bar_is_rev_tol_times_the_largest_entry(self, monkeypatch, step, split):
+        # S[0, 1] moves 2^-49 = _REV_TOL max |S| (and a step more) from its
+        # mirror S[3, 2]: at the bar the split is taken, past it one 4 x 4 eigh
+        assert _REV_TOL == 2.0**-49
+        S = dyadic_centrosymmetric()
+        S[0, 1] = S[1, 0] = 0.5 + 2.0**-49 + step
+        shapes = record_eigh(monkeypatch)
+        w, W = _symmetric_eigh(S)
+        assert shapes == ([(2, 2), (2, 2)] if split else [(4, 4)])
+        # at the bar the split solves J S J's upper half: off by 2^-49 at most
+        assert np.max(np.abs(w - np.linalg.eigvalsh(S))) <= 1e-14
+        assert np.max(np.abs(S @ W - W * w)) <= 1e-14
+
+    @pytest.mark.parametrize("V", [np.array([0.5, 0.2, 0.2, 0.5]), np.array([0.0, 0.2, 0.2, 0.5])],
+                             ids=["even_v", "uneven_v"])
+    def test_reversible_model_splits_only_when_centrosymmetric(self, monkeypatch, V):
+        Q = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])  # J Q J = Q = Q^T
+        model = MarkovModel(StateSpace((0, 1, 2, 3), np.ones(4), np.arange(4.0)[:, None]), Q, V)
+        shapes = record_eigh(monkeypatch)
+        model.semigroup.spectrum
+        assert shapes == ([(2, 2), (2, 2)] if V[0] == V[3] else [(4, 4)])
+
+    @pytest.mark.parametrize("n,slope", [(4, 0.0), (14, 0.1), (15, 0.1)])
+    def test_top_eigenvalue_tied_across_parities_keeps_every_mode(self, n, slope):
+        # two mirror copies of one chain (and a decoupled centre when n is odd):
+        # the top eigenvalue is even and odd at once, and the stable merge puts
+        # the odd mode, orthogonal to mu, last, where the floor reads its mass
+        h = n // 2
+        half = build_ctmc_model(h, "birth-death", V=slope * np.arange(h))
+        Q = np.eye(n)
+        Q[:h, :h] = half.Q
+        Q[n - h:, n - h:] = half.Q[::-1, ::-1]
+        V = np.concatenate([half.V, [5.0] * (n % 2), half.V[::-1]])
+        space = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+        model = MarkovModel(space, Q, V)
+        w_full, W_full = np.linalg.eigh(model.generator())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # log(0) of the floor would warn
+            w, B = model.semigroup.spectrum
+            mass = B[:, -1] @ space.mu  # exactly 0 for n = 4: every entry is +-1/2
+            assert mass == 0.0 if n == 4 else abs(mass) <= 1e-15
+            for t in (0.5, 40.0):
+                op = model.semigroup.operator(t)
+                full = np.maximum((W_full * np.exp(t * w_full)) @ W_full.T, 0.0)
+                assert op.meta["modes"] == n or mass != 0.0
+                assert np.max(np.abs(op.density - full)) <= 1e-13 * np.max(full)
+
+
+class TestSymmetryBars:
+    """Each symmetry test compares a row-blocked max |a - b| with its own bar;
+    2^-49 = _REV_TOL and a step of 2^-52 past it are exact on entries near 1/2."""
+
+    def test_max_abs_diff_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 130, 7))  # three row blocks, the last short
+        assert _max_abs_diff(a, b) == np.max(np.abs(a - b))
+        assert _max_abs_diff(a[:0], b[:0]) == 0.0
+        a[129, 3] = np.nan
+        assert np.isnan(_max_abs_diff(a, b))
+
+    @pytest.mark.parametrize("step,symmetric", EDGE, ids=["at_the_bar", "past_the_bar"])
+    def test_self_adjoint_bar_is_rev_tol_times_the_largest_entry(self, step, symmetric):
+        u = np.array([[1.0, 0.5], [0.5 + 2.0**-49 + step, 0.25]])
+        op = KernelOperator(1.0, u, StateSpace((0, 1), np.ones(2), np.arange(2.0)[:, None]))
+        assert op.self_adjoint() is symmetric
+
+    @pytest.mark.parametrize("step,reversible", EDGE, ids=["at_the_bar", "past_the_bar"])
+    def test_reversibility_bar_is_rev_tol(self, step, reversible):
+        # uniform mu: Q_dual = Q^T, off Q by d at (0, 1); both rows sum to 1 within 1e-12
+        d = 2.0**-49 + step
+        Q = np.array([[0.5 - d, 0.5 + d], [0.5, 0.5]])
+        model = MarkovModel(StateSpace((0, 1), np.ones(2), np.arange(2.0)[:, None]), Q, np.zeros(2))
+        assert model.semigroup.reversible is reversible
 
 
 CYCLE_GRID = (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)

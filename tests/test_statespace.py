@@ -87,6 +87,13 @@ class TestBallIndicator:
         assert ball_indicator(sp, fam, t_exh).all()
         assert not ball_indicator(sp, fam, t_exh - 1e-6).all()
 
+    @pytest.mark.parametrize("t_min", [np.nan, np.inf, -np.inf])
+    def test_exhaustion_time_rejects_a_t_min_that_is_not_finite(self, t_min):
+        # nan kept the doubling loop and -inf the bisection running forever
+        fam = ExhaustingFamily(4, lambda t: t, t_min=t_min)
+        with pytest.raises(ValueError, match="t_min must be finite"):
+            exhaustion_time(grid1d(-4, 4), fam)
+
 
 def reference_exhaustion_time(space, fam):
     """The full-ball-scan loop that exhaustion_time replaced: doubling, then
