@@ -77,6 +77,7 @@ _NUMBERS = {
     "diagnostics.quasi_ergodic": ("p",), "family": ("t_min",),
     "verdicts": tuple(_TOLERANCES), "mc": ("n", "seed"),
 }
+_MC_DEFAULTS = {"n": 10000, "seed": 0}
 
 
 def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
@@ -185,22 +186,28 @@ def parse_config(path: str) -> ExperimentConfig:
         if not 0.0 < value < np.inf:  # nan fails too
             raise _fail_config(
                 path, key, f"{name} needs a finite {key} > 0, got {value}", f"diagnostics.{name}")
-    if not diag_params.get("quasi_ergodic", {}).get("p", 1.0) >= 1.0:  # nan fails too
+    if not diag_params.get("quasi_ergodic", {}).setdefault("p", np.inf) >= 1.0:  # nan fails too
         raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
     verdicts = sections.get("verdicts", {})
     for key, (_, in_range, what) in _TOLERANCES.items():
         if key in verdicts and not in_range(verdicts[key]):
             raise _fail_config(path, key, f"{key} must be {what}, got {verdicts[key]}", "verdicts")
     if (family := sections.get("family")) is not None:
-        if not abs(family.get("t_min", 0.0)) < np.inf:  # nan fails too
-            raise _fail_config(path, "t_min", f"t_min must be finite, got {family['t_min']}", "family")
+        t_min = family.setdefault("t_min", 0.0)
+        if not abs(t_min) < np.inf:  # nan fails too
+            raise _fail_config(path, "t_min", f"t_min must be finite, got {t_min}", "family")
+        if "kappa" in diag_params:  # kappa reads the balls K_{at} and K_{bt} at every grid time
+            s_min = min(diag_params["kappa"]["a"], diag_params["kappa"]["b"]) * t_grid[0]
+            if s_min < t_min:
+                raise _fail_config(path, "t_min", f"t_min = {t_min} exceeds {s_min}, the smallest "
+                                   "family parameter kappa reads (min(a, b) t_grid[0])", "family")
         family["radius"] = _radius_law(family.get("radius", "linear:1.0"), path)
-    mc = sections.get("mc")
-    if mc is not None:
-        problem = _mc_problem(mc.get("n", 10000), mc.get("seed", 0), t_grid[-1])
+    if (mc := sections.get("mc")) is not None:
+        given, mc = set(mc), {**_MC_DEFAULTS, **mc}
+        problem = _mc_problem(mc["n"], mc["seed"], t_grid[-1])
         if problem:  # a key left out takes its default; the [mc] line is named then
             key, msg = problem
-            raise _fail_config(path, key if key in mc else "mc", msg, "mc")
+            raise _fail_config(path, key if key in given else "mc", msg, "mc")
 
     return ExperimentConfig(
         model_id, model_params, t_grid, names, diag_params, family, verdicts, mc,
@@ -253,7 +260,7 @@ def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
         base_point=_state(
             space, "base_point", cfg.family.get("base_point", space.points[0]), cfg.source),
         radius_fn=cfg.family["radius"],
-        t_min=cfg.family.get("t_min", 0.0),
+        t_min=cfg.family["t_min"],
     )
 
 
@@ -332,29 +339,29 @@ def run_experiment(cfg: ExperimentConfig):
 
     for name in cfg.diagnostics:
         if name == "heat_content":
-            _run_heat_content(report, model, ops, cfg, rep_tols)
+            _run_heat_content(report, model, ops)
         elif name == "qsd":
-            _run_qsd(report, model, spec, ops, rep_tols)
+            _run_qsd(report, spec, ops, rep_tols)
         elif spec is None:
             report.add_verdict(False, name, "SKIPPED: no spectral data (reducible chain)")
         elif name == "kernel_convergence":
             _run_rate_series(
-                report, name, [dg.kernel_convergence_error(op, spec) for op in ops],
-                cfg, spec, rep_tols,
+                report, name, [(op.t, dg.kernel_convergence_error(op, spec)) for op in ops],
+                spec, rep_tols,
             )
         elif name == "quasi_ergodic":
-            p = cfg.diag_params[name].get("p", "inf")
-            vals = [dg.quasi_ergodic_error(op, spec, sigma, p) for op in ops]
-            _run_rate_series(report, name, vals, cfg, spec, rep_tols)
+            p = cfg.diag_params[name]["p"]
+            samples = [(op.t, dg.quasi_ergodic_error(op, spec, sigma, p)) for op in ops]
+            _run_rate_series(report, name, samples, spec, rep_tols)
         elif name == "gsd":
-            _run_gsd(report, model, spec, fam, ops, cfg, rep_tols)
+            _run_gsd(report, spec, fam, ops, rep_tols)
         elif name == "eta":
             _run_eta(report, spec, space, fam, cfg)
         elif name == "kappa":
             _run_kappa(report, model, spec, fam, ops, cfg)
         elif name == "uniqueness":
-            stable, sup = dg.uniqueness_condition_check(model, spec, cfg.t_grid)
-            report.add_sample(name, cfg.t_grid[-1], sup)
+            stable, sup = dg.uniqueness_condition_check(ops, spec)
+            report.add_sample(name, ops[-1].t, sup)
             report.add_verdict(stable, "uniqueness_condition", f"sup={_num(sup)} stabilized={stable}")
 
     out_dir = os.environ.get("QERGO_OUTPUT_DIR", cfg.output_dir)
@@ -389,26 +396,26 @@ def run_experiment(cfg: ExperimentConfig):
     return report, paths, (0 if report.all_pass else 2)
 
 
-def _run_heat_content(report, model, ops, cfg, tols):
-    for t, op in zip(cfg.t_grid, ops):
+def _run_heat_content(report, model, ops):
+    for op in ops:
         z = dg.heat_content(op)
-        report.add_sample("heat_content", t, z)
+        report.add_sample("heat_content", op.t, z)
         z_dual = dg.heat_content(op, dual=True)
         report.add_verdict(
             abs(z - z_dual) <= 1e-10 * max(1.0, z),
             "heat_content_duality",
-            f"t={_num(t)} |Z-Z*|={_num(abs(z - z_dual))}",
+            f"t={_num(op.t)} |Z-Z*|={_num(abs(z - z_dual))}",
         )
         if isinstance(model, MarkovModel):
-            bound = dg.heat_content_upper_bound(model, t)
+            bound = dg.heat_content_upper_bound(model, op.t)
             report.add_verdict(
                 z <= bound * (1.0 + 1e-12),
                 "heat_content_upper_bound",
-                f"t={_num(t)} Z={_num(z)} bound={_num(bound)}",
+                f"t={_num(op.t)} Z={_num(z)} bound={_num(bound)}",
             )
 
 
-def _run_qsd(report, model, spec, ops, tols):
+def _run_qsd(report, spec, ops, tols):
     mid = len(ops) // 2
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NonuniquenessWarning)
@@ -426,19 +433,18 @@ def _run_qsd(report, model, spec, ops, tols):
             "qsd_cross_method",
             f"L1(find_qsd, psi0-mu)={_num(dist)}",
         )
-    for t, op in zip([ops[0].t, ops[mid].t, ops[-1].t], [ops[0], ops[mid], ops[-1]]):
+    for op in (ops[0], ops[mid], ops[-1]):
         res = dg.qsd_residual(m, op)
-        report.add_sample("qsd_residual", t, res)
-        report.add_verdict(
-            res <= tols["qsd_tol"], "qsd_residual", f"t={_num(t)} residual={_num(res)}"
-        )
+        report.add_sample("qsd_residual", op.t, res)
+        report.add_verdict(res <= tols["qsd_tol"], "qsd_residual",
+                           f"t={_num(op.t)} residual={_num(res)}")
 
 
-def _run_rate_series(report, name, vals, cfg, spec, tols):
-    series = dg.DiagnosticSeries(name, list(zip(cfg.t_grid, vals)))
+def _run_rate_series(report, name, samples, spec, tols):
+    series = dg.DiagnosticSeries(name, samples)
     for t, v in series.samples:
         report.add_sample(name, t, v)
-    if len(vals) >= 4 and all(v > 0 for v in vals):
+    if len(samples) >= 4 and all(v > 0 for _, v in samples):
         rate, intercept, r2 = dg.fit_exponential_rate(series, tols["fit_tail"])
         report.add_fit(name, rate, intercept, r2)
         rel = abs(-rate - spec.gap) / spec.gap if spec.gap > 0 else np.inf
@@ -449,24 +455,24 @@ def _run_rate_series(report, name, vals, cfg, spec, tols):
         )
 
 
-def _run_gsd(report, model, spec, fam, ops, cfg, tols):
-    space = model.space
+def _run_gsd(report, spec, fam, ops, tols):
+    space = ops[0].space
     inv_sup_phi = 1.0 / float(spec.phi0.max())
     level = tols["gsd_level"]
     sat = float(np.sum(spec.psi0 * space.mu) / spec.Lambda)
     base = fam.base_point if fam is not None else space.points[0]
-    for t, op in zip(cfg.t_grid, ops):
+    for op in ops:
         prof = dg.gsd_profile(op, spec)
-        report.add_sample("gsd_sup", t, float(prof.max()))
+        report.add_sample("gsd_sup", op.t, float(prof.max()))
         report.add_verdict(
             bool(prof.min() >= inv_sup_phi * (1.0 - 1e-9)),
             "gsd_reverse_bound",
-            f"t={_num(t)} min={_num(prof.min())} 1/sup(phi0)={_num(inv_sup_phi)}",
+            f"t={_num(op.t)} min={_num(prof.min())} 1/sup(phi0)={_num(inv_sup_phi)}",
         )
         r = dg.pgsd_radius(prof, space, base, level * sat)
-        report.add_sample("pgsd_radius", t, -1.0 if r is None else r, extra=f"C={_num(level * sat)}")
-    certified, _ = dg.agsd_certificate(model, spec, cfg.t_grid, level)
-    report.add_sample("gsd_certified", cfg.t_grid[-1], float(certified), extra=f"level={_num(level)}")
+        report.add_sample("pgsd_radius", op.t, -1.0 if r is None else r, extra=f"C={_num(level * sat)}")
+    certified, _ = dg.agsd_certificate(ops, spec, level)
+    report.add_sample("gsd_certified", ops[-1].t, float(certified), extra=f"level={_num(level)}")
 
 
 def _run_eta(report, spec, space, fam, cfg):
@@ -492,22 +498,20 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
         report.add_verdict(False, "kappa", "SKIPPED: no [family] section")
         return
     a, b, t0 = (cfg.diag_params["kappa"][key] for key in ("a", "b", "t0"))
-    surv = dg.survival_pair(model, t0)
-    C = None
-    ok = True
-    detail = []
-    for t, op in zip(cfg.t_grid, ops):
-        mask = ball_indicator(model.space, fam, a * t)
+    op0 = model.semigroup.operator(t0)  # asked after the grid, which may compose it
+    C, ok, detail = None, True, []
+    for op in ops:
+        mask = ball_indicator(op.space, fam, a * op.t)
         if not mask.any():
             continue
         E = dg.progressive_error(op, spec, mask)
-        kb = dg.kappa_rate(model, spec, fam, t0, b, t, survivals=surv)
-        report.add_sample("kappa_b", t, kb, extra=f"E={_num(E)}")
+        kb = dg.kappa_rate(op0, spec, fam, b, op.t)
+        report.add_sample("kappa_b", op.t, kb, extra=f"E={_num(E)}")
         if C is None:
             C = E / kb
         elif E > C * kb * (1.0 + 1e-9):
             ok = False
-        detail.append(f"t={t:g}:E/kb={E / kb:.3g}")
+        detail.append(f"t={op.t:g}:E/kb={E / kb:.3g}")
     report.add_verdict(ok, "kappa_progressive_bound", f"C={_num(C or 0)} " + " ".join(detail))
 
 
@@ -523,7 +527,7 @@ def _mc_check(model, x0, op, n: int, seed: int):
 
 
 def _run_mc_block(report, model, ops, cfg, path, stamp):
-    n, seed = cfg.mc.get("n", 10000), cfg.mc.get("seed", 0)
+    n, seed = cfg.mc["n"], cfg.mc["seed"]
     rows = []
     for op in ops:
         est, target, row = _mc_check(model, model.space.points[0], op, n, seed)
@@ -556,8 +560,8 @@ def main(argv=None) -> int:
     p_mc.add_argument("model")
     p_mc.add_argument("--x0", default=None)
     p_mc.add_argument("--t", type=float, default=1.0)
-    p_mc.add_argument("--n", type=int, default=10000)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--n", type=int, default=_MC_DEFAULTS["n"])
+    p_mc.add_argument("--seed", type=int, default=_MC_DEFAULTS["seed"])
     p_mc.add_argument("-o", "--output")
     args = parser.parse_args(argv)
 

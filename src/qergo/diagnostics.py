@@ -36,7 +36,6 @@ __all__ = [
     "agsd_certificate",
     "ho_pgsd_radius",
     "eta_function",
-    "survival_pair",
     "kappa_rate",
     "uniqueness_condition_check",
     "fit_exponential_rate",
@@ -126,8 +125,8 @@ def _lq_norm(g: np.ndarray, mu: np.ndarray, q: float) -> float:
 
 
 def heat_content(op: KernelOperator, dual: bool = False) -> float:
-    """Z(t) = <U_t 1, 1>_mu, or with ``dual`` the same number <1, U*_t 1>_mu of
-    the adjoint, summed in the other order and without copying the density."""
+    """Z(t) = <U_t 1, 1>_mu, or with ``dual`` the same number <1, U*_t 1>_mu
+    summed in the other order: the operator's cached row or column sums."""
     return float((op.dual_survival() if dual else op.survival()) @ op.space.mu)
 
 
@@ -291,24 +290,20 @@ def pgsd_radius(
     return float(inside[-1]) if inside.size else None
 
 
-def agsd_certificate(model, spec: SpectralData, t_grid, level: float = 10.0) -> tuple[bool, float]:
+def agsd_certificate(ops, spec: SpectralData, level: float = 10.0) -> tuple[bool, float]:
     """Desk-scale asymptotic-domination certificate on a truncated window.
 
     On a finite window every semigroup is eventually dominated, and the
     profile sup relaxes toward its saturation value ||psi0||_1 / Lambda
     rather than growing without bound.  The measured signature of the aGSD
     regime is therefore that sup_x profile stays within ``level`` times the
-    saturation value across the whole grid; models outside the regime exceed
-    it by orders of magnitude over the same grid while their domination
-    radius is still sweeping the window.  Any zoo model works, as only its
-    semigroup's survival is read.  Returns (certified, worst ratio).
+    saturation value at the times of all the operators ``ops`` (a grid of
+    U_t); models outside the regime exceed it by orders of magnitude over
+    the same grid while their domination radius is still sweeping the
+    window.  Returns (certified, worst ratio).
     """
-    mu = model.space.mu
-    saturation = float(np.sum(spec.psi0 * mu) / spec.Lambda)
-    worst = 0.0
-    for t in t_grid:
-        prof = gsd_profile(model.semigroup.operator(t), spec)
-        worst = max(worst, float(prof.max()) / saturation)
+    saturation = float(np.sum(spec.psi0 * ops[0].space.mu) / spec.Lambda)
+    worst = max(float(gsd_profile(op, spec).max()) / saturation for op in ops)
     return worst <= level, worst
 
 
@@ -359,51 +354,36 @@ def eta_function(
     return _radius_crossing(fam, float(below.min()), fam.t_min, s_exh)[0]
 
 
-def survival_pair(model, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U_t0 1, U*_t0 1) from the model's semigroup; reusable across kappa calls."""
-    return model.semigroup.survival(t0), model.semigroup.dual_survival(t0)
-
-
 def kappa_rate(
-    model,
-    spec: SpectralData,
-    fam: ExhaustingFamily,
-    t0: float,
-    b: float,
-    t: float,
-    survivals: tuple[np.ndarray, np.ndarray] | None = None,
+    op0: KernelOperator, spec: SpectralData, fam: ExhaustingFamily, b: float, t: float
 ) -> float:
-    """Progressive quasi-ergodicity rate
+    """Progressive quasi-ergodicity rate, with U_t0 the operator ``op0``,
 
     kappa_b(t) = e^{-gamma b t} + sup_{x not in K_{bt}} U_t0 1(x)
                                 + sup_{x not in K_{bt}} U*_t0 1(x),
 
-    with empty-complement sups counted as 0.  ``survivals`` may carry a
-    precomputed (U_t0 1, U*_t0 1) pair to amortize the exponential.
+    with empty-complement sups counted as 0.
     """
     if not 0.0 < b < 0.5:
         raise ValueError("b must lie in (0, 1/2)")
-    s, sd = survivals if survivals is not None else survival_pair(model, t0)
-    outside = ~ball_indicator(model.space, fam, b * t)
+    s, sd = op0.survival(), op0.dual_survival()
+    outside = ~ball_indicator(op0.space, fam, b * t)
     extra = float(s[outside].max() + sd[outside].max()) if outside.any() else 0.0
     return float(np.exp(-spec.gap * b * t) + extra)
 
 
-def uniqueness_condition_check(
-    model, spec: SpectralData, t_grid
-) -> tuple[bool, float]:
-    """Boundedness probe of e^{lambda0 t} sup_x (U_t 1 + U*_t 1)(x) over a grid.
+def uniqueness_condition_check(ops, spec: SpectralData) -> tuple[bool, float]:
+    """Boundedness probe of e^{lambda0 t} sup_x (U_t 1 + U*_t 1)(x) at the
+    times of the operators ``ops`` (a grid of U_t).
 
     Returns (stabilized, sup over the grid); stabilized means the last pair
     of consecutive values has ratio within 1e-3 of 1.
     """
-    t_grid = list(t_grid)
-    if len(t_grid) < 2:
+    if len(ops) < 2:
         raise ValueError("need at least two grid times")
-    sg = model.semigroup
     vals = [
-        float(np.exp(spec.lambda0 * t) * np.max(sg.survival(t) + sg.dual_survival(t)))
-        for t in t_grid
+        float(np.exp(spec.lambda0 * op.t) * np.max(op.survival() + op.dual_survival()))
+        for op in ops
     ]
     stabilized = abs(vals[-1] / vals[-2] - 1.0) <= 1e-3
     return stabilized, float(max(vals))

@@ -25,7 +25,6 @@ __all__ = [
     "KernelOperator",
     "uniformized_transition",
     "feynman_kac_operator",
-    "adjoint",
     "compose",
     "mehler_kernel",
     "log_mehler_kernel",
@@ -221,8 +220,7 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Engine:
     """U_t of one model for any t > 0, built by the subclass hook ``_build(t)``
-    once per t and kept for the engine's lifetime.  U_t 1 and U*_t 1 are that
-    operator's row and column sums."""
+    once per t and kept for the engine's lifetime, keyed in the order asked."""
 
     @cached_property
     def _ops(self) -> dict[float, KernelOperator]:
@@ -235,14 +233,6 @@ class Engine:
         if key not in self._ops:
             self._ops[key] = self._build(key)
         return self._ops[key]
-
-    def survival(self, t: float) -> np.ndarray:
-        """U_t 1 per point."""
-        return self.operator(t).survival()
-
-    def dual_survival(self, t: float) -> np.ndarray:
-        """U*_t 1 per point."""
-        return self.operator(t).dual_survival()
 
 
 class Semigroup(Engine):
@@ -367,11 +357,6 @@ def feynman_kac_operator(model: MarkovModel, t: float) -> KernelOperator:
     model's semigroup engine: one eigh per reversible model, a cached
     exponential otherwise.  Raises ValueError for t <= 0."""
     return model.semigroup.operator(t)
-
-
-def adjoint(op: KernelOperator) -> KernelOperator:
-    """The L^2(mu)-adjoint: u*(x,y) = u(y,x)."""
-    return KernelOperator(op.t, op.density.T.copy(), op.space, dict(op.meta))
 
 
 def compose(op_s: KernelOperator, op_t: KernelOperator) -> KernelOperator:

@@ -30,7 +30,6 @@ from qergo.diagnostics import (
     qsd_from_spectral,
     qsd_residual,
     quasi_ergodic_error,
-    survival_pair,
 )
 from qergo.errors import NonuniquenessWarning
 from qergo.models import (
@@ -335,7 +334,8 @@ def test_criterion_07_regime_classification():
         model = build_fractional_model(grid, levy, pot)
         spec = principal_triple(model)
         t_grid = [model.time_scale * t for t in (1.0, 2.0, 3.0, 4.0)]
-        certified, worst = agsd_certificate(model, spec, t_grid, level=10.0)
+        ops = [feynman_kac_operator(model, t) for t in t_grid]
+        certified, worst = agsd_certificate(ops, spec, level=10.0)
         assert certified == (predicted == "aGSD"), (levy_kind, beta, predicted, worst)
         details.append(f"{levy_kind[:4]}/b={beta:g}: {predicted} ratio={worst:.3g}")
     elapsed = time.monotonic() - start
@@ -368,14 +368,14 @@ def test_criterion_08_progressive_bound():
 
     a = b = 1.0 / 3.0
     t0 = 1.0
-    surv = survival_pair(model, t0)
+    op0 = feynman_kac_operator(model, t0)
     dist = model.space.dist[model.space.index(base)]
     C = None
     rows = []
     for t in (12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0):
         op = feynman_kac_operator(model, t)
         E = progressive_error(op, spec, dist <= fam.radius_fn(a * t))
-        kb = kappa_rate(model, spec, fam, t0, b, t, survivals=surv)
+        kb = kappa_rate(op0, spec, fam, b, t)
         if C is None:
             C = E / kb
         rows.append((t, E, kb, E / (C * kb)))

@@ -370,6 +370,23 @@ class TestFactorizationCounts:
         assert counts == {"eigh": 0, "expm": expm_calls, "eig": 0}
         assert len(expm_norms) == expm_calls and max(expm_norms) <= 1.0
 
+    @pytest.mark.parametrize("t0,keys,expm_calls", [
+        ("0.5", [2.0, 4.0, 6.0, 0.5], 2),  # off the grid and no sum of it: one more exponential
+        ("8", [2.0, 4.0, 6.0, 8.0], 1),  # 8 = 6 + 2 is composed from the cached grid
+    ], ids=["exponentiated", "composed"])
+    def test_kappa_t0_is_asked_after_the_grid(
+            self, tmp_path, counts, monkeypatch, t0, keys, expm_calls):
+        import qergo.models as models
+
+        built, build = [], models.zoo_build
+        monkeypatch.setattr(models, "zoo_build", lambda *a: built.append(build(*a)) or built[-1])
+        text = FACTORIZATION_CONFIG.format(
+            model="cycle", n=8, grid="2 4 6", out=tmp_path / "o",
+            kappa=f"[diagnostics.kappa]\nt0 = {t0}\n")
+        run_experiment(parse_config(write_config(tmp_path, text)))
+        assert list(built[0].semigroup._ops) == keys
+        assert counts["expm"] == expm_calls
+
     @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
                              ids=["ho_oracle", "ho_kernel"])
     def test_ho_oracle_run_takes_no_arpack_and_no_dense_eigh(
@@ -590,6 +607,31 @@ class TestMainEntry:
         err = capsys.readouterr().err
         line = text.splitlines().index(old) + 1
         assert err.startswith(f"error: {path}:{line}: ") and "'abc'" in err
+
+    @pytest.mark.parametrize("t_min,refused", [
+        ("100", True), (repr(float("0.333333333333333333") * 6.7), False), ("2.5", True),
+    ], ids=["above", "at_bound", "2.5"])
+    def test_t_min_above_kappas_smallest_ball_is_refused_before_any_build(
+            self, tmp_path, capsys, monkeypatch, t_min, refused):
+        # kappa reads K_{at} and K_{bt} from min(a, b) t_grid[0] = 6.7 / 3 on; a
+        # larger t_min is refused on its line at parse, not after the build
+        import qergo.models as models
+
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        old, new = "t_min = 0.0", f"t_min = {t_min}"
+        text = BIRTHDEATH_FULL.read_text().replace("[mc]\nn = 20000\nseed = 1234\n", "")
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, new))
+        if not refused:
+            assert main(["run", path]) in (0, 2)
+            assert "error" not in capsys.readouterr().err
+            return
+        monkeypatch.setattr(models, "zoo_build", lambda *args: pytest.fail("model built"))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index(old) + 1
+        assert err.startswith(f"error: {path}:{line}: t_min = {float(t_min)} exceeds 2.23")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("old,new,bad", [
         ("t0 = 1.0", "t0 = abc", "t0 = abc"),

@@ -8,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 from qergo.diagnostics import (
     DiagnosticSeries,
     QuasiStationaryMeasure,
+    agsd_certificate,
     eta_function,
     find_qsd,
     fit_exponential_rate,
@@ -23,7 +24,6 @@ from qergo.diagnostics import (
     qsd_from_spectral,
     qsd_residual,
     quasi_ergodic_error,
-    survival_pair,
     uniqueness_condition_check,
 )
 from qergo.errors import (
@@ -36,7 +36,6 @@ from qergo.models import build_ctmc_model, build_ho_discretization, lattice_spac
 from qergo.operators import (
     KernelOperator,
     MarkovModel,
-    adjoint,
     feynman_kac_operator,
 )
 from qergo.spectral import SpectralData, principal_triple, principal_triple_from_operator
@@ -72,14 +71,18 @@ class TestHeatContent:
                 assert z <= heat_content_upper_bound(model, t) * (1 + 1e-12)
 
     def test_adjoint_duality(self, cycle4):
+        # <U_t 1, 1>_mu = <1, U*_t 1>_mu on a non-reversible chain
         op = feynman_kac_operator(cycle4, 1.1)
-        assert heat_content(op) == pytest.approx(heat_content(adjoint(op)), abs=1e-10)
+        mu = cycle4.space.mu
+        dual = float(op.apply_adjoint(np.ones(cycle4.n)) @ mu)
+        assert heat_content(op) == pytest.approx(dual, abs=1e-10)
 
     def test_dual_sum_is_the_adjoint_heat_content(self, cycle4, frac_small):
-        # the dual sum reads the transposed density in place of a copied adjoint
+        # the dual sum reads the transposed density: sum_{x,y} mu(x) u(x,y) mu(y)
         for op in (feynman_kac_operator(cycle4, 1.1), feynman_kac_operator(frac_small, 0.7)):
+            mu = op.space.mu
             z_dual = heat_content(op, dual=True)
-            assert z_dual == pytest.approx(heat_content(adjoint(op)), rel=1e-14)
+            assert z_dual == pytest.approx(mu @ op.density @ mu, rel=1e-14)
             assert z_dual == pytest.approx(heat_content(op), rel=1e-14)
 
 
@@ -393,10 +396,9 @@ class TestGsdProfile:
 
     def test_certificate_on_conservative_model(self, birthdeath20):
         # constant eigenfunctions: profile sup equals the saturation value
-        from qergo.diagnostics import agsd_certificate
-
         spec = principal_triple(birthdeath20)
-        certified, worst = agsd_certificate(birthdeath20, spec, [0.5, 1.0, 2.0], level=2.0)
+        ops = [feynman_kac_operator(birthdeath20, t) for t in (0.5, 1.0, 2.0)]
+        certified, worst = agsd_certificate(ops, spec, level=2.0)
         assert certified and worst == pytest.approx(1.0, abs=1e-9)
 
     def test_ho_radius_grows_like_e2t(self):
@@ -596,38 +598,89 @@ class TestKappa:
         spec = principal_triple(birthdeath20_confining)
         diam = birthdeath20_confining.space.diameter()
         fam = ExhaustingFamily(0, lambda s: diam + 1.0, t_min=0.0)
+        op0 = feynman_kac_operator(birthdeath20_confining, 1.0)
         for t in (1.0, 3.0):
-            got = kappa_rate(birthdeath20_confining, spec, fam, t0=1.0, b=1.0 / 3, t=t)
+            got = kappa_rate(op0, spec, fam, b=1.0 / 3, t=t)
             assert got == pytest.approx(np.exp(-spec.gap * t / 3.0), abs=1e-14)
 
     def test_nonincreasing_with_confining_potential(self, birthdeath20_confining):
         spec = principal_triple(birthdeath20_confining)
         fam = ExhaustingFamily(9, lambda s: 1.5 * s, t_min=0.0)
-        surv = survival_pair(birthdeath20_confining, 1.0)
-        vals = [
-            kappa_rate(birthdeath20_confining, spec, fam, 1.0, 1.0 / 3, t, survivals=surv)
-            for t in np.linspace(1.0, 12.0, 8)
-        ]
+        op0 = feynman_kac_operator(birthdeath20_confining, 1.0)
+        vals = [kappa_rate(op0, spec, fam, 1.0 / 3, t) for t in np.linspace(1.0, 12.0, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_b_range_guard(self, birthdeath20_confining):
         spec = principal_triple(birthdeath20_confining)
         fam = ExhaustingFamily(0, lambda s: s, t_min=0.0)
         with pytest.raises(ValueError):
-            kappa_rate(birthdeath20_confining, spec, fam, 1.0, 0.7, 2.0)
+            kappa_rate(feynman_kac_operator(birthdeath20_confining, 1.0), spec, fam, 0.7, 2.0)
 
 
 class TestUniquenessCondition:
     def test_conservative_value_two(self, birthdeath20):
         spec = principal_triple(birthdeath20)
-        stable, sup = uniqueness_condition_check(birthdeath20, spec, [0.5, 1.0, 2.0])
+        ops = [feynman_kac_operator(birthdeath20, t) for t in (0.5, 1.0, 2.0)]
+        stable, sup = uniqueness_condition_check(ops, spec)
         assert stable and sup == pytest.approx(2.0, abs=1e-9)
 
     def test_confining_stabilizes(self, birthdeath20_confining):
         spec = principal_triple(birthdeath20_confining)
         t_grid = np.linspace(3.0 / spec.gap, 8.0 / spec.gap, 5)
-        stable, sup = uniqueness_condition_check(birthdeath20_confining, spec, t_grid)
+        ops = [feynman_kac_operator(birthdeath20_confining, t) for t in t_grid]
+        stable, sup = uniqueness_condition_check(ops, spec)
         assert stable and np.isfinite(sup)
+
+
+class TestOperatorOnlyDiagnostics:
+    """agsd_certificate, kappa_rate and uniqueness_condition_check read only
+    the operators they are given: here bare, non-symmetric densities with no
+    model or engine behind them, checked against the formulas."""
+
+    mu = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+    space = StateSpace((0, 1, 2, 3, 4), mu, np.arange(5.0)[:, None])
+    phi0 = np.array([0.9, 1.1, 0.7, 0.5, 0.3])
+    psi0 = np.array([0.4, 0.8, 1.2, 0.6, 0.2])
+    spec = SpectralData(0.3, phi0, psi0, float(np.sum(phi0 * psi0 * mu)), 0.7)
+
+    def bare(self, t, seed):
+        density = np.random.default_rng(seed).uniform(0.1, 1.0, (5, 5))
+        return KernelOperator(t, density, self.space)
+
+    def test_agsd_certificate_is_the_worst_profile_ratio(self):
+        ops = [self.bare(t, seed) for seed, t in enumerate((0.5, 1.0, 1.5))]
+        saturation = np.sum(self.psi0 * self.mu) / self.spec.Lambda
+        want = max(
+            np.max(np.exp(0.3 * op.t) * (op.density @ self.mu) / self.phi0) for op in ops
+        ) / saturation
+        certified, worst = agsd_certificate(ops, self.spec, level=want * (1 + 1e-9))
+        assert certified and worst == pytest.approx(want, rel=1e-14)
+        assert agsd_certificate(ops, self.spec, level=want * (1 - 1e-9)) == (False, worst)
+
+    def test_uniqueness_reads_both_survivals_at_each_operator_time(self):
+        ops = [self.bare(t, seed) for seed, t in enumerate((0.5, 1.0, 1.5))]
+        vals = [np.exp(0.3 * op.t) * np.max(op.density @ self.mu + op.density.T @ self.mu)
+                for op in ops]
+        stable, sup = uniqueness_condition_check(ops, self.spec)
+        assert sup == pytest.approx(max(vals), rel=1e-14)
+        assert stable == (abs(vals[-1] / vals[-2] - 1.0) <= 1e-3)
+        # densities e^{-lambda0 t} D give one value at every time: stabilized
+        D = self.bare(1.0, 9).density
+        steady = [KernelOperator(t, np.exp(-0.3 * t) * D, self.space) for t in (1.0, 2.0)]
+        stable, sup = uniqueness_condition_check(steady, self.spec)
+        assert stable and sup == pytest.approx(np.max(D @ self.mu + D.T @ self.mu), rel=1e-12)
+        with pytest.raises(ValueError, match="two grid times"):
+            uniqueness_condition_check(steady[:1], self.spec)
+
+    def test_kappa_reads_the_survivals_of_op0_outside_the_ball(self):
+        op0 = self.bare(0.25, 4)
+        fam = ExhaustingFamily(0, lambda s: s, t_min=0.0)
+        s, sd = op0.density @ self.mu, op0.density.T @ self.mu
+        # K_{bt} at b t = 1 holds points 0 and 1
+        want = np.exp(-0.7 * 1.0) + s[2:].max() + sd[2:].max()
+        assert kappa_rate(op0, self.spec, fam, 0.25, 4.0) == pytest.approx(want, rel=1e-14)
+        # K_{bt} at b t = 5 is the whole space: the exponential alone
+        assert kappa_rate(op0, self.spec, fam, 0.25, 20.0) == np.exp(-0.7 * 5.0)
 
 
 class TestFitExponentialRate:

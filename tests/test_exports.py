@@ -112,3 +112,71 @@ def test_nonreversible_run_loads_scipy(tmp_path):
             f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
     loaded = _scipy_loaded_after(code)
     assert "scipy.linalg" in loaded and "scipy.sparse.linalg" in loaded
+
+
+# ---------------------------------------------------------------------------
+# dead-code guard: no linter is installed, so the standard library's ast
+# finds imports a module never uses and private definitions nothing calls
+
+SRC = Path(qergo.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports that ``tree`` never reads; a name in ``__all__``,
+    or in a string annotation, is read."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    """``_private`` functions and classes, methods included, whose name no
+    module reads, as a name, an attribute or an imported name."""
+    refs = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    return [f"{module}:{node.lineno} {node.name}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in refs]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {p.name: _unused_imports(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_every_private_function_and_class_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private(trees) == []
+
+
+def test_dead_code_guard_flags_what_it_should():
+    code = ("import os\nimport numpy as np\nfrom .x import kept, dropped\n__all__ = ['kept']\n"
+            "def f(a: 'np.ndarray'):\n    return a\n\ndef _dead():\n    pass\n\n"
+            "class _Used:\n    def _m(self):\n        return self._m\n\n_Used()\n")
+    tree = ast.parse(code)
+    assert _unused_imports(tree) == ["os (line 1)", "dropped (line 3)"]
+    assert _unreferenced_private({"m.py": tree}) == ["m.py:8 _dead"]

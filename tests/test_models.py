@@ -232,7 +232,6 @@ class TestZoo:
         op = oracle.semigroup.operator(1.0)
         assert oracle.semigroup.operator(1.0) is op and op.t == 1.0
         np.testing.assert_array_equal(op.density, build_ho_discretization(oracle.space, 1.0).density)
-        np.testing.assert_array_equal(oracle.semigroup.survival(1.0), op.survival())
         with pytest.raises(ValueError, match="positive"):
             oracle.semigroup.operator(0.0)
 
