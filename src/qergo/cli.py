@@ -444,15 +444,19 @@ def _run_rate_series(report, name, samples, spec, tols):
     series = dg.DiagnosticSeries(name, samples)
     for t, v in series.samples:
         report.add_sample(name, t, v)
-    if len(samples) >= 4 and all(v > 0 for _, v in samples):
-        rate, intercept, r2 = dg.fit_exponential_rate(series, tols["fit_tail"])
-        report.add_fit(name, rate, intercept, r2)
-        rel = abs(-rate - spec.gap) / spec.gap if spec.gap > 0 else np.inf
-        report.add_verdict(
-            rel <= tols["rate_tol"],
-            f"{name}_rate",
-            f"fitted={_num(-rate)} gap={_num(spec.gap)} rel_err={_num(rel)}",
-        )
+    if len(samples) < 4 or any(v <= 0 for _, v in samples):
+        why = (f"{len(samples)} samples, a rate fit needs 4" if len(samples) < 4
+               else "a sample is <= 0, a log-linear fit needs > 0")
+        report.add_verdict(False, f"{name}_rate", f"SKIPPED: {why}")
+        return
+    rate, intercept, r2 = dg.fit_exponential_rate(series, tols["fit_tail"])
+    report.add_fit(name, rate, intercept, r2)
+    rel = abs(-rate - spec.gap) / spec.gap if spec.gap > 0 else np.inf
+    report.add_verdict(
+        rel <= tols["rate_tol"],
+        f"{name}_rate",
+        f"fitted={_num(-rate)} gap={_num(spec.gap)} rel_err={_num(rel)}",
+    )
 
 
 def _run_gsd(report, spec, fam, ops, tols):
@@ -501,10 +505,7 @@ def _run_kappa(report, model, spec, fam, ops, cfg):
     op0 = model.semigroup.operator(t0)  # asked after the grid, which may compose it
     C, ok, detail = None, True, []
     for op in ops:
-        mask = ball_indicator(op.space, fam, a * op.t)
-        if not mask.any():
-            continue
-        E = dg.progressive_error(op, spec, mask)
+        E = dg.progressive_error(op, spec, ball_indicator(op.space, fam, a * op.t))
         kb = dg.kappa_rate(op0, spec, fam, b, op.t)
         report.add_sample("kappa_b", op.t, kb, extra=f"E={_num(E)}")
         if C is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
 from .operators import KernelOperator, MarkovModel
-from .spectral import _DEGEN_TOL, SpectralData, _arpack_start, _positive_direction, _top_two
+from .spectral import _DEGEN_TOL, SpectralData, _arnoldi, _positive_direction, _top_two
 from .statespace import ExhaustingFamily, StateSpace, _radius_crossing, ball_indicator, exhaustion_time
 
 __all__ = [
@@ -176,11 +176,10 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
     subspace iteration, which also finds both copies of a repeated one (two
     blocks with equal Perron roots); the left Perron vector of u D is D^{1/2} S x0.
     Any other U_t takes the two largest-modulus eigenvalues of the adjoint
-    transition matrix from ARPACK (``eigs``, k = 2) with a fixed start vector,
-    or from a dense eig when n <= 3 or ARPACK fails (breakdown, or no
-    convergence within 100 restarts).  Emits NonuniquenessWarning when the
-    dominant eigenvalue is not simple within 1e-10 (relative): the measure is
-    then one of several quasi-stationary candidates.  Otherwise a direction
+    transition matrix from ``_arnoldi`` (k = 2), the non-reversible triple's
+    Krylov solver with its dense eig fallback.  Emits NonuniquenessWarning
+    when the dominant eigenvalue is not simple within 1e-10 (relative): the
+    measure is then one of several quasi-stationary candidates.  Otherwise a direction
     with mixed signs raises PositivityError.
     """
     if op.self_adjoint():
@@ -188,22 +187,7 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
         w, Sx0 = _top_two(op.density, r)  # one Ritz value when n = 1
         v = r * Sx0
     else:
-        T = op.transition()
-        n = T.shape[0]
-        w = None
-        if n > 3:  # ARPACK needs k = 2 < n - 1
-            from scipy.sparse.linalg import ArpackError, eigs
-
-            try:
-                w, vl = eigs(T.T, k=2, which="LM", v0=_arpack_start(n), maxiter=100)
-            except ArpackError:
-                pass  # no convergence (clustered spectrum) or breakdown: dense solver below
-        if w is None:
-            from scipy.linalg import eig
-
-            w, vl = eig(T, left=True, right=False)
-        order = np.argsort(-np.abs(w))[:2]
-        w, v = w[order], vl[:, order[0]]
+        w, v = _arnoldi(op.transition().T, 2)
     rho0 = abs(w[0])
     if rho0 == 0:
         raise DegenerateSupportError("transition operator is nilpotent")

@@ -1,5 +1,5 @@
-"""Kernel operators: uniformized transitions, Feynman-Kac exponentials and
-the closed-form harmonic-oscillator (Mehler) kernel.
+"""Kernel operators: Feynman-Kac exponentials and the closed-form
+harmonic-oscillator (Mehler) kernel.
 
 All kernel densities are stored with respect to the reference measure mu, so
 that U_t f(x) = sum_y u_t(x, y) f(y) mu(y).  The transition form is
@@ -23,7 +23,6 @@ __all__ = [
     "Engine",
     "Semigroup",
     "KernelOperator",
-    "uniformized_transition",
     "feynman_kac_operator",
     "compose",
     "mehler_kernel",
@@ -218,6 +217,35 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], W[:, order]
 
 
+def _exp_step(S: np.ndarray) -> np.ndarray:
+    """e^S for a step S with off-diagonal entries >= 0, as the series
+    e^{-c} sum_{j<=N} B^j / j! of B = S + cI >= 0, c = -min diag S.
+
+    Every term is >= 0, so each entry is accurate, not only the norm (Xue &
+    Ye, Numer. Math. 2008).  N is the first order whose term bound
+    ||B||_1^N / N! is below eps/10 of the partial sum of those bounds.  The
+    sum is taken Paterson-Stockmeyer style: Horner's rule in B^s over blocks
+    of the powers B^0 ... B^{s-1}, s = floor(sqrt N), which is s - 1 + N // s
+    products (8 at ||B||_1 = 2).
+    """
+    n = len(S)
+    c = -S.diagonal().min()
+    B = S + c * np.eye(n)
+    b, bounds = np.linalg.norm(B, 1), [1.0]  # b^j / j!
+    while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
+        bounds.append(bounds[-1] * b / len(bounds))
+    N = len(bounds) - 1
+    s = max(math.isqrt(N), 1)
+    powers = [np.eye(n), B]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ B)
+    P = None
+    for i in range(N // s, -1, -1):
+        C = sum(powers[j] / math.factorial(i * s + j) for j in range(min(s, N - i * s + 1)))
+        P = C if P is None else P @ powers[s] + C
+    return math.exp(-c) * P
+
+
 class Engine:
     """U_t of one model for any t > 0, built by the subclass hook ``_build(t)``
     once per t and kept for the engine's lifetime, keyed in the order asked."""
@@ -255,15 +283,16 @@ class Semigroup(Engine):
     agrees with the exponential to round-off.
 
     Other models scale and square: with k the fewest halvings that bring
-    t ||G||_1 below 1, the dense exponential of the unit-norm step (t / 2^k) G
-    is squared k times.  A time that is the sum of two cached times is instead
-    their product, one GEMM, so an equally spaced ascending grid costs one
-    exponential.  After the exponential, each squaring and each product, the
-    transition form is clamped at 0 and entries below 2^-500 max(P) are
-    zeroed.  That floor lies ~1e-135 below the exponential's normwise error
-    eps max(P), so it drops nothing the error bound resolves, and it keeps the
-    spatially decaying entries of a non-normal U_t out of the subnormal range,
-    where x86 arithmetic runs in slow microcode.
+    t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
+    step (t / 2^k) G is squared k times, about 8 + k GEMMs and no solve.  A
+    time that is the sum of two cached times is instead their product, one
+    GEMM, so an equally spaced ascending grid costs one exponential.  After
+    the step, each squaring and each product, the transition form is clamped
+    at 0 and entries below 2^-500 max(P) are zeroed.  That floor lies ~1e-135
+    below the exponential's normwise error eps max(P), so it drops nothing the
+    error bound resolves, and it keeps the spatially decaying entries of a
+    non-normal U_t out of the subnormal range, where x86 arithmetic runs in
+    slow microcode.
     """
 
     def __init__(self, model: MarkovModel):
@@ -298,58 +327,14 @@ class Semigroup(Engine):
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)
         if s is None:
-            from scipy.linalg import expm
-
             A = t * self.model.generator()
             k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
-            P = _floored(expm(A / 2.0**k))
+            P = _floored(_exp_step(A / 2.0**k))
             for _ in range(k):
                 P = _floored(P @ P)
         else:  # U_t = U_s U_{t-s}: one product of nonnegative cached factors
             P = _floored(self._ops[s].transition() @ self._ops[t - s].transition())
         return KernelOperator(t, P / space.mu[None, :], space, {"method": "expm"})
-
-
-def _poisson_terms(t: float, eps: float) -> int:
-    """Smallest N with Poisson(t) tail mass above N below eps.
-
-    Uses the survival-function quantile, which stays accurate where the naive
-    running-sum of e^{-t} t^k/k! underflows for large t.
-    """
-    from scipy.stats import poisson
-
-    N = int(poisson.isf(eps, t))
-    while poisson.sf(N, t) >= eps:  # guard against quantile edge rounding
-        N += 1
-    return N
-
-
-def uniformized_transition(model: MarkovModel, t: float, eps: float = 1e-14) -> KernelOperator:
-    """Free transition operator P_t = e^{-t} sum_n t^n/n! Q^n, V ignored.
-
-    The series is truncated once the neglected Poisson(t) tail mass drops
-    below eps; the chosen order is recorded in the operator metadata.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    from scipy.special import gammaln
-
-    N = _poisson_terms(t, eps)
-    n = model.n
-    # log-space Poisson weights keep t^k/k! finite for large t
-    P = np.zeros((n, n))
-    M = np.eye(n)
-    for k in range(N + 1):
-        logw = -t + k * np.log(t) - gammaln(k + 1) if k > 0 else -t
-        P += np.exp(logw) * M
-        if k < N:
-            M = M @ model.Q
-    density = P / model.space.mu[None, :]
-    return KernelOperator(
-        t, density, model.space, {"method": "uniformized", "poisson_terms": N, "eps": eps}
-    )
 
 
 def feynman_kac_operator(model: MarkovModel, t: float) -> KernelOperator:

@@ -47,7 +47,7 @@ class SpectralData:
             np.asarray(arr).setflags(write=False)
 
 
-def _arpack_start(n: int) -> np.ndarray:
+def _start_vector(n: int) -> np.ndarray:
     """The fixed start vector of every iterative solve, which keeps repeats bit-identical."""
     return np.random.default_rng(0).uniform(0.5, 1.5, n)
 
@@ -68,48 +68,68 @@ def _positive_direction(v: np.ndarray, what: str) -> np.ndarray:
     return np.abs(v)
 
 
+def _arnoldi(M: np.ndarray, k: int):
+    """The k eigenvalues of largest modulus of the square M, in that order, and
+    an eigenvector of the first.
+
+    Arnoldi with full re-orthogonalization (classical Gram-Schmidt, twice)
+    from ``_start_vector``.  Every 8th step takes the Ritz pairs of the
+    Hessenberg matrix and stops once each wanted residual |h_{j+1,j} y_j| is
+    <= 1e-14 |theta0|, or the Krylov space is all of R^n.  A dense eig of M
+    is the fallback: n <= 7, a breakdown, or no convergence within 80 steps.
+    """
+    n = len(M)
+    if n > 7:
+        V, H = np.zeros((81, n)), np.zeros((81, 80))
+        v = _start_vector(n)
+        V[0] = v / np.linalg.norm(v)
+        for j in range(min(n, 80)):
+            w = M @ V[j]
+            for _ in range(2):
+                h = V[:j + 1] @ w
+                w -= h @ V[:j + 1]
+                H[:j + 1, j] += h
+            H[j + 1, j] = np.linalg.norm(w)
+            if j + 1 >= k and ((j + 1) % 8 == 0 or j + 1 == n):
+                theta, Y = np.linalg.eig(H[:j + 1, :j + 1])
+                top = np.argsort(-np.abs(theta), kind="stable")[:k]
+                if j + 1 == n or H[j + 1, j] * np.abs(Y[-1, top]).max() <= 1e-14 * abs(theta[top[0]]):
+                    return theta[top], V[:j + 1].T @ Y[:, top[0]]
+            if H[j + 1, j] == 0:
+                break
+            V[j + 1] = w / H[j + 1, j]
+    w, X = np.linalg.eig(M)
+    top = np.argsort(-np.abs(w), kind="stable")[:k]
+    return w[top], X[:, top[0]]
+
+
 def _nearest_eigenpairs(A: np.ndarray, sigma: float):
     """The 6 eigenvalues of A nearest sigma, ascending in real part, with the
-    right and plain left eigenvector of the first, by shift-invert ARPACK
-    (Lehoucq, Sorensen & Yang, 1998): ``eigs`` k = 6 and k = 1 on the solve and
-    the transposed solve of one LU of A - sigma I.  With sigma below the
-    Perron root lambda0 of the M-matrix A, lambda0 is the nearest eigenvalue.
-    The 6-wide window held the second-smallest real part on 3,000 random
-    irreducible 6-12 state chains (k = 4 missed it twice) and on cycle(500).
-    A dense eig is the fallback: n <= 7, or ARPACK stalls within 100 restarts.
+    right and plain left eigenvector of the first.
+
+    With sigma below the Perron root lambda0 of the M-matrix A, (A - sigma I)^-1
+    is nonnegative and lambda0 is the eigenvalue nearest sigma: ``_arnoldi``
+    takes the 6 largest of that inverse, then the left vector from its
+    transpose.  The 6-wide window held the second-smallest real part on 3,000
+    random irreducible 6-12 state chains (k = 4 missed it twice) and on
+    cycle(500).
     """
-    from scipy.linalg import eig, lu_factor, lu_solve
-
-    n = A.shape[0]
-    if n > 7:  # ARPACK needs k = 6 < n - 1
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
-
-        lu = lu_factor(A - sigma * np.eye(n))
-        solve = [LinearOperator((n, n), lambda x, tr=tr: lu_solve(lu, x, trans=tr), dtype=float)
-                 for tr in (0, 1)]
-        try:
-            nu, vr = eigs(solve[0], k=6, which="LM", v0=_arpack_start(n), maxiter=100)
-            _, vl = eigs(solve[1], k=1, which="LM", v0=_arpack_start(n), maxiter=100)
-        except ArpackError:
-            pass  # no convergence or breakdown: dense solver below
-        else:
-            w = sigma + 1.0 / nu
-            order = np.argsort(w.real)
-            return w[order], vr[:, order[0]], vl[:, 0]
-    w, vl, vr = eig(A, left=True, right=True)
+    M = np.linalg.inv(A - sigma * np.eye(len(A)))
+    (nu, right), (_, left) = _arnoldi(M, 6), _arnoldi(M.T, 1)
+    w = sigma + 1.0 / nu
     order = np.argsort(w.real)
-    return w[order], vr[:, order[0]], vl[:, order[0]]
+    return w[order], right, left
 
 
 def principal_triple(model) -> SpectralData:
     """Eigendecomposition of -G = I - Q + diag(V), the one triple of any zoo model.
 
     Reversible models read it from the eigh of their semigroup engine, where
-    psi0 = phi0.  Other Markov models shift-invert below min V, the
-    Collatz-Wielandt bound of lambda0: the gap is the smallest real part among
-    the 6 eigenvalues nearest the shift, less lambda0.  Requires an
-    irreducible Q.  A kernel-only model, which has no generator, gives the
-    triple of its operator at t = 1.  Raises NondegeneracyError when the
+    psi0 = phi0.  Other Markov models invert -G shifted below min V, the
+    Collatz-Wielandt bound of lambda0 (``_nearest_eigenpairs``): the gap is
+    the smallest real part among the 6 eigenvalues nearest the shift, less
+    lambda0.  Requires an irreducible Q.  A kernel-only model, which has no
+    generator, gives the triple of its operator at t = 1.  Raises NondegeneracyError when the
     dominant eigenvalue is not simple within 1e-10 or a residual exceeds 1e-9
     ||G||, and PositivityError when an eigenvector has mixed signs.
     """
@@ -161,7 +181,7 @@ def _top_two(u: np.ndarray, r: np.ndarray):
     after 100 steps."""
     n = len(r)
     p = min(n, 8)  # with n <= 8 the first step is exact
-    Q = np.linalg.qr(_arpack_start(n * p).reshape(p, n).T)[0]
+    Q = np.linalg.qr(_start_vector(n * p).reshape(p, n).T)[0]
     for _ in range(100):
         Z = r[:, None] * (u @ (r[:, None] * Q))
         theta, Y = np.linalg.eigh(Q.T @ Z)

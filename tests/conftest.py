@@ -9,6 +9,23 @@ from qergo.models import (
 )
 
 
+@pytest.fixture
+def dense_eigs(monkeypatch):
+    """Shapes of the numpy.linalg.eig calls on a matrix that is not upper
+    Hessenberg: dense solves, such as the fallback of ``spectral._arnoldi``,
+    and not its Ritz steps.  No generator or transition form that a test
+    solves is Hessenberg."""
+    shapes, eig = [], np.linalg.eig
+
+    def counting(a):
+        if np.tril(a, -2).any():
+            shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return shapes
+
+
 @pytest.fixture(scope="session")
 def swap2():
     return build_ctmc_model(2, "swap2")

@@ -48,7 +48,6 @@ from qergo.operators import (
     feynman_kac_operator,
     log_ho_survival,
     log_mehler_kernel,
-    uniformized_transition,
 )
 from qergo.spectral import principal_triple, principal_triple_from_operator
 from qergo.statespace import ExhaustingFamily, StateSpace, tabulated_radius
@@ -433,7 +432,7 @@ def test_criterion_09_monte_carlo():
             if s == 0.0:
                 vals.append(target_vec[i0])
             else:
-                vals.append(float(uniformized_transition(free, s).apply(target_vec)[i0]))
+                vals.append(float(feynman_kac_operator(free, s).apply(target_vec)[i0]))
         simp = (nodes[1] - nodes[0]) / 3.0 * (
             vals[0] + vals[-1] + 4.0 * sum(vals[1:-1:2]) + 2.0 * sum(vals[2:-2:2])
         )

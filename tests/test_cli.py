@@ -137,6 +137,31 @@ dir = {out}
         verdict = open(paths["verdict"]).read()
         assert "NonuniquenessWarning" in verdict
 
+    def test_short_grid_writes_skipped_rate_verdicts(self, tmp_path):
+        # three grid times are too few for a rate fit: each rate series says so
+        # in a FAIL line, and the run cannot end in an overall PASS
+        text = BIRTHDEATH_FULL.read_text()
+        grid, names = "t_grid = 6.7 8.0 9.3 10.6 11.9 13.2", "names = heat_content kernel_convergence"
+        assert grid in text and names in text
+        text = text.replace(grid, "t_grid = 6.7 8.0 9.3").replace(
+            names + " quasi_ergodic qsd gsd eta kappa uniqueness",
+            "names = kernel_convergence quasi_ergodic heat_content")
+        text = text[:text.index("[mc]")] + f"[output]\ndir = {tmp_path / 'o'}\n"
+        _, paths, code = run_experiment(parse_config(write_config(tmp_path, text)))
+        verdict = open(paths["verdict"]).read()
+        assert code == 2 and "# overall FAIL" in verdict
+        for name in ("kernel_convergence", "quasi_ergodic"):
+            assert f"FAIL {name}_rate SKIPPED: 3 samples, a rate fit needs 4\n" in verdict
+
+    def test_nonpositive_sample_writes_a_skipped_rate_verdict(self):
+        from qergo.cli import _Report, _run_rate_series
+
+        report = _Report("m")
+        samples = [(1.0, 0.1), (2.0, 0.0), (3.0, 0.01), (4.0, 0.001)]
+        _run_rate_series(report, "kernel_convergence", samples, None, {})
+        assert report.verdicts == [
+            (False, "kernel_convergence_rate SKIPPED: a sample is <= 0, a log-linear fit needs > 0")]
+
     def test_deterministic_csv_bodies(self, tmp_path):
         text = SWAP2_CONFIG + "\n[mc]\nn = 2000\nseed = 99\n"
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -301,31 +326,30 @@ class TestFactorizationCounts:
     memoized operators.  No run takes a dense eig of its generator."""
 
     @pytest.fixture
-    def expm_norms(self):
+    def step_norms(self):
         return []
 
     @pytest.fixture
-    def counts(self, monkeypatch, expm_norms):
-        # the engine calls numpy.linalg.eigh and imports expm and eig from
-        # scipy.linalg at call time; ARPACK is loaded first so that it binds
-        # the unpatched scipy.linalg names
-        import scipy.linalg
-        import scipy.sparse.linalg  # noqa: F401
+    def counts(self, monkeypatch, step_norms):
+        # the engine calls numpy.linalg.eigh and its unit step
+        # operators._exp_step at call time; dense eig calls are counted by
+        # the dense_eigs fixture, which skips an Arnoldi run's Ritz steps
+        import qergo.operators as operators
 
-        calls = {"eigh": 0, "expm": 0, "eig": 0}
+        calls = {"eigh": 0, "_exp_step": 0}
 
         def counting(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if name == "expm":
-                    expm_norms.append(np.linalg.norm(args[0], 1))
+                if name == "_exp_step":
+                    step_norms.append(np.linalg.norm(args[0], 1))
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "expm"), (scipy.linalg, "eig")):
+        for module, name in ((np.linalg, "eigh"), (operators, "_exp_step")):
             monkeypatch.setattr(module, name, counting(module, name))
         return calls
 
@@ -341,41 +365,42 @@ class TestFactorizationCounts:
         run_experiment(parse_config(write_config(tmp_path, text)))
         return shapes
 
-    def test_reversible_run_does_one_eigh(self, tmp_path, counts, monkeypatch):
+    def test_reversible_run_does_one_eigh(self, tmp_path, counts, dense_eigs, monkeypatch):
         # an even potential on uniform mu: S = J S J, so the one solve is a pair
         # of 6 x 6 blocks and no 12 x 12 eigh.  kappa's t0 = 0.5 lies off the
         # grid: its survivals still come from that solve; find_qsd's subspace
         # iteration adds only 8 x 8 Ritz solves
         shapes = self.eigh_shapes_of_a_run(tmp_path, monkeypatch)
-        assert counts["expm"] == counts["eig"] == 0
+        assert counts["_exp_step"] == 0 and dense_eigs == []
         assert [s for s in shapes if s != (8, 8)] == [(6, 6), (6, 6)]
 
     def test_non_centrosymmetric_reversible_run_does_one_full_eigh(
-            self, tmp_path, counts, monkeypatch):
+            self, tmp_path, counts, dense_eigs, monkeypatch):
         # a heavier last state breaks the mirror symmetry of S: one 12 x 12 eigh
         shapes = self.eigh_shapes_of_a_run(tmp_path, monkeypatch, "mu = " + "1 " * 11 + "2\n")
-        assert counts["expm"] == counts["eig"] == 0
+        assert counts["_exp_step"] == 0 and dense_eigs == []
         assert [s for s in shapes if s != (8, 8)] == [(12, 12)]
 
-    @pytest.mark.parametrize("grid,expm_calls", [
+    @pytest.mark.parametrize("grid,steps", [
         ("2 4 6 8 10 12", 1),  # every later time is the sum of two earlier ones
         ("1 3 4 9", 3),  # only 4 = 3 + 1 is composed; 3 and 9 are not reachable
     ], ids=["uniform", "nonuniform"])
     def test_nonreversible_run_composes_sums_of_grid_times(
-            self, tmp_path, counts, expm_norms, grid, expm_calls):
+            self, tmp_path, counts, step_norms, dense_eigs, grid, steps):
         text = FACTORIZATION_CONFIG.format(
             model="cycle", n=8, grid=grid, out=tmp_path / "o", kappa="")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        # the triple is shift-invert ARPACK on one LU, not a dense eig
-        assert counts == {"eigh": 0, "expm": expm_calls, "eig": 0}
-        assert len(expm_norms) == expm_calls and max(expm_norms) <= 1.0
+        # the triple is Arnoldi on one inverse of the shifted generator, and
+        # find_qsd Arnoldi on U_t: neither takes a dense eig
+        assert counts == {"eigh": 0, "_exp_step": steps} and dense_eigs == []
+        assert len(step_norms) == steps and max(step_norms) <= 1.0
 
-    @pytest.mark.parametrize("t0,keys,expm_calls", [
+    @pytest.mark.parametrize("t0,keys,steps", [
         ("0.5", [2.0, 4.0, 6.0, 0.5], 2),  # off the grid and no sum of it: one more exponential
         ("8", [2.0, 4.0, 6.0, 8.0], 1),  # 8 = 6 + 2 is composed from the cached grid
     ], ids=["exponentiated", "composed"])
     def test_kappa_t0_is_asked_after_the_grid(
-            self, tmp_path, counts, monkeypatch, t0, keys, expm_calls):
+            self, tmp_path, counts, monkeypatch, t0, keys, steps):
         import qergo.models as models
 
         built, build = [], models.zoo_build
@@ -385,24 +410,25 @@ class TestFactorizationCounts:
             kappa=f"[diagnostics.kappa]\nt0 = {t0}\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
         assert list(built[0].semigroup._ops) == keys
-        assert counts["expm"] == expm_calls
+        assert counts["_exp_step"] == steps
 
     @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
                              ids=["ho_oracle", "ho_kernel"])
     def test_ho_oracle_run_takes_no_arpack_and_no_dense_eigh(
-            self, tmp_path, counts, monkeypatch, h, base_point):
+            self, tmp_path, counts, dense_eigs, monkeypatch, h, base_point):
         # the Mehler kernel is symmetric and positive: its triple is a block
         # subspace iteration on the grid's U_1, whose only eigh calls are the
-        # 8 x 8 Ritz solves, so the kernel is built once per grid time
-        import scipy.sparse.linalg as arpack
-
+        # 8 x 8 Ritz solves, so the kernel is built once per grid time.  No
+        # Krylov solver runs: neither ARPACK, which no module imports, nor the
+        # non-reversible Arnoldi helper
+        import qergo.diagnostics as diagnostics
         import qergo.models as models
+        import qergo.spectral as spectral
 
-        arpack_calls, eigh_shapes, builds = [], [], []
-        for name in ("eigs", "eigsh"):
-            solver = getattr(arpack, name)
-            monkeypatch.setattr(arpack, name, lambda *a, _name=name, _solver=solver, **k:
-                                arpack_calls.append(_name) or _solver(*a, **k))
+        arnoldi_calls, eigh_shapes, builds = [], [], []
+        for module in (spectral, diagnostics):
+            monkeypatch.setattr(module, "_arnoldi", lambda *a, _f=module._arnoldi:
+                                arnoldi_calls.append(1) or _f(*a))
         ritz, build = np.linalg.eigh, models.build_ho_discretization
         monkeypatch.setattr(
             np.linalg, "eigh", lambda a, *r, **k: eigh_shapes.append(a.shape) or ritz(a, *r, **k))
@@ -413,7 +439,7 @@ class TestFactorizationCounts:
         text = text.replace("base_point = 60", f"base_point = {base_point}")
         _, _, code = run_experiment(parse_config(write_config(tmp_path, text)))
         assert code == 0
-        assert counts["expm"] == counts["eig"] == 0 and arpack_calls == []
+        assert counts["_exp_step"] == 0 and dense_eigs == arnoldi_calls == []
         assert eigh_shapes and set(eigh_shapes) == {(8, 8)}
         assert builds == [0.5, 0.75, 1.0, 1.25]
 

@@ -191,12 +191,11 @@ class TestFindQsd:
             find_qsd(op)
 
     @pytest.fixture
-    def arpack_calls(self, monkeypatch):
-        import scipy.sparse.linalg
+    def arnoldi_calls(self, monkeypatch):
+        import qergo.diagnostics as diagnostics
 
-        calls, eigs = [], scipy.sparse.linalg.eigs
-        monkeypatch.setattr(
-            scipy.sparse.linalg, "eigs", lambda *a, **k: calls.append(1) or eigs(*a, **k))
+        calls, arnoldi = [], diagnostics._arnoldi
+        monkeypatch.setattr(diagnostics, "_arnoldi", lambda *a: calls.append(1) or arnoldi(*a))
         return calls
 
     @staticmethod
@@ -209,25 +208,26 @@ class TestFindQsd:
         return v / v.sum()
 
     @pytest.mark.parametrize("name", ["weighted_bd", "birthdeath20_confining", "frac_small"])
-    def test_symmetric_branch_matches_dense_eig(self, name, request, arpack_calls):
+    def test_symmetric_branch_matches_dense_eig(self, name, request, arnoldi_calls):
         model = request.getfixturevalue(name)
         op = feynman_kac_operator(model, 4.0 / principal_triple(model).gap)
         fixed = find_qsd(op)
-        assert arpack_calls == []  # a self-adjoint U_t takes the subspace iteration
+        assert arnoldi_calls == []  # a self-adjoint U_t takes the subspace iteration
         assert np.abs(fixed.weights - self.dense_left_perron(op)).sum() <= 1e-12
 
-    def test_small_gap_takes_no_arpack(self, birthdeath20, arpack_calls):
+    def test_small_gap_takes_no_arpack(self, birthdeath20, arnoldi_calls):
         # gap t = 0.012: a slowly decaying top of the spectrum, which the
-        # 8-column block handles without ARPACK
+        # 8-column block handles without a Krylov solver
         fixed = find_qsd(feynman_kac_operator(birthdeath20, 1.0))
-        assert arpack_calls == []
+        assert arnoldi_calls == []
         np.testing.assert_allclose(fixed.weights, 1.0 / 20, atol=1e-10)
 
-    def test_non_self_adjoint_operator_takes_arpack(self, cycle4, arpack_calls):
-        op = feynman_kac_operator(cycle4, 30.0)
+    def test_non_self_adjoint_operator_takes_arnoldi(self, arnoldi_calls, dense_eigs):
+        # n = 12 is past the dense fallback of n <= 7
+        op = feynman_kac_operator(build_ctmc_model(12, "cycle", V=0.1 * np.arange(12.0)), 30.0)
         assert not op.self_adjoint()
         fixed = find_qsd(op)
-        assert arpack_calls == [1]
+        assert arnoldi_calls == [1] and dense_eigs == []
         assert np.abs(fixed.weights - self.dense_left_perron(op)).sum() <= 1e-12
 
     def test_one_state_kernel_is_the_point_mass(self):
@@ -239,15 +239,15 @@ class TestFindQsd:
         assert np.array_equal(fixed.weights, [1.0])
 
     def test_mixed_sign_direction_of_a_simple_eigenvalue_raises(self, cycle4, monkeypatch):
-        # a non-self-adjoint U_t (n = 4 > 3) reaches the patched ARPACK solve
-        import scipy.sparse.linalg
+        # a non-self-adjoint U_t reaches the patched Arnoldi solve
+        import qergo.diagnostics as diagnostics
 
-        def mixed_sign_eigs(A, k, **kwargs):
-            v = np.ones(A.shape[0])
+        def mixed_sign_arnoldi(M, k):
+            v = np.ones(M.shape[0])
             v[0] = -1.0
-            return np.array([1.0, 0.5], dtype=complex), np.column_stack([v, v]).astype(complex)
+            return np.array([1.0, 0.5]), v
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", mixed_sign_eigs)
+        monkeypatch.setattr(diagnostics, "_arnoldi", mixed_sign_arnoldi)
         with pytest.raises(PositivityError, match="mixed signs"):
             find_qsd(feynman_kac_operator(cycle4, 1.0))
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import qergo
 
+ROOT = Path(__file__).parents[1]
 MODULES = ["qergo"] + [f"qergo.{m.name}" for m in pkgutil.iter_modules(qergo.__path__)]
 
 
@@ -36,14 +38,18 @@ def _loaded_by_cli_import(module: str) -> bool:
 
 
 def test_cli_import_leaves_arpack_unloaded():
-    # ARPACK is imported by the solvers that call it, so the import, parse and
-    # build stage of a run does not pay for scipy.sparse.linalg
+    # no module calls ARPACK: the non-reversible solvers are a numpy Arnoldi
     assert not _loaded_by_cli_import("scipy.sparse.linalg")
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # gammaln is imported by uniformized_transition, the one function that uses it
+    # no module calls a special function: the free transition is the engine's U_t
     assert not _loaded_by_cli_import("scipy.special")
+
+
+def test_scipy_probe_sees_an_import():
+    # the control of the no-scipy guards: no run loads scipy any more
+    assert "scipy.linalg" in _scipy_loaded_after("import sys, scipy.linalg")
 
 
 def test_cli_import_loads_no_scipy():
@@ -95,23 +101,30 @@ def test_reversible_or_oracle_run_loads_no_scipy(tmp_path, config):
             text = text.replace(old, "t_grid = 0.5 1.0 1.5 2.0 2.5 3.0")
         path.write_text(text)
     else:
-        path = Path(__file__).parents[1] / "configs" / f"{config}.ini"
+        path = ROOT / "configs" / f"{config}.ini"
     code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
             f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
     assert _scipy_loaded_after(code) == []
     assert (tmp_path / "o" / "verdict.txt").exists()
 
 
-def test_nonreversible_run_loads_scipy(tmp_path):
-    # the control of the guard above: a cycle's triple and U_t need ARPACK and expm
+@pytest.mark.parametrize("config", ["cycle12", "cycle_nonrev"])
+def test_nonreversible_run_loads_no_scipy(tmp_path, config):
+    # a cycle's U_t is the nonnegative series step, its triple and find_qsd a
+    # numpy Arnoldi: a non-reversible run needs numpy only too.  cycle_nonrev
+    # is the benchmark's n = 500 workload with every diagnostic
     path = tmp_path / "cycle.ini"
-    path.write_text("[model]\nid = cycle\nn = 12\npotential = power\nbeta = 2.0\nscale = 0.05\n\n"
-                    "[times]\nt_grid = 1 2\n\n[diagnostics]\nnames = heat_content\n\n"
-                    "[family]\nbase_point = 0\nradius = linear:0.6\n")
+    if config == "cycle12":
+        path.write_text("[model]\nid = cycle\nn = 12\npotential = power\nbeta = 2.0\nscale = 0.05\n\n"
+                        "[times]\nt_grid = 1 2\n\n[diagnostics]\nnames = heat_content\n\n"
+                        "[family]\nbase_point = 0\nradius = linear:0.6\n")
+    else:
+        write_config = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["write_config"]
+        write_config(ROOT, config, 0, path)
     code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
             f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
-    loaded = _scipy_loaded_after(code)
-    assert "scipy.linalg" in loaded and "scipy.sparse.linalg" in loaded
+    assert _scipy_loaded_after(code) == []
+    assert (tmp_path / "o" / "verdict.txt").exists()
 
 
 # ---------------------------------------------------------------------------

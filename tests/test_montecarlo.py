@@ -17,7 +17,7 @@ from qergo.montecarlo import (
     fk_estimate_levy,
     sample_stable_increment,
 )
-from qergo.operators import feynman_kac_operator, uniformized_transition
+from qergo.operators import feynman_kac_operator
 from qergo.spectral import principal_triple
 
 
@@ -36,14 +36,15 @@ class TestPathSampler:
         assert np.all(w > 0.0) and np.all(w <= 1.0)  # V >= 0 here
 
     def test_occupation_matches_uniformized_row(self):
-        # endpoint law under V = 0 against the matrix transition row; it holds
+        # endpoint law under V = 0 against the row of the free transition
+        # P_t = e^{-t} sum_k t^k/k! Q^k, the uniformized chain; it holds
         # only with Poisson(t) jump counts and steps drawn from the rows of Q
         free = build_ctmc_model(5, "birth-death")
         t, n = 1.0, 20000
         w, end, _ = _simulate_batch(free, 0, t, n, np.random.default_rng(11))
         assert np.all(w == 1.0)
         freq = np.bincount(end, minlength=5) / n
-        row = uniformized_transition(free, t).transition()[0]
+        row = feynman_kac_operator(free, t).transition()[0]
         stderr = np.sqrt(row * (1 - row) / n)
         assert np.all(np.abs(freq - row) <= 4 * stderr)
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -20,6 +21,7 @@ from qergo.operators import (
     _REV_TOL,
     KernelOperator,
     MarkovModel,
+    _exp_step,
     _max_abs_diff,
     _symmetric_eigh,
     compose,
@@ -27,7 +29,6 @@ from qergo.operators import (
     ho_survival,
     mehler_kernel,
     strongly_connected,
-    uniformized_transition,
 )
 from qergo.spectral import principal_triple
 from qergo.statespace import StateSpace
@@ -122,48 +123,44 @@ class TestStronglyConnected:
 
 
 class TestUniformized:
+    """The free (V = 0) transition P_t = e^{-t} sum_k t^k/k! Q^k of the
+    uniformized chain, as the engine forms it."""
+
     def test_identity_kernel_is_identity(self):
         model = build_ctmc_model(3, np.eye(3))
-        op = uniformized_transition(model, 2.5)
+        op = feynman_kac_operator(model, 2.5)
         np.testing.assert_allclose(op.transition(), np.eye(3), atol=1e-14)
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.7])
     def test_swap_closed_form(self, swap2, t):
         # Poisson series with even powers only: P_t(0,0) = (1 + e^{-2t}) / 2
-        op = uniformized_transition(swap2, t)
+        op = feynman_kac_operator(swap2, t)
         assert op.transition()[0, 0] == pytest.approx((1 + np.exp(-2 * t)) / 2, abs=1e-13)
 
-    def test_row_sums_within_eps(self, birthdeath5):
+    def test_row_sums_within_eps(self):
         eps = 1e-10
-        op = uniformized_transition(birthdeath5, 1.7, eps=eps)
+        op = feynman_kac_operator(build_ctmc_model(5, "birth-death"), 1.7)
         assert np.max(np.abs(op.transition().sum(axis=1) - 1.0)) < eps
 
-    def test_truncation_order_recorded(self, swap2):
-        op = uniformized_transition(swap2, 1.0, eps=1e-8)
-        assert op.meta["poisson_terms"] > 0
-
-    def test_eps_guard(self, swap2):
-        with pytest.raises(ValueError):
-            uniformized_transition(swap2, 1.0, eps=0.0)
-
     def test_large_time_stable(self, swap2):
-        op = uniformized_transition(swap2, 300.0)
+        op = feynman_kac_operator(swap2, 300.0)
         np.testing.assert_allclose(op.transition(), 0.25 + 0.25 * np.ones((2, 2)), atol=1e-12)
 
 
 class TestFeynmanKac:
     def test_zero_potential_matches_uniformized(self, birthdeath5):
+        # the uniformized chain's transition e^{t(Q - I)} by scipy's expm
         free = build_ctmc_model(5, "birth-death")
         a = feynman_kac_operator(free, 1.2)
-        b = uniformized_transition(free, 1.2)
-        assert np.max(np.abs(a.density - b.density)) < 1e-10
+        b = expm(1.2 * free.generator()) / free.space.mu[None, :]
+        assert np.max(np.abs(a.density - b)) < 1e-10
 
     def test_constant_potential_scales(self, swap2):
         c = 0.7
         model = build_ctmc_model(2, "swap2", V=np.full(2, c))
         t = 1.3
         scaled = feynman_kac_operator(model, t).density
-        free = uniformized_transition(swap2, t).density
+        free = feynman_kac_operator(swap2, t).density
         np.testing.assert_allclose(scaled, np.exp(-c * t) * free, atol=1e-12)
 
     @pytest.mark.parametrize("v,t", [(1.0, 0.5), (2.5, 1.0), (0.3, 2.0)])
@@ -270,12 +267,26 @@ class TestSemigroupEngine:
             with pytest.raises(ValueError, match="positive"):
                 model.semigroup.operator(t)
 
+    @pytest.mark.parametrize("v", [0.0, 0.3, -0.2])
+    def test_unit_step_is_entrywise_accurate(self, v):
+        # on the rotation R of a 40-cycle, e^{tau (R - (1 + v) I)} has row 0
+        # e^{-tau (1 + v)} tau^j / j! at column j (the j + 40 terms are below
+        # 1e-60): the nonnegative series is right to round-off in every entry
+        # down to eps times the largest, not only in norm
+        n, tau = 40, 0.5
+        step = _exp_step(tau * (np.roll(np.eye(n), 1, axis=1) - (1.0 + v) * np.eye(n)))
+        j = np.arange(n)
+        exact = np.exp(-tau * (1.0 + v)) * tau**j / np.array([float(math.factorial(k)) for k in j])
+        keep = exact >= np.finfo(float).eps * exact.max()
+        assert keep.sum() > 10 and step.min() >= 0.0
+        np.testing.assert_allclose(step[0, keep], exact[keep], rtol=1e-13)
+
     @pytest.mark.parametrize("name", sorted(k for k, (_, rev) in ENGINE_ZOO.items() if not rev))
     def test_composed_operators_match_expm(self, name, monkeypatch):
-        import scipy.linalg  # the engine imports expm from here at call time
+        import qergo.operators as operators
 
-        calls = []
-        monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(1) or expm(A))
+        calls, step = [], operators._exp_step
+        monkeypatch.setattr(operators, "_exp_step", lambda S: calls.append(1) or step(S))
         model = ENGINE_ZOO[name][0]()
         sg = model.semigroup
         for t in np.arange(2.0, 21.0, 2.0):  # ascending, so every t > 2 is composed

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig, eigh
 from scipy.optimize import brentq
 
-from qergo.errors import ModelError, NondegeneracyError
+from qergo.diagnostics import find_qsd
+from qergo.errors import ModelError, NondegeneracyError, PositivityError
 from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space, zoo_build
 from qergo.operators import (
     KernelOperator,
@@ -113,10 +114,11 @@ class TestPrincipalTriple:
 
 
 @st.composite
-def arpack_sized_chains(draw):
-    """Non-reversible chain on 8-12 states, past the dense fallback, with its
-    invariant mu and a V >= 0; a rotation of weight >= 0.2 keeps it irreducible."""
-    n = draw(st.integers(8, 12))
+def nonreversible_chains(draw):
+    """Non-reversible chain on 4-40 states, on both sides of the triple's dense
+    fallback (n <= 7), with its invariant mu and a V >= 0; a rotation of
+    weight >= 0.2 keeps it irreducible."""
+    n = draw(st.integers(4, 40))
     W = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)))
     Q = W.reshape(n, n) + draw(st.floats(0.2, 1.0)) * np.roll(np.eye(n), 1, axis=1)
     Q /= Q.sum(axis=1, keepdims=True)
@@ -127,9 +129,9 @@ def arpack_sized_chains(draw):
 
 
 class TestShiftInvertTriple:
-    """The non-reversible triple: shift-invert ARPACK on one LU below min V."""
+    """The non-reversible triple: Arnoldi on the inverse of -G shifted below min V."""
 
-    @given(model=arpack_sized_chains())
+    @given(model=nonreversible_chains())
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_eig(self, model):
         mu = model.space.mu
@@ -150,15 +152,12 @@ class TestShiftInvertTriple:
         assert np.max(np.abs(spec.psi0 - psi)) <= 1e-8 * psi.max()
 
     @pytest.mark.parametrize("v", [0.0, 0.3])
-    def test_constant_potential_cycle(self, v, monkeypatch):
-        # min V is lambda0 itself here, so a shift at min V would be singular
-        import scipy.linalg
-        import scipy.sparse.linalg  # noqa: F401  (ARPACK binds the real eig first)
-
-        # no dense fallback: the solver imports eig from scipy.linalg at call time
-        monkeypatch.setattr(scipy.linalg, "eig", None)
+    def test_constant_potential_cycle(self, v, dense_eigs):
+        # min V is lambda0 itself here, so a shift at min V would be singular;
+        # both Arnoldi runs converge, with no dense fallback
         model = build_ctmc_model(12, "cycle", V=np.full(12, v))
         spec = principal_triple(model)
+        assert dense_eigs == []
         assert spec.lambda0 == pytest.approx(v, abs=1e-12)
         np.testing.assert_allclose(spec.phi0, 1.0 / np.sqrt(12), rtol=1e-10)
         np.testing.assert_allclose(spec.psi0, 1.0 / np.sqrt(12), rtol=1e-10)
@@ -171,6 +170,27 @@ class TestShiftInvertTriple:
         root = brentq(lambda lam: np.sum(np.log1p(V - lam)), V.min(), V.min() + 0.999,
                       xtol=1e-16, rtol=4 * np.finfo(float).eps)
         assert principal_triple(model).lambda0 == pytest.approx(root, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", ["1e-3", "1e-2"])
+    def test_cycle_past_the_floor_raises(self, scale):
+        # phi0 and psi0 span so many decades that the left Perron vector is
+        # below round-off at most points.  At 1e-3 the true lambda0 is
+        # 0.2390530677468 and the Krylov estimate is 4.4e-6 above it: the
+        # residual check must stop the run with a typed error, never let a
+        # lambda0 off by more than 1e-12 through
+        model = zoo_build("cycle", {"n": 500, "potential": "power", "beta": "1.0", "scale": scale})
+        with pytest.raises((NondegeneracyError, PositivityError)):
+            principal_triple(model)
+
+
+@given(model=nonreversible_chains(), t=st.floats(0.5, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_find_qsd_of_a_nonreversible_chain_matches_dense_eig(model, t):
+    # find_qsd's Arnoldi on U_t against the left Perron vector of a dense eig
+    op = feynman_kac_operator(model, t)
+    w, vl = eig(op.transition(), left=True, right=False)
+    v = np.abs(np.real(vl[:, np.argmax(np.abs(w))]))
+    assert np.abs(find_qsd(op).weights - v / v.sum()).sum() <= 1e-10
 
 
 class TestHODiscretization:
