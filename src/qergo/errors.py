@@ -12,8 +12,8 @@ class NondegeneracyError(RuntimeError):
 class PositivityError(RuntimeError):
     """Raised when a principal eigenvector has genuinely mixed signs.
 
-    This signals a reducible chain or a violated positivity-improving
-    assumption rather than numerical noise.
+    This signals a reducible chain, a violated positivity-improving
+    assumption, or an irreducible chain's eigenvector below round-off.
     """
 
 

@@ -15,9 +15,10 @@ from math import gamma as _gamma_fn
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClassifierError, ModelError
-from .operators import Engine, KernelOperator, MarkovModel, mehler_kernel
+from .operators import Engine, KernelOperator, MarkovModel, _mehler_exponents
 from .statespace import StateSpace
 
 __all__ = [
@@ -248,24 +249,37 @@ def lattice_space(half_width: float, h: float) -> StateSpace:
     return StateSpace(tuple(range(len(xs))), np.full(len(xs), h), xs[:, None])
 
 
+def _lattice_points(space: StateSpace) -> np.ndarray:
+    """The points of an increasing 1-D lattice whose steps agree to relative 1e-12."""
+    xs = np.zeros(1) if space.coords is None or space.coords.shape[1] != 1 else space.coords[:, 0]
+    steps = np.diff(xs)
+    if not (steps.size and steps.min() > 0 and steps.max() - steps.min() <= 1e-12 * steps.max()):
+        raise ModelError("needs an increasing, equally spaced 1-D lattice of at least 2 points")
+    return xs
+
+
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """T[i, j] = row[|i - j|], a read-only view of its 2n - 1 values."""
+    return sliding_window_view(np.concatenate([row[::-1], row[1:]]), len(row))[::-1]
+
+
 def build_fractional_model(
     grid: StateSpace | tuple, levy: LevyProfile, V: PotentialSpec
 ) -> MarkovModel:
     """Discretized 1D non-local Schrodinger model on a truncated lattice.
 
     Jump weights are w(x,y) = nu(y-x) h for y != x (profile at lattice
-    differences; jumps below one lattice cell are absent by construction).
-    The weights are uniformized at the maximal total rate: Q(x,y) = w/rate_max
-    off the diagonal with holding mass on it, so that a single recorded
-    ``time_scale`` = rate_max maps model time to physical time exactly, and
-    the stored potential is V/rate_max.
+    differences; jumps below one lattice cell are absent by construction),
+    a Toeplitz matrix of the profile at the offsets x_k - x_0 of an equally
+    spaced 1-D lattice (else ModelError).  The weights are uniformized at the
+    maximal total rate: Q(x,y) = w/rate_max off the diagonal with holding
+    mass on it, so that a single recorded ``time_scale`` = rate_max maps model
+    time to physical time exactly, and the stored potential is V/rate_max.
     """
     space = grid if isinstance(grid, StateSpace) else lattice_space(*grid)
-    xs = space.coords[:, 0]
-    diff = xs[None, :] - xs[:, None]
-    off = ~np.eye(space.n, dtype=bool)
-    w = np.zeros(off.shape)
-    w[off] = levy.profile(np.abs(diff[off])) * (xs[1] - xs[0])
+    xs = _lattice_points(space)
+    offsets = xs[1:] - xs[0]
+    w = _toeplitz(np.concatenate([[0.0], levy.profile(offsets) * offsets[0]]))
     rates = w.sum(axis=1)
     rate_max = float(rates.max())
     Q = w / rate_max
@@ -282,13 +296,15 @@ def build_fractional_model(
 
 def build_ho_discretization(grid: StateSpace | tuple, t: float) -> KernelOperator:
     """Closed-form oscillator operator: density u[x][y] = mehler_kernel(t,x,y)
-    on a symmetric lattice with mu = spacing weights.  No exponentials are
-    computed; this is the continuum oracle."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    on an equally spaced 1-D lattice (else ModelError) with mu = spacing
+    weights, the continuum oracle: the Hankel matrix e^{c - a (x+y)^2} at the
+    sums x_0 + x_k, x_k + x_{n-1} times the Toeplitz e^{-b (x-y)^2} at x_k - x_0."""
+    c, a, b = _mehler_exponents(t)
     space = grid if isinstance(grid, StateSpace) else lattice_space(*grid)
-    xs = space.coords[:, 0]
-    u = mehler_kernel(t, xs[:, None, None], xs[None, :, None])
+    xs = _lattice_points(space)
+    sums = np.concatenate([xs[0] + xs, xs[1:] + xs[-1]])
+    hankel = sliding_window_view(np.exp(c - a * sums**2), len(xs))
+    u = hankel * _toeplitz(np.exp(-b * (xs - xs[0]) ** 2))
     return KernelOperator(t, u, space, {"method": "mehler-closed-form"})
 
 

@@ -86,16 +86,18 @@ class MarkovModel:
         n = self.space.n
         Q = np.asarray(self.Q, dtype=float)
         V = np.asarray(self.V, dtype=float)
-        if Q.shape != (n, n) or not np.all(np.isfinite(Q)):
+        lo, hi = Q.min(initial=0.0), Q.max(initial=0.0)
+        if Q.shape != (n, n) or not (np.isfinite(lo) and np.isfinite(hi)):
             raise ModelError("Q must be square over the state space, with finite entries")
-        if np.any(Q < -_STOCH_TOL):
+        if lo < -_STOCH_TOL:
             raise ModelError("Q has negative entries")
         if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _STOCH_TOL:
             raise ModelError("rows of Q must sum to 1 within 1e-12")
         if V.shape != (n,) or not np.all(np.isfinite(V)):
             raise ModelError("V must be one finite value per point")
         mu = self.space.mu
-        Qd = (Q * mu[:, None]).T / mu[:, None]
+        Qd = np.multiply(Q.T, mu, order="C")  # rows contiguous, as Q's are
+        Qd /= mu[:, None]
         if np.max(np.abs(Qd.sum(axis=1) - 1.0)) > _STOCH_TOL:
             raise ModelError("dual kernel is not stochastic: mu is not an invariant measure of Q")
         object.__setattr__(self, "Q", _read_only(Q))
@@ -138,7 +140,7 @@ class KernelOperator:
         n = self.space.n
         if u.shape != (n, n):
             raise ValueError("density must be square over the state space")
-        if np.any(u < -1e-14):
+        if u.min(initial=0.0) < -1e-14:
             raise ValueError("kernel density must be nonnegative")
         object.__setattr__(self, "density", _read_only(u))
 
@@ -353,27 +355,22 @@ def compose(op_s: KernelOperator, op_t: KernelOperator) -> KernelOperator:
     return KernelOperator(op_s.t + op_t.t, u, op_s.space, {"method": "compose"})
 
 
-def _pair_norms(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sq_plus = np.asarray(np.sum(np.atleast_1d(x + y) ** 2, axis=-1))
-    sq_minus = np.asarray(np.sum(np.atleast_1d(x - y) ** 2, axis=-1))
-    d = np.atleast_1d(x).shape[-1] if np.ndim(x) else 1
-    return sq_plus, sq_minus, d
+def _mehler_exponents(t: float, d: int = 1) -> tuple[float, float, float]:
+    """(c, a, b) with log u_t(x, y) = c - a |x+y|^2 - b |x-y|^2 for the d-dimensional
+    Mehler kernel: c = -d/2 log(2 pi sinh 2t), a = tanh(t)/4 and b = coth(t)/4."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return -0.5 * d * np.log(2.0 * np.pi * np.sinh(2.0 * t)), 0.25 * np.tanh(t), 0.25 / np.tanh(t)
 
 
 def log_mehler_kernel(t: float, x, y) -> np.ndarray | float:
     """log of the Mehler kernel; stable far from the origin."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    sq_plus, sq_minus, d = _pair_norms(x, y)
-    # c - (tanh t |x+y|^2 + |x-y|^2 / tanh t) / 4 in place: a lattice kernel
-    # takes no n x n temporary past the two norms
-    out = np.multiply(sq_plus, np.tanh(t), out=sq_plus)
-    out += np.divide(sq_minus, np.tanh(t), out=sq_minus)
-    out *= 0.25
-    np.subtract(-0.5 * d * np.log(2.0 * np.pi * np.sinh(2.0 * t)), out, out=out)
-    return out if out.shape else float(out)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    c, a, b = _mehler_exponents(t, np.atleast_1d(x).shape[-1] if np.ndim(x) else 1)
+    sq_plus = np.sum(np.atleast_1d(x + y) ** 2, axis=-1)
+    sq_minus = np.sum(np.atleast_1d(x - y) ** 2, axis=-1)
+    out = c - a * sq_plus - b * sq_minus
+    return out if np.ndim(out) else float(out)
 
 
 def mehler_kernel(t: float, x, y) -> np.ndarray | float:

@@ -52,19 +52,19 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(0.5, 1.5, n)
 
 
-def _positive_direction(v: np.ndarray, what: str) -> np.ndarray:
+def _positive_direction(v: np.ndarray, what: str, irreducible: bool = False) -> np.ndarray:
     """Fix the sign of a principal eigenvector and insist on positivity.
 
-    Entries are allowed to be negative only at the level of eigensolver
-    round-off (relative 1e-8); genuinely mixed signs raise PositivityError.
+    Entries may be negative only at eigensolver round-off (relative 1e-8);
+    mixed signs raise PositivityError, naming the round-off floor if ``irreducible``.
     """
     v = np.real(v)
     v = v * np.sign(v[np.argmax(np.abs(v))])
     vmax = np.abs(v).max()
     if np.any(v < -1e-8 * vmax):
-        raise PositivityError(
-            f"{what} has mixed signs; the chain is reducible or positivity fails"
-        )
+        cause = ("the chain is irreducible, so it fell below the double round-off floor"
+                 if irreducible else "the chain is reducible or positivity fails")
+        raise PositivityError(f"{what} has mixed signs; {cause}")
     return np.abs(v)
 
 
@@ -151,13 +151,13 @@ def principal_triple(model) -> SpectralData:
     if abs(eigenvalues[1] - eigenvalues[0]) < _DEGEN_TOL:
         raise NondegeneracyError("dominant eigenvalue of -G is not simple")
     gap = float(eigenvalues[1].real - lam0)
-    phi = _positive_direction(right, "right eigenfunction")
+    phi = _positive_direction(right, "right eigenfunction", irreducible=True)
     phi = phi / np.sqrt(np.sum(phi**2 * mu))
     if left is None:
         psi = phi
     else:
         # plain left eigenvector of -G, reweighted to the mu-pairing convention
-        psi = _positive_direction(left, "left eigenfunction") / mu
+        psi = _positive_direction(left, "left eigenfunction", irreducible=True) / mu
         psi = psi / np.sqrt(np.sum(psi**2 * mu))
     # psi0 solves the dual-generator eigenproblem (Q_dual - I - V) psi = -lam0 psi,
     # which is the mu-pairing form of the left eigenequation
@@ -228,7 +228,7 @@ def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
         raise NondegeneracyError("dominant eigenvalue of U_t is not simple")
     lam0 = -np.log(rho0) / op.t
     gap = (-np.log(rho1) / op.t - lam0) if rho1 > 0 else np.inf
-    phi = _positive_direction(Sw0 / r, "principal eigenfunction")
+    phi = _positive_direction(Sw0 / r, "principal eigenfunction", irreducible=True)
     phi = phi / np.sqrt(np.sum(phi**2 * mu))
     return SpectralData(float(lam0), phi, phi, float(np.sum(phi**2 * mu)), float(gap))
 

@@ -53,8 +53,10 @@ class StateSpace:
         if dist is None:
             if coords is None:
                 raise ValueError("need coords or an explicit distance matrix")
-            diff = coords[:, None, :] - coords[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))  # a metric by construction
+            # a metric by construction; in 1-D |x - y| is sqrt((x - y)^2) bit for bit
+            diffs = [c[:, None] - c for c in coords.T]
+            dist = np.sqrt(sum(d * d for d in diffs)) if len(diffs) > 1 else diffs[0]
+            np.abs(dist, out=dist)
         else:
             dist = np.asarray(dist, dtype=float)
             if dist.shape != (n, n):

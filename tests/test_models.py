@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from qergo.models import (
     zoo_build,
     zoo_catalog,
 )
-from qergo.operators import compose, feynman_kac_operator, ho_survival
+from qergo.operators import compose, feynman_kac_operator, ho_survival, mehler_kernel
 from qergo.spectral import principal_triple
+from qergo.statespace import StateSpace
 
 
 class TestCtmcRecipes:
@@ -68,6 +71,33 @@ class TestCtmcRecipes:
         model = build_ctmc_model(5, "birth-death", V=pot)
         # coords are centred: (-2,-1,0,1,2); V = 0.1 * max(1,|x|)^2
         np.testing.assert_allclose(model.V, [0.4, 0.1, 0.1, 0.1, 0.4])
+
+
+LEVY_PROFILES = [
+    LevyProfile("polynomial", alpha=1.0),
+    LevyProfile("polynomial", alpha=1.5, delta=0.5),
+    LevyProfile("exponential", alpha=1.0, delta=2.0),
+]
+
+
+def _pairwise_jump_matrix(xs, levy):
+    """Q and rate_max of a lattice from the profile at all n^2 - n pairwise
+    distances, the evaluation the Toeplitz build replaced."""
+    off = ~np.eye(len(xs), dtype=bool)
+    w = np.zeros(off.shape)
+    w[off] = levy.profile(np.abs(xs[None, :] - xs[:, None])[off]) * (xs[1] - xs[0])
+    rates = w.sum(axis=1)
+    Q = w / rates.max()
+    np.fill_diagonal(Q, 1.0 - rates / rates.max())
+    return Q, rates.max()
+
+
+def _assert_symmetric_weights(Q):
+    """The jumps of Q (its holding mass, a row sum, rounds by row) are
+    exactly symmetric and mirror-symmetric."""
+    w = Q.copy()
+    np.fill_diagonal(w, 0.0)
+    assert np.array_equal(w, w.T) and np.array_equal(w, w[::-1, ::-1])
 
 
 class TestFractionalModel:
@@ -142,8 +172,72 @@ class TestFractionalModel:
         assert model.is_irreducible()
         assert feynman_kac_operator(model, 0.5).positivity_improving()
 
+    @pytest.mark.parametrize("levy", LEVY_PROFILES)
+    def test_toeplitz_jump_matrix_is_the_pairwise_one(self, levy):
+        # at h = 0.25 every lattice difference is exact, so the profile read
+        # once per offset gives the n^2 evaluation's Q and rate bit for bit
+        model = build_fractional_model((20.0, 0.25), levy, PotentialSpec("log-power", beta=2.0))
+        Q, rate_max = _pairwise_jump_matrix(model.space.coords[:, 0], levy)
+        assert model.time_scale == rate_max
+        assert np.array_equal(model.Q, Q)
+        _assert_symmetric_weights(model.Q)
+
+    @pytest.mark.parametrize("levy", LEVY_PROFILES)
+    def test_toeplitz_jump_matrix_on_a_rounded_lattice(self, levy):
+        # at h = 0.1 the stored points carry rounding: the differences of one
+        # offset spread by an ulp of the half-width, so the pairwise matrix is
+        # not Toeplitz, and the weight at x_k - x_0 meets each to the profile's
+        # log-slope (1 + alpha + delta + m h near r = h) times that ulp over h
+        half_width, h = 20.0, 0.1
+        model = build_fractional_model((half_width, h), levy, PotentialSpec("power", beta=2.0))
+        Q, _ = _pairwise_jump_matrix(model.space.coords[:, 0], levy)
+        off = ~np.eye(model.n, dtype=bool)
+        rel = np.abs(model.Q - Q)[off] / Q[off]
+        slope = 1.0 + levy.alpha + levy.delta + levy.m * h
+        assert rel.max() <= 4 * slope * np.spacing(half_width) / h
+        _assert_symmetric_weights(model.Q)
+
+    def test_profile_is_read_once_per_offset(self, monkeypatch):
+        # the jump weights depend on y - x only: at most 2n profile values per
+        # build, where the pairwise evaluation took n^2 - n
+        sizes, profile = [], LevyProfile.profile
+
+        def counted(self, r):
+            sizes.append(np.size(r))
+            return profile(self, r)
+
+        monkeypatch.setattr(LevyProfile, "profile", counted)
+        model = build_fractional_model((100.0, 0.25), LevyProfile("polynomial", alpha=1.0),
+                                       PotentialSpec("log-power", beta=2.0))
+        assert 0 < sum(sizes) <= 2 * model.n
+
 
 class TestHoDiscretization:
+    @pytest.mark.parametrize("half_width,h", [(6.0, 0.01), (8.0, 0.05), (4.0, 0.25)])
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.25, 4.0])
+    def test_lattice_density_is_the_pointwise_kernel(self, half_width, h, t):
+        # the Hankel (x + y) times Toeplitz (x - y) assembly against the
+        # pointwise kernel at every pair, wherever that is a normal number
+        grid = lattice_space(half_width, h)
+        xs = grid.coords[:, 0]
+        u = build_ho_discretization(grid, t).density
+        ref = mehler_kernel(t, xs[:, None, None], xs[None, :, None])
+        normal = ref > 1e-300
+        assert np.max(np.abs(u - ref)[normal] / ref[normal]) <= 1e-12
+        assert np.array_equal(u, u.T) and np.array_equal(u, u[::-1, ::-1])
+
+    def test_lattice_build_allocates_one_n_by_n_array(self):
+        # 3n - 1 exponentials and their product: the density is the only
+        # n x n array, where the pairwise kernel took several
+        grid = lattice_space(6.0, 0.01)
+        tracemalloc.start()
+        try:
+            build_ho_discretization(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * grid.n**2
+
     def test_exact_ground_state_residual(self):
         grid = lattice_space(8.0, 0.05)
         xs = grid.coords[:, 0]
@@ -166,6 +260,29 @@ class TestHoDiscretization:
         whole = build_ho_discretization(grid, 1.0)
         err = np.max(np.abs(compose(half, half).density - whole.density))
         assert err < 1e-6
+
+
+@pytest.mark.parametrize("space", [
+    StateSpace(tuple(range(4)), np.ones(4), np.array([0.0, 1.0, 2.0, 3.5])),  # unequal steps
+    StateSpace(tuple(range(4)), np.ones(4), np.array([3.0, 2.0, 1.0, 0.0])),  # decreasing
+    StateSpace((0,), np.ones(1), np.array([0.0])),  # one point
+    build_ctmc_model(25, "box:2").space,  # 2-D
+    build_ctmc_model(5, "complete").space,  # a metric, no coordinates
+], ids=["unequal", "decreasing", "one-point", "2d", "no-coords"])
+def test_lattice_builders_need_an_equally_spaced_lattice(space):
+    with pytest.raises(ModelError, match="equally spaced 1-D lattice"):
+        build_ho_discretization(space, 1.0)
+    with pytest.raises(ModelError, match="equally spaced 1-D lattice"):
+        build_fractional_model(space, LevyProfile("polynomial", alpha=1.0), PotentialSpec("power"))
+
+
+def test_lattice_builders_take_steps_equal_to_relative_1e_12():
+    xs = np.arange(5.0) * 0.3
+    xs[2] *= 1.0 + 1e-13
+    space = StateSpace(tuple(range(5)), np.full(5, 0.3), xs)
+    assert build_ho_discretization(space, 1.0).density.shape == (5, 5)
+    assert build_fractional_model(space, LevyProfile("polynomial", alpha=1.0),
+                                  PotentialSpec("power")).n == 5
 
 
 class TestRegimeClassifier:

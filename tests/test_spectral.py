@@ -182,6 +182,16 @@ class TestShiftInvertTriple:
         with pytest.raises((NondegeneracyError, PositivityError)):
             principal_triple(model)
 
+    def test_mixed_signs_of_an_irreducible_chain_name_the_round_off_floor(self):
+        # at 1e-2 the left vector's mixed signs are round-off, not reducibility:
+        # the triple has already found the chain irreducible
+        model = zoo_build("cycle", {"n": 500, "potential": "power", "beta": "1.0", "scale": "1e-2"})
+        assert model.is_irreducible()
+        floor = "irreducible, so it fell below the double round-off floor"
+        with pytest.raises(PositivityError, match=floor) as info:
+            principal_triple(model)
+        assert "reducible or" not in str(info.value)
+
 
 @given(model=nonreversible_chains(), t=st.floats(0.5, 4.0))
 @settings(max_examples=60, deadline=None)

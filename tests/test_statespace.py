@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, strategies as st
 
+from qergo.models import build_ctmc_model, lattice_space
 from qergo.statespace import (
     ExhaustingFamily,
     StateSpace,
@@ -41,6 +42,19 @@ class TestStateSpace:
         bad = np.array([[0.5, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="vanish"):
             StateSpace((0, 1), np.ones(2), None, bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda: lattice_space(6.0, 0.01), lambda: lattice_space(8.0, 0.05),
+        lambda: lattice_space(4.0, 0.25), lambda: lattice_space(20.0, 0.1),
+        lambda: build_ctmc_model(500, "cycle").space,
+        lambda: build_ctmc_model(25, "box:2").space, lambda: build_ctmc_model(64, "box:3").space,
+    ])
+    def test_metric_is_bit_equal_to_the_norm_of_the_difference(self, build):
+        # |x - y| in 1-D and the per-dimension sum of squares match the
+        # (n, n, d) formula they replace bit for bit
+        space = build()
+        diff = space.coords[:, None, :] - space.coords[None, :, :]
+        assert np.array_equal(space.dist, np.sqrt((diff**2).sum(axis=2)))
 
 
 class TestBallIndicator:
