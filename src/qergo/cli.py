@@ -345,10 +345,8 @@ def run_experiment(cfg: ExperimentConfig):
         elif spec is None:
             report.add_verdict(False, name, "SKIPPED: no spectral data (reducible chain)")
         elif name == "kernel_convergence":
-            _run_rate_series(
-                report, name, [(op.t, dg.kernel_convergence_error(op, spec)) for op in ops],
-                spec, rep_tols,
-            )
+            errs = dg.kernel_convergence_error(ops, spec)
+            _run_rate_series(report, name, [(op.t, e) for op, e in zip(ops, errs)], spec, rep_tols)
         elif name == "quasi_ergodic":
             p = cfg.diag_params[name]["p"]
             samples = [(op.t, dg.quasi_ergodic_error(op, spec, sigma, p)) for op in ops]

@@ -207,13 +207,27 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
 # convergence errors
 
 
-def kernel_convergence_error(op: KernelOperator, spec: SpectralData) -> float:
-    """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda|."""
-    scale, err = np.exp(spec.lambda0 * op.t), 0.0
-    for i in range(0, op.space.n, 128):  # row blocks keep the n x n temporaries small
-        target = np.outer(spec.phi0[i:i + 128], spec.psi0) / spec.Lambda
-        err = max(err, float(np.abs(scale * op.density[i:i + 128] - target).max()))
-    return err
+def kernel_convergence_error(ops, spec: SpectralData) -> list[float]:
+    """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda| at the
+    times of the operators ``ops`` (a grid of U_t), one value per operator.
+
+    One sweep over 64-row blocks forms each target block once and compares
+    every operator's block with it in a preallocated buffer, so no temporary
+    is larger than a block; a nan entry gives nan.
+    """
+    n = len(spec.phi0)
+    err = np.zeros(len(ops))
+    T, D = np.empty((64, n)), np.empty((64, n))
+    for i in range(0, n, 64):
+        m = min(64, n - i)
+        target, diff = T[:m], D[:m]
+        np.multiply(spec.phi0[i:i + m, None], spec.psi0, out=target)
+        target /= spec.Lambda
+        for k, op in enumerate(ops):
+            np.multiply(np.exp(spec.lambda0 * op.t), op.density[i:i + m], out=diff)
+            diff -= target
+            err[k] = np.max([err[k], diff.max(), -diff.min()])
+    return [float(e) for e in err]
 
 
 def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> float:
@@ -265,7 +279,7 @@ def pgsd_radius(
 
     Returns None when even the base point violates the level (void set).
     """
-    d = space.dist[space.index(base_point)]
+    d = space.distances(space.index(base_point))
     order = np.argsort(d, kind="stable")
     ds = d[order]
     # the sup over B_r is the running max up to the last point at distance r
@@ -328,7 +342,7 @@ def eta_function(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    d = space.dist[space.index(fam.base_point)]
+    d = space.distances(space.index(fam.base_point))
     below = d[np.minimum(spec.phi0, spec.psi0) < np.exp(-gamma * t)]
     if below.size and float(fam.radius_fn(fam.t_min)) >= below.min():
         raise ValueError("t below the admissible range: e^{-gamma t} exceeds h at t_min")

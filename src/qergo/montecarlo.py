@@ -97,7 +97,7 @@ def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
     times.sort(axis=1)
     cum = np.cumsum(model.Q, axis=1)
     guide = _guide_table(cum)
-    dist_row = model.space.dist[i0]
+    dist_row = model.space.distances(i0)
     state = np.full(n, i0)
     logw = np.zeros(n)
     stayed = np.ones(n, dtype=bool)

@@ -51,6 +51,16 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max([np.abs(d, out=d).max(initial=0.0) for d in blocks], initial=0.0))
 
 
+def _max_asymmetry(u: np.ndarray) -> float:
+    """max |u - u^T| of a square array: each 128 x 128 tile (I, J) with I <= J
+    against the transpose of tile (J, I), so u is read once and no temporary
+    is larger than a tile; nan when an entry is nan."""
+    tiles = range(0, len(u), 128)
+    diffs = [np.abs(u[i:i + 128, j:j + 128] - u[j:j + 128, i:i + 128].T).max()
+             for i in tiles for j in tiles if i <= j]
+    return float(np.max(diffs, initial=0.0))
+
+
 def strongly_connected(adj: np.ndarray) -> bool:
     """Whether every state reaches every other along the boolean adjacency ``adj``:
     a breadth-first search from state 0 along ``adj`` and along its transpose."""
@@ -140,8 +150,8 @@ class KernelOperator:
         n = self.space.n
         if u.shape != (n, n):
             raise ValueError("density must be square over the state space")
-        if u.min(initial=0.0) < -1e-14:
-            raise ValueError("kernel density must be nonnegative")
+        if not u.min(initial=0.0) >= -1e-14:  # nan fails too
+            raise ValueError("kernel density must be nonnegative, with no nan entry")
         object.__setattr__(self, "density", _read_only(u))
 
     def apply(self, f) -> np.ndarray:
@@ -178,7 +188,7 @@ class KernelOperator:
     def self_adjoint(self) -> bool:
         """Whether the density is symmetric within a few ulps of its largest entry."""
         u = self.density
-        return bool(_max_abs_diff(u, u.T) <= _REV_TOL * max(u.max(), -u.min()))
+        return bool(_max_asymmetry(u) <= _REV_TOL * max(u.max(), -u.min()))
 
 
 def _floored(P: np.ndarray) -> np.ndarray:

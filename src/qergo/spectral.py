@@ -166,9 +166,11 @@ def principal_triple(model) -> SpectralData:
     res_l = np.max(np.abs(G_dual @ psi + lam0 * psi))
     scale = max(1.0, np.abs(G).max())
     if max(res_r, res_l) > _RESID_TOL * scale:
-        raise NondegeneracyError(
-            f"eigen residuals {res_r:.2e}, {res_l:.2e} exceed tolerance"
-        )
+        # a computed eigenvector's round-off is ~n eps of its largest entry
+        span = min(phi.min() / phi.max(), psi.min() / psi.max())
+        cause = ("" if span >= model.n * np.finfo(float).eps else "; the chain is irreducible, so "
+                 f"an eigenfunction fell below the double round-off floor (min/max {span:.1e})")
+        raise NondegeneracyError(f"eigen residuals {res_r:.2e}, {res_l:.2e} exceed tolerance{cause}")
     Lam = float(np.sum(phi * psi * mu))
     return SpectralData(float(lam0), phi, psi, Lam, gap)
 

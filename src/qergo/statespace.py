@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,15 +22,16 @@ _T_MAX = 1e12  # largest family parameter exhaustion_time tries
 class StateSpace:
     """A finite point set with a positive reference weight per point.
 
-    ``dist`` is the full symmetric distance matrix; it defaults to Euclidean
-    distance on ``coords``.  All arrays are locked after construction, and
-    every operation on a space is pure.
+    ``dist`` is an explicit symmetric distance matrix; without it the metric
+    is Euclidean distance on ``coords``, formed one row at a time by
+    ``distances`` and never stored.  All arrays are locked after
+    construction, and every operation on a space is pure.
     """
 
     points: tuple
     mu: np.ndarray
     coords: np.ndarray | None = None
-    dist: np.ndarray = field(default=None)  # type: ignore[assignment]
+    dist: np.ndarray | None = None
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -53,10 +54,6 @@ class StateSpace:
         if dist is None:
             if coords is None:
                 raise ValueError("need coords or an explicit distance matrix")
-            # a metric by construction; in 1-D |x - y| is sqrt((x - y)^2) bit for bit
-            diffs = [c[:, None] - c for c in coords.T]
-            dist = np.sqrt(sum(d * d for d in diffs)) if len(diffs) > 1 else diffs[0]
-            np.abs(dist, out=dist)
         else:
             dist = np.asarray(dist, dtype=float)
             if dist.shape != (n, n):
@@ -78,8 +75,16 @@ class StateSpace:
     def index(self, point) -> int:
         return self._index[point]
 
+    def distances(self, i: int) -> np.ndarray:
+        """Row i of the metric: d(x_i, y) for every point y."""
+        if self.dist is not None:
+            return self.dist[i]
+        # a metric by construction; in 1-D |x - y| is sqrt((x - y)^2) bit for bit
+        diffs = [c[i] - c for c in self.coords.T]
+        return np.sqrt(sum(d * d for d in diffs)) if len(diffs) > 1 else np.abs(diffs[0])
+
     def diameter(self) -> float:
-        return float(self.dist.max()) if self.n > 1 else 0.0
+        return float(max(self.distances(i).max() for i in range(self.n))) if self.n > 1 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +106,7 @@ def ball_indicator(space: StateSpace, fam: ExhaustingFamily, t: float) -> np.nda
     if t < fam.t_min:
         raise ValueError(f"t={t} below the family's lower bound t_min={fam.t_min}")
     r = float(fam.radius_fn(t))
-    return space.dist[space.index(fam.base_point)] <= r
+    return space.distances(space.index(fam.base_point)) <= r
 
 
 def _radius_crossing(fam: ExhaustingFamily, r: float, lo: float, hi: float) -> tuple[float, float]:
@@ -125,7 +130,7 @@ def exhaustion_time(space: StateSpace, fam: ExhaustingFamily) -> float:
     """
     if not abs(fam.t_min) < np.inf:  # nan fails too
         raise ValueError(f"t_min must be finite, got {fam.t_min}")
-    R = float(space.dist[space.index(fam.base_point)].max())
+    R = float(space.distances(space.index(fam.base_point)).max())
     if float(fam.radius_fn(fam.t_min)) >= R:
         return fam.t_min
     hi = max(fam.t_min, 1.0)

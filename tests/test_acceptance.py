@@ -222,7 +222,7 @@ def _rate_pair(model, sigma_index):
     sigma[sigma_index] = 1.0
     for t in t_grid:
         op = feynman_kac_operator(model, t)
-        kce.append(t, kernel_convergence_error(op, spec))
+        kce.append(t, kernel_convergence_error([op], spec)[0])
         qee.append(t, quasi_ergodic_error(op, spec, sigma, np.inf))
     r1 = -fit_exponential_rate(kce, 1.0)[0]
     r2 = -fit_exponential_rate(qee, 1.0)[0]
@@ -368,7 +368,7 @@ def test_criterion_08_progressive_bound():
     a = b = 1.0 / 3.0
     t0 = 1.0
     op0 = feynman_kac_operator(model, t0)
-    dist = model.space.dist[model.space.index(base)]
+    dist = model.space.distances(model.space.index(base))
     C = None
     rows = []
     for t in (12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0):
@@ -416,7 +416,7 @@ def test_criterion_09_monte_carlo():
     x0 = 9
     radius = 1.0
     i0 = model.space.index(x0)
-    inball = model.space.dist[i0] <= radius
+    inball = model.space.distances(i0) <= radius
     vmax = float(model.V[inball].max())
     free = build_ctmc_model(20, "birth-death")
     for t in (0.5, 1.0, 2.0):

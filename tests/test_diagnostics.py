@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -273,12 +274,12 @@ class TestKernelConvergence:
         t = 1.3
         u = np.exp(-spec.lambda0 * t) * np.outer(spec.phi0, spec.psi0) / spec.Lambda
         op = KernelOperator(t, u, cycle4.space)
-        assert kernel_convergence_error(op, spec) < 1e-13
+        assert kernel_convergence_error([op], spec)[0] < 1e-13
 
-    @pytest.mark.parametrize("row", [0, 127, 128, 255, 299])
+    @pytest.mark.parametrize("row", [0, 63, 64, 127, 128, 255, 299])
     def test_row_blocks_give_the_whole_matrix_value(self, row):
-        # n = 300 spans three row blocks; a bump in any row sets the sup, and
-        # the value is the unblocked one bit for bit
+        # n = 300 spans five 64-row blocks, the last short; a bump in any row
+        # sets the sup, and the value is the unblocked one bit for bit
         n, t = 300, 0.7
         sp = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
         phi = np.linspace(0.5, 1.5, n) / np.sqrt(n)
@@ -288,14 +289,60 @@ class TestKernelConvergence:
         density[row, n - 1 - row] *= 1.5
         op = KernelOperator(t, density, sp)
         whole = float(np.abs(np.exp(spec.lambda0 * t) * op.density - target).max())
-        assert kernel_convergence_error(op, spec) == whole
+        assert kernel_convergence_error([op], spec) == [whole]
         assert whole == pytest.approx(0.5 * target[row, n - 1 - row], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_grid_sweep_is_the_per_operator_expression_bit_for_bit(self, n, k):
+        # n around the 64-row block; densities within 10 % of the limit, so the
+        # differences sit at the size where a changed operation would show
+        rng = np.random.default_rng(100 * n + k)
+        sp = StateSpace(tuple(range(n)), rng.uniform(0.5, 2.0, n), np.arange(n, dtype=float)[:, None])
+        phi, psi = rng.uniform(0.1, 1.0, (2, n))
+        spec = SpectralData(0.37, phi, psi, float(np.sum(phi * psi * sp.mu)), 0.2)
+        limit = np.outer(phi, psi) / spec.Lambda
+        ops = [KernelOperator(t, np.exp(-spec.lambda0 * t) * limit * rng.uniform(0.9, 1.1, (n, n)), sp)
+               for t in np.linspace(0.3, 2.5, k)]
+        want = [float(np.abs(np.exp(spec.lambda0 * op.t) * op.density - limit).max()) for op in ops]
+        assert kernel_convergence_error(ops, spec) == want
+
+    @pytest.mark.parametrize("row", [3, 150], ids=["first_block", "later_block"])
+    def test_nan_propagates(self, row):
+        # a nan entry used to drop out of Python's max(0.0, nan) == 0.0; the
+        # operator now refuses it, and the sweep reports one it is handed
+        n = 200
+        sp = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+        phi = np.linspace(0.5, 1.5, n) / np.sqrt(n)
+        spec = SpectralData(0.3, phi, phi, float(phi @ phi), 0.1)
+        density = np.exp(-0.3) * np.outer(phi, phi) / spec.Lambda
+        density[0, 1] *= 1.5  # a finite error in the first block as well
+        density[row, 7] = np.nan
+        with pytest.raises(ValueError, match="nan"):
+            KernelOperator(1.0, density, sp)
+        good = KernelOperator(1.0, np.nan_to_num(density), sp)
+        errs = kernel_convergence_error([good, SimpleNamespace(t=1.0, density=density), good], spec)
+        assert np.isfinite(errs[0]) and np.isnan(errs[1]) and errs[2] == errs[0]
+
+    def test_grid_sweep_allocates_no_n_by_n_temporary(self):
+        n = 700
+        sp = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+        phi = np.linspace(0.5, 1.5, n) / np.sqrt(n)
+        spec = SpectralData(0.3, phi, phi, float(phi @ phi), 0.1)
+        ops = [KernelOperator(t, np.outer(phi, phi) * t, sp) for t in (0.5, 1.0, 1.5, 2.0)]
+        tracemalloc.start()
+        try:
+            kernel_convergence_error(ops, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n * n
 
     def test_decay_rate_matches_gap(self, swap2_v01):
         spec = principal_triple(swap2_v01)
         series = DiagnosticSeries("kernel_convergence")
         for t in np.linspace(1.5, 3.5, 6):
-            err = kernel_convergence_error(feynman_kac_operator(swap2_v01, t), spec)
+            err = kernel_convergence_error([feynman_kac_operator(swap2_v01, t)], spec)[0]
             series.append(t, err)
         rate, _, r2 = fit_exponential_rate(series, tail_fraction=1.0)
         assert -rate == pytest.approx(spec.gap, rel=0.05)
@@ -309,7 +356,8 @@ class TestKernelConvergence:
             t_grid = np.linspace(3.0 / spec.gap, 9.0 / spec.gap, 9)
             series = DiagnosticSeries("kce")
             for t in t_grid:
-                series.append(t, kernel_convergence_error(feynman_kac_operator(model, t), spec))
+                op = feynman_kac_operator(model, t)
+                series.append(t, kernel_convergence_error([op], spec)[0])
             rate, _, _ = fit_exponential_rate(series, tail_fraction=0.5)
             assert -rate == pytest.approx(spec.gap, rel=0.05)
 
@@ -425,7 +473,7 @@ class TestGsdProfile:
             space = StateSpace(tuple(range(n)), np.ones(n), rng.integers(-3, 4, (n, dim)))
             profile = rng.integers(0, 6, n).astype(float)
             base = int(rng.integers(n))
-            d = space.dist[base]
+            d = space.distances(base)
             assert pgsd_radius(profile, space, base, profile[base] - 0.5) is None
             for C in np.concatenate([np.unique(profile), np.unique(profile) + 0.5]):
                 admissible = [r for r in np.unique(d) if profile[d <= r].max() <= C]

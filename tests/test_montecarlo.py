@@ -59,7 +59,7 @@ def reference_batch(model, x0, t: float, n: int, gen, radius=None):
     masked = np.where(np.arange(M)[None, :] < counts[:, None], raw, np.inf)
     times = np.sort(masked, axis=1)
     cum = np.cumsum(model.Q, axis=1)
-    dist_row = model.space.dist[i0]
+    dist_row = model.space.distances(i0)
     state = np.full(n, i0)
     logw = np.zeros(n)
     stayed = np.ones(n, dtype=bool)
@@ -241,7 +241,7 @@ class TestExitProbability:
         model = birthdeath20_confining
         x0, radius, t = 9, 2.0, 1.0
         est = exit_probability(model, x0, t, radius, n=100_000, rng=17)
-        inside = model.space.dist[model.space.index(x0)] <= radius
+        inside = model.space.distances(model.space.index(x0)) <= radius
         Qk = model.Q[np.ix_(inside, inside)]
         Gk = Qk - np.eye(int(inside.sum()))
         from scipy.linalg import expm

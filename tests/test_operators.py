@@ -23,6 +23,7 @@ from qergo.operators import (
     MarkovModel,
     _exp_step,
     _max_abs_diff,
+    _max_asymmetry,
     _symmetric_eigh,
     compose,
     feynman_kac_operator,
@@ -456,7 +457,7 @@ class TestParitySplit:
 
 
 class TestSymmetryBars:
-    """Each symmetry test compares a row-blocked max |a - b| with its own bar;
+    """Each symmetry test compares a blocked max |a - b| with its own bar;
     2^-49 = _REV_TOL and a step of 2^-52 past it are exact on entries near 1/2."""
 
     def test_max_abs_diff_matches_numpy(self):
@@ -466,6 +467,22 @@ class TestSymmetryBars:
         assert _max_abs_diff(a[:0], b[:0]) == 0.0
         a[129, 3] = np.nan
         assert np.isnan(_max_abs_diff(a, b))
+
+    @pytest.mark.parametrize("above,below", [((260, 290), (295, 270)), ((10, 280), (290, 5))],
+                             ids=["diagonal_edge_tile", "off_diagonal_edge_tiles"])
+    def test_max_asymmetry_matches_numpy(self, above, below):
+        # n = 300: tiles of 128, 128 and 44; one defect each side of the
+        # diagonal in the partial edge tiles, the larger one below it
+        rng = np.random.default_rng(6)
+        u = rng.uniform(0.0, 1.0, (300, 300))
+        u = u + u.T
+        u[above] += 1e-3
+        u[below] += 2e-3
+        assert _max_asymmetry(u) == np.abs(u - u.T).max()
+        assert _max_asymmetry(u + u.T) == 0.0
+        assert _max_asymmetry(u[:1, :1]) == 0.0
+        u[below[1], below[0]] = np.nan
+        assert np.isnan(_max_asymmetry(u))
 
     @pytest.mark.parametrize("step,symmetric", EDGE, ids=["at_the_bar", "past_the_bar"])
     def test_self_adjoint_bar_is_rev_tol_times_the_largest_entry(self, step, symmetric):

@@ -182,6 +182,15 @@ class TestShiftInvertTriple:
         with pytest.raises((NondegeneracyError, PositivityError)):
             principal_triple(model)
 
+    def test_residuals_of_an_irreducible_chain_name_the_round_off_floor(self):
+        # at 1e-3 lambda0 is simple and the chain irreducible: the left
+        # residual fails because psi0 spans more decades than a double resolves
+        model = zoo_build("cycle", {"n": 500, "potential": "power", "beta": "1.0", "scale": "1e-3"})
+        assert model.is_irreducible()
+        floor = "irreducible, so an eigenfunction fell below the double round-off floor"
+        with pytest.raises(NondegeneracyError, match=floor):
+            principal_triple(model)
+
     def test_mixed_signs_of_an_irreducible_chain_name_the_round_off_floor(self):
         # at 1e-2 the left vector's mixed signs are round-off, not reducibility:
         # the triple has already found the chain irreducible

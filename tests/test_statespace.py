@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import event, given, strategies as st
@@ -21,7 +23,7 @@ def grid1d(lo, hi, mu=None):
 class TestStateSpace:
     def test_euclidean_metric_default(self):
         sp = grid1d(-2, 2)
-        assert sp.dist[0, 4] == 4.0
+        assert sp.distances(0)[4] == 4.0
         assert sp.diameter() == 4.0
 
     def test_duplicate_ids_rejected(self):
@@ -54,7 +56,33 @@ class TestStateSpace:
         # (n, n, d) formula they replace bit for bit
         space = build()
         diff = space.coords[:, None, :] - space.coords[None, :, :]
-        assert np.array_equal(space.dist, np.sqrt((diff**2).sum(axis=2)))
+        rows = [space.distances(i) for i in range(space.n)]
+        assert np.array_equal(rows, np.sqrt((diff**2).sum(axis=2)))
+
+    def test_rows_are_formed_on_call_and_not_stored(self):
+        space = lattice_space(250.0, 0.25)
+        assert space.dist is None
+        tracemalloc.start()
+        try:
+            lattice_space(250.0, 0.25).distances(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * space.n**2
+
+    def test_explicit_matrix_is_read_by_row(self):
+        space = build_ctmc_model(5, "complete").space
+        assert np.array_equal(space.distances(2), [1.0, 1.0, 0.0, 1.0, 1.0])
+        assert space.diameter() == 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: lattice_space(4.0, 0.25), lambda: build_ctmc_model(25, "box:2").space,
+        lambda: build_ctmc_model(64, "box:3").space,
+    ])
+    def test_diameter_is_the_largest_distance(self, build):
+        space = build()
+        diff = space.coords[:, None, :] - space.coords[None, :, :]
+        assert space.diameter() == np.sqrt((diff**2).sum(axis=2)).max()
 
 
 class TestBallIndicator:
