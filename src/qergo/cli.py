@@ -28,7 +28,7 @@ from . import models as zoo
 from .errors import ModelError, NonuniquenessWarning
 from .models import MAX_PATH_STEPS, parse_model_string
 from .montecarlo import fk_estimate
-from .operators import MarkovModel, feynman_kac_operator
+from .operators import MarkovModel, Survivals, feynman_kac_operator
 from .spectral import principal_triple, spectral_to_text
 from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
 
@@ -319,11 +319,14 @@ def run_experiment(cfg: ExperimentConfig):
     # points named by the config are checked before any operator is built
     fam = _build_family(cfg, space)
     sigma = _parse_sigma(cfg, space) if "quasi_ergodic" in cfg.diagnostics else None
-    if cfg.mc is not None and not isinstance(model, MarkovModel):
-        raise _fail_config(cfg.source, "mc", "[mc]: needs a Markov generator; "
-                           f"the {model.label} oracle is kernel-only")
-    ops = [model.semigroup.operator(t) for t in cfg.t_grid]
-    try:
+    if not isinstance(model, MarkovModel):
+        if cfg.mc is not None:
+            raise _fail_config(cfg.source, "mc", "[mc]: needs a Markov generator; "
+                               f"the {model.label} oracle is kernel-only")
+        # the triple reads U_1: built here, each build is a step of the run in a
+        # traced bench run, as the grid's are; the engine keeps it first
+        model.semigroup.operator(1.0)
+    try:  # before the grid, so that a grid past the double range below fails before any operator
         spec = principal_triple(model)
     except ModelError:
         spec = None  # reducible chain: spectral diagnostics are unavailable
@@ -334,6 +337,7 @@ def run_experiment(cfg: ExperimentConfig):
                 cfg.source, "t_grid", f"e^(lambda0 t) overflows: lambda0 = {spec.lambda0:.6g}, "
                 f"so the largest usable t is {_LOG_MAX / spec.lambda0:.6g}")
 
+    ops, reads = _grid_pass(model, spec, fam, sigma, cfg)
     report = _Report(model.label)
     rep_tols = {key: cfg.verdicts.get(key, default) for key, (default, *_) in _TOLERANCES.items()}
 
@@ -341,22 +345,17 @@ def run_experiment(cfg: ExperimentConfig):
         if name == "heat_content":
             _run_heat_content(report, model, ops)
         elif name == "qsd":
-            _run_qsd(report, spec, ops, rep_tols)
+            _run_qsd(report, spec, space, reads, rep_tols)
         elif spec is None:
             report.add_verdict(False, name, "SKIPPED: no spectral data (reducible chain)")
-        elif name == "kernel_convergence":
-            errs = dg.kernel_convergence_error(ops, spec)
-            _run_rate_series(report, name, [(op.t, e) for op, e in zip(ops, errs)], spec, rep_tols)
-        elif name == "quasi_ergodic":
-            p = cfg.diag_params[name]["p"]
-            samples = [(op.t, dg.quasi_ergodic_error(op, spec, sigma, p)) for op in ops]
-            _run_rate_series(report, name, samples, spec, rep_tols)
+        elif name in ("kernel_convergence", "quasi_ergodic"):
+            _run_rate_series(report, name, list(zip(cfg.t_grid, reads[name])), spec, rep_tols)
         elif name == "gsd":
             _run_gsd(report, spec, fam, ops, rep_tols)
         elif name == "eta":
             _run_eta(report, spec, space, fam, cfg)
         elif name == "kappa":
-            _run_kappa(report, model, spec, fam, ops, cfg)
+            _run_kappa(report, model, spec, fam, ops, reads[name], cfg)
         elif name == "uniqueness":
             stable, sup = dg.uniqueness_condition_check(ops, spec)
             report.add_sample(name, ops[-1].t, sup)
@@ -394,6 +393,39 @@ def run_experiment(cfg: ExperimentConfig):
     return report, paths, (0 if report.all_pass else 2)
 
 
+def _grid_pass(model, spec, fam, sigma, cfg):
+    """Visit the grid once, in ascending order: take every number the configured
+    diagnostics read from the density of U_t, then drop U_t but its survivals.
+    Returns those and the numbers by diagnostic, one per time, but (t, residual)
+    for ``qsd`` and (measure, whether it warned) for ``find_qsd``."""
+    names = set(cfg.diagnostics) if spec is not None else set()
+    limit = None
+    mid, last = len(cfg.t_grid) // 2, len(cfg.t_grid) - 1
+    ops, reads = [], {name: [] for name in names}
+    for i, t in enumerate(cfg.t_grid):
+        op = model.semigroup.operator(t)
+        if "kernel_convergence" in names:  # the limit after the first build, the costliest
+            limit = dg.kernel_limit(spec) if limit is None else limit
+            reads["kernel_convergence"].append(dg.kernel_convergence_error(op, spec, limit))
+        if "quasi_ergodic" in names:
+            p = cfg.diag_params["quasi_ergodic"]["p"]
+            reads["quasi_ergodic"].append(dg.quasi_ergodic_error(op, spec, sigma, p))
+        if "qsd" in cfg.diagnostics and i == mid:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", NonuniquenessWarning)
+                fixed = dg.find_qsd(op)
+            warned = any(issubclass(w.category, NonuniquenessWarning) for w in caught)
+            reads["find_qsd"] = fixed, warned
+        if "qsd" in names and i in (0, mid, last):  # a short grid repeats a time
+            res = dg.qsd_residual(dg.qsd_from_spectral(spec, op.space), op)
+            reads["qsd"] += [(t, res)] * ((i == 0) + (i == mid) + (i == last))
+        if "kappa" in names and fam is not None:
+            mask = ball_indicator(op.space, fam, cfg.diag_params["kappa"]["a"] * t)
+            reads["kappa"].append(dg.progressive_error(op, spec, mask))
+        ops.append(Survivals(t, op.space, op.survival(), op.dual_survival()))
+    return ops, reads
+
+
 def _run_heat_content(report, model, ops):
     for op in ops:
         z = dg.heat_content(op)
@@ -413,17 +445,13 @@ def _run_heat_content(report, model, ops):
             )
 
 
-def _run_qsd(report, spec, ops, tols):
-    mid = len(ops) // 2
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NonuniquenessWarning)
-        fixed = dg.find_qsd(ops[mid])
-    nonunique = any(issubclass(w.category, NonuniquenessWarning) for w in caught)
+def _run_qsd(report, spec, space, reads, tols):
+    fixed, nonunique = reads["find_qsd"]
     if nonunique:
         report.add_verdict(False, "qsd_uniqueness", "NonuniquenessWarning: dominant eigenvalue degenerate")
     if spec is None:
         return
-    m = dg.qsd_from_spectral(spec, ops[mid].space)
+    m = dg.qsd_from_spectral(spec, space)
     dist = float(np.abs(fixed.weights - m.weights).sum())
     if not nonunique:
         report.add_verdict(
@@ -431,11 +459,10 @@ def _run_qsd(report, spec, ops, tols):
             "qsd_cross_method",
             f"L1(find_qsd, psi0-mu)={_num(dist)}",
         )
-    for op in (ops[0], ops[mid], ops[-1]):
-        res = dg.qsd_residual(m, op)
-        report.add_sample("qsd_residual", op.t, res)
+    for t, res in reads["qsd"]:
+        report.add_sample("qsd_residual", t, res)
         report.add_verdict(res <= tols["qsd_tol"], "qsd_residual",
-                           f"t={_num(op.t)} residual={_num(res)}")
+                           f"t={_num(t)} residual={_num(res)}")
 
 
 def _run_rate_series(report, name, samples, spec, tols):
@@ -495,15 +522,15 @@ def _run_eta(report, spec, space, fam, cfg):
     report.add_verdict(ok, "eta_monotone", f"values={[round(v, 6) for v in finite]}")
 
 
-def _run_kappa(report, model, spec, fam, ops, cfg):
+def _run_kappa(report, model, spec, fam, ops, errors, cfg):
     if fam is None:
         report.add_verdict(False, "kappa", "SKIPPED: no [family] section")
         return
-    a, b, t0 = (cfg.diag_params["kappa"][key] for key in ("a", "b", "t0"))
-    op0 = model.semigroup.operator(t0)  # asked after the grid, which may compose it
+    b, t0 = cfg.diag_params["kappa"]["b"], cfg.diag_params["kappa"]["t0"]
+    # a t0 off the grid is asked of the engine after the pass, which may compose it
+    op0 = {op.t: op for op in ops}.get(t0) or model.semigroup.operator(t0)
     C, ok, detail = None, True, []
-    for op in ops:
-        E = dg.progressive_error(op, spec, ball_indicator(op.space, fam, a * op.t))
+    for op, E in zip(ops, errors):
         kb = dg.kappa_rate(op0, spec, fam, b, op.t)
         report.add_sample("kappa_b", op.t, kb, extra=f"E={_num(E)}")
         if C is None:

@@ -28,6 +28,7 @@ __all__ = [
     "qsd_from_spectral",
     "qsd_residual",
     "find_qsd",
+    "kernel_limit",
     "kernel_convergence_error",
     "quasi_ergodic_error",
     "progressive_error",
@@ -207,27 +208,29 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
 # convergence errors
 
 
-def kernel_convergence_error(ops, spec: SpectralData) -> list[float]:
-    """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda| at the
-    times of the operators ``ops`` (a grid of U_t), one value per operator.
+def kernel_limit(spec: SpectralData) -> np.ndarray:
+    """The large-time limit phi0(x) psi0(y) / Lambda of e^{lambda0 t} u_t(x, y)."""
+    limit = np.multiply.outer(spec.phi0, spec.psi0)
+    return np.divide(limit, spec.Lambda, out=limit)
 
-    One sweep over 64-row blocks forms each target block once and compares
-    every operator's block with it in a preallocated buffer, so no temporary
-    is larger than a block; a nan entry gives nan.
+
+def kernel_convergence_error(
+    op: KernelOperator, spec: SpectralData, limit: np.ndarray | None = None
+) -> float:
+    """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda| at the time of ``op``.
+
+    ``limit`` is ``kernel_limit(spec)``, which a grid forms once.  Each 64-row
+    block of the density, scaled, is compared with it in one preallocated
+    buffer, so no temporary is larger than a block; a nan entry gives nan.
     """
-    n = len(spec.phi0)
-    err = np.zeros(len(ops))
-    T, D = np.empty((64, n)), np.empty((64, n))
+    limit = kernel_limit(spec) if limit is None else limit
+    n, err, scale = len(limit), 0.0, np.exp(spec.lambda0 * op.t)
+    buf = np.empty((64, n))
     for i in range(0, n, 64):
-        m = min(64, n - i)
-        target, diff = T[:m], D[:m]
-        np.multiply(spec.phi0[i:i + m, None], spec.psi0, out=target)
-        target /= spec.Lambda
-        for k, op in enumerate(ops):
-            np.multiply(np.exp(spec.lambda0 * op.t), op.density[i:i + m], out=diff)
-            diff -= target
-            err[k] = np.max([err[k], diff.max(), -diff.min()])
-    return [float(e) for e in err]
+        diff = np.multiply(scale, op.density[i:i + 64], out=buf[:min(64, n - i)])
+        diff -= limit[i:i + 64]
+        err = np.max([err, diff.max(), -diff.min()])
+    return float(err)
 
 
 def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> float:
@@ -296,9 +299,9 @@ def agsd_certificate(ops, spec: SpectralData, level: float = 10.0) -> tuple[bool
     rather than growing without bound.  The measured signature of the aGSD
     regime is therefore that sup_x profile stays within ``level`` times the
     saturation value at the times of all the operators ``ops`` (a grid of
-    U_t); models outside the regime exceed it by orders of magnitude over
-    the same grid while their domination radius is still sweeping the
-    window.  Returns (certified, worst ratio).
+    U_t, or its ``Survivals``); models outside the regime exceed it by orders
+    of magnitude over the same grid while their domination radius is still
+    sweeping the window.  Returns (certified, worst ratio).
     """
     saturation = float(np.sum(spec.psi0 * ops[0].space.mu) / spec.Lambda)
     worst = max(float(gsd_profile(op, spec).max()) / saturation for op in ops)
@@ -372,7 +375,7 @@ def kappa_rate(
 
 def uniqueness_condition_check(ops, spec: SpectralData) -> tuple[bool, float]:
     """Boundedness probe of e^{lambda0 t} sup_x (U_t 1 + U*_t 1)(x) at the
-    times of the operators ``ops`` (a grid of U_t).
+    times of the operators ``ops`` (a grid of U_t, or its ``Survivals``).
 
     Returns (stabilized, sup over the grid); stabilized means the last pair
     of consecutive values has ratio within 1e-3 of 1.

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelError
-from .statespace import StateSpace
+from .statespace import StateSpace, _mirror_tiles, _read_only
 
 __all__ = [
     "MarkovModel",
@@ -23,6 +24,7 @@ __all__ = [
     "Engine",
     "Semigroup",
     "KernelOperator",
+    "Survivals",
     "feynman_kac_operator",
     "compose",
     "mehler_kernel",
@@ -39,11 +41,6 @@ _REV_TOL = 8 * np.finfo(float).eps
 _FLOOR = 2.0**-500
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| over two arrays of one shape, taken 64 rows at a time so
     that no temporary is larger than a block; nan when an entry is nan."""
@@ -52,12 +49,8 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _max_asymmetry(u: np.ndarray) -> float:
-    """max |u - u^T| of a square array: each 128 x 128 tile (I, J) with I <= J
-    against the transpose of tile (J, I), so u is read once and no temporary
-    is larger than a tile; nan when an entry is nan."""
-    tiles = range(0, len(u), 128)
-    diffs = [np.abs(u[i:i + 128, j:j + 128] - u[j:j + 128, i:i + 128].T).max()
-             for i in tiles for j in tiles if i <= j]
+    """max |u - u^T| of a square array, by mirror tile pairs; nan when an entry is nan."""
+    diffs = [np.abs(u[I, J] - u[J, I].T).max() for I, J in _mirror_tiles(len(u))]
     return float(np.max(diffs, initial=0.0))
 
 
@@ -69,7 +62,9 @@ def strongly_connected(adj: np.ndarray) -> bool:
         frontier = np.array([0])
         while frontier.size:
             seen[frontier] = True
-            frontier = np.flatnonzero(a[frontier].any(axis=0) & ~seen)
+            # one state, as along a path, reads its row as a view
+            reach = a[frontier[0]] if frontier.size == 1 else a[frontier].any(axis=0)
+            frontier = (reach > seen).nonzero()[0]
         if not seen.all():
             return False
     return True
@@ -183,12 +178,28 @@ class KernelOperator:
         return self.density * self.space.mu[None, :]
 
     def positivity_improving(self) -> bool:
-        return bool(np.all(self.density > 0))
+        return bool(self.density.min(initial=np.inf) > 0)
 
     def self_adjoint(self) -> bool:
         """Whether the density is symmetric within a few ulps of its largest entry."""
         u = self.density
         return bool(_max_asymmetry(u) <= _REV_TOL * max(u.max(), -u.min()))
+
+
+class Survivals(NamedTuple):
+    """U_t 1 and U*_t 1 of an operator, kept once its density is dropped: what
+    the survival readers take of an operator (t, space and the two sums)."""
+
+    t: float
+    space: StateSpace
+    u1: np.ndarray
+    u1_dual: np.ndarray
+
+    def survival(self) -> np.ndarray:
+        return self.u1
+
+    def dual_survival(self) -> np.ndarray:
+        return self.u1_dual
 
 
 def _floored(P: np.ndarray) -> np.ndarray:
@@ -223,10 +234,13 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wo, Uo = np.linalg.eigh(A - BJ)
     w = np.concatenate([we, wo])
     order = np.argsort(w, kind="stable")
-    top = np.hstack([Ue[:h], Uo]) / np.sqrt(2.0)
-    W = np.vstack([top, np.hstack([Ue[h:], np.zeros((mid, h))]),
-                   top[::-1] * np.repeat([1.0, -1.0], [h + mid, h])])
-    return w[order], W[:, order]
+    ce, co = np.split(np.argsort(order), [h + mid])  # sorted columns of the block vectors
+    Ue[:h] /= np.sqrt(2.0)
+    Uo /= np.sqrt(2.0)
+    W = np.empty((n, n))  # written in sorted column order
+    W[:h, ce], W[h:n - h, ce], W[n - h:, ce] = Ue[:h], Ue[h:], Ue[:h][::-1]
+    W[:h, co], W[h:n - h, co], W[n - h:, co] = Uo, 0.0, -Uo[::-1]
+    return w[order], W
 
 
 def _exp_step(S: np.ndarray) -> np.ndarray:
@@ -259,8 +273,10 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
 
 
 class Engine:
-    """U_t of one model for any t > 0, built by the subclass hook ``_build(t)``
-    once per t and kept for the engine's lifetime, keyed in the order asked."""
+    """U_t of one model for any t > 0, built by the subclass hook ``_build(t)``.
+    It keeps the first operator built and the most recent one: all a run asks
+    for again (the step U_s of an ascending grid composed as U_t = U_{t-s} U_s,
+    and the U_1 that a kernel-only model's triple reads)."""
 
     @cached_property
     def _ops(self) -> dict[float, KernelOperator]:
@@ -271,7 +287,10 @@ class Engine:
             raise ValueError("t must be positive")
         key = float(t)
         if key not in self._ops:
-            self._ops[key] = self._build(key)
+            op = self._build(key)
+            for s in list(self._ops)[1:]:
+                del self._ops[s]
+            self._ops[key] = op
         return self._ops[key]
 
 
@@ -319,9 +338,14 @@ class Semigroup(Engine):
         """
         if not self.reversible:
             raise ValueError("only a reversible model has a symmetric spectrum")
-        r = np.sqrt(self.model.space.mu)
-        S = r[:, None] * self.model.generator() / r[None, :]
-        w, B = _symmetric_eigh(0.5 * (S + S.T))
+        Q, V, r = self.model.Q, self.model.V, np.sqrt(self.model.space.mu)
+        S = np.multiply(r[:, None], Q)  # S = D^{1/2} G D^{-1/2} in one array
+        S /= r
+        np.fill_diagonal(S, r * ((Q.diagonal() - 1.0) - V) / r)
+        for I, J in _mirror_tiles(len(S)):  # 0.5 (S + S^T), in place
+            S[I, J] = 0.5 * (S[I, J] + S[J, I].T)
+            S[J, I] = S[I, J].T
+        w, B = _symmetric_eigh(S)
         B /= r[:, None]
         return w, B
 
@@ -335,7 +359,8 @@ class Semigroup(Engine):
             # even top one) or nan bounds nothing: every mode is kept
             floor = np.finfo(float).eps * c
             k = int(np.searchsorted(t * (w - w[-1]), np.log(floor))) if 0 < c < np.inf else 0
-            u = np.maximum((B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T, 0.0)
+            u = (B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T
+            np.maximum(u, 0.0, out=u)
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)
         if s is None:
@@ -346,7 +371,7 @@ class Semigroup(Engine):
                 P = _floored(P @ P)
         else:  # U_t = U_s U_{t-s}: one product of nonnegative cached factors
             P = _floored(self._ops[s].transition() @ self._ops[t - s].transition())
-        return KernelOperator(t, P / space.mu[None, :], space, {"method": "expm"})
+        return KernelOperator(t, np.divide(P, space.mu, out=P), space, {"method": "expm"})
 
 
 def feynman_kac_operator(model: MarkovModel, t: float) -> KernelOperator:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ModelError, NondegeneracyError, PositivityError
 from .operators import KernelOperator, MarkovModel, strongly_connected
+from .statespace import _read_only
 
 __all__ = [
     "SpectralData",
@@ -43,8 +44,8 @@ class SpectralData:
     gap: float
 
     def __post_init__(self):
-        for arr in (self.phi0, self.psi0):
-            np.asarray(arr).setflags(write=False)
+        for name in ("phi0", "psi0"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -137,16 +138,16 @@ def principal_triple(model) -> SpectralData:
         return principal_triple_from_operator(model.semigroup.operator(1.0))
     if not model.is_irreducible():
         raise ModelError("principal_triple requires an irreducible jump matrix")
-    mu = model.space.mu
-    G = model.generator()
+    mu, Q, V = model.space.mu, model.Q, model.V
     engine = model.semigroup
     if engine.reversible:
         w, B = engine.spectrum
         eigenvalues = -w[::-1]
         right, left = B[:, -1], None
     else:
-        vmin = model.V.min()
-        eigenvalues, right, left = _nearest_eigenpairs(-G, vmin - 1e-3 * (1.0 + abs(vmin)))
+        vmin = V.min()
+        eigenvalues, right, left = _nearest_eigenpairs(
+            -model.generator(), vmin - 1e-3 * (1.0 + abs(vmin)))
     lam0 = eigenvalues[0].real
     if abs(eigenvalues[1] - eigenvalues[0]) < _DEGEN_TOL:
         raise NondegeneracyError("dominant eigenvalue of -G is not simple")
@@ -160,11 +161,11 @@ def principal_triple(model) -> SpectralData:
         psi = _positive_direction(left, "left eigenfunction", irreducible=True) / mu
         psi = psi / np.sqrt(np.sum(psi**2 * mu))
     # psi0 solves the dual-generator eigenproblem (Q_dual - I - V) psi = -lam0 psi,
-    # which is the mu-pairing form of the left eigenequation
-    G_dual = model.Q_dual - np.eye(model.n) - np.diag(model.V)
-    res_r = np.max(np.abs(G @ phi + lam0 * phi))
-    res_l = np.max(np.abs(G_dual @ psi + lam0 * psi))
-    scale = max(1.0, np.abs(G).max())
+    # which is the mu-pairing form of the left eigenequation; G = Q - I - diag V
+    # is applied as Q f - f - V f, and max |G| read from Q and G's diagonal
+    res_r = np.max(np.abs(Q @ phi - phi - V * phi + lam0 * phi))
+    res_l = np.max(np.abs(model.Q_dual @ psi - psi - V * psi + lam0 * psi))
+    scale = max(1.0, Q.max(), -Q.min(), np.abs(Q.diagonal() - 1.0 - V).max())
     if max(res_r, res_l) > _RESID_TOL * scale:
         # a computed eigenvector's round-off is ~n eps of its largest entry
         span = min(phi.min() / phi.max(), psi.min() / psi.max())

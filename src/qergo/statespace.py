@@ -18,6 +18,21 @@ __all__ = [
 _T_MAX = 1e12  # largest family parameter exhaustion_time tries
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which leaves the caller's own array writeable."""
+    v = a.view()
+    v.setflags(write=False)
+    return v
+
+
+def _mirror_tiles(n: int) -> list[tuple[slice, slice]]:
+    """(I, J) of each 128 x 128 tile on or above the diagonal of an n x n array,
+    whose mirror is tile (J, I): a symmetry test or update by tile pairs reads
+    the array once and makes no temporary larger than a tile."""
+    tiles = [slice(i, i + 128) for i in range(0, n, 128)]
+    return [(I, J) for k, I in enumerate(tiles) for J in tiles[k:]]
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """A finite point set with a positive reference weight per point.
@@ -36,7 +51,6 @@ class StateSpace:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "mu", mu)
         n = len(self.points)
         if len(set(self.points)) != n:
             raise ValueError("point identifiers must be unique")
@@ -49,7 +63,6 @@ class StateSpace:
                 coords = coords.T
             if coords.shape[0] != n:
                 raise ValueError("coords must provide one vector per point")
-            object.__setattr__(self, "coords", coords)
         dist = self.dist
         if dist is None:
             if coords is None:
@@ -58,14 +71,15 @@ class StateSpace:
             dist = np.asarray(dist, dtype=float)
             if dist.shape != (n, n):
                 raise ValueError("distance matrix has wrong shape")
-            if np.any(dist < 0) or not np.allclose(dist, dist.T, atol=1e-12):
+            # np.allclose(dist, dist.T, atol=1e-12) by tile pairs; nan is not symmetric
+            close = (np.allclose(a, b, atol=1e-12) for I, J in _mirror_tiles(n)
+                     for a, b in ((dist[I, J], dist[J, I].T), (dist[J, I], dist[I, J].T)))
+            if dist.min(initial=0.0) < 0 or not all(close):
                 raise ValueError("metric must be symmetric and nonnegative")
-            if not np.allclose(np.diag(dist), 0.0, atol=1e-12):
+            if not np.allclose(dist.diagonal(), 0.0, atol=1e-12):
                 raise ValueError("metric(x, x) must vanish")
-        object.__setattr__(self, "dist", dist)
-        for arr in (mu, self.coords, dist):
-            if arr is not None:
-                arr.setflags(write=False)
+        for name, arr in (("mu", mu), ("coords", coords), ("dist", dist)):
+            object.__setattr__(self, name, None if arr is None else _read_only(arr))
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     @property

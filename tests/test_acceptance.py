@@ -222,7 +222,7 @@ def _rate_pair(model, sigma_index):
     sigma[sigma_index] = 1.0
     for t in t_grid:
         op = feynman_kac_operator(model, t)
-        kce.append(t, kernel_convergence_error([op], spec)[0])
+        kce.append(t, kernel_convergence_error(op, spec))
         qee.append(t, quasi_ergodic_error(op, spec, sigma, np.inf))
     r1 = -fit_exponential_rate(kce, 1.0)[0]
     r2 = -fit_exponential_rate(qee, 1.0)[0]

@@ -1,6 +1,8 @@
 import os
 import re
 import shlex
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -396,8 +398,8 @@ class TestFactorizationCounts:
         assert len(step_norms) == steps and max(step_norms) <= 1.0
 
     @pytest.mark.parametrize("t0,keys,steps", [
-        ("0.5", [2.0, 4.0, 6.0, 0.5], 2),  # off the grid and no sum of it: one more exponential
-        ("8", [2.0, 4.0, 6.0, 8.0], 1),  # 8 = 6 + 2 is composed from the cached grid
+        ("0.5", [2.0, 0.5], 2),  # off the grid and no sum of it: one more exponential
+        ("8", [2.0, 8.0], 1),  # 8 = 6 + 2 is composed from the first and last grid operators
     ], ids=["exponentiated", "composed"])
     def test_kappa_t0_is_asked_after_the_grid(
             self, tmp_path, counts, monkeypatch, t0, keys, steps):
@@ -409,6 +411,7 @@ class TestFactorizationCounts:
             model="cycle", n=8, grid="2 4 6", out=tmp_path / "o",
             kappa=f"[diagnostics.kappa]\nt0 = {t0}\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
+        # the engine keeps the first operator it built and the most recent one
         assert list(built[0].semigroup._ops) == keys
         assert counts["_exp_step"] == steps
 
@@ -417,8 +420,9 @@ class TestFactorizationCounts:
     def test_ho_oracle_run_takes_no_arpack_and_no_dense_eigh(
             self, tmp_path, counts, dense_eigs, monkeypatch, h, base_point):
         # the Mehler kernel is symmetric and positive: its triple is a block
-        # subspace iteration on the grid's U_1, whose only eigh calls are the
-        # 8 x 8 Ritz solves, so the kernel is built once per grid time.  No
+        # subspace iteration on U_1, built first, whose only eigh calls are the
+        # 8 x 8 Ritz solves; the engine keeps U_1, so the kernel is built once
+        # per grid time.  No
         # Krylov solver runs: neither ARPACK, which no module imports, nor the
         # non-reversible Arnoldi helper
         import qergo.diagnostics as diagnostics
@@ -441,7 +445,98 @@ class TestFactorizationCounts:
         assert code == 0
         assert counts["_exp_step"] == 0 and dense_eigs == arnoldi_calls == []
         assert eigh_shapes and set(eigh_shapes) == {(8, 8)}
-        assert builds == [0.5, 0.75, 1.0, 1.25]
+        assert builds == [1.0, 0.5, 0.75, 1.25]
+
+
+FRAC_401 = """
+[model]
+id = frac
+kind = polynomial
+alpha = 1.0
+potential = log-power
+beta = 2.0
+scale = 1.0
+half_width = 50.0
+h = 0.25
+
+[times]
+t_grid = 31.2 37.4 43.6 49.9 56.1 62.3
+
+[diagnostics]
+names = heat_content kernel_convergence quasi_ergodic qsd gsd eta kappa uniqueness
+
+[diagnostics.quasi_ergodic]
+p = inf
+sigma = point:200
+
+[family]
+base_point = 200
+radius = linear:0.6
+
+[output]
+dir = {out}
+"""
+
+
+def record_builds(monkeypatch):
+    """The times of the operators the engines build, in order, a weak reference
+    to each, and how many built earlier were still referenced as each began."""
+    import qergo.models as models
+    import qergo.operators as operators
+
+    times, refs, held = [], [], []
+    for cls in (operators.Semigroup, models.OscillatorOracle):
+        def tracked(self, t, _build=cls._build):
+            held.append(sum(r() is not None for r in refs))
+            op = _build(self, t)
+            times.append(t)
+            refs.append(weakref.ref(op))
+            return op
+        monkeypatch.setattr(cls, "_build", tracked)
+    return times, refs, held
+
+
+class TestOneGridPass:
+    """A run takes the triple first, then visits the grid once in ascending
+    order and keeps only the survivals of each U_t: its engine holds the
+    first operator and the most recent one."""
+
+    def test_a_run_holds_at_most_three_operator_sized_arrays_past_a_grid_time(
+            self, tmp_path, monkeypatch):
+        # frac at n = 401 with every diagnostic.  Q, Q_dual and the spectrum's
+        # B live as long as the model; past a grid time the run adds the
+        # engine's first and latest operators and the kernel error's limit, and
+        # a seventh n x n array while the next U_t is built.  A run holding the
+        # whole grid of six operators peaked at 12 n x n arrays
+        n = 401
+        times, refs, held = record_builds(monkeypatch)
+        cfg = parse_config(write_config(tmp_path, FRAC_401.format(out=tmp_path / "o")))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert times == cfg.t_grid
+        assert peak < 9 * 8 * n * n
+        # each build begins with at most the engine's first and latest operators
+        # alive, and those two are all that is left once the run has returned
+        assert held == [0, 1, 2, 2, 2, 2]
+        assert [r().t for r in refs if r() is not None] == [cfg.t_grid[0], cfg.t_grid[-1]]
+
+    @pytest.mark.parametrize("config", [
+        BIRTHDEATH_FULL.read_text(), HO_ORACLE.read_text(),
+        FACTORIZATION_CONFIG.format(model="cycle", n=8, grid="2 4 6 8", out="{out}", kappa=""),
+        FACTORIZATION_CONFIG.format(model="cycle", n=8, grid="1 3 4 9", out="{out}",
+                                    kappa="[diagnostics.kappa]\nt0 = 2\n"),
+        FRAC_401,
+    ], ids=["birthdeath_full", "ho_oracle", "cycle_composed", "cycle_t0_off_grid", "frac_401"])
+    def test_no_operator_is_built_twice(self, tmp_path, monkeypatch, config):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        times, _, _ = record_builds(monkeypatch)
+        cfg = parse_config(write_config(tmp_path, config.replace("{out}", str(tmp_path / "o"))))
+        run_experiment(cfg)
+        assert len(times) == len(set(times)) and set(cfg.t_grid) <= set(times)
 
 
 class TestMainEntry:
@@ -741,7 +836,13 @@ class TestMainEntry:
     def test_grid_past_the_double_range_exits_one(self, tmp_path, capsys, monkeypatch, names, code):
         # lambda0 ~ 0.346, so e^{lambda0 t} overflows from t ~ 2051 on; only the
         # diagnostics that scale by it are refused, on the t_grid line ([mc] is
-        # left out: 20000 paths to t = 6000 take most of a minute)
+        # left out: 20000 paths to t = 6000 take most of a minute).  The triple
+        # comes first, so a refused grid builds no operator
+        import qergo.operators as operators
+
+        builds, build = [], operators.Semigroup._build
+        monkeypatch.setattr(
+            operators.Semigroup, "_build", lambda self, t: builds.append(t) or build(self, t))
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         text = BIRTHDEATH_FULL.read_text()
         grid = "t_grid = 3000 4000 5000 6000"
@@ -756,7 +857,7 @@ class TestMainEntry:
             t_max = np.log(np.finfo(float).max) / lambda0
             assert err.startswith(f"error: {path}:{text.splitlines().index(grid) + 1}: ")
             assert f"largest usable t is {t_max:.6g}" in err and 2000 < t_max < 2100
-            assert not (tmp_path / "o").exists()
+            assert not (tmp_path / "o").exists() and builds == []
 
     @pytest.mark.parametrize("mc,bad", [
         ("[mc]\nn = 20000\nseed = 1234\n", "n = 20000"), ("[mc]\nseed = 1234\n", "[mc]"),

@@ -19,6 +19,7 @@ from qergo.diagnostics import (
     ho_pgsd_radius,
     kappa_rate,
     kernel_convergence_error,
+    kernel_limit,
     pgsd_radius,
     point_mass,
     progressive_error,
@@ -35,6 +36,7 @@ from qergo.errors import (
 )
 from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space
 from qergo.operators import (
+    Survivals,
     KernelOperator,
     MarkovModel,
     feynman_kac_operator,
@@ -274,7 +276,7 @@ class TestKernelConvergence:
         t = 1.3
         u = np.exp(-spec.lambda0 * t) * np.outer(spec.phi0, spec.psi0) / spec.Lambda
         op = KernelOperator(t, u, cycle4.space)
-        assert kernel_convergence_error([op], spec)[0] < 1e-13
+        assert kernel_convergence_error(op, spec) < 1e-13
 
     @pytest.mark.parametrize("row", [0, 63, 64, 127, 128, 255, 299])
     def test_row_blocks_give_the_whole_matrix_value(self, row):
@@ -289,12 +291,12 @@ class TestKernelConvergence:
         density[row, n - 1 - row] *= 1.5
         op = KernelOperator(t, density, sp)
         whole = float(np.abs(np.exp(spec.lambda0 * t) * op.density - target).max())
-        assert kernel_convergence_error([op], spec) == [whole]
+        assert kernel_convergence_error(op, spec) == whole
         assert whole == pytest.approx(0.5 * target[row, n - 1 - row], rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 6])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
-    def test_grid_sweep_is_the_per_operator_expression_bit_for_bit(self, n, k):
+    def test_stored_limit_gives_the_per_operator_expression_bit_for_bit(self, n, k):
         # n around the 64-row block; densities within 10 % of the limit, so the
         # differences sit at the size where a changed operation would show
         rng = np.random.default_rng(100 * n + k)
@@ -305,7 +307,10 @@ class TestKernelConvergence:
         ops = [KernelOperator(t, np.exp(-spec.lambda0 * t) * limit * rng.uniform(0.9, 1.1, (n, n)), sp)
                for t in np.linspace(0.3, 2.5, k)]
         want = [float(np.abs(np.exp(spec.lambda0 * op.t) * op.density - limit).max()) for op in ops]
-        assert kernel_convergence_error(ops, spec) == want
+        stored = kernel_limit(spec)
+        assert np.array_equal(stored, limit)
+        assert [kernel_convergence_error(op, spec, stored) for op in ops] == want
+        assert [kernel_convergence_error(op, spec) for op in ops] == want
 
     @pytest.mark.parametrize("row", [3, 150], ids=["first_block", "later_block"])
     def test_nan_propagates(self, row):
@@ -321,18 +326,21 @@ class TestKernelConvergence:
         with pytest.raises(ValueError, match="nan"):
             KernelOperator(1.0, density, sp)
         good = KernelOperator(1.0, np.nan_to_num(density), sp)
-        errs = kernel_convergence_error([good, SimpleNamespace(t=1.0, density=density), good], spec)
+        errs = [kernel_convergence_error(op, spec)
+                for op in (good, SimpleNamespace(t=1.0, density=density), good)]
         assert np.isfinite(errs[0]) and np.isnan(errs[1]) and errs[2] == errs[0]
 
-    def test_grid_sweep_allocates_no_n_by_n_temporary(self):
+    def test_row_blocks_allocate_no_n_by_n_temporary(self):
         n = 700
         sp = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
         phi = np.linspace(0.5, 1.5, n) / np.sqrt(n)
         spec = SpectralData(0.3, phi, phi, float(phi @ phi), 0.1)
         ops = [KernelOperator(t, np.outer(phi, phi) * t, sp) for t in (0.5, 1.0, 1.5, 2.0)]
+        limit = kernel_limit(spec)
         tracemalloc.start()
         try:
-            kernel_convergence_error(ops, spec)
+            for op in ops:
+                kernel_convergence_error(op, spec, limit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,7 +350,7 @@ class TestKernelConvergence:
         spec = principal_triple(swap2_v01)
         series = DiagnosticSeries("kernel_convergence")
         for t in np.linspace(1.5, 3.5, 6):
-            err = kernel_convergence_error([feynman_kac_operator(swap2_v01, t)], spec)[0]
+            err = kernel_convergence_error(feynman_kac_operator(swap2_v01, t), spec)
             series.append(t, err)
         rate, _, r2 = fit_exponential_rate(series, tail_fraction=1.0)
         assert -rate == pytest.approx(spec.gap, rel=0.05)
@@ -357,7 +365,7 @@ class TestKernelConvergence:
             series = DiagnosticSeries("kce")
             for t in t_grid:
                 op = feynman_kac_operator(model, t)
-                series.append(t, kernel_convergence_error([op], spec)[0])
+                series.append(t, kernel_convergence_error(op, spec))
             rate, _, _ = fit_exponential_rate(series, tail_fraction=0.5)
             assert -rate == pytest.approx(spec.gap, rel=0.05)
 
@@ -719,6 +727,20 @@ class TestOperatorOnlyDiagnostics:
         assert stable and sup == pytest.approx(np.max(D @ self.mu + D.T @ self.mu), rel=1e-12)
         with pytest.raises(ValueError, match="two grid times"):
             uniqueness_condition_check(steady[:1], self.spec)
+
+    def test_survival_readers_take_the_survivals_a_run_keeps(self):
+        # a run keeps t, the space, U_t 1 and U*_t 1 of each grid operator;
+        # every survival reader gives the same bits on that record
+        ops = [self.bare(t, seed) for seed, t in enumerate((0.5, 1.0, 1.5))]
+        kept = [Survivals(op.t, op.space, op.survival(), op.dual_survival()) for op in ops]
+        fam = ExhaustingFamily(0, lambda s: s, t_min=0.0)
+        assert agsd_certificate(kept, self.spec) == agsd_certificate(ops, self.spec)
+        assert uniqueness_condition_check(kept, self.spec) == uniqueness_condition_check(ops, self.spec)
+        for op, rec in zip(ops, kept):
+            for dual in (False, True):
+                assert heat_content(rec, dual) == heat_content(op, dual)
+            assert np.array_equal(gsd_profile(rec, self.spec), gsd_profile(op, self.spec))
+            assert kappa_rate(rec, self.spec, fam, 0.25, 4.0) == kappa_rate(op, self.spec, fam, 0.25, 4.0)
 
     def test_kappa_reads_the_survivals_of_op0_outside_the_ball(self):
         op0 = self.bare(0.25, 4)

@@ -31,7 +31,7 @@ from qergo.operators import (
     mehler_kernel,
     strongly_connected,
 )
-from qergo.spectral import principal_triple
+from qergo.spectral import SpectralData, principal_triple
 from qergo.statespace import StateSpace
 
 
@@ -111,6 +111,16 @@ class TestStronglyConnected:
         event(f"strongly connected: {want}")
         assert strongly_connected(adj) == want
 
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_one_way_path_is_reducible_and_a_one_way_cycle_is_not(self, n):
+        # every level of the search is one state: the frontier reads its row as a view
+        path = np.eye(n, k=1, dtype=bool)
+        assert not strongly_connected(path)
+        cycle = path.copy()
+        cycle[-1, 0] = True
+        assert strongly_connected(cycle) and strongly_connected(cycle.T)
+        assert not strongly_connected(path.T)
+
     def test_irreducibility_is_found_once_per_model(self, birthdeath5, monkeypatch):
         import qergo.operators as operators
 
@@ -121,6 +131,35 @@ class TestStronglyConnected:
         assert model.is_irreducible() and model.is_irreducible()
         principal_triple(model)
         assert calls == [1]
+
+
+class TestCallersArrays:
+    """Constructors store read-only views of the arrays they are given: the
+    caller's own array stays writeable and shares its memory."""
+
+    def test_kernel_operator(self, birthdeath5):
+        u = np.full((5, 5), 0.2)
+        op = KernelOperator(1.0, u, birthdeath5.space)
+        assert u.flags.writeable and not op.density.flags.writeable
+        assert np.shares_memory(u, op.density)
+        u[0, 0] = 0.3  # the caller may refill its buffer
+        assert op.density[0, 0] == 0.3
+
+    def test_markov_model_and_state_space(self, birthdeath5):
+        Q, V, mu, coords = birthdeath5.Q.copy(), np.linspace(0.0, 1.0, 5), np.ones(5), np.arange(5.0)
+        model = MarkovModel(StateSpace(tuple(range(5)), mu, coords[:, None]), Q, V)
+        for given, stored in ((Q, model.Q), (V, model.V), (mu, model.space.mu)):
+            assert given.flags.writeable and not stored.flags.writeable
+            assert np.shares_memory(given, stored)
+        assert coords.flags.writeable and not model.space.coords.flags.writeable
+        dist = 1.0 - np.eye(3)
+        space = StateSpace((0, 1, 2), np.ones(3), None, dist)
+        assert dist.flags.writeable and not space.dist.flags.writeable
+        assert np.shares_memory(dist, space.dist)
+        phi = np.ones(5)
+        spec = SpectralData(0.1, phi, phi, 5.0, 0.2)
+        assert phi.flags.writeable and not spec.phi0.flags.writeable
+        assert np.shares_memory(phi, spec.psi0)
 
 
 class TestUniformized:
@@ -256,6 +295,16 @@ class TestSemigroupEngine:
         assert model.n == 801 and modes[0] <= 40
         assert modes == sorted(modes, reverse=True)
 
+    def test_engine_keeps_the_first_and_the_most_recent_operator(self, zoo_model):
+        model, _ = zoo_model
+        engine = model.semigroup
+        ops = [engine.operator(t) for t in (1.0, 2.0, 3.0)]
+        assert list(engine._ops) == [1.0, 3.0]
+        assert engine.operator(1.0) is ops[0] and engine.operator(3) is ops[2]
+        again = engine.operator(2.0)  # dropped, so built again, to the same bits
+        assert again is not ops[1] and np.array_equal(again.density, ops[1].density)
+        assert list(engine._ops) == [1.0, 2.0]
+
     def test_nonreversible_exponentials_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
         model, _ = zoo_model
@@ -309,6 +358,57 @@ class TestSemigroupEngine:
         assert abs(spec.gap - (w[order[1]].real - w[order[0]].real)) <= 1e-10
         assert np.max(np.abs(spec.phi0 - phi)) <= 1e-10
         assert np.array_equal(spec.psi0, spec.phi0)
+
+
+def former_spectrum(model):
+    """Semigroup.spectrum as it read before it formed S in one array: S from the
+    generator, 0.5 (S + S^T) as a new array, and the parity split's
+    eigenvectors stacked, then put in sorted column order."""
+    r = np.sqrt(model.space.mu)
+    S = r[:, None] * model.generator() / r[None, :]
+    S = 0.5 * (S + S.T)
+    if _max_abs_diff(S, S[::-1, ::-1]) > _REV_TOL * max(S.max(), -S.min()):
+        w, W = np.linalg.eigh(S)
+    else:
+        n = S.shape[0]
+        h, mid = divmod(n, 2)
+        A, BJ = S[:h, :h], S[:h, n - h:][:, ::-1]
+        even = A + BJ
+        if mid:
+            s = np.sqrt(2.0) * S[:h, h:h + 1]
+            even = np.block([[even, s], [s.T, S[h:h + 1, h:h + 1]]])
+        we, Ue = np.linalg.eigh(even)
+        wo, Uo = np.linalg.eigh(A - BJ)
+        w = np.concatenate([we, wo])
+        order = np.argsort(w, kind="stable")
+        top = np.hstack([Ue[:h], Uo]) / np.sqrt(2.0)
+        W = np.vstack([top, np.hstack([Ue[h:], np.zeros((mid, h))]),
+                       top[::-1] * np.repeat([1.0, -1.0], [h + mid, h])])
+        w, W = w[order], W[:, order]
+    return w, W / r[:, None]
+
+
+class TestSpectrumInPlace:
+    """The spectrum forms S from Q and V in one array, symmetrizes it by tile
+    pairs and writes the eigenvectors in sorted order: the same bits as the
+    former formula, through several 128-row tiles."""
+
+    @pytest.mark.parametrize("build,split", [
+        (lambda: build_ctmc_model(300, "birth-death", V=1e-4 * (np.arange(300) - 149.5) ** 2), True),
+        (lambda: build_ctmc_model(301, "birth-death", V=1e-4 * (np.arange(301) - 150.0) ** 2), True),
+        (lambda: build_fractional_model((50.0, 0.25), LevyProfile("polynomial", alpha=1.0),
+                                        PotentialSpec("log-power", beta=2.0)), True),
+        (lambda: build_ctmc_model(
+            260, "birth-death", mu=np.random.default_rng(3).uniform(0.5, 2.0, 260),
+            V=np.random.default_rng(4).uniform(0.0, 0.1, 260)), False),
+    ], ids=["even_n", "odd_n", "frac_401", "non_centrosymmetric"])
+    def test_is_the_former_formula_bit_for_bit(self, monkeypatch, build, split):
+        model = build()
+        want_w, want_B = former_spectrum(model)
+        shapes = record_eigh(monkeypatch)
+        w, B = model.semigroup.spectrum
+        assert (len(shapes) == 2) == split
+        assert np.array_equal(w, want_w) and np.array_equal(B, want_B)
 
 
 class TestReversibleTruncation:

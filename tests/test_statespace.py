@@ -70,6 +70,46 @@ class TestStateSpace:
             tracemalloc.stop()
         assert peak < 8 * space.n**2
 
+    @pytest.mark.parametrize("defect,ok", [
+        (0.9e-5, True), (1.1e-5, False),  # np.allclose's rtol 1e-5 of the mirror entry
+        (-0.9e-5, True), (-1.1e-5, False), (np.nan, False),
+    ])
+    @pytest.mark.parametrize("where", [(3, 700), (700, 3), (130, 129)],
+                             ids=["above", "below", "diagonal_tile"])
+    def test_explicit_matrix_symmetry_keeps_the_allclose_rule(self, defect, ok, where):
+        # a defect in one tile of a 1000-state discrete metric, in either
+        # triangle, against np.allclose(dist, dist.T, atol=1e-12)
+        n = 1000
+        dist = 1.0 - np.eye(n)
+        dist[where] += defect
+        assert np.allclose(dist, dist.T, atol=1e-12) == ok
+        if ok:
+            StateSpace(tuple(range(n)), np.ones(n), None, dist)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                StateSpace(tuple(range(n)), np.ones(n), None, dist)
+
+    def test_negative_and_nan_metrics_rejected(self):
+        # nan is not close to itself, so a nan anywhere fails the symmetry test
+        for d in ([[0.0, -1e-300], [-1e-300, 0.0]], [[0.0, np.nan], [np.nan, 0.0]],
+                  [[np.nan, 1.0], [1.0, 0.0]]):
+            with pytest.raises(ValueError, match="symmetric and nonnegative"):
+                StateSpace((0, 1), np.ones(2), None, np.array(d))
+
+    def test_explicit_matrix_check_makes_no_n_by_n_temporary(self):
+        # the former check (dist < 0, allclose against dist.T) peaked at twice
+        # the matrix; by tile pairs it stays within a few 128 x 128 tiles
+        n = 1000
+        dist = 1.0 - np.eye(n)
+        tracemalloc.start()
+        try:
+            space = StateSpace(tuple(range(n)), np.ones(n), None, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(space.dist, dist)
+        assert peak < 10 * 8 * 128**2
+
     def test_explicit_matrix_is_read_by_row(self):
         space = build_ctmc_model(5, "complete").space
         assert np.array_equal(space.distances(2), [1.0, 1.0, 0.0, 1.0, 1.0])
