@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qergo.cli import (
+    DIAGNOSTIC_NAMES,
     ConfigError,
     _mc_problem,
     list_models,
@@ -58,6 +59,25 @@ def write_config(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+REDUCIBLE = """
+[model]
+id = user
+q = 0 1 0 0 ; 1 0 0 0 ; 0 0 0 1 ; 0 0 1 0
+v = 0 0 1 1
+
+[times]
+t_grid = 0.5 1.0 1.5 2.0
+
+[diagnostics]
+names = {names}
+
+[output]
+dir = {out}
+"""
+
+ALL_NAMES = "heat_content kernel_convergence quasi_ergodic qsd gsd eta kappa uniqueness"
+
+
 class TestParsing:
     def test_missing_model_section(self, tmp_path):
         path = write_config(tmp_path, "[times]\nt_grid = 1 2\n")
@@ -93,6 +113,18 @@ class TestParsing:
             tmp_path, "[model]\nid = swap2\n[times]\nt_grid = 2.0 1.0\n"
         )
         with pytest.raises(ConfigError, match=r":\d+"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("section,key,msg", [
+        ("[diagnostics]\nnames = qsd gsd qsd\n", "names", "diagnostic 'qsd' is named twice"),
+        ("[diagnostics]\nnames = quasi_ergodic\n[diagnostics.quasi_ergodic]\nsigma = gaussian\n",
+         "sigma", "unknown sigma spec 'gaussian'"),
+    ], ids=["name_twice", "sigma_kind"])
+    def test_refused_on_its_line_at_parse(self, tmp_path, section, key, msg):
+        text = "[model]\nid = swap2\n[times]\nt_grid = 1 2\n" + section
+        path = write_config(tmp_path, text)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(key))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:{line}: {re.escape(msg)}$"):
             parse_config(path)
 
     def test_model_strings(self):
@@ -138,6 +170,16 @@ dir = {out}
         assert code == 2
         verdict = open(paths["verdict"]).read()
         assert "NonuniquenessWarning" in verdict
+
+    def test_reducible_chain_with_a_simple_top_eigenvalue_skips_qsd(self, tmp_path, capsys):
+        # the 2-cycle of V = 0 dominates alone, so find_qsd does not warn; qsd
+        # still has no spectral data and must say so, not leave the run a PASS
+        out = tmp_path / "o"
+        path = write_config(tmp_path, REDUCIBLE.format(names="qsd heat_content", out=out))
+        assert main(["run", path]) == 2
+        verdict = open(out / "verdict.txt").read()
+        assert "FAIL qsd SKIPPED: no spectral data (reducible chain)\n" in verdict
+        assert verdict.endswith("# overall FAIL\n")
 
     def test_short_grid_writes_skipped_rate_verdicts(self, tmp_path):
         # three grid times are too few for a rate fit: each rate series says so
@@ -539,6 +581,65 @@ class TestOneGridPass:
         assert len(times) == len(set(times)) and set(cfg.t_grid) <= set(times)
 
 
+HEAT_PAIR = ["PASS heat_content_duality", "PASS heat_content_upper_bound"]
+BIRTHDEATH_SEQUENCE = HEAT_PAIR * 6 + [
+    "PASS kernel_convergence_rate", "PASS quasi_ergodic_rate", "PASS qsd_cross_method",
+    *["PASS qsd_residual"] * 3, *["PASS gsd_reverse_bound"] * 6]
+
+
+class TestVerdictSequence:
+    """The ordered verdict names of a run, values stripped, with the whole line
+    of a SKIPPED verdict: a diagnostic whose spectral data or [family] is
+    missing writes one SKIPPED line in its place, and every other one reports."""
+
+    @pytest.mark.parametrize("config,sequence", [
+        (REDUCIBLE.format(names=ALL_NAMES, out="{out}"), HEAT_PAIR * 4 + [
+            f"FAIL {name} SKIPPED: no spectral data (reducible chain)"
+            for name in ALL_NAMES.split()[1:]]),
+        (BIRTHDEATH_FULL.read_text().split("[family]")[0], BIRTHDEATH_SEQUENCE + [
+            "FAIL eta SKIPPED: no [family] section", "FAIL kappa SKIPPED: no [family] section",
+            "PASS uniqueness_condition"]),
+        (BIRTHDEATH_FULL.read_text(), BIRTHDEATH_SEQUENCE + [
+            "PASS eta_monotone", "PASS kappa_progressive_bound", "PASS uniqueness_condition",
+            *["PASS mc_fk_vs_matrix"] * 6]),
+        (HO_ORACLE.read_text(), ["PASS heat_content_duality"] * 4 + [
+            "PASS kernel_convergence_rate", *["PASS gsd_reverse_bound"] * 4]),
+    ], ids=["reducible", "birthdeath_no_family", "birthdeath_full", "ho_oracle"])
+    def test_run_writes_its_verdicts_in_order(self, tmp_path, monkeypatch, config, sequence):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        report, _, code = run_experiment(parse_config(write_config(tmp_path, config)))
+        got = [("PASS " if ok else "FAIL ") + (line if "SKIPPED" in line else line.split()[0])
+               for ok, line in report.verdicts]
+        assert got == sequence
+        assert code == (0 if all(row.startswith("PASS") for row in sequence) else 2)
+
+    def test_kernel_limit_is_released_before_kappa_builds_an_off_grid_t0(
+            self, tmp_path, monkeypatch):
+        # kappa asks the engine for U_t0 after the grid pass; the n x n limit
+        # of the kernel error must be gone by then
+        import qergo.diagnostics as dg
+        from qergo.operators import Semigroup
+
+        limits, alive = [], []
+        kernel_limit, build = dg.kernel_limit, Semigroup._build
+
+        def tracked_limit(spec):
+            limit = kernel_limit(spec)
+            limits.append(weakref.ref(limit))
+            return limit
+
+        def tracked_build(self, t):
+            alive.append((t, [ref() is not None for ref in limits]))
+            return build(self, t)
+
+        monkeypatch.setattr(dg, "kernel_limit", tracked_limit)
+        monkeypatch.setattr(Semigroup, "_build", tracked_build)
+        text = FACTORIZATION_CONFIG.format(model="cycle", n=8, grid="1 3 4 9", out=tmp_path / "o",
+                                           kappa="[diagnostics.kappa]\nt0 = 2\n")
+        run_experiment(parse_config(write_config(tmp_path, text)))
+        assert alive == [(1.0, []), (3.0, [True]), (4.0, [True]), (9.0, [True]), (2.0, [False])]
+
+
 class TestMainEntry:
     def test_list_models_stable_and_complete(self, capsys):
         assert main(["list-models"]) == 0
@@ -898,6 +999,11 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert float(re.search(r"matrix=(\S+)", out).group(1)) < 1.0
         assert "agree3sigma=True" in out
+
+    def test_readme_lists_every_diagnostic_in_table_order(self):
+        text = " ".join(README.read_text().split())
+        listed = re.search(r"`\[diagnostics\] names = \.\.\.` from: (.*?)\. ", text).group(1)
+        assert tuple(re.findall(r"`(\w+)`", listed)) == DIAGNOSTIC_NAMES
 
     @pytest.mark.parametrize("verdicts,code", [("", 0), ("[verdicts]\nrate_tol = 0\n", 2)],
                              ids=["pass", "fail"])
