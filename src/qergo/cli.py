@@ -20,6 +20,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,18 +33,9 @@ from .operators import MarkovModel, Survivals, feynman_kac_operator
 from .spectral import principal_triple, spectral_to_text
 from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
 
-DIAGNOSTIC_NAMES = (
-    "heat_content",
-    "kernel_convergence",
-    "quasi_ergodic",
-    "qsd",
-    "gsd",
-    "eta",
-    "kappa",
-    "uniqueness",
-)
-
 _FMT = ".17g"
+_NO_SPECTRAL = "SKIPPED: no spectral data (reducible chain)"
+_NO_FAMILY = "SKIPPED: no [family] section"
 _LOG_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 
 
@@ -160,11 +152,13 @@ def parse_config(path: str) -> ExperimentConfig:
         raise _fail_config(path, "t_grid", "t_grid times must be finite and > 0")
 
     names = cp.get("diagnostics", "names", fallback="").split()
-    for name in names:
+    for i, name in enumerate(names):
         if name not in DIAGNOSTIC_NAMES:
             raise _fail_config(
                 path, "names", f"unknown diagnostic {name!r}; known: {DIAGNOSTIC_NAMES}"
             )
+        if name in names[:i]:
+            raise _fail_config(path, "names", f"diagnostic {name!r} is named twice")
     if "uniqueness" in names and len(t_grid) < 2:
         raise _fail_config(path, "t_grid", "uniqueness needs at least two grid times")
     sections = {name: _section(cp, path, name) for name in cp.sections()}
@@ -188,6 +182,9 @@ def parse_config(path: str) -> ExperimentConfig:
                 path, key, f"{name} needs a finite {key} > 0, got {value}", f"diagnostics.{name}")
     if not diag_params.get("quasi_ergodic", {}).setdefault("p", np.inf) >= 1.0:  # nan fails too
         raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
+    sigma = diag_params.get("quasi_ergodic", {}).setdefault("sigma", "uniform")
+    if sigma != "uniform" and not sigma.startswith("point:"):
+        raise _fail_config(path, "sigma", f"unknown sigma spec {sigma!r}", "diagnostics.quasi_ergodic")
     verdicts = sections.get("verdicts", {})
     for key, (_, in_range, what) in _TOLERANCES.items():
         if key in verdicts and not in_range(verdicts[key]):
@@ -265,29 +262,34 @@ def _build_family(cfg: ExperimentConfig, space) -> ExhaustingFamily | None:
 
 
 def _parse_sigma(cfg: ExperimentConfig, space) -> np.ndarray:
-    spec = cfg.diag_params["quasi_ergodic"].get("sigma", "uniform")
-    kind, _, arg = spec.partition(":")
+    kind, _, arg = cfg.diag_params["quasi_ergodic"]["sigma"].partition(":")
     if kind == "point":
         return dg.point_mass(space, _state(space, "sigma", arg, cfg.source))
-    if kind == "uniform":
-        return np.full(space.n, 1.0 / space.n)
-    raise _fail_config(cfg.source, "sigma", f"unknown sigma spec {spec!r}")
+    return np.full(space.n, 1.0 / space.n)
 
 
-class _Report:
-    """Collects series rows, summary rows and verdict lines for one run."""
+@dataclass
+class _Run:
+    """One run: its inputs, the survivals and reads of each grid time, and the rows it writes."""
 
-    def __init__(self, model_label: str):
-        self.label = model_label
-        self.series_rows: list[tuple] = []
-        self.summary_rows: list[tuple] = []
-        self.verdicts: list[tuple[bool, str]] = []
+    cfg: ExperimentConfig
+    model: object
+    spec: object
+    fam: ExhaustingFamily | None
+    sigma: np.ndarray | None
+    tols: dict
+    ops: list = field(default_factory=list)
+    reads: dict = field(default_factory=dict)
+    limit: np.ndarray | None = None  # the kernel limit, n x n: held by the grid pass only
+    series_rows: list = field(default_factory=list)
+    summary_rows: list = field(default_factory=list)
+    verdicts: list = field(default_factory=list)
 
     def add_sample(self, diagnostic: str, t: float, value: float, extra: str = ""):
-        self.series_rows.append((self.label, diagnostic, t, value, extra))
+        self.series_rows.append((self.model.label, diagnostic, t, value, extra))
 
     def add_fit(self, diagnostic: str, rate: float, intercept: float, r2: float):
-        self.summary_rows.append((self.label, diagnostic, rate, intercept, r2))
+        self.summary_rows.append((self.model.label, diagnostic, rate, intercept, r2))
 
     def add_verdict(self, ok: bool, name: str, detail: str):
         self.verdicts.append((bool(ok), f"{name} {detail}"))
@@ -313,12 +315,11 @@ def _write_csv(path: str, header: str, rows, stamp: str) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Execute one experiment; returns (report, output paths, exit code)."""
+    """Execute one experiment; returns (run, output paths, exit code)."""
     model = zoo.zoo_build(cfg.model_id, cfg.model_params)
-    space = model.space
     # points named by the config are checked before any operator is built
-    fam = _build_family(cfg, space)
-    sigma = _parse_sigma(cfg, space) if "quasi_ergodic" in cfg.diagnostics else None
+    fam = _build_family(cfg, model.space)
+    sigma = _parse_sigma(cfg, model.space) if "quasi_ergodic" in cfg.diagnostics else None
     if not isinstance(model, MarkovModel):
         if cfg.mc is not None:
             raise _fail_config(cfg.source, "mc", "[mc]: needs a Markov generator; "
@@ -337,29 +338,24 @@ def run_experiment(cfg: ExperimentConfig):
                 cfg.source, "t_grid", f"e^(lambda0 t) overflows: lambda0 = {spec.lambda0:.6g}, "
                 f"so the largest usable t is {_LOG_MAX / spec.lambda0:.6g}")
 
-    ops, reads = _grid_pass(model, spec, fam, sigma, cfg)
-    report = _Report(model.label)
-    rep_tols = {key: cfg.verdicts.get(key, default) for key, (default, *_) in _TOLERANCES.items()}
-
-    for name in cfg.diagnostics:
-        if name == "heat_content":
-            _run_heat_content(report, model, ops)
-        elif name == "qsd":
-            _run_qsd(report, spec, space, reads, rep_tols)
-        elif spec is None:
-            report.add_verdict(False, name, "SKIPPED: no spectral data (reducible chain)")
-        elif name in ("kernel_convergence", "quasi_ergodic"):
-            _run_rate_series(report, name, list(zip(cfg.t_grid, reads[name])), spec, rep_tols)
-        elif name == "gsd":
-            _run_gsd(report, spec, fam, ops, rep_tols)
-        elif name == "eta":
-            _run_eta(report, spec, space, fam, cfg)
-        elif name == "kappa":
-            _run_kappa(report, model, spec, fam, ops, reads[name], cfg)
-        elif name == "uniqueness":
-            stable, sup = dg.uniqueness_condition_check(ops, spec)
-            report.add_sample(name, ops[-1].t, sup)
-            report.add_verdict(stable, "uniqueness_condition", f"sup={_num(sup)} stabilized={stable}")
+    tols = {key: cfg.verdicts.get(key, default) for key, (default, *_) in _TOLERANCES.items()}
+    run = _Run(cfg, model, spec, fam, sigma, tols)
+    entries = {name: _DIAGNOSTICS[name] for name in cfg.diagnostics}
+    skipped = {name: _NO_SPECTRAL if entry.spectral and spec is None
+               else _NO_FAMILY if entry.family and fam is None else None
+               for name, entry in entries.items()}
+    readers = [name for name, entry in entries.items() if entry.read and not skipped[name]]
+    for i, t in enumerate(cfg.t_grid):  # once, ascending: U_t is read, then dropped but its survivals
+        op = model.semigroup.operator(t)
+        for name in readers:
+            run.reads.setdefault(name, []).append(entries[name].read(run, i, op))
+        run.ops.append(Survivals(t, op.space, op.survival, op.dual_survival))
+    run.limit = None
+    for name, entry in entries.items():
+        if skipped[name]:
+            run.add_verdict(False, name, skipped[name])
+        else:
+            entry.report(run, name)
 
     out_dir = os.environ.get("QERGO_OUTPUT_DIR", cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -370,8 +366,8 @@ def run_experiment(cfg: ExperimentConfig):
         "spectral": os.path.join(out_dir, "spectral.txt"),
         "verdict": os.path.join(out_dir, "verdict.txt"),
     }
-    _write_csv(paths["series"], "model_id,diagnostic,t,value,extra", report.series_rows, stamp)
-    _write_csv(paths["summary"], "model_id,diagnostic,rate,intercept,r2", report.summary_rows, stamp)
+    _write_csv(paths["series"], "model_id,diagnostic,t,value,extra", run.series_rows, stamp)
+    _write_csv(paths["summary"], "model_id,diagnostic,rate,intercept,r2", run.summary_rows, stamp)
     with open(paths["spectral"], "w") as fh:
         if spec is not None:
             fh.write(spectral_to_text(spec))
@@ -380,166 +376,181 @@ def run_experiment(cfg: ExperimentConfig):
 
     if cfg.mc is not None:
         paths["mc"] = os.path.join(out_dir, "mc.csv")
-        _run_mc_block(report, model, ops, cfg, paths["mc"], stamp)
+        _run_mc_block(run, paths["mc"], stamp)
 
     with open(paths["verdict"], "w") as fh:
         fh.write(f"# verdict {stamp}\n")
         fh.write(f"# config {cfg.source}\n")
-        for key, val in sorted(rep_tols.items()):
+        for key, val in sorted(tols.items()):
             fh.write(f"# default {key} = {val}\n")
-        for ok, line in report.verdicts:
+        for ok, line in run.verdicts:
             fh.write(("PASS " if ok else "FAIL ") + line + "\n")
-        fh.write(f"# overall {'PASS' if report.all_pass else 'FAIL'}\n")
-    return report, paths, (0 if report.all_pass else 2)
+        fh.write(f"# overall {'PASS' if run.all_pass else 'FAIL'}\n")
+    return run, paths, (0 if run.all_pass else 2)
 
 
-def _grid_pass(model, spec, fam, sigma, cfg):
-    """Visit the grid once, in ascending order: take every number the configured
-    diagnostics read from the density of U_t, then drop U_t but its survivals.
-    Returns those and the numbers by diagnostic, one per time, but (t, residual)
-    for ``qsd`` and (measure, whether it warned) for ``find_qsd``."""
-    names = set(cfg.diagnostics) if spec is not None else set()
-    limit = None
-    mid, last = len(cfg.t_grid) // 2, len(cfg.t_grid) - 1
-    ops, reads = [], {name: [] for name in names}
-    for i, t in enumerate(cfg.t_grid):
-        op = model.semigroup.operator(t)
-        if "kernel_convergence" in names:  # the limit after the first build, the costliest
-            limit = dg.kernel_limit(spec) if limit is None else limit
-            reads["kernel_convergence"].append(dg.kernel_convergence_error(op, spec, limit))
-        if "quasi_ergodic" in names:
-            p = cfg.diag_params["quasi_ergodic"]["p"]
-            reads["quasi_ergodic"].append(dg.quasi_ergodic_error(op, spec, sigma, p))
-        if "qsd" in cfg.diagnostics and i == mid:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", NonuniquenessWarning)
-                fixed = dg.find_qsd(op)
-            warned = any(issubclass(w.category, NonuniquenessWarning) for w in caught)
-            reads["find_qsd"] = fixed, warned
-        if "qsd" in names and i in (0, mid, last):  # a short grid repeats a time
-            res = dg.qsd_residual(dg.qsd_from_spectral(spec, op.space), op)
-            reads["qsd"] += [(t, res)] * ((i == 0) + (i == mid) + (i == last))
-        if "kappa" in names and fam is not None:
-            mask = ball_indicator(op.space, fam, cfg.diag_params["kappa"]["a"] * t)
-            reads["kappa"].append(dg.progressive_error(op, spec, mask))
-        ops.append(Survivals(t, op.space, op.survival(), op.dual_survival()))
-    return ops, reads
-
-
-def _run_heat_content(report, model, ops):
-    for op in ops:
+def _report_heat_content(run, name):
+    for op in run.ops:
         z = dg.heat_content(op)
-        report.add_sample("heat_content", op.t, z)
+        run.add_sample(name, op.t, z)
         z_dual = dg.heat_content(op, dual=True)
-        report.add_verdict(
+        run.add_verdict(
             abs(z - z_dual) <= 1e-10 * max(1.0, z),
             "heat_content_duality",
             f"t={_num(op.t)} |Z-Z*|={_num(abs(z - z_dual))}",
         )
-        if isinstance(model, MarkovModel):
-            bound = dg.heat_content_upper_bound(model, op.t)
-            report.add_verdict(
+        if isinstance(run.model, MarkovModel):
+            bound = dg.heat_content_upper_bound(run.model, op.t)
+            run.add_verdict(
                 z <= bound * (1.0 + 1e-12),
                 "heat_content_upper_bound",
                 f"t={_num(op.t)} Z={_num(z)} bound={_num(bound)}",
             )
 
 
-def _run_qsd(report, spec, space, reads, tols):
-    fixed, nonunique = reads["find_qsd"]
-    if nonunique:
-        report.add_verdict(False, "qsd_uniqueness", "NonuniquenessWarning: dominant eigenvalue degenerate")
-    if spec is None:
-        return
-    m = dg.qsd_from_spectral(spec, space)
-    dist = float(np.abs(fixed.weights - m.weights).sum())
-    if not nonunique:
-        report.add_verdict(
-            dist <= tols["match_tol"],
-            "qsd_cross_method",
-            f"L1(find_qsd, psi0-mu)={_num(dist)}",
-        )
-    for t, res in reads["qsd"]:
-        report.add_sample("qsd_residual", t, res)
-        report.add_verdict(res <= tols["qsd_tol"], "qsd_residual",
-                           f"t={_num(t)} residual={_num(res)}")
+def _read_kernel_error(run, i, op):
+    if i == 0:  # the limit after the first build, the costliest
+        run.limit = dg.kernel_limit(run.spec)
+    return dg.kernel_convergence_error(op, run.spec, run.limit)
 
 
-def _run_rate_series(report, name, samples, spec, tols):
+def _report_rate(run, name):
+    samples = list(zip(run.cfg.t_grid, run.reads[name]))
     series = dg.DiagnosticSeries(name, samples)
     for t, v in series.samples:
-        report.add_sample(name, t, v)
+        run.add_sample(name, t, v)
     if len(samples) < 4 or any(v <= 0 for _, v in samples):
         why = (f"{len(samples)} samples, a rate fit needs 4" if len(samples) < 4
                else "a sample is <= 0, a log-linear fit needs > 0")
-        report.add_verdict(False, f"{name}_rate", f"SKIPPED: {why}")
+        run.add_verdict(False, f"{name}_rate", f"SKIPPED: {why}")
         return
-    rate, intercept, r2 = dg.fit_exponential_rate(series, tols["fit_tail"])
-    report.add_fit(name, rate, intercept, r2)
-    rel = abs(-rate - spec.gap) / spec.gap if spec.gap > 0 else np.inf
-    report.add_verdict(
-        rel <= tols["rate_tol"],
+    rate, intercept, r2 = dg.fit_exponential_rate(series, run.tols["fit_tail"])
+    run.add_fit(name, rate, intercept, r2)
+    rel = abs(-rate - run.spec.gap) / run.spec.gap if run.spec.gap > 0 else np.inf
+    run.add_verdict(
+        rel <= run.tols["rate_tol"],
         f"{name}_rate",
-        f"fitted={_num(-rate)} gap={_num(spec.gap)} rel_err={_num(rel)}",
+        f"fitted={_num(-rate)} gap={_num(run.spec.gap)} rel_err={_num(rel)}",
     )
 
 
-def _run_gsd(report, spec, fam, ops, tols):
-    space = ops[0].space
+def _read_qsd(run, i, op):
+    """find_qsd's measure and whether it warned (middle time), the residual (first, middle, last)."""
+    mid, last = len(run.cfg.t_grid) // 2, len(run.cfg.t_grid) - 1
+    found = res = None
+    if i == mid:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NonuniquenessWarning)
+            fixed = dg.find_qsd(op)
+        found = fixed, any(issubclass(w.category, NonuniquenessWarning) for w in caught)
+    if run.spec is not None and i in (0, mid, last):
+        res = dg.qsd_residual(dg.qsd_from_spectral(run.spec, op.space), op)
+    return found, res
+
+
+def _report_qsd(run, name):
+    mid, last = len(run.cfg.t_grid) // 2, len(run.cfg.t_grid) - 1
+    fixed, nonunique = run.reads[name][mid][0]
+    if nonunique:
+        run.add_verdict(False, "qsd_uniqueness", "NonuniquenessWarning: dominant eigenvalue degenerate")
+    if run.spec is None:  # find_qsd needs no spectral data; the rest does
+        run.add_verdict(False, name, _NO_SPECTRAL)
+        return
+    m = dg.qsd_from_spectral(run.spec, run.model.space)
+    dist = float(np.abs(fixed.weights - m.weights).sum())
+    if not nonunique:
+        run.add_verdict(
+            dist <= run.tols["match_tol"],
+            "qsd_cross_method",
+            f"L1(find_qsd, psi0-mu)={_num(dist)}",
+        )
+    for i in (0, mid, last):  # a short grid repeats a time
+        t, res = run.cfg.t_grid[i], run.reads[name][i][1]
+        run.add_sample("qsd_residual", t, res)
+        run.add_verdict(res <= run.tols["qsd_tol"], "qsd_residual",
+                        f"t={_num(t)} residual={_num(res)}")
+
+
+def _report_gsd(run, name):
+    spec, space = run.spec, run.model.space
     inv_sup_phi = 1.0 / float(spec.phi0.max())
-    level = tols["gsd_level"]
+    level = run.tols["gsd_level"]
     sat = float(np.sum(spec.psi0 * space.mu) / spec.Lambda)
-    base = fam.base_point if fam is not None else space.points[0]
-    for op in ops:
+    base = run.fam.base_point if run.fam is not None else space.points[0]
+    for op in run.ops:
         prof = dg.gsd_profile(op, spec)
-        report.add_sample("gsd_sup", op.t, float(prof.max()))
-        report.add_verdict(
+        run.add_sample("gsd_sup", op.t, float(prof.max()))
+        run.add_verdict(
             bool(prof.min() >= inv_sup_phi * (1.0 - 1e-9)),
             "gsd_reverse_bound",
             f"t={_num(op.t)} min={_num(prof.min())} 1/sup(phi0)={_num(inv_sup_phi)}",
         )
         r = dg.pgsd_radius(prof, space, base, level * sat)
-        report.add_sample("pgsd_radius", op.t, -1.0 if r is None else r, extra=f"C={_num(level * sat)}")
-    certified, _ = dg.agsd_certificate(ops, spec, level)
-    report.add_sample("gsd_certified", ops[-1].t, float(certified), extra=f"level={_num(level)}")
+        run.add_sample("pgsd_radius", op.t, -1.0 if r is None else r, extra=f"C={_num(level * sat)}")
+    certified, _ = dg.agsd_certificate(run.ops, spec, level)
+    run.add_sample("gsd_certified", run.ops[-1].t, float(certified), extra=f"level={_num(level)}")
 
 
-def _run_eta(report, spec, space, fam, cfg):
-    if fam is None:
-        report.add_verdict(False, "eta", "SKIPPED: no [family] section")
-        return
-    gamma = cfg.diag_params["eta"].get("gamma", spec.gap)
+def _report_eta(run, name):
+    gamma = run.cfg.diag_params[name].get("gamma", run.spec.gap)
     vals = []
-    for t in cfg.t_grid:
+    for t in run.cfg.t_grid:
         try:
-            vals.append(dg.eta_function(spec, space, fam, gamma, t))
+            vals.append(dg.eta_function(run.spec, run.model.space, run.fam, gamma, t))
         except ValueError:
             vals.append(np.nan)
         if np.isfinite(vals[-1]):
-            report.add_sample("eta", t, vals[-1])
+            run.add_sample(name, t, vals[-1])
     finite = [v for v in vals if np.isfinite(v)]
     ok = all(a <= b + 1e-12 for a, b in zip(finite, finite[1:]))
-    report.add_verdict(ok, "eta_monotone", f"values={[round(v, 6) for v in finite]}")
+    run.add_verdict(ok, "eta_monotone", f"values={[round(v, 6) for v in finite]}")
 
 
-def _run_kappa(report, model, spec, fam, ops, errors, cfg):
-    if fam is None:
-        report.add_verdict(False, "kappa", "SKIPPED: no [family] section")
-        return
-    b, t0 = cfg.diag_params["kappa"]["b"], cfg.diag_params["kappa"]["t0"]
+def _report_kappa(run, name):
+    b, t0 = run.cfg.diag_params[name]["b"], run.cfg.diag_params[name]["t0"]
     # a t0 off the grid is asked of the engine after the pass, which may compose it
-    op0 = {op.t: op for op in ops}.get(t0) or model.semigroup.operator(t0)
+    op0 = {op.t: op for op in run.ops}.get(t0) or run.model.semigroup.operator(t0)
     C, ok, detail = None, True, []
-    for op, E in zip(ops, errors):
-        kb = dg.kappa_rate(op0, spec, fam, b, op.t)
-        report.add_sample("kappa_b", op.t, kb, extra=f"E={_num(E)}")
+    for op, E in zip(run.ops, run.reads[name]):
+        kb = dg.kappa_rate(op0, run.spec, run.fam, b, op.t)
+        run.add_sample("kappa_b", op.t, kb, extra=f"E={_num(E)}")
         if C is None:
             C = E / kb
         elif E > C * kb * (1.0 + 1e-9):
             ok = False
         detail.append(f"t={op.t:g}:E/kb={E / kb:.3g}")
-    report.add_verdict(ok, "kappa_progressive_bound", f"C={_num(C or 0)} " + " ".join(detail))
+    run.add_verdict(ok, "kappa_progressive_bound", f"C={_num(C or 0)} " + " ".join(detail))
 
+
+def _report_uniqueness(run, name):
+    stable, sup = dg.uniqueness_condition_check(run.ops, run.spec)
+    run.add_sample(name, run.ops[-1].t, sup)
+    run.add_verdict(stable, "uniqueness_condition", f"sup={_num(sup)} stabilized={stable}")
+
+
+class _Diagnostic(NamedTuple):
+    """``report(run, name)`` writes samples, fits and verdicts after the grid
+    pass; ``read(run, i, U_t)`` is what it takes of the density at grid index i."""
+
+    report: Callable
+    read: Callable | None = None
+    spectral: bool = True  # without spectral data, or a [family] when ``family``, it is SKIPPED
+    family: bool = False
+
+
+_DIAGNOSTICS = {
+    "heat_content": _Diagnostic(_report_heat_content, spectral=False),
+    "kernel_convergence": _Diagnostic(_report_rate, _read_kernel_error),
+    "quasi_ergodic": _Diagnostic(_report_rate, lambda run, i, op: dg.quasi_ergodic_error(
+        op, run.spec, run.sigma, run.cfg.diag_params["quasi_ergodic"]["p"])),
+    "qsd": _Diagnostic(_report_qsd, _read_qsd, spectral=False),  # find_qsd needs no spectral data
+    "gsd": _Diagnostic(_report_gsd),
+    "eta": _Diagnostic(_report_eta, family=True),
+    "kappa": _Diagnostic(_report_kappa, family=True, read=lambda run, i, op: dg.progressive_error(
+        op, run.spec, ball_indicator(op.space, run.fam, run.cfg.diag_params["kappa"]["a"] * op.t))),
+    "uniqueness": _Diagnostic(_report_uniqueness),
+}
+DIAGNOSTIC_NAMES = tuple(_DIAGNOSTICS)
 
 _MC_HEADER = "model_id,target,t,mean,stderr,n,seed"
 
@@ -548,17 +559,17 @@ def _mc_check(model, x0, op, n: int, seed: int):
     """Feynman-Kac estimate of U_t 1(x0) from n seeded paths, at the time of
     ``op``, against the matrix value: (estimate, target, mc.csv row)."""
     est = fk_estimate(model, x0, op.t, np.ones(model.n), n, seed)
-    target = float(op.survival()[model.space.index(x0)])
+    target = float(op.survival[model.space.index(x0)])
     return est, target, (model.label, "fk_survival", op.t, est.mean, est.stderr, n, seed)
 
 
-def _run_mc_block(report, model, ops, cfg, path, stamp):
-    n, seed = cfg.mc["n"], cfg.mc["seed"]
+def _run_mc_block(run, path, stamp):
+    n, seed = run.cfg.mc["n"], run.cfg.mc["seed"]
     rows = []
-    for op in ops:
-        est, target, row = _mc_check(model, model.space.points[0], op, n, seed)
+    for op in run.ops:
+        est, target, row = _mc_check(run.model, run.model.space.points[0], op, n, seed)
         rows.append(row)
-        report.add_verdict(
+        run.add_verdict(
             est.within(target),
             "mc_fk_vs_matrix",
             f"t={_num(op.t)} mc={_num(est.mean)}+-{_num(est.stderr)} matrix={_num(target)}",
@@ -597,8 +608,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run":
             cfg = parse_config(args.config)
-            report, paths, code = run_experiment(cfg)
-            for ok, line in report.verdicts:
+            run, paths, code = run_experiment(cfg)
+            for ok, line in run.verdicts:
                 print(("PASS " if ok else "FAIL ") + line)
             print(f"wrote {', '.join(sorted(paths.values()))}")
             return code

@@ -128,7 +128,7 @@ def _lq_norm(g: np.ndarray, mu: np.ndarray, q: float) -> float:
 def heat_content(op: KernelOperator, dual: bool = False) -> float:
     """Z(t) = <U_t 1, 1>_mu, or with ``dual`` the same number <1, U*_t 1>_mu
     summed in the other order: the operator's cached row or column sums."""
-    return float((op.dual_survival() if dual else op.survival()) @ op.space.mu)
+    return float((op.dual_survival if dual else op.survival) @ op.space.mu)
 
 
 def heat_content_upper_bound(model: MarkovModel, t: float) -> float:
@@ -272,7 +272,7 @@ def gsd_profile(op: KernelOperator, spec: SpectralData) -> np.ndarray:
     """
     if np.any(spec.phi0 <= 0):
         raise ValueError("phi0 must be strictly positive")
-    return np.exp(spec.lambda0 * op.t) * op.survival() / spec.phi0
+    return np.exp(spec.lambda0 * op.t) * op.survival / spec.phi0
 
 
 def pgsd_radius(
@@ -367,7 +367,7 @@ def kappa_rate(
     """
     if not 0.0 < b < 0.5:
         raise ValueError("b must lie in (0, 1/2)")
-    s, sd = op0.survival(), op0.dual_survival()
+    s, sd = op0.survival, op0.dual_survival
     outside = ~ball_indicator(op0.space, fam, b * t)
     extra = float(s[outside].max() + sd[outside].max()) if outside.any() else 0.0
     return float(np.exp(-spec.gap * b * t) + extra)
@@ -383,7 +383,7 @@ def uniqueness_condition_check(ops, spec: SpectralData) -> tuple[bool, float]:
     if len(ops) < 2:
         raise ValueError("need at least two grid times")
     vals = [
-        float(np.exp(spec.lambda0 * op.t) * np.max(op.survival() + op.dual_survival()))
+        float(np.exp(spec.lambda0 * op.t) * np.max(op.survival + op.dual_survival))
         for op in ops
     ]
     stabilized = abs(vals[-1] / vals[-2] - 1.0) <= 1e-3

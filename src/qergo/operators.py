@@ -157,20 +157,14 @@ class KernelOperator:
         """U*_t g(y) = sum_x u(x,y) g(x) mu(x)."""
         return self.density.T @ (np.asarray(g, float) * self.space.mu)
 
+    @cached_property
     def survival(self) -> np.ndarray:
         """U_t 1 per point, formed on first use and read-only."""
-        return self._survival
-
-    def dual_survival(self) -> np.ndarray:
-        """U*_t 1 per point, formed on first use and read-only."""
-        return self._dual_survival
-
-    @cached_property
-    def _survival(self) -> np.ndarray:
         return _read_only(self.density @ self.space.mu)
 
     @cached_property
-    def _dual_survival(self) -> np.ndarray:
+    def dual_survival(self) -> np.ndarray:
+        """U*_t 1 per point, formed on first use and read-only."""
         return _read_only(self.density.T @ self.space.mu)
 
     def transition(self) -> np.ndarray:
@@ -192,14 +186,8 @@ class Survivals(NamedTuple):
 
     t: float
     space: StateSpace
-    u1: np.ndarray
-    u1_dual: np.ndarray
-
-    def survival(self) -> np.ndarray:
-        return self.u1
-
-    def dual_survival(self) -> np.ndarray:
-        return self.u1_dual
+    survival: np.ndarray
+    dual_survival: np.ndarray
 
 
 def _floored(P: np.ndarray) -> np.ndarray:

@@ -407,7 +407,7 @@ def test_criterion_09_monte_carlo():
         x0 = model.space.points[int(rng.integers(model.n))]
         t = float(rng.uniform(0.3, 2.0))
         est = fk_estimate(model, x0, t, np.ones(model.n), 100_000, rng=1000 + k)
-        target = float(feynman_kac_operator(model, t).survival()[model.space.index(x0)])
+        target = float(feynman_kac_operator(model, t).survival[model.space.index(x0)])
         assert est.within(target), (model.label, x0, t, est, target)
         agree += 1
 
@@ -420,7 +420,7 @@ def test_criterion_09_monte_carlo():
     vmax = float(model.V[inball].max())
     free = build_ctmc_model(20, "birth-death")
     for t in (0.5, 1.0, 2.0):
-        surv = float(feynman_kac_operator(model, t).survival()[i0])
+        surv = float(feynman_kac_operator(model, t).survival[i0])
         est = exit_probability(model, x0, t, radius, n=100_000, rng=int(10 * t))
         lower = np.exp(-t * vmax) * (est.mean - 3.0 * est.stderr)
         assert lower <= surv
@@ -459,7 +459,7 @@ def test_criterion_09_levy_continuum_cross_check():
     model = build_fractional_model((40.0, 0.1), LevyProfile("polynomial", alpha=1.0), pot)
     t = 0.5
     i0 = model.n // 2
-    matrix = float(feynman_kac_operator(model, model.time_scale * t).survival()[i0])
+    matrix = float(feynman_kac_operator(model, model.time_scale * t).survival[i0])
     est = fk_estimate_levy(1.0, pot, 0.0, t, n_steps=64, n=100_000, rng=4242)
     tol = max(3.0 * est.stderr, 0.05 * matrix)
     assert abs(est.mean - matrix) <= tol

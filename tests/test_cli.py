@@ -117,9 +117,9 @@ class TestParsing:
 
     @pytest.mark.parametrize("section,key,msg", [
         ("[diagnostics]\nnames = qsd gsd qsd\n", "names", "diagnostic 'qsd' is named twice"),
-        ("[diagnostics]\nnames = quasi_ergodic\n[diagnostics.quasi_ergodic]\nsigma = gaussian\n",
-         "sigma", "unknown sigma spec 'gaussian'"),
-    ], ids=["name_twice", "sigma_kind"])
+        *[(f"[diagnostics]\nnames = quasi_ergodic\n[diagnostics.quasi_ergodic]\nsigma = {spec}\n",
+           "sigma", f"unknown sigma spec {spec!r}") for spec in ("gaussian", "uniform:3", "point")],
+    ], ids=["name_twice", "sigma_kind", "sigma_uniform_with_an_argument", "sigma_point_without_one"])
     def test_refused_on_its_line_at_parse(self, tmp_path, section, key, msg):
         text = "[model]\nid = swap2\n[times]\nt_grid = 1 2\n" + section
         path = write_config(tmp_path, text)
@@ -197,13 +197,16 @@ dir = {out}
         for name in ("kernel_convergence", "quasi_ergodic"):
             assert f"FAIL {name}_rate SKIPPED: 3 samples, a rate fit needs 4\n" in verdict
 
-    def test_nonpositive_sample_writes_a_skipped_rate_verdict(self):
-        from qergo.cli import _Report, _run_rate_series
+    def test_nonpositive_sample_writes_a_skipped_rate_verdict(self, tmp_path, monkeypatch):
+        import qergo.diagnostics as dg
 
-        report = _Report("m")
-        samples = [(1.0, 0.1), (2.0, 0.0), (3.0, 0.01), (4.0, 0.001)]
-        _run_rate_series(report, "kernel_convergence", samples, None, {})
-        assert report.verdicts == [
+        errors = iter([0.1, 0.0, 0.01, 0.001])
+        monkeypatch.setattr(dg, "kernel_convergence_error", lambda *args: next(errors))
+        text = SWAP2_CONFIG.format(out=tmp_path / "o").replace(
+            "1.0 1.75 2.5 3.25 4.0 4.75", "1 2 3 4").replace(
+            "heat_content kernel_convergence quasi_ergodic qsd gsd uniqueness", "kernel_convergence")
+        report, _, code = run_experiment(parse_config(write_config(tmp_path, text)))
+        assert code == 2 and report.verdicts == [
             (False, "kernel_convergence_rate SKIPPED: a sample is <= 0, a log-linear fit needs > 0")]
 
     def test_deterministic_csv_bodies(self, tmp_path):

@@ -732,7 +732,7 @@ class TestOperatorOnlyDiagnostics:
         # a run keeps t, the space, U_t 1 and U*_t 1 of each grid operator;
         # every survival reader gives the same bits on that record
         ops = [self.bare(t, seed) for seed, t in enumerate((0.5, 1.0, 1.5))]
-        kept = [Survivals(op.t, op.space, op.survival(), op.dual_survival()) for op in ops]
+        kept = [Survivals(op.t, op.space, op.survival, op.dual_survival) for op in ops]
         fam = ExhaustingFamily(0, lambda s: s, t_min=0.0)
         assert agsd_certificate(kept, self.spec) == agsd_certificate(ops, self.spec)
         assert uniqueness_condition_check(kept, self.spec) == uniqueness_condition_check(ops, self.spec)

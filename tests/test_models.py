@@ -251,7 +251,7 @@ class TestHoDiscretization:
         for t in (0.5, 1.0):
             op = build_ho_discretization(grid, t)
             np.testing.assert_allclose(
-                op.survival(), ho_survival(t, grid.coords[:, 0, None]), atol=1e-8
+                op.survival, ho_survival(t, grid.coords[:, 0, None]), atol=1e-8
             )
 
     def test_chapman_kolmogorov_on_grid(self):

@@ -187,7 +187,7 @@ class TestFkEstimate:
     def test_matches_matrix_oracle(self, birthdeath20_confining):
         t = 1.0
         est = fk_estimate(birthdeath20_confining, 9, t, np.ones(20), 100_000, rng=123)
-        target = feynman_kac_operator(birthdeath20_confining, t).survival()[9]
+        target = feynman_kac_operator(birthdeath20_confining, t).survival[9]
         assert est.within(target)
 
     def test_reproducible_bit_for_bit(self, birthdeath5):
@@ -206,7 +206,7 @@ class TestFkEstimate:
     def test_unbiased_across_seeds(self, birthdeath5):
         # |MC - matrix| <= 3 stderr in at least 95% of independent repetitions
         t = 0.8
-        target = feynman_kac_operator(birthdeath5, t).survival()[2]
+        target = feynman_kac_operator(birthdeath5, t).survival[2]
         hits = sum(
             fk_estimate(birthdeath5, 2, t, np.ones(5), 2000, rng=seed).within(target)
             for seed in range(100)

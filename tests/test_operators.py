@@ -269,17 +269,17 @@ class TestSemigroupEngine:
         ones = np.ones(model.n)
         for t in ENGINE_TIMES:
             op = model.semigroup.operator(t)
-            for got, want in ((op.survival(), op.apply(ones)),
-                              (op.dual_survival(), op.apply_adjoint(ones))):
+            for got, want in ((op.survival, op.apply(ones)),
+                              (op.dual_survival, op.apply_adjoint(ones))):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_survivals_are_formed_once_and_read_only(self, zoo_model):
         model, _ = zoo_model
         op = model.semigroup.operator(1.0)
-        for got, want in ((op.survival, op.density @ op.space.mu),
-                          (op.dual_survival, op.density.T @ op.space.mu)):
-            first = got()
-            assert got() is first
+        for name, want in (("survival", op.density @ op.space.mu),
+                           ("dual_survival", op.density.T @ op.space.mu)):
+            first = getattr(op, name)
+            assert getattr(op, name) is first
             np.testing.assert_array_equal(first, want)
             with pytest.raises(ValueError, match="read-only"):
                 first[0] = 0.0
