@@ -171,7 +171,7 @@ dir = {out}
         verdict = open(paths["verdict"]).read()
         assert "NonuniquenessWarning" in verdict
 
-    def test_reducible_chain_with_a_simple_top_eigenvalue_skips_qsd(self, tmp_path, capsys):
+    def test_reducible_chain_with_a_simple_top_eigenvalue_skips_qsd(self, tmp_path):
         # the 2-cycle of V = 0 dominates alone, so find_qsd does not warn; qsd
         # still has no spectral data and must say so, not leave the run a PASS
         out = tmp_path / "o"
