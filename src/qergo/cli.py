@@ -326,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig):
                                f"the {model.label} oracle is kernel-only")
         # the triple reads U_1: built here, each build is a step of the run in a
         # traced bench run, as the grid's are; the engine keeps it first
-        model.semigroup.operator(1.0)
+        model.operator(1.0)
     try:  # before the grid, so that a grid past the double range below fails before any operator
         spec = principal_triple(model)
     except ModelError:
@@ -346,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig):
                for name, entry in entries.items()}
     readers = [name for name, entry in entries.items() if entry.read and not skipped[name]]
     for i, t in enumerate(cfg.t_grid):  # once, ascending: U_t is read, then dropped but its survivals
-        op = model.semigroup.operator(t)
+        op = model.operator(t)
         for name in readers:
             run.reads.setdefault(name, []).append(entries[name].read(run, i, op))
         run.ops.append(Survivals(t, op.space, op.survival, op.dual_survival))
@@ -509,7 +509,7 @@ def _report_eta(run, name):
 def _report_kappa(run, name):
     b, t0 = run.cfg.diag_params[name]["b"], run.cfg.diag_params[name]["t0"]
     # a t0 off the grid is asked of the engine after the pass, which may compose it
-    op0 = {op.t: op for op in run.ops}.get(t0) or run.model.semigroup.operator(t0)
+    op0 = {op.t: op for op in run.ops}.get(t0) or run.model.operator(t0)
     C, ok, detail = None, True, []
     for op, E in zip(run.ops, run.reads[name]):
         kb = dg.kappa_rate(op0, run.spec, run.fam, b, op.t)

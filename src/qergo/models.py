@@ -219,7 +219,7 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
         V_arr = np.asarray(V, dtype=float)
     name = label or (q_spec if isinstance(q_spec, str) else "user")
     model = MarkovModel(space, Q, V_arr, label=name)
-    if isinstance(q_spec, str) and not model.is_irreducible():
+    if isinstance(q_spec, str) and not model.irreducible:
         raise ModelError(f"recipe {q_spec!r} produced a reducible chain")
     return model
 
@@ -310,7 +310,7 @@ def build_ho_discretization(grid: StateSpace | tuple, t: float) -> KernelOperato
 
 class OscillatorOracle(Engine):
     """Kernel-only model of the oscillator on a lattice: it has a space, a
-    label and a semigroup like a MarkovModel, but no Q, V or generator.
+    label and ``operator(t)`` like a MarkovModel, but no Q, V or generator.
 
     It is its own engine, whose operator at time t is the Mehler kernel.
     """
@@ -323,10 +323,6 @@ class OscillatorOracle(Engine):
     @property
     def n(self) -> int:
         return self.space.n
-
-    @property
-    def semigroup(self) -> "OscillatorOracle":
-        return self
 
     def _build(self, t: float) -> KernelOperator:
         return build_ho_discretization(self.space, t)
@@ -510,9 +506,9 @@ def parse_model_string(text: str) -> tuple[str, dict]:
 
 def zoo_build(model_id: str, params: dict):
     """Build a zoo entry by id: a model with ``space``, ``label``, ``n`` and
-    ``semigroup``, a MarkovModel for every id but "ho", whose kernel-only
-    OscillatorOracle has no generator.  A key that the entry's builder does
-    not take is a ModelError, raised before any build."""
+    ``operator(t)``, each its own engine: a MarkovModel for every id but "ho",
+    whose kernel-only OscillatorOracle has no generator.  A key that the
+    entry's builder does not take is a ModelError, raised before any build."""
     entry = _zoo_entry(model_id)
     p = dict(params)
     try:

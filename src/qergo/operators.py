@@ -22,7 +22,6 @@ __all__ = [
     "MarkovModel",
     "strongly_connected",
     "Engine",
-    "Semigroup",
     "KernelOperator",
     "Survivals",
     "feynman_kac_operator",
@@ -68,67 +67,6 @@ def strongly_connected(adj: np.ndarray) -> bool:
         if not seen.all():
             return False
     return True
-
-
-@dataclass(frozen=True, eq=False)
-class MarkovModel:
-    """Generator data (Q, V) of a Feynman-Kac semigroup on a space.
-
-    Q is the one-step jump matrix of a rate-1 continuous-time chain.  The
-    dual kernel ``Q_dual`` = D^{-1} Q^T D, D = diag(mu), is derived from the
-    duality relation mu(x) Q(x,y) = mu(y) Q_dual(y,x); both must be
-    row-stochastic, which forces mu to be invariant for Q.  The generator
-    acting on functions is G = Q - I - diag(V).
-    """
-
-    space: StateSpace
-    Q: np.ndarray
-    V: np.ndarray
-    time_scale: float = 1.0
-    label: str = "model"
-
-    def __post_init__(self):
-        n = self.space.n
-        Q = np.asarray(self.Q, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        lo, hi = Q.min(initial=0.0), Q.max(initial=0.0)
-        if Q.shape != (n, n) or not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ModelError("Q must be square over the state space, with finite entries")
-        if lo < -_STOCH_TOL:
-            raise ModelError("Q has negative entries")
-        if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _STOCH_TOL:
-            raise ModelError("rows of Q must sum to 1 within 1e-12")
-        if V.shape != (n,) or not np.all(np.isfinite(V)):
-            raise ModelError("V must be one finite value per point")
-        mu = self.space.mu
-        Qd = np.multiply(Q.T, mu, order="C")  # rows contiguous, as Q's are
-        Qd /= mu[:, None]
-        if np.max(np.abs(Qd.sum(axis=1) - 1.0)) > _STOCH_TOL:
-            raise ModelError("dual kernel is not stochastic: mu is not an invariant measure of Q")
-        object.__setattr__(self, "Q", _read_only(Q))
-        object.__setattr__(self, "V", _read_only(V))
-        object.__setattr__(self, "Q_dual", _read_only(Qd))
-
-    @property
-    def n(self) -> int:
-        return self.space.n
-
-    def generator(self) -> np.ndarray:
-        """G = Q - I - diag(V), acting on functions."""
-        return self.Q - np.eye(self.n) - np.diag(self.V)
-
-    @cached_property
-    def semigroup(self) -> "Semigroup":
-        """The model's semigroup engine, built on first use and shared by all callers."""
-        return Semigroup(self)
-
-    def is_irreducible(self) -> bool:
-        """Whether the jump graph Q > 0 is strongly connected, found once per model."""
-        return self._irreducible
-
-    @cached_property
-    def _irreducible(self) -> bool:
-        return strongly_connected(self.Q > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +199,7 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
 
 
 class Engine:
-    """U_t of one model for any t > 0, built by the subclass hook ``_build(t)``.
+    """U_t of one model for any finite t > 0, built by the subclass hook ``_build(t)``.
     It keeps the first operator built and the most recent one: all a run asks
     for again (the step U_s of an ascending grid composed as U_t = U_{t-s} U_s,
     and the U_1 that a kernel-only model's triple reads)."""
@@ -271,8 +209,8 @@ class Engine:
         return {}
 
     def operator(self, t: float) -> KernelOperator:
-        if t <= 0:
-            raise ValueError("t must be positive")
+        if not 0 < t < np.inf:  # nan fails too, before any build
+            raise ValueError("t must be positive and finite")
         key = float(t)
         if key not in self._ops:
             op = self._build(key)
@@ -282,11 +220,20 @@ class Engine:
         return self._ops[key]
 
 
-class Semigroup(Engine):
-    """U_t = exp(tG) of one model, entries clamped at 0, no factorization repeated.
+@dataclass(frozen=True, eq=False)
+class MarkovModel(Engine):
+    """Generator data (Q, V) of a Feynman-Kac semigroup on a space, and the
+    engine of that semigroup: ``operator(t)`` is U_t = exp(tG), entries
+    clamped at 0, no factorization repeated.
+
+    Q is the one-step jump matrix of a rate-1 continuous-time chain.  The
+    dual kernel ``Q_dual`` = D^{-1} Q^T D, D = diag(mu), is derived from the
+    duality relation mu(x) Q(x,y) = mu(y) Q_dual(y,x); both must be
+    row-stochastic, which forces mu to be invariant for Q.  The generator
+    acting on functions is G = Q - I - diag(V).
 
     Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take one
-    eigh of S = D^{1/2} G D^{-1/2} with D = diag(mu), or two of half its size
+    eigh of S = D^{1/2} G D^{-1/2}, or two of half its size
     when S commutes with the index reversal (``_symmetric_eigh``): a lattice
     symmetric about its centre with an even potential and measure, as are all
     the shipped reversible models.  The spectrum then takes ~0.05 s against
@@ -314,9 +261,54 @@ class Semigroup(Engine):
     slow microcode.
     """
 
-    def __init__(self, model: MarkovModel):
-        self.model = model
-        self.reversible = bool(_max_abs_diff(model.Q_dual, model.Q) <= _REV_TOL)
+    space: StateSpace
+    Q: np.ndarray
+    V: np.ndarray
+    time_scale: float = 1.0
+    label: str = "model"
+
+    def __post_init__(self):
+        n = self.space.n
+        Q = np.asarray(self.Q, dtype=float)
+        V = np.asarray(self.V, dtype=float)
+        lo, hi = Q.min(initial=0.0), Q.max(initial=0.0)
+        if Q.shape != (n, n) or not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ModelError("Q must be square over the state space, with finite entries")
+        if lo < -_STOCH_TOL:
+            raise ModelError("Q has negative entries")
+        if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _STOCH_TOL:
+            raise ModelError("rows of Q must sum to 1 within 1e-12")
+        if V.shape != (n,) or not np.all(np.isfinite(V)):
+            raise ModelError("V must be one finite value per point")
+        mu = self.space.mu
+        Qd = np.multiply(Q.T, mu, order="C")  # rows contiguous, as Q's are
+        Qd /= mu[:, None]
+        if np.max(np.abs(Qd.sum(axis=1) - 1.0)) > _STOCH_TOL:
+            raise ModelError("dual kernel is not stochastic: mu is not an invariant measure of Q")
+        object.__setattr__(self, "Q", _read_only(Q))
+        object.__setattr__(self, "V", _read_only(V))
+        object.__setattr__(self, "Q_dual", _read_only(Qd))
+
+    @property
+    def n(self) -> int:
+        return self.space.n
+
+    def generator(self) -> np.ndarray:
+        """G = Q - I - diag(V), acting on functions: a copy of Q with
+        (Q_ii - 1) - V_i on its diagonal, in one n x n array."""
+        G = np.array(self.Q)
+        np.fill_diagonal(G, (self.Q.diagonal() - 1.0) - self.V)
+        return G
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """Whether the jump graph Q > 0 is strongly connected, found once per model."""
+        return strongly_connected(self.Q > 0)
+
+    @cached_property
+    def reversible(self) -> bool:
+        """Whether Q_dual == Q within a few ulps, found once per model."""
+        return bool(_max_abs_diff(self.Q_dual, self.Q) <= _REV_TOL)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +318,7 @@ class Semigroup(Engine):
         """
         if not self.reversible:
             raise ValueError("only a reversible model has a symmetric spectrum")
-        Q, V, r = self.model.Q, self.model.V, np.sqrt(self.model.space.mu)
+        Q, V, r = self.Q, self.V, np.sqrt(self.space.mu)
         S = np.multiply(r[:, None], Q)  # S = D^{1/2} G D^{-1/2} in one array
         S /= r
         np.fill_diagonal(S, r * ((Q.diagonal() - 1.0) - V) / r)
@@ -338,7 +330,7 @@ class Semigroup(Engine):
         return w, B
 
     def _build(self, t: float) -> KernelOperator:
-        space = self.model.space
+        space = self.space
         if self.reversible:
             w, B = self.spectrum
             g, mu = B[:, -1], space.mu  # the ground mode and the measure
@@ -352,7 +344,7 @@ class Semigroup(Engine):
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)
         if s is None:
-            A = t * self.model.generator()
+            A = t * self.generator()
             k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
             P = _floored(_exp_step(A / 2.0**k))
             for _ in range(k):
@@ -363,10 +355,10 @@ class Semigroup(Engine):
 
 
 def feynman_kac_operator(model: MarkovModel, t: float) -> KernelOperator:
-    """U_t = exp(t (Q - I - diag(V))) as a kernel operator, taken from the
-    model's semigroup engine: one eigh per reversible model, a cached
-    exponential otherwise.  Raises ValueError for t <= 0."""
-    return model.semigroup.operator(t)
+    """U_t = exp(t (Q - I - diag(V))) as a kernel operator: ``model.operator(t)``,
+    one eigh per reversible model, a cached exponential otherwise.  Raises
+    ValueError for a t that is not finite and positive."""
+    return model.operator(t)
 
 
 def compose(op_s: KernelOperator, op_t: KernelOperator) -> KernelOperator:

@@ -125,7 +125,7 @@ def _nearest_eigenpairs(A: np.ndarray, sigma: float):
 def principal_triple(model) -> SpectralData:
     """Eigendecomposition of -G = I - Q + diag(V), the one triple of any zoo model.
 
-    Reversible models read it from the eigh of their semigroup engine, where
+    Reversible models read it from the eigh of their ``spectrum``, where
     psi0 = phi0.  Other Markov models invert -G shifted below min V, the
     Collatz-Wielandt bound of lambda0 (``_nearest_eigenpairs``): the gap is
     the smallest real part among the 6 eigenvalues nearest the shift, less
@@ -135,13 +135,12 @@ def principal_triple(model) -> SpectralData:
     ||G||, and PositivityError when an eigenvector has mixed signs.
     """
     if not isinstance(model, MarkovModel):
-        return principal_triple_from_operator(model.semigroup.operator(1.0))
-    if not model.is_irreducible():
+        return principal_triple_from_operator(model.operator(1.0))
+    if not model.irreducible:
         raise ModelError("principal_triple requires an irreducible jump matrix")
     mu, Q, V = model.space.mu, model.Q, model.V
-    engine = model.semigroup
-    if engine.reversible:
-        w, B = engine.spectrum
+    if model.reversible:
+        w, B = model.spectrum
         eigenvalues = -w[::-1]
         right, left = B[:, -1], None
     else:

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import shlex
@@ -457,7 +458,7 @@ class TestFactorizationCounts:
             kappa=f"[diagnostics.kappa]\nt0 = {t0}\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
         # the engine keeps the first operator it built and the most recent one
-        assert list(built[0].semigroup._ops) == keys
+        assert list(built[0]._ops) == keys
         assert counts["_exp_step"] == steps
 
     @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
@@ -530,7 +531,7 @@ def record_builds(monkeypatch):
     import qergo.operators as operators
 
     times, refs, held = [], [], []
-    for cls in (operators.Semigroup, models.OscillatorOracle):
+    for cls in (operators.MarkovModel, models.OscillatorOracle):
         def tracked(self, t, _build=cls._build):
             held.append(sum(r() is not None for r in refs))
             op = _build(self, t)
@@ -550,24 +551,26 @@ class TestOneGridPass:
             self, tmp_path, monkeypatch):
         # frac at n = 401 with every diagnostic.  Q, Q_dual and the spectrum's
         # B live as long as the model; past a grid time the run adds the
-        # engine's first and latest operators and the kernel error's limit, and
+        # model's first and latest operators and the kernel error's limit, and
         # a seventh n x n array while the next U_t is built.  A run holding the
         # whole grid of six operators peaked at 12 n x n arrays
         n = 401
         times, refs, held = record_builds(monkeypatch)
         cfg = parse_config(write_config(tmp_path, FRAC_401.format(out=tmp_path / "o")))
         tracemalloc.start()
+        gc.disable()  # what the run leaves is freed by reference counting alone
         try:
             run_experiment(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
+            gc.enable()
             tracemalloc.stop()
         assert times == cfg.t_grid
         assert peak < 9 * 8 * n * n
-        # each build begins with at most the engine's first and latest operators
-        # alive, and those two are all that is left once the run has returned
+        # each build begins with at most the model's first and latest operators
+        # alive, and once the run has returned and been dropped none is left
         assert held == [0, 1, 2, 2, 2, 2]
-        assert [r().t for r in refs if r() is not None] == [cfg.t_grid[0], cfg.t_grid[-1]]
+        assert [r().t for r in refs if r() is not None] == []
 
     @pytest.mark.parametrize("config", [
         BIRTHDEATH_FULL.read_text(), HO_ORACLE.read_text(),
@@ -621,10 +624,10 @@ class TestVerdictSequence:
         # kappa asks the engine for U_t0 after the grid pass; the n x n limit
         # of the kernel error must be gone by then
         import qergo.diagnostics as dg
-        from qergo.operators import Semigroup
+        from qergo.operators import MarkovModel
 
         limits, alive = [], []
-        kernel_limit, build = dg.kernel_limit, Semigroup._build
+        kernel_limit, build = dg.kernel_limit, MarkovModel._build
 
         def tracked_limit(spec):
             limit = kernel_limit(spec)
@@ -636,7 +639,7 @@ class TestVerdictSequence:
             return build(self, t)
 
         monkeypatch.setattr(dg, "kernel_limit", tracked_limit)
-        monkeypatch.setattr(Semigroup, "_build", tracked_build)
+        monkeypatch.setattr(MarkovModel, "_build", tracked_build)
         text = FACTORIZATION_CONFIG.format(model="cycle", n=8, grid="1 3 4 9", out=tmp_path / "o",
                                            kappa="[diagnostics.kappa]\nt0 = 2\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
@@ -783,12 +786,12 @@ class TestMainEntry:
     ])
     def test_point_outside_the_model_exits_one(
             self, tmp_path, capsys, monkeypatch, old, new, named):
-        from qergo.operators import Semigroup
+        from qergo.operators import MarkovModel
 
         def no_operator(*args):
             raise AssertionError("an operator was built before the point check")
 
-        monkeypatch.setattr(Semigroup, "operator", no_operator)
+        monkeypatch.setattr(MarkovModel, "operator", no_operator)
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         text = BIRTHDEATH_FULL.read_text()
         assert old in text
@@ -944,9 +947,9 @@ class TestMainEntry:
         # comes first, so a refused grid builds no operator
         import qergo.operators as operators
 
-        builds, build = [], operators.Semigroup._build
+        builds, build = [], operators.MarkovModel._build
         monkeypatch.setattr(
-            operators.Semigroup, "_build", lambda self, t: builds.append(t) or build(self, t))
+            operators.MarkovModel, "_build", lambda self, t: builds.append(t) or build(self, t))
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         text = BIRTHDEATH_FULL.read_text()
         grid = "t_grid = 3000 4000 5000 6000"

@@ -30,7 +30,7 @@ class TestCtmcRecipes:
     def test_recipes_yield_valid_models(self, recipe, n):
         model = build_ctmc_model(n, recipe)
         assert np.max(np.abs(model.Q.sum(axis=1) - 1.0)) < 1e-12
-        assert model.is_irreducible()
+        assert model.irreducible
 
     def test_swap2_canonical(self, swap2):
         np.testing.assert_array_equal(swap2.Q, [[0.0, 1.0], [1.0, 0.0]])
@@ -56,7 +56,7 @@ class TestCtmcRecipes:
         blk = np.array([[0.0, 1.0], [1.0, 0.0]])
         Q = np.block([[blk, np.zeros((2, 2))], [np.zeros((2, 2)), blk]])
         model = build_ctmc_model(4, Q)
-        assert not model.is_irreducible()
+        assert not model.irreducible
 
     def test_non_stochastic_rejected(self):
         with pytest.raises(ModelError):
@@ -169,7 +169,7 @@ class TestFractionalModel:
     def test_irreducible_and_positivity(self):
         model = build_fractional_model((8.0, 0.5), LevyProfile("polynomial", alpha=0.5),
                                        PotentialSpec("log-power", beta=0.5))
-        assert model.is_irreducible()
+        assert model.irreducible
         assert feynman_kac_operator(model, 0.5).positivity_improving()
 
     @pytest.mark.parametrize("levy", LEVY_PROFILES)
@@ -346,11 +346,11 @@ class TestZoo:
         oracle = zoo_build("ho", {"half_width": 4.0, "h": 0.25})
         assert isinstance(oracle, OscillatorOracle) and not hasattr(oracle, "Q")
         assert oracle.n == oracle.space.n == 33 and oracle.label == "ho"
-        op = oracle.semigroup.operator(1.0)
-        assert oracle.semigroup.operator(1.0) is op and op.t == 1.0
+        op = oracle.operator(1.0)
+        assert oracle.operator(1.0) is op and op.t == 1.0
         np.testing.assert_array_equal(op.density, build_ho_discretization(oracle.space, 1.0).density)
         with pytest.raises(ValueError, match="positive"):
-            oracle.semigroup.operator(0.0)
+            oracle.operator(0.0)
 
     def test_build_user_matrix(self):
         model = zoo_build("user", {"q": "0 1; 1 0", "mu": "1 1", "v": "0 0.5"})
@@ -385,7 +385,7 @@ class TestZoo:
             model = zoo_build(*parse_model_string(text))
             assert model.n == model.space.n == n
             assert model.label.startswith(text.split("(")[0])
-            assert model.semigroup.operator(1.0).space is model.space
+            assert model.operator(1.0).space is model.space
 
     @pytest.mark.parametrize("text,named", [
         ("birthdeath()", "'n'"),

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from qergo.models import (
 )
 from qergo.operators import (
     _REV_TOL,
+    Engine,
     KernelOperator,
     MarkovModel,
     _exp_step,
@@ -128,7 +131,7 @@ class TestStronglyConnected:
         bfs = operators.strongly_connected
         monkeypatch.setattr(operators, "strongly_connected", lambda a: calls.append(1) or bfs(a))
         model = MarkovModel(birthdeath5.space, birthdeath5.Q, birthdeath5.V)
-        assert model.is_irreducible() and model.is_irreducible()
+        assert model.irreducible and model.irreducible
         principal_triple(model)
         assert calls == [1]
 
@@ -251,8 +254,8 @@ def zoo_model(request):
 class TestSemigroupEngine:
     def test_method_follows_reversibility(self, zoo_model):
         model, reversible = zoo_model
-        assert model.semigroup is model.semigroup  # one engine per model
-        assert model.semigroup.reversible is reversible
+        assert isinstance(model, Engine)  # the model is its own engine
+        assert model.reversible is reversible
         op = feynman_kac_operator(model, 1.0)
         assert op.meta["method"] == ("eigh" if reversible else "expm")
 
@@ -260,7 +263,7 @@ class TestSemigroupEngine:
         model, _ = zoo_model
         for t in ENGINE_TIMES:
             ref = np.maximum(expm(t * model.generator()), 0.0) / model.space.mu[None, :]
-            got = model.semigroup.operator(t).density
+            got = model.operator(t).density
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_survivals_match_operator(self, zoo_model):
@@ -268,14 +271,14 @@ class TestSemigroupEngine:
         model, _ = zoo_model
         ones = np.ones(model.n)
         for t in ENGINE_TIMES:
-            op = model.semigroup.operator(t)
+            op = model.operator(t)
             for got, want in ((op.survival, op.apply(ones)),
                               (op.dual_survival, op.apply_adjoint(ones))):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_survivals_are_formed_once_and_read_only(self, zoo_model):
         model, _ = zoo_model
-        op = model.semigroup.operator(1.0)
+        op = model.operator(1.0)
         for name, want in (("survival", op.density @ op.space.mu),
                            ("dual_survival", op.density.T @ op.space.mu)):
             first = getattr(op, name)
@@ -291,31 +294,49 @@ class TestSemigroupEngine:
             (100.0, 0.25), LevyProfile("polynomial", alpha=1.0),
             PotentialSpec("log-power", beta=2.0, scale=1.0))
         grid = (31.2, 37.4, 43.6, 49.9, 56.1, 62.3)
-        modes = [model.semigroup.operator(t).meta["modes"] for t in grid]
+        modes = [model.operator(t).meta["modes"] for t in grid]
         assert model.n == 801 and modes[0] <= 40
         assert modes == sorted(modes, reverse=True)
 
     def test_engine_keeps_the_first_and_the_most_recent_operator(self, zoo_model):
         model, _ = zoo_model
-        engine = model.semigroup
-        ops = [engine.operator(t) for t in (1.0, 2.0, 3.0)]
-        assert list(engine._ops) == [1.0, 3.0]
-        assert engine.operator(1.0) is ops[0] and engine.operator(3) is ops[2]
-        again = engine.operator(2.0)  # dropped, so built again, to the same bits
+        ops = [model.operator(t) for t in (1.0, 2.0, 3.0)]
+        assert list(model._ops) == [1.0, 3.0]
+        assert model.operator(1.0) is ops[0] and model.operator(3) is ops[2]
+        again = model.operator(2.0)  # dropped, so built again, to the same bits
         assert again is not ops[1] and np.array_equal(again.density, ops[1].density)
-        assert list(engine._ops) == [1.0, 2.0]
+        assert list(model._ops) == [1.0, 2.0]
 
     def test_nonreversible_exponentials_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
         model, _ = zoo_model
-        first, second = model.semigroup.operator(2.0), model.semigroup.operator(2)
+        first, second = model.operator(2.0), model.operator(2)
         assert first is second
+
+    def test_generator_is_the_former_expression_bit_for_bit(self, zoo_model):
+        model, _ = zoo_model
+        assert np.array_equal(model.generator(),
+                              model.Q - np.eye(model.n) - np.diag(model.V))
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_ZOO))
+    def test_a_dropped_model_is_freed_without_the_cyclic_collector(self, name):
+        # the model holds its spectrum and operators, and none of them holds the
+        # model: dropping it frees them all by reference counting alone
+        gc.disable()
+        try:
+            model = ENGINE_ZOO[name][0]()
+            ops = [feynman_kac_operator(model, t) for t in (1.0, 2.0, 3.0)]
+            refs = [weakref.ref(x) for x in (model, *ops)]
+            del model, ops
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_nonpositive_time_rejected(self, zoo_model):
         model, _ = zoo_model
-        for t in (0.0, -1.0):
+        for t in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="positive"):
-                model.semigroup.operator(t)
+                model.operator(t)
 
     @pytest.mark.parametrize("v", [0.0, 0.3, -0.2])
     def test_unit_step_is_entrywise_accurate(self, v):
@@ -338,10 +359,9 @@ class TestSemigroupEngine:
         calls, step = [], operators._exp_step
         monkeypatch.setattr(operators, "_exp_step", lambda S: calls.append(1) or step(S))
         model = ENGINE_ZOO[name][0]()
-        sg = model.semigroup
         for t in np.arange(2.0, 21.0, 2.0):  # ascending, so every t > 2 is composed
             ref = np.maximum(expm(t * model.generator()), 0.0) / model.space.mu[None, :]
-            op = sg.operator(t)
+            op = model.operator(t)
             assert np.max(np.abs(op.density - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert len(calls) == 1
 
@@ -361,7 +381,7 @@ class TestSemigroupEngine:
 
 
 def former_spectrum(model):
-    """Semigroup.spectrum as it read before it formed S in one array: S from the
+    """MarkovModel.spectrum as it read before it formed S in one array: S from the
     generator, 0.5 (S + S^T) as a new array, and the parity split's
     eigenvectors stacked, then put in sorted column order."""
     r = np.sqrt(model.space.mu)
@@ -406,7 +426,7 @@ class TestSpectrumInPlace:
         model = build()
         want_w, want_B = former_spectrum(model)
         shapes = record_eigh(monkeypatch)
-        w, B = model.semigroup.spectrum
+        w, B = model.spectrum
         assert (len(shapes) == 2) == split
         assert np.array_equal(w, want_w) and np.array_equal(B, want_B)
 
@@ -425,9 +445,9 @@ class TestReversibleTruncation:
         n = len(V)
         mu = 2.0 ** -np.arange(n) if weighted else None
         model = build_ctmc_model(n, "birth-death", mu=mu, V=np.array(V))
-        w, B = model.semigroup.spectrum
+        w, B = model.spectrum
         full = np.maximum((B * np.exp(t * w)) @ B.T, 0.0)
-        op = model.semigroup.operator(t)
+        op = model.operator(t)
         event(f"modes dropped: {op.meta['modes'] < n}")
         if op.meta["modes"] == n:  # nothing dropped: the same product, bit for bit
             np.testing.assert_array_equal(op.density, full)
@@ -527,7 +547,7 @@ class TestParitySplit:
                       [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])  # J Q J = Q = Q^T
         model = MarkovModel(StateSpace((0, 1, 2, 3), np.ones(4), np.arange(4.0)[:, None]), Q, V)
         shapes = record_eigh(monkeypatch)
-        model.semigroup.spectrum
+        model.spectrum
         assert shapes == ([(2, 2), (2, 2)] if V[0] == V[3] else [(4, 4)])
 
     @pytest.mark.parametrize("n,slope", [(4, 0.0), (14, 0.1), (15, 0.1)])
@@ -546,11 +566,11 @@ class TestParitySplit:
         w_full, W_full = np.linalg.eigh(model.generator())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # log(0) of the floor would warn
-            w, B = model.semigroup.spectrum
+            w, B = model.spectrum
             mass = B[:, -1] @ space.mu  # exactly 0 for n = 4: every entry is +-1/2
             assert mass == 0.0 if n == 4 else abs(mass) <= 1e-15
             for t in (0.5, 40.0):
-                op = model.semigroup.operator(t)
+                op = model.operator(t)
                 full = np.maximum((W_full * np.exp(t * w_full)) @ W_full.T, 0.0)
                 assert op.meta["modes"] == n or mass != 0.0
                 assert np.max(np.abs(op.density - full)) <= 1e-13 * np.max(full)
@@ -596,7 +616,7 @@ class TestSymmetryBars:
         d = 2.0**-49 + step
         Q = np.array([[0.5 - d, 0.5 + d], [0.5, 0.5]])
         model = MarkovModel(StateSpace((0, 1), np.ones(2), np.arange(2.0)[:, None]), Q, np.zeros(2))
-        assert model.semigroup.reversible is reversible
+        assert model.reversible is reversible
 
 
 CYCLE_GRID = (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)
@@ -616,7 +636,7 @@ class TestNonreversibleScalingAndSquaring:
         tiny = np.finfo(float).tiny
         for model in cycle_and_dual("500", "2e-4"):
             for t in CYCLE_GRID:
-                P = model.semigroup.operator(t).transition()
+                P = model.operator(t).transition()
                 assert np.all((P == 0) | (P >= tiny)), (model.label, t)
 
     @pytest.mark.parametrize("scale", ["2e-4", "1e-2"])
@@ -624,7 +644,7 @@ class TestNonreversibleScalingAndSquaring:
         for model in cycle_and_dual("200", scale):
             for t in CYCLE_GRID:
                 ref = expm(t * model.generator())
-                got = model.semigroup.operator(t).transition()
+                got = model.operator(t).transition()
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (model.label, t)
 
 
@@ -647,9 +667,8 @@ class TestNonreversibleProperties:
     @settings(max_examples=40, deadline=None)
     def test_composed_operator_matches_compose_and_expm(self, model, s, t):
         s, t = s / 4, t / 4  # quarters, so that (s + t) - s == t exactly
-        sg = model.semigroup
-        assume(not sg.reversible)
-        us, ut, ust = sg.operator(s), sg.operator(t), sg.operator(s + t)
+        assume(not model.reversible)
+        us, ut, ust = model.operator(s), model.operator(t), model.operator(s + t)
         ref = np.maximum(expm((s + t) * model.generator()), 0.0) / model.space.mu[None, :]
         scale = np.max(ref)
         assert np.max(np.abs(ust.density - compose(us, ut).density)) <= 1e-12 * scale

@@ -186,7 +186,7 @@ class TestShiftInvertTriple:
         # at 1e-3 lambda0 is simple and the chain irreducible: the left
         # residual fails because psi0 spans more decades than a double resolves
         model = zoo_build("cycle", {"n": 500, "potential": "power", "beta": "1.0", "scale": "1e-3"})
-        assert model.is_irreducible()
+        assert model.irreducible
         floor = "irreducible, so an eigenfunction fell below the double round-off floor"
         with pytest.raises(NondegeneracyError, match=floor):
             principal_triple(model)
@@ -195,7 +195,7 @@ class TestShiftInvertTriple:
         # at 1e-2 the left vector's mixed signs are round-off, not reducibility:
         # the triple has already found the chain irreducible
         model = zoo_build("cycle", {"n": 500, "potential": "power", "beta": "1.0", "scale": "1e-2"})
-        assert model.is_irreducible()
+        assert model.irreducible
         floor = "irreducible, so it fell below the double round-off floor"
         with pytest.raises(PositivityError, match=floor) as info:
             principal_triple(model)
