@@ -350,6 +350,7 @@ def run_experiment(cfg: ExperimentConfig):
         for name in readers:
             run.reads.setdefault(name, []).append(entries[name].read(run, i, op))
         run.ops.append(Survivals(t, op.space, op.survival, op.dual_survival))
+        del op  # before the next build: only the engine's rule keeps an operator
     run.limit = None
     for name, entry in entries.items():
         if skipped[name]:

@@ -104,7 +104,7 @@ def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
     prev = np.zeros(n)
     for k in range(M):
         live = counts > k
-        end = np.where(live, times[:, k], t)
+        end = np.minimum(times[:, k], t)  # a masked time is inf, a live one <= t
         logw -= model.V[state] * (end - prev)
         prev = end
         active = np.flatnonzero(live)  # never empty: k < M = counts.max()

@@ -179,43 +179,69 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
     sum is taken Paterson-Stockmeyer style: Horner's rule in B^s over blocks
     of the powers B^0 ... B^{s-1}, s = floor(sqrt N), which is s - 1 + N // s
     products (8 at ||B||_1 = 2).
+
+    S is overwritten by B.  Past the powers B ... B^s the sum holds three
+    n x n arrays: two that take the Horner products and block sums in turn,
+    and one buffer of the divisions; B^0 is written as a diagonal.
     """
-    n = len(S)
     c = -S.diagonal().min()
-    B = S + c * np.eye(n)
+    B = S
+    np.fill_diagonal(B, S.diagonal() + c)
     b, bounds = np.linalg.norm(B, 1), [1.0]  # b^j / j!
     while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
         bounds.append(bounds[-1] * b / len(bounds))
     N = len(bounds) - 1
     s = max(math.isqrt(N), 1)
-    powers = [np.eye(n), B]
+    powers = [B]  # B^1 ... B^s
     for _ in range(s - 1):
         powers.append(powers[-1] @ B)
-    P = None
-    for i in range(N // s, -1, -1):
-        C = sum(powers[j] / math.factorial(i * s + j) for j in range(min(s, N - i * s + 1)))
-        P = C if P is None else P @ powers[s] + C
-    return math.exp(-c) * P
+    quotient = np.empty_like(B)
+
+    def block(i: int, C: np.ndarray) -> np.ndarray:
+        """C overwritten by sum_{j < s, is + j <= N} B^j / (is + j)!, added in order of j."""
+        C.fill(0.0)
+        np.fill_diagonal(C, 1.0 / math.factorial(i * s))
+        for j in range(1, min(s, N - i * s + 1)):
+            C += np.divide(powers[j - 1], math.factorial(i * s + j), out=quotient)
+        return C
+
+    P, C = block(N // s, np.empty_like(B)), np.empty_like(B)
+    for i in range(N // s - 1, -1, -1):
+        np.matmul(P, powers[-1], out=C)
+        P, C = C, P  # the block is written over the product it follows
+        P += block(i, C)
+    P *= math.exp(-c)
+    return P
 
 
 class Engine:
     """U_t of one model for any finite t > 0, built by the subclass hook ``_build(t)``.
     It keeps the first operator built and the most recent one: all a run asks
     for again (the step U_s of an ascending grid composed as U_t = U_{t-s} U_s,
-    and the U_1 that a kernel-only model's triple reads)."""
+    and the U_1 that a kernel-only model's triple reads).  An engine that
+    ``composes`` keeps its most recent operator through the next build, as the
+    factor U_{t-s}; any other releases it before the build, so that no stale
+    operator is alive while a new one is formed."""
+
+    composes = False
 
     @cached_property
     def _ops(self) -> dict[float, KernelOperator]:
         return {}
+
+    def _keep_first(self) -> None:
+        for s in list(self._ops)[1:]:
+            del self._ops[s]
 
     def operator(self, t: float) -> KernelOperator:
         if not 0 < t < np.inf:  # nan fails too, before any build
             raise ValueError("t must be positive and finite")
         key = float(t)
         if key not in self._ops:
+            if not self.composes:
+                self._keep_first()
             op = self._build(key)
-            for s in list(self._ops)[1:]:
-                del self._ops[s]
+            self._keep_first()
             self._ops[key] = op
         return self._ops[key]
 
@@ -246,13 +272,17 @@ class MarkovModel(Engine):
     ~t eps ||S|| the eigh already leaves in e^{tw}; c also puts them below eps
     times max u, max U_t 1 and <U_t 1, 1>_mu where mu is far from uniform.
     The eigenvalue problem of a symmetric matrix is well conditioned, so this
-    agrees with the exponential to round-off.
+    agrees with the exponential to round-off.  A reversible model never
+    composes, so it releases its most recent operator before each build.
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
-    step (t / 2^k) G is squared k times, about 8 + k GEMMs and no solve.  A
-    time that is the sum of two cached times is instead their product, one
-    GEMM, so an equally spaced ascending grid costs one exponential.  After
+    step (t / 2^k) G is squared k times, about 8 + k GEMMs and no solve.  The
+    step is formed in the generator's own array, and the series in place
+    over it.  A time that is the sum of two cached times is instead their
+    product, one GEMM, so an equally spaced ascending grid costs one
+    exponential; such a model ``composes``, and keeps its most recent
+    operator through the next build as a factor.  After
     the step, each squaring and each product, the transition form is clamped
     at 0 and entries below 2^-500 max(P) are zeroed.  That floor lies ~1e-135
     below the exponential's normwise error eps max(P), so it drops nothing the
@@ -292,6 +322,12 @@ class MarkovModel(Engine):
     @property
     def n(self) -> int:
         return self.space.n
+
+    @property
+    def composes(self) -> bool:
+        """Whether a build may read the most recent operator: a non-reversible
+        U_t is the product of two cached ones where it can be."""
+        return not self.reversible
 
     def generator(self) -> np.ndarray:
         """G = Q - I - diag(V), acting on functions: a copy of Q with
@@ -343,10 +379,12 @@ class MarkovModel(Engine):
             np.maximum(u, 0.0, out=u)
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
         s = next((s for s in self._ops if s < t and t - s in self._ops), None)
-        if s is None:
-            A = t * self.generator()
-            k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)  # ||A||_1 / 2^k < 1
-            P = _floored(_exp_step(A / 2.0**k))
+        if s is None:  # tG and its step tG / 2^k in one array, which the series overwrites
+            P = self.generator()
+            P *= t
+            k = max(math.frexp(np.linalg.norm(P, 1))[1], 0)  # ||tG||_1 / 2^k < 1
+            P /= 2.0**k
+            P = _floored(_exp_step(P))
             for _ in range(k):
                 P = _floored(P @ P)
         else:  # U_t = U_s U_{t-s}: one product of nonnegative cached factors

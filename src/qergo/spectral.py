@@ -104,18 +104,25 @@ def _arnoldi(M: np.ndarray, k: int):
     return w[top], X[:, top[0]]
 
 
-def _nearest_eigenpairs(A: np.ndarray, sigma: float):
-    """The 6 eigenvalues of A nearest sigma, ascending in real part, with the
-    right and plain left eigenvector of the first.
+def _shifted_inverse(model: MarkovModel, sigma: float) -> np.ndarray:
+    """(A - sigma I)^-1 of A = -G, with A - sigma I formed in place in the
+    generator's one array."""
+    A = model.generator()
+    np.negative(A, out=A)
+    np.fill_diagonal(A, A.diagonal() - sigma)
+    return np.linalg.inv(A)
 
-    With sigma below the Perron root lambda0 of the M-matrix A, (A - sigma I)^-1
-    is nonnegative and lambda0 is the eigenvalue nearest sigma: ``_arnoldi``
-    takes the 6 largest of that inverse, then the left vector from its
-    transpose.  The 6-wide window held the second-smallest real part on 3,000
-    random irreducible 6-12 state chains (k = 4 missed it twice) and on
-    cycle(500).
+
+def _nearest_eigenpairs(M: np.ndarray, sigma: float):
+    """The 6 eigenvalues of A nearest sigma, ascending in real part, with the
+    right and plain left eigenvector of the first, from M = (A - sigma I)^-1.
+
+    With sigma below the Perron root lambda0 of the M-matrix A, M is
+    nonnegative and lambda0 is the eigenvalue nearest sigma: ``_arnoldi``
+    takes the 6 largest of M, then the left vector from its transpose.  The
+    6-wide window held the second-smallest real part on 3,000 random
+    irreducible 6-12 state chains (k = 4 missed it twice) and on cycle(500).
     """
-    M = np.linalg.inv(A - sigma * np.eye(len(A)))
     (nu, right), (_, left) = _arnoldi(M, 6), _arnoldi(M.T, 1)
     w = sigma + 1.0 / nu
     order = np.argsort(w.real)
@@ -145,8 +152,8 @@ def principal_triple(model) -> SpectralData:
         right, left = B[:, -1], None
     else:
         vmin = V.min()
-        eigenvalues, right, left = _nearest_eigenpairs(
-            -model.generator(), vmin - 1e-3 * (1.0 + abs(vmin)))
+        sigma = vmin - 1e-3 * (1.0 + abs(vmin))
+        eigenvalues, right, left = _nearest_eigenpairs(_shifted_inverse(model, sigma), sigma)
     lam0 = eigenvalues[0].real
     if abs(eigenvalues[1] - eigenvalues[0]) < _DEGEN_TOL:
         raise NondegeneracyError("dominant eigenvalue of -G is not simple")

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import re
 import shlex
@@ -457,7 +458,8 @@ class TestFactorizationCounts:
             model="cycle", n=8, grid="2 4 6", out=tmp_path / "o",
             kappa=f"[diagnostics.kappa]\nt0 = {t0}\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        # the engine keeps the first operator it built and the most recent one
+        # the engine keeps the first operator it built and the most recent one,
+        # which a non-reversible model holds through the next build as a factor
         assert list(built[0]._ops) == keys
         assert counts["_exp_step"] == steps
 
@@ -524,53 +526,123 @@ dir = {out}
 """
 
 
-def record_builds(monkeypatch):
-    """The times of the operators the engines build, in order, a weak reference
-    to each, and how many built earlier were still referenced as each began."""
+class Builds:
+    """What the engines build while recorded: the time of each operator, in
+    order, a weak reference to each, how many built earlier were still
+    referenced as each began, and, while tracemalloc traces, the bytes each
+    build's peak lay above what was traced as it began."""
+
+    def __init__(self):
+        self.times, self.refs, self.held, self.peaks = [], [], [], []
+        self._peaks_between = []
+
+    def peak(self) -> int:
+        """The traced peak since tracing began, which each build resets."""
+        return max([*self._peaks_between, tracemalloc.get_traced_memory()[1]])
+
+
+def record_builds(monkeypatch) -> Builds:
+    """Record every ``_build`` of a MarkovModel or an OscillatorOracle."""
     import qergo.models as models
     import qergo.operators as operators
 
-    times, refs, held = [], [], []
+    builds = Builds()
     for cls in (operators.MarkovModel, models.OscillatorOracle):
         def tracked(self, t, _build=cls._build):
-            held.append(sum(r() is not None for r in refs))
+            builds.held.append(sum(r() is not None for r in builds.refs))
+            tracing = tracemalloc.is_tracing()
+            if tracing:
+                live, peak = tracemalloc.get_traced_memory()
+                builds._peaks_between.append(peak)
+                tracemalloc.reset_peak()
             op = _build(self, t)
-            times.append(t)
-            refs.append(weakref.ref(op))
+            if tracing:
+                builds.peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            builds.times.append(t)
+            builds.refs.append(weakref.ref(op))
             return op
         monkeypatch.setattr(cls, "_build", tracked)
-    return times, refs, held
+    return builds
+
+
+def series_order(model, t):
+    """(N, s) of the first step series of U_t: the order and block size of
+    ``_exp_step`` on the unit-norm step of t G."""
+    A = t * model.generator()
+    A /= 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
+    np.fill_diagonal(A, A.diagonal() - A.diagonal().min())
+    b = np.linalg.norm(A, 1)
+    bounds = [1.0]
+    while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
+        bounds.append(bounds[-1] * b / len(bounds))
+    return len(bounds) - 1, max(math.isqrt(len(bounds) - 1), 1)
 
 
 class TestOneGridPass:
     """A run takes the triple first, then visits the grid once in ascending
-    order and keeps only the survivals of each U_t: its engine holds the
-    first operator and the most recent one."""
+    order and keeps only the survivals of each U_t, which it drops before the
+    next build.  Its engine holds the first operator and the most recent one;
+    an engine that does not compose releases the most recent one before each
+    build, so that a build begins with only the first one alive."""
 
-    def test_a_run_holds_at_most_three_operator_sized_arrays_past_a_grid_time(
-            self, tmp_path, monkeypatch):
+    def test_a_run_holds_two_operator_sized_arrays_past_its_model(self, tmp_path, monkeypatch):
         # frac at n = 401 with every diagnostic.  Q, Q_dual and the spectrum's
-        # B live as long as the model; past a grid time the run adds the
-        # model's first and latest operators and the kernel error's limit, and
-        # a seventh n x n array while the next U_t is built.  A run holding the
-        # whole grid of six operators peaked at 12 n x n arrays
+        # B live as long as the model; past the first grid time the run adds
+        # the model's first operator and the kernel error's limit, and while
+        # a grid time is read its U_t and the reads' temporaries, 7.43 n x n
+        # arrays in all.  A run holding the whole grid of six operators peaked
+        # at 12 n x n arrays, one that kept U_t alive through the next build
+        # at 7.66
         n = 401
-        times, refs, held = record_builds(monkeypatch)
+        builds = record_builds(monkeypatch)
         cfg = parse_config(write_config(tmp_path, FRAC_401.format(out=tmp_path / "o")))
         tracemalloc.start()
         gc.disable()  # what the run leaves is freed by reference counting alone
         try:
             run_experiment(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = builds.peak()
         finally:
             gc.enable()
             tracemalloc.stop()
-        assert times == cfg.t_grid
-        assert peak < 9 * 8 * n * n
-        # each build begins with at most the model's first and latest operators
-        # alive, and once the run has returned and been dropped none is left
-        assert held == [0, 1, 2, 2, 2, 2]
-        assert [r().t for r in refs if r() is not None] == []
+        assert builds.times == cfg.t_grid
+        assert peak < 7.5 * 8 * n * n
+        # each build begins with the model's first operator alone alive, and
+        # once the run has returned and been dropped none is left
+        assert builds.held == [0, 1, 1, 1, 1, 1]
+        assert [r().t for r in builds.refs if r() is not None] == []
+
+    @pytest.mark.parametrize("config,held", [
+        (HO_ORACLE.read_text(), [0, 1, 1, 1]),  # U_1 for the triple, then 0.5, 0.75, 1.25
+        (FACTORIZATION_CONFIG.format(  # the first and the latest: U_t = U_{t-2} U_2
+            model="cycle", n=8, grid="2 4 6 8 10 12", out="{out}", kappa=""), [0, 1, 2, 2, 2, 2]),
+        # the six grid times, then kappa's t0 = 1 off the grid
+        (BIRTHDEATH_FULL.read_text(), [0, 1, 1, 1, 1, 1, 1]),
+    ], ids=["oracle", "nonreversible", "reversible"])
+    def test_a_build_begins_with_only_the_operators_it_may_read(
+            self, tmp_path, monkeypatch, config, held):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        builds = record_builds(monkeypatch)
+        config = config.replace("{out}", str(tmp_path / "o"))
+        run_experiment(parse_config(write_config(tmp_path, config)))
+        assert builds.held == held
+
+    def test_the_first_nonreversible_exponential_holds_its_powers_and_three_arrays(
+            self, monkeypatch):
+        # the step B is formed in the generator's one array; the series then
+        # holds B^2 ... B^s, two Horner buffers and one of the divisions:
+        # s + 3 n x n arrays with B, 6.02 at s = 3.  The former series peaked
+        # at 10 here
+        model = zoo_build("cycle", {"n": 200, "potential": "power", "beta": "1.0", "scale": "2e-4"})
+        n, (N, s) = model.n, series_order(model, 20.0)
+        assert not model.reversible  # found once, before the trace
+        builds = record_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            model.operator(20.0)
+        finally:
+            tracemalloc.stop()
+        assert N >= 10 and builds.times == [20.0]
+        assert builds.peaks[0] <= (s + 4) * 8 * n * n
 
     @pytest.mark.parametrize("config", [
         BIRTHDEATH_FULL.read_text(), HO_ORACLE.read_text(),
@@ -581,10 +653,10 @@ class TestOneGridPass:
     ], ids=["birthdeath_full", "ho_oracle", "cycle_composed", "cycle_t0_off_grid", "frac_401"])
     def test_no_operator_is_built_twice(self, tmp_path, monkeypatch, config):
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
-        times, _, _ = record_builds(monkeypatch)
+        builds = record_builds(monkeypatch)
         cfg = parse_config(write_config(tmp_path, config.replace("{out}", str(tmp_path / "o"))))
         run_experiment(cfg)
-        assert len(times) == len(set(times)) and set(cfg.t_grid) <= set(times)
+        assert len(builds.times) == len(set(builds.times)) and set(cfg.t_grid) <= set(builds.times)
 
 
 HEAT_PAIR = ["PASS heat_content_duality", "PASS heat_content_upper_bound"]

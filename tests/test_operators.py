@@ -25,6 +25,7 @@ from qergo.operators import (
     KernelOperator,
     MarkovModel,
     _exp_step,
+    _floored,
     _max_abs_diff,
     _max_asymmetry,
     _symmetric_eigh,
@@ -675,6 +676,121 @@ class TestNonreversibleProperties:
         assert np.max(np.abs(ust.density - ref)) <= 1e-12 * scale
         qsd = qsd_from_spectral(principal_triple(model), model.space)
         assert qsd_residual(qsd, ust) <= 1e-9
+
+
+def former_exp_step(S):
+    """_exp_step as it read before it formed the series in place: B = S + cI
+    as a new array, the powers from B^0 = I, and each block a new sum of new
+    quotients."""
+    n = len(S)
+    c = -S.diagonal().min()
+    B = S + c * np.eye(n)
+    b, bounds = np.linalg.norm(B, 1), [1.0]
+    while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
+        bounds.append(bounds[-1] * b / len(bounds))
+    N = len(bounds) - 1
+    s = max(math.isqrt(N), 1)
+    powers = [np.eye(n), B]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ B)
+    P = None
+    for i in range(N // s, -1, -1):
+        C = sum(powers[j] / math.factorial(i * s + j) for j in range(min(s, N - i * s + 1)))
+        P = C if P is None else P @ powers[s] + C
+    return math.exp(-c) * P
+
+
+def former_step_density(model, t, factors=()):
+    """The density of a non-reversible U_t as MarkovModel._build formed it
+    before the step was taken in place: the exponential of t G from the step
+    A / 2^k of a new array A = t G, or the product of the transition forms of
+    the two ``factors``."""
+    if factors:
+        P = _floored(factors[0].transition() @ factors[1].transition())
+    else:
+        A = t * model.generator()
+        k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)
+        P = _floored(former_exp_step(A / 2.0**k))
+        for _ in range(k):
+            P = _floored(P @ P)
+    return P / model.space.mu
+
+
+def former_shifted_inverse(model, sigma):
+    """(A - sigma I)^-1 of A = -G as the triple formed it before: -G as a
+    second array, shifted by sigma times an identity."""
+    A = -model.generator()
+    return np.linalg.inv(A - sigma * np.eye(len(A)))
+
+
+@st.composite
+def dented_chains(draw):
+    """Chain on 1, 2 or up to 40 states, invariant for the uniform mu: a mix of
+    the flat kernel and a few permutations, with some zero off-diagonal
+    entries set in [-1e-12, 0), at most one per row and column."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(perms) + 1,
+                                     max_size=len(perms) + 1)))
+    weights[0] *= draw(st.booleans())  # with or without the flat part
+    weights /= weights.sum()
+    Q = np.full((n, n), weights[0] / n)
+    for w, perm in zip(weights[1:], perms):
+        Q[np.arange(n), perm] += w
+    dent = np.array(draw(st.permutations(range(n))))
+    depth = np.array(draw(st.lists(st.floats(1e-15, 0.99e-12), min_size=n, max_size=n)))
+    rows = np.flatnonzero((Q[np.arange(n), dent] == 0.0) & (dent != np.arange(n)))
+    Q[rows, dent[rows]] = -depth[rows]
+    V = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    space = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+    return MarkovModel(space, Q, V)
+
+
+NONREVERSIBLE_ZOO = sorted(k for k, (_, rev) in ENGINE_ZOO.items() if not rev)
+
+
+class TestInPlaceBitIdentity:
+    """The non-reversible step formed in the generator's array and the
+    triple's shift formed in place give the bits of the former arithmetic."""
+
+    @pytest.mark.parametrize("name", NONREVERSIBLE_ZOO)
+    def test_operator_is_the_former_arithmetic(self, name):
+        model = ENGINE_ZOO[name][0]()
+        G = model.generator()
+        # 0.25 takes no squaring and 4 at least one; 4.25 = 4 + 0.25 is composed
+        assert np.linalg.norm(0.25 * G, 1) < 1.0 <= np.linalg.norm(4.0 * G, 1)
+        fresh, squared = model.operator(0.25), model.operator(4.0)
+        composed = model.operator(4.25)
+        assert np.array_equal(fresh.density, former_step_density(model, 0.25))
+        assert np.array_equal(squared.density, former_step_density(model, 4.0))
+        assert np.array_equal(composed.density, former_step_density(model, 4.25, (fresh, squared)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=dented_chains(), t=st.floats(0.05, 30.0))
+    def test_step_is_the_former_series(self, model, t):
+        A = t * model.generator()
+        S = A / 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
+        event(f"n: {'1, 2' if model.n <= 2 else '3-40'}, reversible: {model.reversible}")
+        event(f"an entry of Q in [-1e-12, 0): {bool(model.Q.min() < 0)}")
+        assert np.array_equal(_exp_step(S.copy()), former_exp_step(S))
+        if not model.reversible:
+            fresh = model.operator(t)
+            assert np.array_equal(fresh.density, former_step_density(model, t))
+            assert np.array_equal(model.operator(2 * t).density,  # 2t - t == t: composed
+                                  former_step_density(model, 2 * t, (fresh, fresh)))
+
+    @pytest.mark.parametrize("name", [*NONREVERSIBLE_ZOO, "cycle_500"])
+    def test_triple_is_the_former_route(self, name, monkeypatch):
+        import qergo.spectral as spectral
+
+        model = (cycle_and_dual("500", "2e-4")[0] if name == "cycle_500"
+                 else ENGINE_ZOO[name][0]())
+        got = principal_triple(model)
+        monkeypatch.setattr(spectral, "_shifted_inverse", former_shifted_inverse)
+        want = principal_triple(model)
+        assert (got.lambda0.hex(), got.gap.hex()) == (want.lambda0.hex(), want.gap.hex())
+        for a, b in ((got.phi0, want.phi0), (got.psi0, want.psi0)):
+            assert list(map(float.hex, a)) == list(map(float.hex, b))
 
 
 class TestAdjointCompose:
