@@ -47,6 +47,14 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max([np.abs(d, out=d).max(initial=0.0) for d in blocks], initial=0.0))
 
 
+def _dual_rows(Q: np.ndarray, mu: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows of the dual kernel D^{-1} Q^T D, D = diag(mu): (Q(y, x) mu(y)) / mu(x)
+    at (x, y), rows contiguous as Q's are."""
+    Qd = np.multiply(Q[:, rows].T, mu, order="C")
+    Qd /= mu[rows, None]
+    return Qd
+
+
 def _max_asymmetry(u: np.ndarray) -> float:
     """max |u - u^T| of a square array, by mirror tile pairs; nan when an entry is nan."""
     diffs = [np.abs(u[I, J] - u[J, I].T).max() for I, J in _mirror_tiles(len(u))]
@@ -216,21 +224,21 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
 
 class Engine:
     """U_t of one model for any finite t > 0, built by the subclass hook ``_build(t)``.
-    It keeps the first operator built and the most recent one: all a run asks
-    for again (the step U_s of an ascending grid composed as U_t = U_{t-s} U_s,
-    and the U_1 that a kernel-only model's triple reads).  An engine that
-    ``composes`` keeps its most recent operator through the next build, as the
-    factor U_{t-s}; any other releases it before the build, so that no stale
-    operator is alive while a new one is formed."""
+    It keeps what a later build or the triple reads again: the most recent
+    operator and, if it ``keeps_first``, the first (the step U_s of an ascending
+    grid composed as U_t = U_{t-s} U_s, or the U_1 of a kernel-only triple).  An
+    engine that ``composes`` keeps its most recent operator through the next
+    build, as the factor U_{t-s}; any other releases it before the build."""
 
     composes = False
+    keeps_first = True
 
     @cached_property
     def _ops(self) -> dict[float, KernelOperator]:
         return {}
 
-    def _keep_first(self) -> None:
-        for s in list(self._ops)[1:]:
+    def _release(self) -> None:
+        for s in list(self._ops)[int(self.keeps_first):]:
             del self._ops[s]
 
     def operator(self, t: float) -> KernelOperator:
@@ -239,9 +247,9 @@ class Engine:
         key = float(t)
         if key not in self._ops:
             if not self.composes:
-                self._keep_first()
+                self._release()
             op = self._build(key)
-            self._keep_first()
+            self._release()
             self._ops[key] = op
         return self._ops[key]
 
@@ -255,8 +263,10 @@ class MarkovModel(Engine):
     Q is the one-step jump matrix of a rate-1 continuous-time chain.  The
     dual kernel ``Q_dual`` = D^{-1} Q^T D, D = diag(mu), is derived from the
     duality relation mu(x) Q(x,y) = mu(y) Q_dual(y,x); both must be
-    row-stochastic, which forces mu to be invariant for Q.  The generator
-    acting on functions is G = Q - I - diag(V).
+    row-stochastic, which forces mu to be invariant for Q.  Q_dual is formed
+    lazily: the constructor checks its row sums as (mu Q) / mu, ``reversible``
+    reads it 64 rows at a time and the triple applies it as ((psi mu) Q) / mu,
+    so no run forms it.  The generator acting on functions is G = Q - I - diag(V).
 
     Reversible models (Q_dual == Q, so G is self-adjoint in L2(mu)) take one
     eigh of S = D^{1/2} G D^{-1/2}, or two of half its size
@@ -272,8 +282,8 @@ class MarkovModel(Engine):
     ~t eps ||S|| the eigh already leaves in e^{tw}; c also puts them below eps
     times max u, max U_t 1 and <U_t 1, 1>_mu where mu is far from uniform.
     The eigenvalue problem of a symmetric matrix is well conditioned, so this
-    agrees with the exponential to round-off.  A reversible model never
-    composes, so it releases its most recent operator before each build.
+    agrees with the exponential to round-off.  Its builds read only the
+    spectrum: it keeps no first operator and releases its latest before each build.
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
@@ -310,14 +320,11 @@ class MarkovModel(Engine):
             raise ModelError("rows of Q must sum to 1 within 1e-12")
         if V.shape != (n,) or not np.all(np.isfinite(V)):
             raise ModelError("V must be one finite value per point")
-        mu = self.space.mu
-        Qd = np.multiply(Q.T, mu, order="C")  # rows contiguous, as Q's are
-        Qd /= mu[:, None]
-        if np.max(np.abs(Qd.sum(axis=1) - 1.0)) > _STOCH_TOL:
+        mu = self.space.mu  # the dual's row sums are (mu Q) / mu
+        if np.max(np.abs((mu @ Q) / mu - 1.0)) > _STOCH_TOL:
             raise ModelError("dual kernel is not stochastic: mu is not an invariant measure of Q")
         object.__setattr__(self, "Q", _read_only(Q))
         object.__setattr__(self, "V", _read_only(V))
-        object.__setattr__(self, "Q_dual", _read_only(Qd))
 
     @property
     def n(self) -> int:
@@ -325,9 +332,11 @@ class MarkovModel(Engine):
 
     @property
     def composes(self) -> bool:
-        """Whether a build may read the most recent operator: a non-reversible
-        U_t is the product of two cached ones where it can be."""
+        """Whether a build may read the first and the most recent operators: a
+        non-reversible U_t is the product of two cached ones where it can be."""
         return not self.reversible
+
+    keeps_first = composes
 
     def generator(self) -> np.ndarray:
         """G = Q - I - diag(V), acting on functions: a copy of Q with
@@ -342,9 +351,16 @@ class MarkovModel(Engine):
         return strongly_connected(self.Q > 0)
 
     @cached_property
+    def Q_dual(self) -> np.ndarray:
+        """The dual kernel D^{-1} Q^T D, formed on first use and read-only."""
+        return _read_only(_dual_rows(self.Q, self.space.mu))
+
+    @cached_property
     def reversible(self) -> bool:
-        """Whether Q_dual == Q within a few ulps, found once per model."""
-        return bool(_max_abs_diff(self.Q_dual, self.Q) <= _REV_TOL)
+        """Whether Q_dual == Q within a few ulps, found once per model, 64 dual rows at a time."""
+        Q, mu = self.Q, self.space.mu
+        return bool(np.max([_max_abs_diff(_dual_rows(Q, mu, slice(i, i + 64)), Q[i:i + 64])
+                            for i in range(0, self.n, 64)], initial=0.0) <= _REV_TOL)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:

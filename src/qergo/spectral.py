@@ -167,10 +167,11 @@ def principal_triple(model) -> SpectralData:
         psi = _positive_direction(left, "left eigenfunction", irreducible=True) / mu
         psi = psi / np.sqrt(np.sum(psi**2 * mu))
     # psi0 solves the dual-generator eigenproblem (Q_dual - I - V) psi = -lam0 psi,
-    # which is the mu-pairing form of the left eigenequation; G = Q - I - diag V
+    # which is the mu-pairing form of the left eigenequation; Q_dual psi is
+    # applied as ((psi mu) Q) / mu, with no n x n dual formed.  G = Q - I - diag V
     # is applied as Q f - f - V f, and max |G| read from Q and G's diagonal
     res_r = np.max(np.abs(Q @ phi - phi - V * phi + lam0 * phi))
-    res_l = np.max(np.abs(model.Q_dual @ psi - psi - V * psi + lam0 * psi))
+    res_l = np.max(np.abs(((psi * mu) @ Q) / mu - psi - V * psi + lam0 * psi))
     scale = max(1.0, Q.max(), -Q.min(), np.abs(Q.diagonal() - 1.0 - V).max())
     if max(res_r, res_l) > _RESID_TOL * scale:
         # a computed eigenvector's round-off is ~n eps of its largest entry

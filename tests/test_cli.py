@@ -581,18 +581,20 @@ def series_order(model, t):
 class TestOneGridPass:
     """A run takes the triple first, then visits the grid once in ascending
     order and keeps only the survivals of each U_t, which it drops before the
-    next build.  Its engine holds the first operator and the most recent one;
-    an engine that does not compose releases the most recent one before each
-    build, so that a build begins with only the first one alive."""
+    next build.  Its engine holds only what a later build may read: the first
+    operator and the most recent one on a non-reversible model, U_1 on the
+    oracle, and on a reversible model, whose builds read only its spectrum,
+    the most recent one alone.  An engine that does not compose releases the
+    most recent one before each build."""
 
     def test_a_run_holds_two_operator_sized_arrays_past_its_model(self, tmp_path, monkeypatch):
-        # frac at n = 401 with every diagnostic.  Q, Q_dual and the spectrum's
-        # B live as long as the model; past the first grid time the run adds
-        # the model's first operator and the kernel error's limit, and while
-        # a grid time is read its U_t and the reads' temporaries, 7.43 n x n
+        # frac at n = 401 with every diagnostic.  Q and the spectrum's B live
+        # as long as the model, which forms no n x n dual kernel; past the
+        # first grid time the run adds the kernel error's limit, and while a
+        # grid time is read its U_t and the reads' temporaries, 5.41 n x n
         # arrays in all.  A run holding the whole grid of six operators peaked
         # at 12 n x n arrays, one that kept U_t alive through the next build
-        # at 7.66
+        # at 7.66, and one that formed Q_dual and kept the first operator at 7.41
         n = 401
         builds = record_builds(monkeypatch)
         cfg = parse_config(write_config(tmp_path, FRAC_401.format(out=tmp_path / "o")))
@@ -605,18 +607,19 @@ class TestOneGridPass:
             gc.enable()
             tracemalloc.stop()
         assert builds.times == cfg.t_grid
-        assert peak < 7.5 * 8 * n * n
-        # each build begins with the model's first operator alone alive, and
-        # once the run has returned and been dropped none is left
-        assert builds.held == [0, 1, 1, 1, 1, 1]
+        assert peak < 5.6 * 8 * n * n
+        # each build begins with no earlier operator alive, and once the run
+        # has returned and been dropped none is left
+        assert builds.held == [0] * 6
         assert [r().t for r in builds.refs if r() is not None] == []
 
     @pytest.mark.parametrize("config,held", [
         (HO_ORACLE.read_text(), [0, 1, 1, 1]),  # U_1 for the triple, then 0.5, 0.75, 1.25
         (FACTORIZATION_CONFIG.format(  # the first and the latest: U_t = U_{t-2} U_2
             model="cycle", n=8, grid="2 4 6 8 10 12", out="{out}", kappa=""), [0, 1, 2, 2, 2, 2]),
-        # the six grid times, then kappa's t0 = 1 off the grid
-        (BIRTHDEATH_FULL.read_text(), [0, 1, 1, 1, 1, 1, 1]),
+        # the six grid times, then kappa's t0 = 1 off the grid: a reversible
+        # build reads only the spectrum, so none begins with an operator alive
+        (BIRTHDEATH_FULL.read_text(), [0] * 7),
     ], ids=["oracle", "nonreversible", "reversible"])
     def test_a_build_begins_with_only_the_operators_it_may_read(
             self, tmp_path, monkeypatch, config, held):
@@ -657,6 +660,35 @@ class TestOneGridPass:
         cfg = parse_config(write_config(tmp_path, config.replace("{out}", str(tmp_path / "o"))))
         run_experiment(cfg)
         assert len(builds.times) == len(set(builds.times)) and set(cfg.t_grid) <= set(builds.times)
+
+
+class TestNoDualKernel:
+    """No run forms the model's n x n dual kernel: the constructor, the
+    reversibility test and the triple's left residual read Q alone.  Asked for
+    afterwards, Q_dual is formed once by the former expression, read-only."""
+
+    @staticmethod
+    def assert_dual_formed_on_first_use(model):
+        assert "Q_dual" not in vars(model)
+        mu, dual = model.space.mu, model.Q_dual
+        assert model.Q_dual is dual and not dual.flags.writeable
+        assert np.array_equal(dual, (model.Q * mu[:, None]).T / mu[:, None])
+
+    @pytest.mark.parametrize("config", [
+        FRAC_401, BIRTHDEATH_FULL.read_text(),
+        FACTORIZATION_CONFIG.format(model="cycle", n=8, grid="2 4 6 8", out="{out}", kappa=""),
+    ], ids=["frac_401", "birthdeath_full", "cycle"])
+    def test_a_run_forms_no_dual_kernel(self, tmp_path, monkeypatch, config):
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        cfg = parse_config(write_config(tmp_path, config.replace("{out}", str(tmp_path / "o"))))
+        run, _, _ = run_experiment(cfg)
+        self.assert_dual_formed_on_first_use(run.model)
+
+    def test_the_nonreversible_triple_forms_no_dual_kernel(self):
+        model = zoo_build(*parse_model_string("cycle(50)"))
+        spec = principal_triple(model)
+        assert not model.reversible and not np.array_equal(spec.phi0, spec.psi0)
+        self.assert_dual_formed_on_first_use(model)
 
 
 HEAT_PAIR = ["PASS heat_content_duality", "PASS heat_content_upper_bound"]

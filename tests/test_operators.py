@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from unittest import mock
@@ -50,6 +51,9 @@ def eig_expm(A):
     return np.real((V * np.exp(w)) @ np.linalg.inv(V))
 
 
+NONINVARIANT = "^dual kernel is not stochastic: mu is not an invariant measure of Q$"
+
+
 class TestMarkovModel:
     def test_row_sums_enforced(self, swap2):
         bad = np.array([[0.0, 0.9], [1.0, 0.0]])
@@ -66,8 +70,33 @@ class TestMarkovModel:
         # Q moves all mass to state 1; uniform mu is not invariant
         Q = np.array([[0.0, 1.0], [0.0, 1.0]])
         sp = StateSpace((0, 1), np.ones(2), np.array([[0.0], [1.0]]))
-        with pytest.raises(ModelError, match="invariant"):
+        with pytest.raises(ModelError, match=NONINVARIANT):
             MarkovModel(sp, Q, np.zeros(2))
+
+    @pytest.mark.parametrize("defect,rejected", [(1e-10, True), (1e-14, False)])
+    def test_invariance_defect_is_measured_against_1e_12(self, defect, rejected):
+        # Q = 1/2 everywhere and mu = (1, 1 + 2 defect): the dual's row sums
+        # (mu Q) / mu are 1 + defect and 1 - defect, to first order
+        sp = StateSpace((0, 1), np.array([1.0, 1.0 + 2.0 * defect]), np.array([[0.0], [1.0]]))
+        if rejected:
+            with pytest.raises(ModelError, match=NONINVARIANT):
+                MarkovModel(sp, np.full((2, 2), 0.5), np.zeros(2))
+        else:
+            MarkovModel(sp, np.full((2, 2), 0.5), np.zeros(2))
+
+    def test_construction_forms_no_operator_sized_array(self):
+        # the frac lattice at n = 401: the checks read Q where it lies and the
+        # dual's row sums are (mu Q) / mu, so no n x n dual kernel is formed
+        model = build_fractional_model(
+            (50.0, 0.25), LevyProfile("polynomial", alpha=1.0), PotentialSpec("log-power", beta=2.0))
+        n = model.n
+        tracemalloc.start()
+        try:
+            MarkovModel(model.space, model.Q, model.V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 401 and peak < 0.2 * 8 * n * n
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_jump_matrix_rejected(self, bad):
@@ -299,14 +328,21 @@ class TestSemigroupEngine:
         assert model.n == 801 and modes[0] <= 40
         assert modes == sorted(modes, reverse=True)
 
-    def test_engine_keeps_the_first_and_the_most_recent_operator(self, zoo_model):
-        model, _ = zoo_model
+    def test_engine_keeps_the_operators_a_later_build_reads(self, zoo_model):
+        # a non-reversible engine keeps the first operator, a factor of later
+        # products, and the most recent one; a reversible build reads only the
+        # spectrum, so that engine keeps the most recent operator alone
+        model, reversible = zoo_model
         ops = [model.operator(t) for t in (1.0, 2.0, 3.0)]
-        assert list(model._ops) == [1.0, 3.0]
-        assert model.operator(1.0) is ops[0] and model.operator(3) is ops[2]
+        assert list(model._ops) == ([3.0] if reversible else [1.0, 3.0])
+        assert model.operator(3) is ops[2]
+        first = model.operator(1.0)  # a reversible U_1 was released: built again, same bits
+        assert (first is ops[0]) is not reversible
+        assert np.array_equal(first.density, ops[0].density)
+        assert list(model._ops) == ([1.0] if reversible else [1.0, 3.0])
         again = model.operator(2.0)  # dropped, so built again, to the same bits
         assert again is not ops[1] and np.array_equal(again.density, ops[1].density)
-        assert list(model._ops) == [1.0, 2.0]
+        assert list(model._ops) == ([2.0] if reversible else [1.0, 2.0])
 
     def test_nonreversible_exponentials_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
@@ -618,6 +654,65 @@ class TestSymmetryBars:
         Q = np.array([[0.5 - d, 0.5 + d], [0.5, 0.5]])
         model = MarkovModel(StateSpace((0, 1), np.ones(2), np.arange(2.0)[:, None]), Q, np.zeros(2))
         assert model.reversible is reversible
+
+
+def former_dual(model):
+    """Q_dual as the constructor formed it before it was formed on first use."""
+    Q, mu = model.Q, model.space.mu
+    Qd = np.multiply(Q.T, mu, order="C")
+    Qd /= mu[:, None]
+    return Qd
+
+
+@st.composite
+def chains_near_the_bar(draw):
+    """A chain on 1-150 states, so up to three 64-row blocks, reversible for
+    its mu: Q = I - L / (max degree + 1) of a random graph's Laplacian L on a
+    uniform mu, or Q(x, y) = W(x, y) / mu(x) of a symmetric W > 0 on its
+    diagonal, mu the row sums of W.  Up to three entries Q(x, y) then move by
+    +-2^-49 mu(y) / mu(x), and a step of 2^-52 more or not, and Q(x, x) back,
+    which puts Q_dual(y, x) - Q(y, x) at the bar _REV_TOL or a step past it."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.02, 0.2, 0.5])), 1)
+    adj = adj | adj.T
+    if draw(st.booleans()):
+        mu = np.ones(n)
+        Q = adj / (adj.sum(axis=1).max() + 1.0)
+        np.fill_diagonal(Q, 1.0 - Q.sum(axis=1))
+    else:
+        W = np.triu(adj * rng.uniform(0.5, 1.0, (n, n)), 1)
+        W = W + W.T + np.diag(rng.uniform(0.5, 1.0, n))
+        mu = W.sum(axis=1)
+        Q = W / mu[:, None]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        x, y = rng.choice(n, 2, replace=False)
+        d = draw(st.sampled_from([-1.0, 1.0])) * (2.0**-49 + draw(st.sampled_from([0.0, 2.0**-52])))
+        Q[x, y] += d * mu[y] / mu[x]
+        Q[x, x] -= d * mu[y] / mu[x]
+    return MarkovModel(StateSpace(tuple(range(n)), mu, np.arange(n, dtype=float)), Q, np.zeros(n))
+
+
+class TestLazyDualKernel:
+    """Q_dual is formed on first use, by the expression the constructor used;
+    ``reversible`` reads it 64 rows at a time and forms no n x n dual."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_ZOO))
+    def test_dual_kernel_is_formed_on_first_use_to_the_former_bits(self, name):
+        model = ENGINE_ZOO[name][0]()
+        model.operator(1.0)
+        assert model.reversible is ENGINE_ZOO[name][1] and "Q_dual" not in vars(model)
+        dual = model.Q_dual
+        assert model.Q_dual is dual and np.array_equal(dual, former_dual(model))
+        with pytest.raises(ValueError, match="read-only"):
+            dual[0, 0] = 0.0
+
+    @given(model=chains_near_the_bar())
+    @settings(max_examples=150, deadline=None)
+    def test_blockwise_reversibility_is_the_former_decision(self, model):
+        want = bool(_max_abs_diff(former_dual(model), model.Q) <= _REV_TOL)
+        event(f"reversible: {want}, blocks: {-(-model.n // 64)}")
+        assert model.reversible is want and "Q_dual" not in vars(model)
 
 
 CYCLE_GRID = (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)
