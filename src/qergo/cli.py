@@ -49,27 +49,71 @@ class ExperimentConfig:
     model_params: dict
     t_grid: list
     diagnostics: list
-    diag_params: dict = field(default_factory=dict)
-    family: dict | None = None  # its "radius" holds the law, read at parse
-    verdicts: dict = field(default_factory=dict)
-    mc: dict | None = None
-    output_dir: str = "out"
-    source: str = "<memory>"
+    diag_params: dict
+    family: dict | None  # its "radius" holds the law, read at parse
+    verdicts: dict
+    mc: dict | None
+    output_dir: str
+    source: str
 
 
-# verdict tolerances: the default, and the range as a test (nan fails every one) and in words
+def _nonnegative(x: str) -> float:
+    v = float(x)
+    if not 0.0 <= v < np.inf:  # nan fails too
+        raise ValueError(f"{x} is not finite and >= 0: the law must be nondecreasing from 0 on")
+    return v
+
+
+def _radius_law(spec: str):
+    """The radius law ``spec`` names; a ValueError unless it is nonnegative
+    and nondecreasing, as an exhausting family needs."""
+    kind, _, arg = spec.partition(":")
+    if kind in ("linear", "const"):
+        v = _nonnegative(arg)
+        return (lambda t: v * t) if kind == "linear" else (lambda t: v)
+    if kind == "power":
+        a, b = (_nonnegative(x) for x in arg.split(","))
+        return lambda t: a * t**b
+    if kind == "table":  # table:t1:r1,t2:r2,...; the radii are made nondecreasing
+        pairs = [p.split(":") for p in arg.split(",")]
+        return tabulated_radius(*zip(*[(float(t), _nonnegative(r)) for t, r in pairs]))
+    raise ValueError("unknown kind; known: linear, const, power, table")
+
+
+class _Key(NamedTuple):
+    """A config key: ``type`` reads its text, ``default`` stands in when it is left out (None:
+    absent then), and ``ok`` is its range as a test (nan fails every one) and ``words``."""
+
+    type: Callable = str
+    default: object = None
+    ok: Callable = lambda v: True
+    words: str = ""
+
+
+_POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
-_TOLERANCES = {
-    "qsd_tol": (1e-9, *_NONNEGATIVE), "match_tol": (1e-8, *_NONNEGATIVE),
-    "rate_tol": (0.10, *_NONNEGATIVE), "fit_tail": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "gsd_level": (10.0, lambda v: 0.0 < v < np.inf, "finite and > 0")}
-# the numeric keys of each config section; those of [mc] are integers
-_NUMBERS = {
-    "diagnostics.kappa": ("a", "b", "t0"), "diagnostics.eta": ("gamma",),
-    "diagnostics.quasi_ergodic": ("p",), "family": ("t_min",),
-    "verdicts": tuple(_TOLERANCES), "mc": ("n", "seed"),
+# every key of every section but [model], whose keys are the zoo's; the rules
+# that relate keys (the t_grid, names, kappa's split and t0, the t_min bound,
+# sigma's kind and the [mc] budget) are parse_config's
+_KEYS = {
+    "times": {"t_grid": _Key()},
+    "diagnostics": {"names": _Key(default="")},
+    "diagnostics.quasi_ergodic": {"p": _Key(float, np.inf, lambda v: v >= 1.0, ">= 1 or inf"),
+                                  "sigma": _Key(default="uniform")},
+    "diagnostics.eta": {"gamma": _Key(float, None, *_POSITIVE)},  # the spectral gap when left out
+    "diagnostics.kappa": {"a": _Key(float, 1.0 / 3.0), "b": _Key(float),
+                          "t0": _Key(float, None, *_POSITIVE)},
+    "family": {"base_point": _Key(), "radius": _Key(_radius_law, _radius_law("linear:1.0")),
+               "t_min": _Key(float, 0.0, lambda v: abs(v) < np.inf, "finite")},
+    "verdicts": {"qsd_tol": _Key(float, 1e-9, *_NONNEGATIVE),
+                 "match_tol": _Key(float, 1e-8, *_NONNEGATIVE),
+                 "rate_tol": _Key(float, 0.10, *_NONNEGATIVE),
+                 "fit_tail": _Key(float, 0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                 "gsd_level": _Key(float, 10.0, *_POSITIVE)},
+    "mc": {"n": _Key(int, 10000), "seed": _Key(int, 0)},
+    "output": {"dir": _Key(default="out")},
 }
-_MC_DEFAULTS = {"n": 10000, "seed": 0}
+_NOT_OF_TYPE = {float: "not a number", int: "not an integer"}
 
 
 def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
@@ -83,7 +127,7 @@ def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
                     return i
                 if text.startswith("[") and text.endswith("]"):
                     current = text[1:-1]
-                elif text.split("=")[0].strip() == needle and section in (None, current):
+                elif text.split("=")[0].strip().lower() == needle and section in (None, current):
                     return i
     except OSError:
         return None
@@ -97,18 +141,22 @@ def _fail_config(path: str, key: str, msg: str, section: str | None = None) -> C
 
 
 def _section(cp: configparser.ConfigParser, path: str, name: str) -> dict:
-    """Section ``name`` with its numeric keys converted; a value that is not
-    a number of the key's type is a ConfigError naming its line."""
-    values = dict(cp[name])
-    kind, what = (int, "an integer") if name == "mc" else (float, "a number")
-    for key in _NUMBERS.get(name, ()):
-        if key in values:
-            try:
-                values[key] = kind(values[key])
-            except ValueError:
-                msg = f"bad {key} {values[key]!r}: not {what}"
-                raise _fail_config(path, key, msg, name) from None
-    return values
+    """Section ``name`` read by its rows of _KEYS, each key left out at its
+    default; a ConfigError names the line of a key the section does not take
+    and of a value not of its key's type or out of its range."""
+    keys, values = _KEYS[name], {}
+    for key, raw in (cp[name] if cp.has_section(name) else {}).items():
+        if key not in keys:
+            raise _fail_config(path, key, f"unknown key {key!r}; [{name}] has {', '.join(keys)}", name)
+        kind = keys[key]
+        try:
+            values[key] = kind.type(raw)
+        except ValueError as exc:
+            msg = f"bad {key} {raw!r}: {_NOT_OF_TYPE.get(kind.type, exc)}"
+            raise _fail_config(path, key, msg, name) from None
+        if not kind.ok(values[key]):
+            raise _fail_config(path, key, f"{key} must be {kind.words}, got {values[key]}", name)
+    return {key: kind.default for key, kind in keys.items() if kind.default is not None} | values
 
 
 def _mc_problem(n: int, seed: int, t_max: float) -> tuple[str, str] | None:
@@ -135,15 +183,22 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"{path}: cannot read config file")
+    if cp.defaults():  # configparser would add its keys to every section
+        raise _fail_config(path, "DEFAULT", "[DEFAULT] is not read; give each key in its own section")
+    for name in cp.sections():
+        if name != "model" and name not in _KEYS:
+            msg = f"unknown section [{name}]; known: model, {', '.join(_KEYS)}"
+            raise _fail_config(path, name, msg)
     if "model" not in cp or "id" not in cp["model"]:
         raise _fail_config(path, "model", "missing [model] section with an id")
     model_id = cp["model"]["id"]
     model_params = {k: v for k, v in cp["model"].items() if k != "id"}
+    sections = {name: _section(cp, path, name) for name in _KEYS}
 
-    if "times" not in cp or "t_grid" not in cp["times"]:
+    if "t_grid" not in sections["times"]:
         raise _fail_config(path, "t_grid", "missing [times] t_grid")
     try:
-        t_grid = [float(v) for v in cp["times"]["t_grid"].split()]
+        t_grid = [float(v) for v in sections["times"]["t_grid"].split()]
     except ValueError as exc:
         raise _fail_config(path, "t_grid", f"bad t_grid: {exc}")
     if any(s >= t for s, t in zip(t_grid, t_grid[1:])) or not t_grid:
@@ -151,23 +206,20 @@ def parse_config(path: str) -> ExperimentConfig:
     if not all(0.0 < t < np.inf for t in t_grid):  # nan fails too
         raise _fail_config(path, "t_grid", "t_grid times must be finite and > 0")
 
-    names = cp.get("diagnostics", "names", fallback="").split()
+    names = sections["diagnostics"]["names"].split()
     for i, name in enumerate(names):
         if name not in DIAGNOSTIC_NAMES:
-            raise _fail_config(
-                path, "names", f"unknown diagnostic {name!r}; known: {DIAGNOSTIC_NAMES}"
-            )
+            raise _fail_config(path, "names", f"unknown diagnostic {name!r}; known: {DIAGNOSTIC_NAMES}")
         if name in names[:i]:
             raise _fail_config(path, "names", f"diagnostic {name!r} is named twice")
     if "uniqueness" in names and len(t_grid) < 2:
         raise _fail_config(path, "t_grid", "uniqueness needs at least two grid times")
-    sections = {name: _section(cp, path, name) for name in cp.sections()}
     diag_params = {name: sections.get(f"diagnostics.{name}", {}) for name in names}
 
     if "kappa" in diag_params:  # the split the run uses, defaults filled in
         kp = diag_params["kappa"]
         key = "b" if "b" in kp else "a"
-        a = kp.setdefault("a", 1.0 / 3.0)
+        a = kp["a"]
         b = kp.setdefault("b", (1.0 - a) / 2.0)
         kp.setdefault("t0", t_grid[0])
         if abs(a + 2.0 * b - 1.0) > 1e-12:
@@ -175,67 +227,22 @@ def parse_config(path: str) -> ExperimentConfig:
                 path, key, f"kappa needs a + 2b = 1, got {a + 2 * b}", "diagnostics.kappa")
         if not 0.0 < b < 0.5:
             raise _fail_config(path, key, f"kappa needs b in (0, 1/2), got {b}", "diagnostics.kappa")
-    for name, key in (("kappa", "t0"), ("eta", "gamma")):
-        value = diag_params.get(name, {}).get(key, 1.0)
-        if not 0.0 < value < np.inf:  # nan fails too
-            raise _fail_config(
-                path, key, f"{name} needs a finite {key} > 0, got {value}", f"diagnostics.{name}")
-    if not diag_params.get("quasi_ergodic", {}).setdefault("p", np.inf) >= 1.0:  # nan fails too
-        raise _fail_config(path, "p", "quasi_ergodic needs p >= 1 or inf", "diagnostics.quasi_ergodic")
-    sigma = diag_params.get("quasi_ergodic", {}).setdefault("sigma", "uniform")
+    sigma = sections["diagnostics.quasi_ergodic"]["sigma"]
     if sigma != "uniform" and not sigma.startswith("point:"):
         raise _fail_config(path, "sigma", f"unknown sigma spec {sigma!r}", "diagnostics.quasi_ergodic")
-    verdicts = sections.get("verdicts", {})
-    for key, (_, in_range, what) in _TOLERANCES.items():
-        if key in verdicts and not in_range(verdicts[key]):
-            raise _fail_config(path, key, f"{key} must be {what}, got {verdicts[key]}", "verdicts")
-    if (family := sections.get("family")) is not None:
-        t_min = family.setdefault("t_min", 0.0)
-        if not abs(t_min) < np.inf:  # nan fails too
-            raise _fail_config(path, "t_min", f"t_min must be finite, got {t_min}", "family")
-        if "kappa" in diag_params:  # kappa reads the balls K_{at} and K_{bt} at every grid time
-            s_min = min(diag_params["kappa"]["a"], diag_params["kappa"]["b"]) * t_grid[0]
-            if s_min < t_min:
-                raise _fail_config(path, "t_min", f"t_min = {t_min} exceeds {s_min}, the smallest "
-                                   "family parameter kappa reads (min(a, b) t_grid[0])", "family")
-        family["radius"] = _radius_law(family.get("radius", "linear:1.0"), path)
-    if (mc := sections.get("mc")) is not None:
-        given, mc = set(mc), {**_MC_DEFAULTS, **mc}
-        problem = _mc_problem(mc["n"], mc["seed"], t_grid[-1])
-        if problem:  # a key left out takes its default; the [mc] line is named then
-            key, msg = problem
-            raise _fail_config(path, key if key in given else "mc", msg, "mc")
+    family = sections["family"] if cp.has_section("family") else None
+    if family is not None and "kappa" in diag_params:  # kappa reads K_{at} and K_{bt} at each time
+        s_min, t_min = min(kp["a"], kp["b"]) * t_grid[0], family["t_min"]
+        if s_min < t_min:
+            raise _fail_config(path, "t_min", f"t_min = {t_min} exceeds {s_min}, the smallest "
+                               "family parameter kappa reads (min(a, b) t_grid[0])", "family")
+    mc = sections["mc"] if cp.has_section("mc") else None
+    if mc is not None and (problem := _mc_problem(mc["n"], mc["seed"], t_grid[-1])):
+        key, msg = problem  # a key left out takes its default; the [mc] line is named then
+        raise _fail_config(path, key if key in cp["mc"] else "mc", msg, "mc")
 
-    return ExperimentConfig(
-        model_id, model_params, t_grid, names, diag_params, family, verdicts, mc,
-        cp.get("output", "dir", fallback="out"), source=path,
-    )
-
-
-def _nonnegative(x: str) -> float:
-    v = float(x)
-    if not 0.0 <= v < np.inf:  # nan fails too
-        raise ValueError(f"{x} is not finite and >= 0: the law must be nondecreasing from 0 on")
-    return v
-
-
-def _radius_law(spec: str, path: str):
-    """The radius law ``spec`` names; a ConfigError on the radius line unless
-    it is nonnegative and nondecreasing, as an exhausting family needs."""
-    kind, _, arg = spec.partition(":")
-    try:
-        if kind in ("linear", "const"):
-            v = _nonnegative(arg)
-            return (lambda t: v * t) if kind == "linear" else (lambda t: v)
-        if kind == "power":
-            a, b = (_nonnegative(x) for x in arg.split(","))
-            return lambda t: a * t**b
-        if kind == "table":  # table:t1:r1,t2:r2,...; the radii are made nondecreasing
-            pairs = [p.split(":") for p in arg.split(",")]
-            return tabulated_radius(*zip(*[(float(t), _nonnegative(r)) for t, r in pairs]))
-        raise ValueError("unknown kind; known: linear, const, power, table")
-    except ValueError as exc:
-        raise _fail_config(path, "radius", f"bad radius {spec!r}: {exc}", "family") from None
+    return ExperimentConfig(model_id, model_params, t_grid, names, diag_params, family,
+                            sections["verdicts"], mc, sections["output"]["dir"], path)
 
 
 def _state(space, key: str, raw, source: str | None = None):
@@ -277,7 +284,6 @@ class _Run:
     spec: object
     fam: ExhaustingFamily | None
     sigma: np.ndarray | None
-    tols: dict
     ops: list = field(default_factory=list)
     reads: dict = field(default_factory=dict)
     limit: np.ndarray | None = None  # the kernel limit, n x n: held by the grid pass only
@@ -338,8 +344,7 @@ def run_experiment(cfg: ExperimentConfig):
                 cfg.source, "t_grid", f"e^(lambda0 t) overflows: lambda0 = {spec.lambda0:.6g}, "
                 f"so the largest usable t is {_LOG_MAX / spec.lambda0:.6g}")
 
-    tols = {key: cfg.verdicts.get(key, default) for key, (default, *_) in _TOLERANCES.items()}
-    run = _Run(cfg, model, spec, fam, sigma, tols)
+    run = _Run(cfg, model, spec, fam, sigma)
     entries = {name: _DIAGNOSTICS[name] for name in cfg.diagnostics}
     skipped = {name: _NO_SPECTRAL if entry.spectral and spec is None
                else _NO_FAMILY if entry.family and fam is None else None
@@ -382,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig):
     with open(paths["verdict"], "w") as fh:
         fh.write(f"# verdict {stamp}\n")
         fh.write(f"# config {cfg.source}\n")
-        for key, val in sorted(tols.items()):
+        for key, val in sorted(cfg.verdicts.items()):
             fh.write(f"# default {key} = {val}\n")
         for ok, line in run.verdicts:
             fh.write(("PASS " if ok else "FAIL ") + line + "\n")
@@ -425,11 +430,11 @@ def _report_rate(run, name):
                else "a sample is <= 0, a log-linear fit needs > 0")
         run.add_verdict(False, f"{name}_rate", f"SKIPPED: {why}")
         return
-    rate, intercept, r2 = dg.fit_exponential_rate(series, run.tols["fit_tail"])
+    rate, intercept, r2 = dg.fit_exponential_rate(series, run.cfg.verdicts["fit_tail"])
     run.add_fit(name, rate, intercept, r2)
     rel = abs(-rate - run.spec.gap) / run.spec.gap if run.spec.gap > 0 else np.inf
     run.add_verdict(
-        rel <= run.tols["rate_tol"],
+        rel <= run.cfg.verdicts["rate_tol"],
         f"{name}_rate",
         f"fitted={_num(-rate)} gap={_num(run.spec.gap)} rel_err={_num(rel)}",
     )
@@ -461,21 +466,21 @@ def _report_qsd(run, name):
     dist = float(np.abs(fixed.weights - m.weights).sum())
     if not nonunique:
         run.add_verdict(
-            dist <= run.tols["match_tol"],
+            dist <= run.cfg.verdicts["match_tol"],
             "qsd_cross_method",
             f"L1(find_qsd, psi0-mu)={_num(dist)}",
         )
     for i in (0, mid, last):  # a short grid repeats a time
         t, res = run.cfg.t_grid[i], run.reads[name][i][1]
         run.add_sample("qsd_residual", t, res)
-        run.add_verdict(res <= run.tols["qsd_tol"], "qsd_residual",
+        run.add_verdict(res <= run.cfg.verdicts["qsd_tol"], "qsd_residual",
                         f"t={_num(t)} residual={_num(res)}")
 
 
 def _report_gsd(run, name):
     spec, space = run.spec, run.model.space
     inv_sup_phi = 1.0 / float(spec.phi0.max())
-    level = run.tols["gsd_level"]
+    level = run.cfg.verdicts["gsd_level"]
     sat = float(np.sum(spec.psi0 * space.mu) / spec.Lambda)
     base = run.fam.base_point if run.fam is not None else space.points[0]
     for op in run.ops:
@@ -598,8 +603,8 @@ def main(argv=None) -> int:
     p_mc.add_argument("model")
     p_mc.add_argument("--x0", default=None)
     p_mc.add_argument("--t", type=float, default=1.0)
-    p_mc.add_argument("--n", type=int, default=_MC_DEFAULTS["n"])
-    p_mc.add_argument("--seed", type=int, default=_MC_DEFAULTS["seed"])
+    p_mc.add_argument("--n", type=int, default=_KEYS["mc"]["n"].default)
+    p_mc.add_argument("--seed", type=int, default=_KEYS["mc"]["seed"].default)
     p_mc.add_argument("-o", "--output")
     args = parser.parse_args(argv)
 

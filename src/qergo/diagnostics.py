@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
-from .operators import KernelOperator, MarkovModel
+from .operators import KernelOperator, MarkovModel, _abs_max, _rows
 from .spectral import _DEGEN_TOL, SpectralData, _arnoldi, _positive_direction, _top_two
 from .statespace import ExhaustingFamily, StateSpace, _radius_crossing, ball_indicator, exhaustion_time
 
@@ -224,13 +224,14 @@ def kernel_convergence_error(
     buffer, so no temporary is larger than a block; a nan entry gives nan.
     """
     limit = kernel_limit(spec) if limit is None else limit
-    n, err, scale = len(limit), 0.0, np.exp(spec.lambda0 * op.t)
+    n, scale = len(limit), np.exp(spec.lambda0 * op.t)
     buf = np.empty((64, n))
-    for i in range(0, n, 64):
-        diff = np.multiply(scale, op.density[i:i + 64], out=buf[:min(64, n - i)])
-        diff -= limit[i:i + 64]
-        err = np.max([err, diff.max(), -diff.min()])
-    return float(err)
+
+    def block(r):
+        diff = np.multiply(scale, op.density[r], out=buf[:len(limit[r])])
+        diff -= limit[r]
+        return diff
+    return _abs_max(block(r) for r in _rows(n))
 
 
 def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> float:

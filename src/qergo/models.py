@@ -386,11 +386,11 @@ def _take(p: dict, key: str, kind=float, default=...):
         raise ModelError(f"bad {key!r} value {raw!r}") from None
 
 
-def _potential(p: dict) -> PotentialSpec | None:
-    """The potential/beta/scale keys, if a kind or an exponent is given."""
-    if "potential" not in p and "beta" not in p:
+def _potential(p: dict, kind: str | None = None) -> PotentialSpec | None:
+    """The potential/beta/scale keys, if a kind or an exponent is given or ``kind`` defaults it."""
+    if kind is None and "potential" not in p and "beta" not in p:
         return None
-    kind = _take(p, "potential", str, "power")
+    kind = _take(p, "potential", str, kind or "power")
     return PotentialSpec(kind, _take(p, "beta", float, 1.0), _take(p, "scale", float, 1.0))
 
 
@@ -409,9 +409,8 @@ def _build_frac(p):
     kind, alpha = _take(p, "kind", str, "polynomial"), _take(p, "alpha")
     levy = LevyProfile(kind, alpha, _take(p, "delta", float, 0.0), _take(p, "m", float, 1.0))
     grid = (_take(p, "half_width", float, 50.0), _take(p, "h", float, 0.25))
-    pot = _potential(p)
-    if pot is None:
-        raise ModelError("needs a potential spec (potential or beta)")
+    # as in the two worked example families: polynomial with log-power, exponential with power
+    pot = _potential(p, "power" if kind == "exponential" else "log-power")
     return partial(build_fractional_model, grid, levy, pot)
 
 
@@ -429,12 +428,11 @@ class _ZooEntry(NamedTuple):
     """``build`` pops the keys it takes and returns the model's constructor,
     which ``zoo_build`` calls once no key is left over.  ``args`` names the
     compact form's positions with their types, and ``build`` decides which
-    are required; ``implied`` adds the parameters the given ones entail."""
+    are required."""
 
     schema: str
     build: Callable
     args: tuple = ()
-    implied: Callable = lambda args: {}
 
 
 _ZOO = {
@@ -454,9 +452,6 @@ _ZOO = {
         "frac(alpha, delta, beta, kind) 1D fractional Schrodinger lattice",
         _build_frac,
         (("alpha", float), ("delta", float), ("beta", float), ("kind", str)),
-        # each kind's potential follows the two worked example families:
-        # polynomial with log-power, exponential with power
-        lambda args: {"potential": "power" if args.get("kind") == "exponential" else "log-power"},
     ),
     "ho": _ZooEntry(
         "ho(half_width, h) closed-form oscillator kernel lattice",
@@ -498,10 +493,9 @@ def parse_model_string(text: str) -> tuple[str, dict]:
         raise ModelError(f"{text!r} does not match {model_id}({', '.join(names)})")
     given = dict(zip(names, args))
     try:
-        params = {name: _take(given, name, kind) for name, kind in entry.args[: len(args)]}
+        return model_id, {name: _take(given, name, kind) for name, kind in entry.args[: len(args)]}
     except ModelError as exc:
         raise ModelError(f"{text!r}: {exc}") from None
-    return model_id, {**params, **entry.implied(params)}
 
 
 def zoo_build(model_id: str, params: dict):

@@ -40,10 +40,14 @@ _REV_TOL = 8 * np.finfo(float).eps
 _FLOOR = 2.0**-500
 
 
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over two arrays of one shape, taken 64 rows at a time so
-    that no temporary is larger than a block; nan when an entry is nan."""
-    blocks = (a[i:i + 64] - b[i:i + 64] for i in range(0, len(a), 64))
+def _rows(n: int):
+    """Slices of 64 rows that cover n rows: the blocks of a blockwise pass."""
+    return (slice(i, i + 64) for i in range(0, n, 64))
+
+
+def _abs_max(blocks) -> float:
+    """max |d| over the arrays ``blocks``, each overwritten by |d| as it comes,
+    so that no temporary is larger than a block; nan when an entry is nan."""
     return float(np.max([np.abs(d, out=d).max(initial=0.0) for d in blocks], initial=0.0))
 
 
@@ -53,12 +57,6 @@ def _dual_rows(Q: np.ndarray, mu: np.ndarray, rows: slice = slice(None)) -> np.n
     Qd = np.multiply(Q[:, rows].T, mu, order="C")
     Qd /= mu[rows, None]
     return Qd
-
-
-def _max_asymmetry(u: np.ndarray) -> float:
-    """max |u - u^T| of a square array, by mirror tile pairs; nan when an entry is nan."""
-    diffs = [np.abs(u[I, J] - u[J, I].T).max() for I, J in _mirror_tiles(len(u))]
-    return float(np.max(diffs, initial=0.0))
 
 
 def strongly_connected(adj: np.ndarray) -> bool:
@@ -122,8 +120,9 @@ class KernelOperator:
 
     def self_adjoint(self) -> bool:
         """Whether the density is symmetric within a few ulps of its largest entry."""
-        u = self.density
-        return bool(_max_asymmetry(u) <= _REV_TOL * max(u.max(), -u.min()))
+        u = self.density  # max |u - u^T| by mirror tile pairs
+        asymmetry = _abs_max(u[I, J] - u[J, I].T for I, J in _mirror_tiles(len(u)))
+        return bool(asymmetry <= _REV_TOL * max(u.max(), -u.min()))
 
 
 class Survivals(NamedTuple):
@@ -155,7 +154,7 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigh cost about a quarter of one n x n eigh.  Eigenvalues tied across the
     two blocks are taken even first.  Any other S takes one eigh.
     """
-    if _max_abs_diff(S, S[::-1, ::-1]) > _REV_TOL * max(S.max(), -S.min()):
+    if _abs_max(S[r] - S[::-1, ::-1][r] for r in _rows(len(S))) > _REV_TOL * max(S.max(), -S.min()):
         return np.linalg.eigh(S)
     n = S.shape[0]
     h, mid = divmod(n, 2)
@@ -359,8 +358,7 @@ class MarkovModel(Engine):
     def reversible(self) -> bool:
         """Whether Q_dual == Q within a few ulps, found once per model, 64 dual rows at a time."""
         Q, mu = self.Q, self.space.mu
-        return bool(np.max([_max_abs_diff(_dual_rows(Q, mu, slice(i, i + 64)), Q[i:i + 64])
-                            for i in range(0, self.n, 64)], initial=0.0) <= _REV_TOL)
+        return bool(_abs_max(_dual_rows(Q, mu, r) - Q[r] for r in _rows(self.n)) <= _REV_TOL)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:

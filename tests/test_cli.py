@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from qergo.cli import (
+    _KEYS,
     DIAGNOSTIC_NAMES,
     ConfigError,
     _mc_problem,
@@ -134,10 +136,91 @@ class TestParsing:
         assert parse_model_string("birthdeath(20)") == ("birthdeath", {"n": 20})
         mid, params = parse_model_string("frac(1.0, 0.0, 2.0, polynomial)")
         assert mid == "frac" and params["alpha"] == 1.0
-        assert params["potential"] == "log-power"
+        assert ",log-power," in zoo_build(mid, params).label
         mid, params = parse_model_string("frac(1.0, 1.5, 0.5, exponential)")
-        assert params["potential"] == "power"
+        assert ",power," in zoo_build(mid, params).label
         assert parse_model_string("box(2, 25)") == ("box", {"d": 2, "n": 25})
+
+
+KEY_TABLE = [(section, key) for section, keys in _KEYS.items() for key in keys]
+
+
+class TestKeyTable:
+    """Every section but [model] is read by its rows of cli._KEYS: a key or a
+    section that the table does not hold is refused on its line at parse."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, monkeypatch, text, bad):
+        """Exit 1 on the line of ``bad`` before any build, with no output; the message."""
+        import qergo.models as models
+
+        monkeypatch.setattr(models, "zoo_build", lambda *args: pytest.fail("model built"))
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        path = write_config(tmp_path, text)
+        assert main(["run", path]) == 1
+        out, err = capsys.readouterr()
+        prefix = f"error: {path}:{text.splitlines().index(bad) + 1}: "
+        assert out == "" and err.startswith(prefix)
+        assert not (tmp_path / "o").exists()
+        return err[len(prefix):].strip()
+
+    @pytest.mark.parametrize("section,key", KEY_TABLE, ids=[f"{s}-{k}" for s, k in KEY_TABLE])
+    def test_misspelt_key_is_refused_on_its_line(self, tmp_path, capsys, monkeypatch, section, key):
+        text, header, bad = BIRTHDEATH_FULL.read_text(), f"[{section}]\n", f"{key}{key[-1]} = 1"
+        if header in text:
+            text = text.replace(header, header + bad + "\n")
+        else:
+            text += f"\n{header}{bad}\n"
+        msg = self._refused(tmp_path, capsys, monkeypatch, text, bad)
+        assert msg.startswith(f"unknown key '{key}{key[-1]}'; [{section}] has ")
+
+    @pytest.mark.parametrize("before,after,header", [
+        ("", "\n[diagnostic.kappa]\nt0 = -3\n", "[diagnostic.kappa]"),
+        ("[DEFAULT]\nseed = 1\n\n", "", "[DEFAULT]"),
+    ], ids=["misspelt_section", "default_section"])
+    def test_unknown_section_is_refused_on_its_header_line(
+            self, tmp_path, capsys, monkeypatch, before, after, header):
+        text = before + BIRTHDEATH_FULL.read_text() + after
+        assert header in self._refused(tmp_path, capsys, monkeypatch, text, header)
+
+    def test_an_empty_default_section_parses(self, tmp_path):
+        text = "[DEFAULT]\n" + BIRTHDEATH_FULL.read_text()
+        assert parse_config(write_config(tmp_path, text)).mc == {"n": 20000, "seed": 1234}
+
+    def test_mc_option_defaults_are_the_table_s(self, tmp_path, monkeypatch):
+        import qergo.cli as cli
+
+        defaults = {key: kind.default for key, kind in _KEYS["mc"].items()}
+        assert defaults == {"n": 10000, "seed": 0}
+        text = BIRTHDEATH_FULL.read_text().replace("n = 20000\nseed = 1234\n", "")
+        assert parse_config(write_config(tmp_path, text)).mc == defaults
+        asked = []
+        monkeypatch.setattr(cli, "_mc_problem", lambda *args: asked.append(args) or ("n", "stop"))
+        assert main(["mc", "swap2"]) == 1
+        assert asked == [(defaults["n"], defaults["seed"], 1.0)]
+
+    def test_verdict_file_lists_the_default_tolerances(self, tmp_path):
+        out = tmp_path / "o"
+        run_experiment(parse_config(write_config(tmp_path, SWAP2_CONFIG.format(out=out))))
+        lines = [row for row in open(out / "verdict.txt").read().splitlines()
+                 if row.startswith("# default")]
+        assert lines == ["# default fit_tail = 0.5", "# default gsd_level = 10.0",
+                         "# default match_tol = 1e-08", "# default qsd_tol = 1e-09",
+                         "# default rate_tol = 0.1"]
+
+    def test_shipped_and_bench_configs_parse_and_the_readme_lists_the_table(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        shipped = sorted((root / "configs").glob("*.ini"))
+        bench = [workloads.write_config(root, name, 0, tmp_path / f"{name}.ini")
+                 for name in workloads.WORKLOADS]
+        assert len(shipped) == 2 and len(bench) == 4
+        for path in shipped + bench:
+            parse_config(str(path))
+        rows = re.findall(r"^\| `\[([\w.]+)\]` \| `(\w+)` \|", README.read_text(), re.M)
+        assert rows == KEY_TABLE
 
 
 class TestRun:

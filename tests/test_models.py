@@ -387,6 +387,20 @@ class TestZoo:
             assert model.label.startswith(text.split("(")[0])
             assert model.operator(1.0).space is model.space
 
+    @pytest.mark.parametrize("text,keys", [
+        ("frac(1.0, 0.0, 2.0, polynomial)", {"alpha": "1.0", "delta": "0.0", "beta": "2.0",
+                                             "kind": "polynomial"}),
+        ("frac(1.0, 1.5, 0.5, exponential)", {"alpha": "1.0", "delta": "1.5", "beta": "0.5",
+                                              "kind": "exponential"}),
+        ("frac(1.0)", {"alpha": "1.0"}),
+    ], ids=["polynomial", "exponential", "alpha_only"])
+    def test_compact_and_keyword_frac_build_one_model(self, text, keys):
+        # the kind's potential (polynomial: log-power, exponential: power) is
+        # the builder's default, whichever form gives the parameters
+        compact, keyword = zoo_build(*parse_model_string(text)), zoo_build("frac", keys)
+        assert compact.label == keyword.label
+        assert np.array_equal(compact.Q, keyword.Q) and np.array_equal(compact.V, keyword.V)
+
     @pytest.mark.parametrize("text,named", [
         ("birthdeath()", "'n'"),
         ("box(2)", "'n'"),
