@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import models as zoo
-from .errors import ModelError, NonuniquenessWarning
-from .models import MAX_PATH_STEPS, parse_model_string
+from .errors import BadKeyError, ModelError, NonuniquenessWarning
+from .models import MAX_PATH_STEPS, _Key, parse_model_string, read_keys
 from .montecarlo import fk_estimate
 from .operators import MarkovModel, Survivals, feynman_kac_operator
 from .spectral import principal_triple, spectral_to_text
@@ -80,23 +81,13 @@ def _radius_law(spec: str):
     raise ValueError("unknown kind; known: linear, const, power, table")
 
 
-class _Key(NamedTuple):
-    """A config key: ``type`` reads its text, ``default`` stands in when it is left out (None:
-    absent then), and ``ok`` is its range as a test (nan fails every one) and ``words``."""
-
-    type: Callable = str
-    default: object = None
-    ok: Callable = lambda v: True
-    words: str = ""
-
-
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
-# every key of every section but [model], whose keys are the zoo's; the rules
-# that relate keys (the t_grid, names, kappa's split and t0, the t_min bound,
-# sigma's kind and the [mc] budget) are parse_config's
+# every key of every section; [model] holds the id and its rows of the zoo's
+# table of that id.  The rules that relate keys (the t_grid, names, kappa's
+# split and t0, the t_min bound, sigma's kind and the [mc] budget) are parse_config's
 _KEYS = {
-    "times": {"t_grid": _Key()},
+    "times": {"t_grid": _Key(default=...)},
     "diagnostics": {"names": _Key(default="")},
     "diagnostics.quasi_ergodic": {"p": _Key(float, np.inf, lambda v: v >= 1.0, ">= 1 or inf"),
                                   "sigma": _Key(default="uniform")},
@@ -113,7 +104,6 @@ _KEYS = {
     "mc": {"n": _Key(int, 10000), "seed": _Key(int, 0)},
     "output": {"dir": _Key(default="out")},
 }
-_NOT_OF_TYPE = {float: "not a number", int: "not an integer"}
 
 
 def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
@@ -127,7 +117,7 @@ def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
                     return i
                 if text.startswith("[") and text.endswith("]"):
                     current = text[1:-1]
-                elif text.split("=")[0].strip().lower() == needle and section in (None, current):
+                elif section in (None, current) and re.split("[=:]", text)[0].strip().lower() == needle:
                     return i
     except OSError:
         return None
@@ -135,28 +125,23 @@ def _line_of(path: str, needle: str, section: str | None = None) -> int | None:
 
 
 def _fail_config(path: str, key: str, msg: str, section: str | None = None) -> ConfigError:
-    line = _line_of(path, key, section)
+    """The error ``msg`` at the line of ``key``, or of [section] when the key is left out."""
+    line = _line_of(path, key, section) or (section and _line_of(path, section))
     where = f"{path}:{line}" if line else path
     return ConfigError(f"{where}: {msg}")
 
 
 def _section(cp: configparser.ConfigParser, path: str, name: str) -> dict:
-    """Section ``name`` read by its rows of _KEYS, each key left out at its
-    default; a ConfigError names the line of a key the section does not take
-    and of a value not of its key's type or out of its range."""
-    keys, values = _KEYS[name], {}
-    for key, raw in (cp[name] if cp.has_section(name) else {}).items():
-        if key not in keys:
-            raise _fail_config(path, key, f"unknown key {key!r}; [{name}] has {', '.join(keys)}", name)
-        kind = keys[key]
-        try:
-            values[key] = kind.type(raw)
-        except ValueError as exc:
-            msg = f"bad {key} {raw!r}: {_NOT_OF_TYPE.get(kind.type, exc)}"
-            raise _fail_config(path, key, msg, name) from None
-        if not kind.ok(values[key]):
-            raise _fail_config(path, key, f"{key} must be {kind.words}, got {values[key]}", name)
-    return {key: kind.default for key, kind in keys.items() if kind.default is not None} | values
+    """Section [name] read by its rows of _KEYS, or [model] by those of its id
+    in the zoo; a ConfigError names the line of the key that read_keys refuses."""
+    raw = dict(cp[name]) if cp.has_section(name) else {}
+    try:
+        if name != "model":
+            return read_keys(_KEYS[name], raw, f"[{name}]")
+        model_id = raw.pop("id")
+        return read_keys(zoo._zoo_entry(model_id).keys, raw, f"model {model_id!r}")
+    except BadKeyError as exc:
+        raise _fail_config(path, exc.key, str(exc), name) from None
 
 
 def _mc_problem(n: int, seed: int, t_max: float) -> tuple[str, str] | None:
@@ -176,7 +161,7 @@ def _mc_problem(n: int, seed: int, t_max: float) -> tuple[str, str] | None:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:
@@ -191,12 +176,9 @@ def parse_config(path: str) -> ExperimentConfig:
             raise _fail_config(path, name, msg)
     if "model" not in cp or "id" not in cp["model"]:
         raise _fail_config(path, "model", "missing [model] section with an id")
-    model_id = cp["model"]["id"]
-    model_params = {k: v for k, v in cp["model"].items() if k != "id"}
+    model_params = _section(cp, path, "model")
     sections = {name: _section(cp, path, name) for name in _KEYS}
 
-    if "t_grid" not in sections["times"]:
-        raise _fail_config(path, "t_grid", "missing [times] t_grid")
     try:
         t_grid = [float(v) for v in sections["times"]["t_grid"].split()]
     except ValueError as exc:
@@ -238,10 +220,9 @@ def parse_config(path: str) -> ExperimentConfig:
                                "family parameter kappa reads (min(a, b) t_grid[0])", "family")
     mc = sections["mc"] if cp.has_section("mc") else None
     if mc is not None and (problem := _mc_problem(mc["n"], mc["seed"], t_grid[-1])):
-        key, msg = problem  # a key left out takes its default; the [mc] line is named then
-        raise _fail_config(path, key if key in cp["mc"] else "mc", msg, "mc")
+        raise _fail_config(path, *problem, "mc")  # a key left out names the [mc] line
 
-    return ExperimentConfig(model_id, model_params, t_grid, names, diag_params, family,
+    return ExperimentConfig(cp["model"]["id"], model_params, t_grid, names, diag_params, family,
                             sections["verdicts"], mc, sections["output"]["dir"], path)
 
 

@@ -5,6 +5,15 @@ class ModelError(ValueError):
     """Raised when a model construction recipe yields an invalid Markov model."""
 
 
+class BadKeyError(ModelError):
+    """Raised by ``models.read_keys`` for a key that its table does not hold or that is required
+    and left out, or for a value not of its key's type or range; ``key`` names the key."""
+
+    def __init__(self, key: str, msg: str):
+        super().__init__(msg)
+        self.key = key
+
+
 class NondegeneracyError(RuntimeError):
     """Raised when the dominant eigenvalue is not simple within tolerance."""
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from math import gamma as _gamma_fn
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ClassifierError, ModelError
+from .errors import BadKeyError, ClassifierError, ModelError
 from .operators import Engine, KernelOperator, MarkovModel, _mehler_exponents
 from .statespace import StateSpace
 
@@ -31,6 +30,7 @@ __all__ = [
     "regime_classifier",
     "lattice_space",
     "parse_model_string",
+    "read_keys",
     "zoo_build",
     "zoo_catalog",
 ]
@@ -359,8 +359,47 @@ def regime_classifier(levy: LevyProfile, V: PotentialSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# zoo registry: one entry per id holds its ``list-models`` schema, the
-# signature of its compact string form and a builder that pops the keys it takes
+# key tables: a config section and a zoo id alike are read by rows of _Key
+
+
+class _Key(NamedTuple):
+    """A key: ``type`` reads its text, ``default`` stands in when it is left out (None: absent
+    then, ...: required), and ``ok`` is its range as a test (nan fails every one) and ``words``."""
+
+    type: Callable = str
+    default: object = None
+    ok: Callable = lambda v: True
+    words: str = ""
+
+
+_NOT_OF_TYPE = {float: "not a number", int: "not an integer"}
+
+
+def read_keys(keys: dict, raw, where: str) -> dict:
+    """``raw`` read by the rows of ``keys``, a table that messages call ``where``, each key left
+    out at its default; a BadKeyError names a key that the table does not hold, a value not of
+    its key's type or range, and a required key left out."""
+    values = {}
+    for key, text in raw.items():
+        if key not in keys:
+            raise BadKeyError(key, f"unknown key {key!r}; {where} has {', '.join(keys)}")
+        kind = keys[key]
+        try:
+            values[key] = kind.type(text)
+        except (TypeError, ValueError) as exc:
+            msg = f"bad {key!r} value {text!r}: {_NOT_OF_TYPE.get(kind.type, exc)}"
+            raise BadKeyError(key, msg) from None
+        if not kind.ok(values[key]):
+            raise BadKeyError(key, f"{key} must be {kind.words}, got {values[key]}")
+    for key, kind in keys.items():
+        if kind.default is ... and key not in values:
+            raise BadKeyError(key, f"missing key {key!r}, a required parameter of {where}")
+    return {key: kind.default for key, kind in keys.items() if kind.default is not None} | values
+
+
+# ---------------------------------------------------------------------------
+# zoo registry: one entry per id holds its ``list-models`` schema, its key
+# table, a builder of the model from the values read and its compact form
 
 
 def _floats(raw) -> np.ndarray:
@@ -372,103 +411,73 @@ def _floats(raw) -> np.ndarray:
     return np.array(raw, dtype=float)
 
 
-def _take(p: dict, key: str, kind=float, default=...):
-    """Pop ``key`` converted by ``kind``; ``default`` when it is absent, which
-    the default ``...`` marks as an error."""
-    if key not in p:
-        if default is ...:
-            raise ModelError(f"needs a {key!r} parameter")
-        return default
-    raw = p.pop(key)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise ModelError(f"bad {key!r} value {raw!r}") from None
+_POTENTIAL = {"potential": _Key(), "beta": _Key(float), "scale": _Key(float)}
 
 
-def _potential(p: dict, kind: str | None = None) -> PotentialSpec | None:
-    """The potential/beta/scale keys, if a kind or an exponent is given or ``kind`` defaults it."""
-    if kind is None and "potential" not in p and "beta" not in p:
+def _potential(v: dict, kind: str | None = None) -> PotentialSpec | None:
+    """The profile of the potential/beta/scale values, None when none is given
+    and ``kind`` does not default it."""
+    if kind is None and not _POTENTIAL.keys() & v.keys():
         return None
-    kind = _take(p, "potential", str, kind or "power")
-    return PotentialSpec(kind, _take(p, "beta", float, 1.0), _take(p, "scale", float, 1.0))
+    return PotentialSpec(v.get("potential", kind or "power"), v.get("beta", 1.0), v.get("scale", 1.0))
 
 
-def _build_chain(p, recipe: str, label: str, mu=None):
-    """The n-state chain ``recipe`` labelled ``label(n)``."""
-    n = _take(p, "n", int)
-    return partial(build_ctmc_model, n, recipe, mu=mu, V=_potential(p), label=f"{label}({n})")
-
-
-def _build_box(p):
-    d, n = _take(p, "d", int, 1), _take(p, "n", int)
-    return partial(build_ctmc_model, n, f"box:{d}", V=_potential(p), label=f"box({d},{n})")
-
-
-def _build_frac(p):
-    kind, alpha = _take(p, "kind", str, "polynomial"), _take(p, "alpha")
-    levy = LevyProfile(kind, alpha, _take(p, "delta", float, 0.0), _take(p, "m", float, 1.0))
-    grid = (_take(p, "half_width", float, 50.0), _take(p, "h", float, 0.25))
-    # as in the two worked example families: polynomial with log-power, exponential with power
-    pot = _potential(p, "power" if kind == "exponential" else "log-power")
-    return partial(build_fractional_model, grid, levy, pot)
-
-
-def _build_ho(p):
-    grid = (_take(p, "half_width", float, 8.0), _take(p, "h", float, 0.05))
-    return lambda: OscillatorOracle(lattice_space(*grid))
-
-
-def _build_user(p):
-    Q, mu, v = _take(p, "q", _floats), _take(p, "mu", _floats, None), _take(p, "v", _floats, None)
-    return partial(build_ctmc_model, len(Q), Q, mu=mu, V=v, label="user")
+def _chain(recipe: str, label: str) -> Callable:
+    """The builder of the n-state chain ``recipe`` labelled ``label(n)``."""
+    return lambda v: build_ctmc_model(
+        v["n"], recipe, mu=v.get("mu"), V=_potential(v), label=f"{label}({v['n']})")
 
 
 class _ZooEntry(NamedTuple):
-    """``build`` pops the keys it takes and returns the model's constructor,
-    which ``zoo_build`` calls once no key is left over.  ``args`` names the
-    compact form's positions with their types, and ``build`` decides which
-    are required."""
+    """``build`` makes the model from the values that ``keys`` reads; ``args``
+    names the keys that the compact form's positions fill, in order."""
 
     schema: str
+    keys: dict
     build: Callable
     args: tuple = ()
 
 
+_CHAIN = {"n": _Key(int, ...), **_POTENTIAL}
 _ZOO = {
     "birthdeath": _ZooEntry(
         "birthdeath(n) [mu=..., potential kind/beta/scale]",
-        lambda p: _build_chain(p, "birth-death", "birthdeath", _take(p, "mu", _floats, None)),
-        (("n", int),),
-    ),
-    "box": _ZooEntry("box(d, n) lazy walk on a box in Z^d", _build_box, (("d", int), ("n", int))),
-    "complete": _ZooEntry(
-        "complete(n) uniform jumps", lambda p: _build_chain(p, "complete", "complete"), (("n", int),)
-    ),
-    "cycle": _ZooEntry(
-        "cycle(n) non-reversible rotation", lambda p: _build_chain(p, "cycle", "cycle"), (("n", int),)
-    ),
+        {**_CHAIN, "mu": _Key(_floats)}, _chain("birth-death", "birthdeath"), ("n",)),
+    "box": _ZooEntry(
+        "box(d, n) lazy walk on a box in Z^d",
+        {"d": _Key(int, 1), **_CHAIN},
+        lambda v: build_ctmc_model(
+            v["n"], f"box:{v['d']}", V=_potential(v), label=f"box({v['d']},{v['n']})"), ("d", "n")),
+    "complete": _ZooEntry("complete(n) uniform jumps", _CHAIN, _chain("complete", "complete"), ("n",)),
+    "cycle": _ZooEntry("cycle(n) non-reversible rotation", _CHAIN, _chain("cycle", "cycle"), ("n",)),
     "frac": _ZooEntry(
         "frac(alpha, delta, beta, kind) 1D fractional Schrodinger lattice",
-        _build_frac,
-        (("alpha", float), ("delta", float), ("beta", float), ("kind", str)),
+        {"alpha": _Key(float, ...), "delta": _Key(float, 0.0), "kind": _Key(str, "polynomial"),
+         **_POTENTIAL, "m": _Key(float, 1.0), "half_width": _Key(float, 50.0), "h": _Key(float, 0.25)},
+        lambda v: build_fractional_model(
+            (v["half_width"], v["h"]), LevyProfile(v["kind"], v["alpha"], v["delta"], v["m"]),
+            # as in the two worked example families: polynomial with log-power, exponential with power
+            _potential(v, "power" if v["kind"] == "exponential" else "log-power")),
+        ("alpha", "delta", "beta", "kind"),
     ),
     "ho": _ZooEntry(
         "ho(half_width, h) closed-form oscillator kernel lattice",
-        _build_ho,
-        (("half_width", float), ("h", float)),
-    ),
+        {"half_width": _Key(float, 8.0), "h": _Key(float, 0.05)},
+        lambda v: OscillatorOracle(lattice_space(v["half_width"], v["h"])), ("half_width", "h")),
     "swap2": _ZooEntry(
         "swap2 canonical 2-state swap",
-        lambda p: partial(build_ctmc_model, 2, "swap2", V=_potential(p), label="swap2"),
-    ),
-    "user": _ZooEntry("user [q = rows separated by ';', mu = ..., v = ...]", _build_user),
+        _POTENTIAL, lambda v: build_ctmc_model(2, "swap2", V=_potential(v), label="swap2")),
+    "user": _ZooEntry(
+        "user [q = rows separated by ';', mu = ..., v = ...]",
+        {"q": _Key(_floats, ...), "mu": _Key(_floats), "v": _Key(_floats)},
+        lambda v: build_ctmc_model(len(v["q"]), v["q"], mu=v.get("mu"), V=v.get("v"), label="user")),
 }
 
 
 def _zoo_entry(model_id: str) -> _ZooEntry:
+    """The entry of ``model_id``; a BadKeyError on the ``id`` key when the zoo has none."""
     if model_id not in _ZOO:
-        raise ModelError(f"unknown zoo id {model_id!r}")
+        raise BadKeyError("id", f"unknown zoo id {model_id!r}; known: {', '.join(_ZOO)}")
     return _ZOO[model_id]
 
 
@@ -480,20 +489,19 @@ def zoo_catalog() -> list[tuple[str, str]]:
 def parse_model_string(text: str) -> tuple[str, dict]:
     """Compact zoo address ``id`` or ``id(arg, ...)``: swap2, birthdeath(20),
     box(2,25), frac(alpha,delta,beta,kind), ho(8,0.05).  The arguments fill
-    the id's signature in order; ``zoo_build`` gives the omitted ones their
-    defaults or rejects them as missing."""
+    the id's signature in order, each read by its key's row; ``zoo_build``
+    gives the omitted ones their defaults or rejects them as missing."""
     text = text.strip()
     model_id, paren, rest = (s.strip() for s in text.partition("("))
     entry = _zoo_entry(model_id)
     if not paren:
         return model_id, {}
     args = [a.strip() for a in rest[:-1].split(",")] if rest[:-1].strip() else []
-    names = [name for name, _ in entry.args]
-    if not rest.endswith(")") or len(args) > len(names):
-        raise ModelError(f"{text!r} does not match {model_id}({', '.join(names)})")
-    given = dict(zip(names, args))
+    if not rest.endswith(")") or len(args) > len(entry.args):
+        raise ModelError(f"{text!r} does not match {model_id}({', '.join(entry.args)})")
+    given = dict(zip(entry.args, args))
     try:
-        return model_id, {name: _take(given, name, kind) for name, kind in entry.args[: len(args)]}
+        return model_id, read_keys({key: entry.keys[key] for key in given}, given, text)
     except ModelError as exc:
         raise ModelError(f"{text!r}: {exc}") from None
 
@@ -501,14 +509,8 @@ def parse_model_string(text: str) -> tuple[str, dict]:
 def zoo_build(model_id: str, params: dict):
     """Build a zoo entry by id: a model with ``space``, ``label``, ``n`` and
     ``operator(t)``, each its own engine: a MarkovModel for every id but "ho",
-    whose kernel-only OscillatorOracle has no generator.  A key that the
-    entry's builder does not take is a ModelError, raised before any build."""
+    whose kernel-only OscillatorOracle has no generator.  ``params`` is read by
+    the id's key table, so a key it does not hold, a required key left out or a
+    value not of its key's type is a BadKeyError, raised before any build."""
     entry = _zoo_entry(model_id)
-    p = dict(params)
-    try:
-        construct = entry.build(p)
-        if p:
-            raise ModelError(f"unknown parameter(s) {', '.join(map(repr, sorted(p)))}")
-    except ModelError as exc:
-        raise ModelError(f"model {model_id!r}: {exc}") from None
-    return construct()
+    return entry.build(read_keys(entry.keys, params, f"model {model_id!r}"))

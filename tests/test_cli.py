@@ -22,7 +22,13 @@ from qergo.cli import (
     parse_model_string,
     run_experiment,
 )
-from qergo.models import MAX_PATH_STEPS, build_ho_discretization, lattice_space, zoo_build
+from qergo.models import (
+    _ZOO,
+    MAX_PATH_STEPS,
+    build_ho_discretization,
+    lattice_space,
+    zoo_build,
+)
 from qergo.spectral import principal_triple, principal_triple_from_operator, spectral_to_text
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
@@ -143,11 +149,25 @@ class TestParsing:
 
 
 KEY_TABLE = [(section, key) for section, keys in _KEYS.items() for key in keys]
+MODEL_KEYS = [(model_id, key) for model_id, entry in _ZOO.items() for key in entry.keys]
+NUMERIC_MODEL_KEYS = [(model_id, key) for model_id, key in MODEL_KEYS
+                      if _ZOO[model_id].keys[key].type is not str]
+# a value for each key that an id requires
+REQUIRED = {"n": "4", "alpha": "1.0", "q": "0 1 ; 1 0"}
+
+
+def model_config(model_id, *lines, **values):
+    """A config of ``model_id`` with its required keys, ``values`` over them (None
+    leaves a key out) and ``lines`` below, then one grid time."""
+    keys = {k: v for k, v in REQUIRED.items() if k in _ZOO[model_id].keys}
+    rows = [f"{k} = {v}" for k, v in (keys | values).items() if v is not None]
+    return "\n".join(["[model]", f"id = {model_id}", *rows, *lines, "", "[times]", "t_grid = 1", ""])
 
 
 class TestKeyTable:
-    """Every section but [model] is read by its rows of cli._KEYS: a key or a
-    section that the table does not hold is refused on its line at parse."""
+    """Every section is read by its rows of cli._KEYS, and [model] by its id's
+    rows of the zoo: a key or a section that the table does not hold is
+    refused on its line at parse."""
 
     @staticmethod
     def _refused(tmp_path, capsys, monkeypatch, text, bad):
@@ -173,6 +193,64 @@ class TestKeyTable:
             text += f"\n{header}{bad}\n"
         msg = self._refused(tmp_path, capsys, monkeypatch, text, bad)
         assert msg.startswith(f"unknown key '{key}{key[-1]}'; [{section}] has ")
+
+    def test_a_key_written_with_a_colon_is_refused_on_its_line(self, tmp_path, capsys, monkeypatch):
+        # configparser's other delimiter: the line of "sed: 1234" is found too
+        text = BIRTHDEATH_FULL.read_text().replace("seed = 1234", "sed: 1234")
+        msg = self._refused(tmp_path, capsys, monkeypatch, text, "sed: 1234")
+        assert msg == "unknown key 'sed'; [mc] has n, seed"
+
+    @pytest.mark.parametrize("model_id,key", MODEL_KEYS, ids=[f"{m}-{k}" for m, k in MODEL_KEYS])
+    def test_misspelt_model_key_is_refused_on_its_line(
+            self, tmp_path, capsys, monkeypatch, model_id, key):
+        bad = f"{key}{key[-1]} = 1"
+        msg = self._refused(tmp_path, capsys, monkeypatch, model_config(model_id, bad), bad)
+        assert msg.startswith(f"unknown key '{key}{key[-1]}'; model '{model_id}' has ")
+
+    @pytest.mark.parametrize("model_id,key", NUMERIC_MODEL_KEYS,
+                             ids=[f"{m}-{k}" for m, k in NUMERIC_MODEL_KEYS])
+    def test_non_numeric_model_value_is_refused_on_its_line(
+            self, tmp_path, capsys, monkeypatch, model_id, key):
+        text = model_config(model_id, **{key: "abc"})
+        msg = self._refused(tmp_path, capsys, monkeypatch, text, f"{key} = abc")
+        assert msg.startswith(f"bad '{key}' value 'abc': ")
+
+    def test_unknown_model_id_is_refused_on_the_id_line(self, tmp_path, capsys, monkeypatch):
+        text = BIRTHDEATH_FULL.read_text().replace("id = birthdeath", "id = birthdeth")
+        msg = self._refused(tmp_path, capsys, monkeypatch, text, "id = birthdeth")
+        assert msg.startswith("unknown zoo id 'birthdeth'; known: birthdeath, box, ")
+
+    @pytest.mark.parametrize("model_id,key", [("birthdeath", "n"), ("frac", "alpha"), ("user", "q")])
+    def test_missing_model_key_is_refused_at_parse(self, tmp_path, capsys, monkeypatch, model_id, key):
+        text = model_config(model_id, **{key: None})
+        msg = self._refused(tmp_path, capsys, monkeypatch, text, "[model]")
+        assert msg == f"missing key '{key}', a required parameter of model '{model_id}'"
+
+    @pytest.mark.parametrize("old,new,msg", [
+        ("beta = 2.0", "bta = 2.0", "unknown key 'bta'; model 'birthdeath' has n, potential, beta, "
+                                    "scale, mu"),
+        ("n = 12", "n = twelve", "bad 'n' value 'twelve': not an integer"),
+    ], ids=["misspelt_beta", "word_for_n"])
+    def test_shipped_config_with_a_bad_model_key_is_refused_on_its_line(
+            self, tmp_path, capsys, monkeypatch, old, new, msg):
+        text = BIRTHDEATH_FULL.read_text()
+        assert old in text
+        assert self._refused(tmp_path, capsys, monkeypatch, text.replace(old, new), new) == msg
+
+    def test_values_are_read_verbatim(self, tmp_path):
+        # no interpolation: a '%' is a character and %(p)s is not another key's value
+        text = BIRTHDEATH_FULL.read_text().replace("dir = out/birthdeath_full", "dir = out%d")
+        text = text.replace("sigma = point:3", "sigma = point:%(p)s")
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.output_dir == "out%d"
+        assert cfg.diag_params["quasi_ergodic"]["sigma"] == "point:%(p)s"
+
+    def test_model_values_are_the_table_s(self, tmp_path):
+        cfg = parse_config(str(BIRTHDEATH_FULL))
+        assert cfg.model_params == {"n": 12, "potential": "power", "beta": 2.0, "scale": 0.15}
+        cfg = parse_config(write_config(tmp_path, model_config("frac")))
+        assert cfg.model_params == {"alpha": 1.0, "delta": 0.0, "kind": "polynomial", "m": 1.0,
+                                    "half_width": 50.0, "h": 0.25}
 
     @pytest.mark.parametrize("before,after,header", [
         ("", "\n[diagnostic.kappa]\nt0 = -3\n", "[diagnostic.kappa]"),
@@ -221,6 +299,11 @@ class TestKeyTable:
             parse_config(str(path))
         rows = re.findall(r"^\| `\[([\w.]+)\]` \| `(\w+)` \|", README.read_text(), re.M)
         assert rows == KEY_TABLE
+        ids = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|", README.read_text(), re.M)
+        assert [(model_id, keys.split(", "), required) for model_id, keys, required in ids] == [
+            (model_id, [f"`{key}`" for key in entry.keys],
+             ", ".join(f"`{k}`" for k, row in entry.keys.items() if row.default is ...) or "none")
+            for model_id, entry in _ZOO.items()]
 
 
 class TestRun:

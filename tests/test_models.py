@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qergo.errors import ClassifierError, ModelError
+from qergo.errors import BadKeyError, ClassifierError, ModelError
 from qergo.models import (
     LevyProfile,
     OscillatorOracle,
@@ -420,6 +420,26 @@ class TestZoo:
     def test_unknown_key_is_named(self):
         with pytest.raises(ModelError, match="'bta'"):
             zoo_build("cycle", {"n": "4", "potential": "power", "bta": "3.0"})
+
+    @pytest.mark.parametrize("model_id,raw,key,msg", [
+        ("cycle", {"n": "4", "bta": "1"}, "bta",
+         "unknown key 'bta'; model 'cycle' has n, potential, beta, scale"),
+        ("cycle", {"n": "four"}, "n", "bad 'n' value 'four': not an integer"),
+        ("cycle", {}, "n", "missing key 'n', a required parameter of model 'cycle'"),
+        ("cylce", {"n": "4"}, "id", "unknown zoo id 'cylce'; known: birthdeath, box, complete, "
+                                    "cycle, frac, ho, swap2, user"),
+    ], ids=["unknown", "not_of_type", "missing", "unknown_id"])
+    def test_the_refused_key_is_named(self, model_id, raw, key, msg):
+        with pytest.raises(BadKeyError) as exc:
+            zoo_build(model_id, raw)
+        assert exc.value.key == key and str(exc.value) == msg
+
+    def test_one_potential_key_alone_gives_the_power_profile(self):
+        # scale alone: the kind and beta take their defaults, power and 1
+        alone = zoo_build("cycle", {"n": "4", "scale": "0.5"})
+        named = zoo_build("cycle", {"n": "4", "potential": "power", "beta": "1.0", "scale": "0.5"})
+        np.testing.assert_array_equal(alone.V, named.V)
+        assert alone.V.any() and not zoo_build("cycle", {"n": "4"}).V.any()
 
     def test_vector_parameters_from_text(self):
         model = zoo_build("birthdeath", {"n": "4", "mu": "1 2 4 8"})
