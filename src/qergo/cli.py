@@ -258,7 +258,9 @@ def _parse_sigma(cfg: ExperimentConfig, space) -> np.ndarray:
 
 @dataclass
 class _Run:
-    """One run: its inputs, the survivals and reads of each grid time, and the rows it writes."""
+    """One run: its inputs, the survivals and reads of each grid time, and the
+    rows it writes.  It holds no n x n array: each read takes what it needs
+    of U_t while the grid pass holds it, the kernel limit by row blocks."""
 
     cfg: ExperimentConfig
     model: object
@@ -267,7 +269,6 @@ class _Run:
     sigma: np.ndarray | None
     ops: list = field(default_factory=list)
     reads: dict = field(default_factory=dict)
-    limit: np.ndarray | None = None  # the kernel limit, n x n: held by the grid pass only
     series_rows: list = field(default_factory=list)
     summary_rows: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
@@ -337,7 +338,6 @@ def run_experiment(cfg: ExperimentConfig):
             run.reads.setdefault(name, []).append(entries[name].read(run, i, op))
         run.ops.append(Survivals(t, op.space, op.survival, op.dual_survival))
         del op  # before the next build: only the engine's rule keeps an operator
-    run.limit = None
     for name, entry in entries.items():
         if skipped[name]:
             run.add_verdict(False, name, skipped[name])
@@ -393,12 +393,6 @@ def _report_heat_content(run, name):
                 "heat_content_upper_bound",
                 f"t={_num(op.t)} Z={_num(z)} bound={_num(bound)}",
             )
-
-
-def _read_kernel_error(run, i, op):
-    if i == 0:  # the limit after the first build, the costliest
-        run.limit = dg.kernel_limit(run.spec)
-    return dg.kernel_convergence_error(op, run.spec, run.limit)
 
 
 def _report_rate(run, name):
@@ -527,7 +521,8 @@ class _Diagnostic(NamedTuple):
 
 _DIAGNOSTICS = {
     "heat_content": _Diagnostic(_report_heat_content, spectral=False),
-    "kernel_convergence": _Diagnostic(_report_rate, _read_kernel_error),
+    "kernel_convergence": _Diagnostic(
+        _report_rate, lambda run, i, op: dg.kernel_convergence_error(op, run.spec)),
     "quasi_ergodic": _Diagnostic(_report_rate, lambda run, i, op: dg.quasi_ergodic_error(
         op, run.spec, run.sigma, run.cfg.diag_params["quasi_ergodic"]["p"])),
     "qsd": _Diagnostic(_report_qsd, _read_qsd, spectral=False),  # find_qsd needs no spectral data

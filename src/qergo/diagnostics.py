@@ -208,28 +208,37 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
 # convergence errors
 
 
-def kernel_limit(spec: SpectralData) -> np.ndarray:
-    """The large-time limit phi0(x) psi0(y) / Lambda of e^{lambda0 t} u_t(x, y)."""
-    limit = np.multiply.outer(spec.phi0, spec.psi0)
-    return np.divide(limit, spec.Lambda, out=limit)
+def kernel_limit(
+    spec: SpectralData, rows: slice = slice(None), out: np.ndarray | None = None
+) -> np.ndarray:
+    """The rows ``rows`` of the large-time limit phi0(x) psi0(y) / Lambda of
+    e^{lambda0 t} u_t(x, y), written into ``out`` when it is given: psi0
+    copied in, scaled by each phi0 row, then divided by Lambda: the two
+    roundings of outer(phi0, psi0) / Lambda."""
+    phi = spec.phi0[rows, None]
+    if out is None:
+        out = np.empty((len(phi), len(spec.psi0)))
+    out[...] = spec.psi0
+    out *= phi
+    out /= spec.Lambda
+    return out
 
 
-def kernel_convergence_error(
-    op: KernelOperator, spec: SpectralData, limit: np.ndarray | None = None
-) -> float:
+def kernel_convergence_error(op: KernelOperator, spec: SpectralData) -> float:
     """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda| at the time of ``op``.
 
-    ``limit`` is ``kernel_limit(spec)``, which a grid forms once.  Each 64-row
-    block of the density, scaled, is compared with it in one preallocated
-    buffer, so no temporary is larger than a block; a nan entry gives nan.
+    Each 64-row block of the density, scaled, is compared with the same rows
+    of ``kernel_limit``, each formed in its own preallocated 64 x n buffer, so
+    no run forms the n x n limit and no temporary is larger than a block; the
+    value is the unblocked expression's bit for bit.  A nan entry gives nan.
     """
-    limit = kernel_limit(spec) if limit is None else limit
-    n, scale = len(limit), np.exp(spec.lambda0 * op.t)
-    buf = np.empty((64, n))
+    n, scale = len(spec.phi0), np.exp(spec.lambda0 * op.t)
+    buf, lim = np.empty((64, n)), np.empty((64, n))
 
     def block(r):
-        diff = np.multiply(scale, op.density[r], out=buf[:len(limit[r])])
-        diff -= limit[r]
+        u = op.density[r]
+        diff = np.multiply(scale, u, out=buf[:len(u)])
+        diff -= kernel_limit(spec, r, lim[:len(u)])
         return diff
     return _abs_max(block(r) for r in _rows(n))
 
@@ -255,9 +264,10 @@ def progressive_error(op: KernelOperator, spec: SpectralData, mask: np.ndarray) 
     ||u_t(x, .) / (U_t 1)(x) - m||_{L^1(mu)}, the L^inf quasi-ergodic error
     of the point masses at the masked points taken all at once."""
     mu = op.space.mu
-    u = op.density[mask]
-    m_density = spec.psi0 / np.sum(spec.psi0 * mu)
-    return float((np.abs(u / (u @ mu)[:, None] - m_density[None, :]) @ mu).max())
+    u = op.density[mask]  # the one copy: divided, shifted and taken |.| in place
+    u /= (u @ mu)[:, None]
+    u -= spec.psi0 / np.sum(spec.psi0 * mu)
+    return float((np.abs(u, out=u) @ mu).max())
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ def _floored(P: np.ndarray) -> np.ndarray:
 
 def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, W): ascending eigenvalues and orthonormal eigenvectors of the
-    symmetric S.
+    symmetric S, which the call owns: W may be written over S, so the caller
+    passes an array it no longer reads.
 
     When S equals its index reversal J S J within _REV_TOL max |S|, S maps the
     even vectors (x, y, Jx) and the odd ones (x, 0, -Jx) to themselves (y is
@@ -152,7 +153,10 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     about n/2: even A + BJ, bordered by sqrt2 S[:h, h] and S[h, h] when n is
     odd, and odd A - BJ, with A = S[:h, :h] and BJ = S[:h, n-h:] J.  Their two
     eigh cost about a quarter of one n x n eigh.  Eigenvalues tied across the
-    two blocks are taken even first.  Any other S takes one eigh.
+    two blocks are taken even first.  The even block is dropped once its eigh
+    returns, and S once both blocks are solved: W is written over S in sorted
+    column order, so the split holds no n x n array besides S.  Any other S
+    takes one eigh, and W is a new array.
     """
     if _abs_max(S[r] - S[::-1, ::-1][r] for r in _rows(len(S))) > _REV_TOL * max(S.max(), -S.min()):
         return np.linalg.eigh(S)
@@ -164,13 +168,14 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = np.sqrt(2.0) * S[:h, h:h + 1]
         even = np.block([[even, s], [s.T, S[h:h + 1, h:h + 1]]])
     we, Ue = np.linalg.eigh(even)
+    del even
     wo, Uo = np.linalg.eigh(A - BJ)
     w = np.concatenate([we, wo])
     order = np.argsort(w, kind="stable")
     ce, co = np.split(np.argsort(order), [h + mid])  # sorted columns of the block vectors
     Ue[:h] /= np.sqrt(2.0)
     Uo /= np.sqrt(2.0)
-    W = np.empty((n, n))  # written in sorted column order
+    W = S  # written in sorted column order
     W[:h, ce], W[h:n - h, ce], W[n - h:, ce] = Ue[:h], Ue[h:], Ue[:h][::-1]
     W[:h, co], W[h:n - h, co], W[n - h:, co] = Uo, 0.0, -Uo[::-1]
     return w[order], W
@@ -364,7 +369,10 @@ class MarkovModel(Engine):
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, B): ascending eigenvalues of G and L2(mu)-orthonormal eigenvectors.
 
-        Only reversible models have this factorization.
+        Only reversible models have this factorization.  S is formed and
+        symmetrized in one array that ``_symmetric_eigh`` owns: the parity
+        split writes the eigenvectors over it, and B is those scaled in place,
+        so past Q the split holds no n x n array besides S and its half blocks.
         """
         if not self.reversible:
             raise ValueError("only a reversible model has a symmetric spectrum")

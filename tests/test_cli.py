@@ -755,12 +755,16 @@ class TestOneGridPass:
 
     def test_a_run_holds_two_operator_sized_arrays_past_its_model(self, tmp_path, monkeypatch):
         # frac at n = 401 with every diagnostic.  Q and the spectrum's B live
-        # as long as the model, which forms no n x n dual kernel; past the
-        # first grid time the run adds the kernel error's limit, and while a
-        # grid time is read its U_t and the reads' temporaries, 5.41 n x n
-        # arrays in all.  A run holding the whole grid of six operators peaked
-        # at 12 n x n arrays, one that kept U_t alive through the next build
-        # at 7.66, and one that formed Q_dual and kept the first operator at 7.41
+        # as long as the model, which forms no n x n dual kernel, and the
+        # spectrum writes its eigenvectors over S; while a grid time is read
+        # the run adds its U_t and the reads' temporaries: the kernel error's
+        # two 64 x n blocks, find_qsd's iteration and kappa's masked rows,
+        # 3.99 n x n arrays in all.  The bound leaves 0.11 of margin.  A run
+        # that held the kernel limit past the first grid time and took the
+        # spectrum's vectors in a fresh array peaked at 5.41 n x n arrays, one
+        # holding the whole grid of six operators at 12, one that kept U_t
+        # alive through the next build at 7.66, and one that formed Q_dual and
+        # kept the first operator at 7.41
         n = 401
         builds = record_builds(monkeypatch)
         cfg = parse_config(write_config(tmp_path, FRAC_401.format(out=tmp_path / "o")))
@@ -773,11 +777,35 @@ class TestOneGridPass:
             gc.enable()
             tracemalloc.stop()
         assert builds.times == cfg.t_grid
-        assert peak < 5.6 * 8 * n * n
+        assert peak < 4.1 * 8 * n * n
         # each build begins with no earlier operator alive, and once the run
         # has returned and been dropped none is left
         assert builds.held == [0] * 6
         assert [r().t for r in builds.refs if r() is not None] == []
+
+    def test_an_oracle_run_holds_u1_u_t_and_the_kernel_error_blocks(self, tmp_path, monkeypatch):
+        # ho_oracle.ini, n = 121: past its space the run holds the engine's
+        # U_1, which the triple reads, and the U_t being read, and the kernel
+        # error adds its two 64 x n blocks; the bound allows 2^17 bytes for
+        # numpy's ufunc buffers (8192 doubles each).  The traced run is the
+        # second, so what a first call imports is left out.  It peaks at 3.79
+        # n x n arrays under a bound of 4.18; with the n x n kernel limit held
+        # through the grid it peaked at 4.39
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        cfg = parse_config(str(HO_ORACLE))
+        run_experiment(cfg)
+        builds = record_builds(monkeypatch)
+        tracemalloc.start()
+        gc.disable()
+        try:
+            run, _, _ = run_experiment(cfg)
+            peak = builds.peak()
+        finally:
+            gc.enable()
+            tracemalloc.stop()
+        n = run.model.n
+        assert n == 121 and builds.times == [1.0, 0.5, 0.75, 1.25]
+        assert peak <= 2 * 8 * n * n + 2 * 64 * 8 * n + 2**17
 
     @pytest.mark.parametrize("config,held", [
         (HO_ORACLE.read_text(), [0, 1, 1, 1]),  # U_1 for the triple, then 0.5, 0.75, 1.25
@@ -889,31 +917,26 @@ class TestVerdictSequence:
         assert got == sequence
         assert code == (0 if all(row.startswith("PASS") for row in sequence) else 2)
 
-    def test_kernel_limit_is_released_before_kappa_builds_an_off_grid_t0(
-            self, tmp_path, monkeypatch):
-        # kappa asks the engine for U_t0 after the grid pass; the n x n limit
-        # of the kernel error must be gone by then
+    def test_no_run_forms_an_n_by_n_kernel_limit(self, tmp_path, monkeypatch):
+        # the kernel error forms the limit's rows of each 64-row block in a
+        # 64 x n buffer, so no run holds the n x n limit, through the grid
+        # pass or through kappa's off-grid U_t0 after it: cycle at n = 130,
+        # three blocks (the last short) per grid time
         import qergo.diagnostics as dg
-        from qergo.operators import MarkovModel
 
-        limits, alive = [], []
-        kernel_limit, build = dg.kernel_limit, MarkovModel._build
+        calls, kernel_limit = [], dg.kernel_limit
 
-        def tracked_limit(spec):
-            limit = kernel_limit(spec)
-            limits.append(weakref.ref(limit))
-            return limit
-
-        def tracked_build(self, t):
-            alive.append((t, [ref() is not None for ref in limits]))
-            return build(self, t)
+        def tracked_limit(spec, rows=slice(None), out=None):
+            calls.append((rows, None if out is None else out.shape))
+            return kernel_limit(spec, rows, out)
 
         monkeypatch.setattr(dg, "kernel_limit", tracked_limit)
-        monkeypatch.setattr(MarkovModel, "_build", tracked_build)
-        text = FACTORIZATION_CONFIG.format(model="cycle", n=8, grid="1 3 4 9", out=tmp_path / "o",
+        text = FACTORIZATION_CONFIG.format(model="cycle", n=130, grid="1 3 4 9", out=tmp_path / "o",
                                            kappa="[diagnostics.kappa]\nt0 = 2\n")
-        run_experiment(parse_config(write_config(tmp_path, text)))
-        assert alive == [(1.0, []), (3.0, [True]), (4.0, [True]), (9.0, [True]), (2.0, [False])]
+        run, _, _ = run_experiment(parse_config(write_config(tmp_path, text)))
+        blocks = [(slice(0, 64), (64, 130)), (slice(64, 128), (64, 130)), (slice(128, 192), (2, 130))]
+        assert calls == blocks * 4
+        assert not hasattr(run, "limit")
 
 
 class TestMainEntry:

@@ -296,7 +296,7 @@ class TestKernelConvergence:
 
     @pytest.mark.parametrize("k", [1, 6])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
-    def test_stored_limit_gives_the_per_operator_expression_bit_for_bit(self, n, k):
+    def test_limit_rows_give_the_per_operator_expression_bit_for_bit(self, n, k):
         # n around the 64-row block; densities within 10 % of the limit, so the
         # differences sit at the size where a changed operation would show
         rng = np.random.default_rng(100 * n + k)
@@ -307,9 +307,11 @@ class TestKernelConvergence:
         ops = [KernelOperator(t, np.exp(-spec.lambda0 * t) * limit * rng.uniform(0.9, 1.1, (n, n)), sp)
                for t in np.linspace(0.3, 2.5, k)]
         want = [float(np.abs(np.exp(spec.lambda0 * op.t) * op.density - limit).max()) for op in ops]
-        stored = kernel_limit(spec)
-        assert np.array_equal(stored, limit)
-        assert [kernel_convergence_error(op, spec, stored) for op in ops] == want
+        assert np.array_equal(kernel_limit(spec), limit)
+        out = np.full((64, n), np.nan)  # rows written over a used buffer, as a block pass does
+        for r in (slice(i, i + 64) for i in range(0, n, 64)):
+            rows = kernel_limit(spec, r, out[:len(limit[r])])
+            assert np.shares_memory(rows, out) and np.array_equal(rows, limit[r])
         assert [kernel_convergence_error(op, spec) for op in ops] == want
 
     @pytest.mark.parametrize("row", [3, 150], ids=["first_block", "later_block"])
@@ -336,15 +338,16 @@ class TestKernelConvergence:
         phi = np.linspace(0.5, 1.5, n) / np.sqrt(n)
         spec = SpectralData(0.3, phi, phi, float(phi @ phi), 0.1)
         ops = [KernelOperator(t, np.outer(phi, phi) * t, sp) for t in (0.5, 1.0, 1.5, 2.0)]
-        limit = kernel_limit(spec)
         tracemalloc.start()
         try:
             for op in ops:
-                kernel_convergence_error(op, spec, limit)
+                kernel_convergence_error(op, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * 8 * n * n
+        # the density block and the limit block, 64 x n each, and 128 KiB for
+        # numpy's ufunc buffers (8192 doubles each): no n x n limit
+        assert peak < 2 * 64 * 8 * n + 2**17
 
     def test_decay_rate_matches_gap(self, swap2_v01):
         spec = principal_triple(swap2_v01)
@@ -431,6 +434,23 @@ class TestProgressiveError:
             for x in np.asarray(model.space.points)[mask]
         )
         assert progressive_error(op, spec, mask) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 40, 130])
+    def test_in_place_rows_give_the_expression_bit_for_bit(self, rows):
+        # one copy of the masked rows, divided, shifted and taken |.| in place,
+        # against the expression that formed four rows x n temporaries
+        n = 130
+        rng = np.random.default_rng(rows)
+        sp = StateSpace(tuple(range(n)), rng.uniform(0.5, 2.0, n), np.arange(n, dtype=float)[:, None])
+        phi, psi = rng.uniform(0.1, 1.0, (2, n))
+        spec = SpectralData(0.37, phi, psi, float(np.sum(phi * psi * sp.mu)), 0.2)
+        op = KernelOperator(1.0, rng.uniform(0.0, 1.0, (n, n)), sp)
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, rows, replace=False)] = True
+        u, mu = op.density[mask], sp.mu
+        m = psi / np.sum(psi * mu)
+        want = float((np.abs(u / (u @ mu)[:, None] - m[None, :]) @ mu).max())
+        assert progressive_error(op, spec, mask) == want
 
 
 class TestGsdProfile:

@@ -538,7 +538,9 @@ def record_eigh(monkeypatch):
 
 class TestParitySplit:
     """A symmetric S that commutes with the index reversal J is solved as two
-    half-size eigh, one per parity; the result stands in for one n x n eigh."""
+    half-size eigh, one per parity; the result stands in for one n x n eigh.
+    The call owns S: the split writes its eigenvectors over it, so each caller
+    passes a copy of an S it reads again."""
 
     @settings(max_examples=300, deadline=None)
     @given(S=centrosymmetric())
@@ -547,8 +549,9 @@ class TestParitySplit:
         shapes, eigh = [], np.linalg.eigh
         with mock.patch.object(np.linalg, "eigh",
                                lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k)):
-            w, W = _symmetric_eigh(S)
+            w, W = _symmetric_eigh(owned := S.copy())
         assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2]  # even block, then odd
+        assert W is owned  # written over S
         w_full, W_full = np.linalg.eigh(S)
         norm = np.max(np.abs(w_full), initial=0.0)
         assert np.all(np.diff(w) >= 0)
@@ -560,7 +563,7 @@ class TestParitySplit:
             full = (W_full * np.exp(t * (w_full - w_full[-1]))) @ W_full.T
             got = (W * np.exp(t * (w - w_full[-1]))) @ W.T
             assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
-        w2, W2 = _symmetric_eigh(S)
+        w2, W2 = _symmetric_eigh(S.copy())
         assert np.array_equal(w, w2) and np.array_equal(W, W2)
 
     @pytest.mark.parametrize("step,split", EDGE, ids=["at_the_bar", "past_the_bar"])
@@ -571,8 +574,9 @@ class TestParitySplit:
         S = dyadic_centrosymmetric()
         S[0, 1] = S[1, 0] = 0.5 + 2.0**-49 + step
         shapes = record_eigh(monkeypatch)
-        w, W = _symmetric_eigh(S)
+        w, W = _symmetric_eigh(owned := S.copy())
         assert shapes == ([(2, 2), (2, 2)] if split else [(4, 4)])
+        assert (W is owned) == split  # one full eigh returns a new array
         # at the bar the split solves J S J's upper half: off by 2^-49 at most
         assert np.max(np.abs(w - np.linalg.eigvalsh(S))) <= 1e-14
         assert np.max(np.abs(S @ W - W * w)) <= 1e-14
@@ -586,6 +590,24 @@ class TestParitySplit:
         shapes = record_eigh(monkeypatch)
         model.spectrum
         assert shapes == ([(2, 2), (2, 2)] if V[0] == V[3] else [(4, 4)])
+
+    def test_the_split_spectrum_holds_no_n_by_n_array_besides_s(self):
+        # frac at n = 401, whose Q the model holds.  The spectrum forms S, the
+        # two half blocks and their eigenvectors, and writes the sorted
+        # vectors over S: a traced peak of 1.81 n x n arrays past the model,
+        # against 3.07 when they went into a fresh array
+        model = zoo_build("frac", {"alpha": "1.0", "half_width": "50.0", "h": "0.25"})
+        n = model.n
+        assert n == 401 and model.reversible  # found once, before the trace
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            w, B = model.spectrum
+            held, peak = (m - live for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert held < 1.01 * 8 * n * n  # B, written over S
+        assert peak < 1.9 * 8 * n * n
 
     @pytest.mark.parametrize("n,slope", [(4, 0.0), (14, 0.1), (15, 0.1)])
     def test_top_eigenvalue_tied_across_parities_keeps_every_mode(self, n, slope):
