@@ -28,8 +28,8 @@ import numpy as np
 from . import diagnostics as dg
 from . import models as zoo
 from .errors import BadKeyError, ModelError, NonuniquenessWarning
-from .models import MAX_PATH_STEPS, _Key, parse_model_string, read_keys
-from .montecarlo import fk_estimate
+from .models import _Key, parse_model_string, read_keys
+from .montecarlo import check_batch, fk_estimate
 from .operators import MarkovModel, Survivals, feynman_kac_operator
 from .spectral import principal_triple, spectral_to_text
 from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
@@ -84,8 +84,8 @@ def _radius_law(spec: str):
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 # every key of every section; [model] holds the id and its rows of the zoo's
-# table of that id.  The rules that relate keys (the t_grid, names, kappa's
-# split and t0, the t_min bound, sigma's kind and the [mc] budget) are parse_config's
+# table of that id.  The rules that relate keys (the t_grid, names, kappa's split
+# and t0, the t_min bound, sigma's kind) are parse_config's; [mc]'s is check_batch's
 _KEYS = {
     "times": {"t_grid": _Key(default=...)},
     "diagnostics": {"names": _Key(default="")},
@@ -101,7 +101,7 @@ _KEYS = {
                  "rate_tol": _Key(float, 0.10, *_NONNEGATIVE),
                  "fit_tail": _Key(float, 0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
                  "gsd_level": _Key(float, 10.0, *_POSITIVE)},
-    "mc": {"n": _Key(int, 10000), "seed": _Key(int, 0)},
+    "mc": {"n": _Key(int, 10000), "seed": _Key(int, 0, lambda v: v >= 0, ">= 0")},
     "output": {"dir": _Key(default="out")},
 }
 
@@ -142,22 +142,6 @@ def _section(cp: configparser.ConfigParser, path: str, name: str) -> dict:
         return read_keys(zoo._zoo_entry(model_id).keys, raw, f"model {model_id!r}")
     except BadKeyError as exc:
         raise _fail_config(path, exc.key, str(exc), name) from None
-
-
-def _mc_problem(n: int, seed: int, t_max: float) -> tuple[str, str] | None:
-    """(key, message) of the first out-of-range value of a Monte Carlo block
-    of n paths to the horizon t_max, or None when all are in range."""
-    if n < 2:
-        return "n", f"mc needs n >= 2 paths, got {n}"
-    if seed < 0:
-        return "seed", f"mc needs a seed >= 0, got {seed}"
-    if not 0.0 < t_max < np.inf:  # nan fails too
-        return "t", f"mc needs a finite t > 0, got {t_max}"
-    steps = max(t_max, 1.0)  # a path costs at least one step, however short its horizon
-    if n * steps > MAX_PATH_STEPS:
-        return "n", (f"{n} paths to t = {t_max:g} exceed the budget of {MAX_PATH_STEPS} path steps "
-                     f"(n * max(t_max, 1)); the largest usable n is {int(MAX_PATH_STEPS // steps)}")
-    return None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -219,8 +203,11 @@ def parse_config(path: str) -> ExperimentConfig:
             raise _fail_config(path, "t_min", f"t_min = {t_min} exceeds {s_min}, the smallest "
                                "family parameter kappa reads (min(a, b) t_grid[0])", "family")
     mc = sections["mc"] if cp.has_section("mc") else None
-    if mc is not None and (problem := _mc_problem(mc["n"], mc["seed"], t_grid[-1])):
-        raise _fail_config(path, *problem, "mc")  # a key left out names the [mc] line
+    if mc is not None:
+        try:
+            check_batch(mc["n"], t_grid[-1])
+        except BadKeyError as exc:  # an n left out names the [mc] line
+            raise _fail_config(path, exc.key, str(exc), "mc") from None
 
     return ExperimentConfig(cp["model"]["id"], model_params, t_grid, names, diag_params, family,
                             sections["verdicts"], mc, sections["output"]["dir"], path)
@@ -579,8 +566,8 @@ def main(argv=None) -> int:
     p_mc.add_argument("model")
     p_mc.add_argument("--x0", default=None)
     p_mc.add_argument("--t", type=float, default=1.0)
-    p_mc.add_argument("--n", type=int, default=_KEYS["mc"]["n"].default)
-    p_mc.add_argument("--seed", type=int, default=_KEYS["mc"]["seed"].default)
+    p_mc.add_argument("--n", default=argparse.SUPPRESS)  # --n and --seed are read by the [mc] rows
+    p_mc.add_argument("--seed", default=argparse.SUPPRESS)
     p_mc.add_argument("-o", "--output")
     args = parser.parse_args(argv)
 
@@ -605,15 +592,18 @@ def main(argv=None) -> int:
                 print(text, end="")
             return 0
         if args.command == "mc":
-            problem = _mc_problem(args.n, args.seed, args.t)
-            if problem:
-                raise ConfigError(f"--{problem[0]}: {problem[1]}")
+            try:
+                given = {key: text for key, text in vars(args).items() if key in _KEYS["mc"]}
+                mc = read_keys(_KEYS["mc"], given, "[mc]")
+                check_batch(mc["n"], args.t)
+            except BadKeyError as exc:
+                raise ConfigError(f"--{exc.key}: {exc}") from None
             model = zoo.zoo_build(*parse_model_string(args.model))
             if not isinstance(model, MarkovModel):
                 raise ModelError(f"mc needs a Markov model, not the {model.label} oracle")
             x0 = model.space.points[0] if args.x0 is None else _state(model.space, "--x0", args.x0)
             op = feynman_kac_operator(model, args.t)
-            est, target, row = _mc_check(model, x0, op, args.n, args.seed)
+            est, target, row = _mc_check(model, x0, op, mc["n"], mc["seed"])
             if args.output:
                 _write_csv(args.output, _MC_HEADER, [row], datetime.now().isoformat())
             print(
@@ -627,7 +617,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure distinct from FAIL verdicts
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

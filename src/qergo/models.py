@@ -162,6 +162,19 @@ def _box_walk(d: int, side: int) -> tuple[np.ndarray, np.ndarray]:
     return Q, coords.astype(float)
 
 
+# desk-scale state budget: no model holds more points; the zoo's n rows read it as their range
+MAX_STATES = 2001
+_IN_BUDGET = (lambda n: n <= MAX_STATES, f"<= {MAX_STATES}, the desk-scale state budget")
+
+
+def _check_states(n: int) -> None:
+    """Refuse a model of n points before any array is formed: a gap, rate or QSD needs 2."""
+    if n < 2:
+        raise ModelError(f"{n}-state model: a gap, rate or QSD needs at least 2 states")
+    if not _IN_BUDGET[0](n):
+        raise ModelError(f"{n} points exceed the desk-scale state budget of {MAX_STATES}")
+
+
 def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) -> MarkovModel:
     """Assemble a MarkovModel from a kernel recipe.
 
@@ -170,10 +183,9 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
     Z^d with side^d = n), "complete", "cycle" (non-reversible rotation), or an
     explicit row-stochastic matrix.  The dual kernel is derived from the
     duality relation; a recipe/measure pair for which mu is not invariant is
-    rejected as a ModelError.
+    rejected as a ModelError, as is an n outside 2 ... MAX_STATES.
     """
-    if n < 2:
-        raise ModelError(f"{n}-state model: a gap, rate or QSD needs at least 2 states")
+    _check_states(n)
     mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
     if mu_arr.shape != (n,):
         raise ModelError(f"mu needs {n} values, got {mu_arr.size}")
@@ -192,6 +204,8 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
             coords = (np.arange(n) - (n - 1) / 2.0)[:, None]
         elif recipe.startswith("box"):
             d = int(recipe.split(":", 1)[1]) if ":" in recipe else 1
+            if d < 1:
+                raise ModelError(f"a box needs dimension d >= 1, got {d}")
             side = round(n ** (1.0 / d))
             if side**d != n:
                 raise ModelError(f"n={n} is not a {d}-dimensional box size")
@@ -228,23 +242,13 @@ def build_ctmc_model(n: int, q_spec, mu=None, V=None, label: str | None = None) 
 # fractional lattice model
 
 
-# desk-scale budgets: the points of a lattice, and the path steps (paths times
-# horizon, one at least) of a Monte Carlo batch, whose path arrays hold about
-# that many doubles
-MAX_LATTICE_POINTS = 2001
-MAX_PATH_STEPS = 2**25
-
-
 def lattice_space(half_width: float, h: float) -> StateSpace:
     """Symmetric 1D lattice {-K h, ..., K h}, mu = h per point, within the state budget."""
     for name, value in (("half_width", half_width), ("h", h)):
         if not (np.isfinite(value) and value > 0):
             raise ModelError(f"lattice {name} must be finite and positive, got {value!r}")
     K = int(round(half_width / h))
-    if K < 1:
-        raise ModelError("1-state lattice: a gap, rate or QSD needs at least 2 states")
-    if 2 * K + 1 > MAX_LATTICE_POINTS:
-        raise ModelError(f"lattice of {2 * K + 1} points exceeds the 2000-state desk-scale budget")
+    _check_states(2 * K + 1)
     xs = (np.arange(-K, K + 1)) * h
     return StateSpace(tuple(range(len(xs))), np.full(len(xs), h), xs[:, None])
 
@@ -255,6 +259,7 @@ def _lattice_points(space: StateSpace) -> np.ndarray:
     steps = np.diff(xs)
     if not (steps.size and steps.min() > 0 and steps.max() - steps.min() <= 1e-12 * steps.max()):
         raise ModelError("needs an increasing, equally spaced 1-D lattice of at least 2 points")
+    _check_states(len(xs))
     return xs
 
 
@@ -438,14 +443,14 @@ class _ZooEntry(NamedTuple):
     args: tuple = ()
 
 
-_CHAIN = {"n": _Key(int, ...), **_POTENTIAL}
+_CHAIN = {"n": _Key(int, ..., *_IN_BUDGET), **_POTENTIAL}
 _ZOO = {
     "birthdeath": _ZooEntry(
         "birthdeath(n) [mu=..., potential kind/beta/scale]",
         {**_CHAIN, "mu": _Key(_floats)}, _chain("birth-death", "birthdeath"), ("n",)),
     "box": _ZooEntry(
         "box(d, n) lazy walk on a box in Z^d",
-        {"d": _Key(int, 1), **_CHAIN},
+        {"d": _Key(int, 1, lambda v: v >= 1, ">= 1"), **_CHAIN},
         lambda v: build_ctmc_model(
             v["n"], f"box:{v['d']}", V=_potential(v), label=f"box({v['d']},{v['n']})"), ("d", "n")),
     "complete": _ZooEntry("complete(n) uniform jumps", _CHAIN, _chain("complete", "complete"), ("n",)),

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadKeyError
 from .models import PotentialSpec
 from .operators import MarkovModel
 
 __all__ = [
     "EstimateWithError",
+    "check_batch",
     "fk_estimate",
     "fk_conditioned_estimate",
     "exit_probability",
@@ -46,15 +48,26 @@ class EstimateWithError:
         return abs(self.mean - target) <= max(k * self.stderr, atol)
 
 
-def _normalize_rng(rng, n: int = 2) -> tuple[np.random.Generator, int | None]:
-    """(generator, recorded seed) for an estimator that draws ``n`` samples."""
+# desk-scale path budget: the doubles of a batch's one n x M array of jump times
+MAX_PATH_STEPS = 2**25
+
+
+def check_batch(n: int, t: float) -> None:
+    """Refuse n paths to t, by a BadKeyError naming ``n`` or ``t``, unless n >= 2, 0 < t < inf
+    and n (t + 10 sqrt(max(t, 1))) path steps, a Poisson(t) tail bound of n M, fit the budget."""
     if n < 2:
-        raise ValueError("need at least two samples")
-    if rng is None:
-        return np.random.default_rng(), None
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng)), int(rng)
-    return rng, None
+        raise BadKeyError("n", f"a batch needs n >= 2 paths, got {n}")
+    if not 0.0 < t < np.inf:  # nan fails too
+        raise BadKeyError("t", f"a batch needs a finite t > 0, got {t}")
+    largest = int(MAX_PATH_STEPS // (t + 10.0 * max(t, 1.0) ** 0.5))
+    if n > largest:
+        raise BadKeyError("n", f"{n} paths to t = {t:g} exceed the budget of {MAX_PATH_STEPS} path "
+                          f"steps (n * (t + 10 sqrt(max(t, 1)))); the largest usable n is {largest}")
+
+
+def _normalize_rng(rng) -> tuple[np.random.Generator, int | None]:
+    """(generator, recorded seed) of ``rng``: a generator, used as it is, a seed or None."""
+    return np.random.default_rng(rng), int(rng) if isinstance(rng, (int, np.integer)) else None
 
 
 # buckets of the guide table; a power of two, so floor(x * B) is exact
@@ -88,11 +101,12 @@ def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
     cum[s, j] >= r is read from a guide table in O(1), with the exact O(n)
     count only where r falls in a bucket that holds a threshold.
     """
+    check_batch(n, t)
     i0 = model.space.index(x0)
     counts = gen.poisson(t, n)
-    M = int(counts.max()) if n else 0
+    M = int(counts.max())
     # jump times, masked and sorted in place: the batch's one n x M array
-    times = gen.uniform(0.0, t, (n, M)) if M else np.zeros((n, 0))
+    times = gen.uniform(0.0, t, (n, M))
     times[np.arange(M)[None, :] >= counts[:, None]] = np.inf
     times.sort(axis=1)
     cum = np.cumsum(model.Q, axis=1)
@@ -129,7 +143,7 @@ def _sample_mean(vals: np.ndarray, seed: int | None) -> EstimateWithError:
 
 def _fk_batch(model: MarkovModel, x0, t: float, f, n: int, rng):
     """(weights, weight * f(X_t), seed) of n paths from x0."""
-    gen, seed = _normalize_rng(rng, n)
+    gen, seed = _normalize_rng(rng)
     fv = np.asarray(f(model.space.coords), float) if callable(f) else np.asarray(f, float)
     w, end, _ = _simulate_batch(model, x0, t, n, gen)
     return w, w * fv[end], seed
@@ -142,9 +156,7 @@ def fk_estimate(model: MarkovModel, x0, t: float, f, n: int, rng) -> EstimateWit
     return _sample_mean(vals, seed)
 
 
-def fk_conditioned_estimate(
-    model: MarkovModel, x0, t: float, f, n: int, rng
-) -> EstimateWithError:
+def fk_conditioned_estimate(model: MarkovModel, x0, t: float, f, n: int, rng) -> EstimateWithError:
     """Survival-conditioned ratio estimator of E[w f(X_t)] / E[w], the
     Monte Carlo reading of sigma(U_t f)/sigma(U_t 1) for sigma = delta_x0,
     with a delta-method standard error."""
@@ -164,7 +176,7 @@ def exit_probability(
 ) -> EstimateWithError:
     """Estimate of P^{x0}(t <= tau_{B_radius(x0)}), the chance of staying in
     the closed metric ball around the start point up to the horizon."""
-    gen, seed = _normalize_rng(rng, n)
+    gen, seed = _normalize_rng(rng)
     _, _, stayed = _simulate_batch(model, x0, t, n, gen, radius=radius)
     return _sample_mean(stayed.astype(float), seed)
 
@@ -172,6 +184,8 @@ def exit_probability(
 def _stable_batch(alpha: float, size: int, gen) -> np.ndarray:
     """Standard symmetric alpha-stable draws with CF exp(-|xi|^alpha),
     by the Chambers-Mallows-Stuck construction."""
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (0, 2]")
     U = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     E = gen.exponential(1.0, size)
     if abs(alpha - 1.0) < 1e-14:
@@ -185,8 +199,6 @@ def sample_stable_increment(alpha: float, dt: float, rng) -> float:
     """One increment of the symmetric alpha-stable process over a step dt,
     with characteristic function e^{-dt |xi|^alpha}; alpha = 2 reduces to a
     Gaussian of variance 2 dt."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
     if dt <= 0:
         raise ValueError("dt must be positive")
     gen, _ = _normalize_rng(rng)
@@ -194,22 +206,15 @@ def sample_stable_increment(alpha: float, dt: float, rng) -> float:
 
 
 def fk_estimate_levy(
-    alpha: float,
-    V: PotentialSpec,
-    x0: float,
-    t: float,
-    n_steps: int,
-    n: int,
-    rng,
+    alpha: float, V: PotentialSpec, x0: float, t: float, n_steps: int, n: int, rng
 ) -> EstimateWithError:
     """Euler estimate of (U_t 1)(x0) for the continuum fractional Schrodinger
     semigroup: stable increments between grid times, left-endpoint Riemann
     sum of V along the path."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
     if n_steps < 4:
         raise ValueError("need at least 4 Euler steps")
-    gen, seed = _normalize_rng(rng, n)
+    check_batch(n, t)
+    gen, seed = _normalize_rng(rng)
     dt = t / n_steps
     X = np.full(n, float(x0))
     logw = np.zeros(n)

@@ -15,7 +15,6 @@ from qergo.cli import (
     _KEYS,
     DIAGNOSTIC_NAMES,
     ConfigError,
-    _mc_problem,
     list_models,
     main,
     parse_config,
@@ -24,11 +23,12 @@ from qergo.cli import (
 )
 from qergo.models import (
     _ZOO,
-    MAX_PATH_STEPS,
+    MAX_STATES,
     build_ho_discretization,
     lattice_space,
     zoo_build,
 )
+from qergo.montecarlo import check_batch
 from qergo.spectral import principal_triple, principal_triple_from_operator, spectral_to_text
 
 BIRTHDEATH_FULL = Path(__file__).resolve().parents[1] / "configs" / "birthdeath_full.ini"
@@ -152,6 +152,12 @@ KEY_TABLE = [(section, key) for section, keys in _KEYS.items() for key in keys]
 MODEL_KEYS = [(model_id, key) for model_id, entry in _ZOO.items() for key in entry.keys]
 NUMERIC_MODEL_KEYS = [(model_id, key) for model_id, key in MODEL_KEYS
                       if _ZOO[model_id].keys[key].type is not str]
+# (id, key, value, the start of its refusal): a word for each numeric key, an n
+# past the state budget for each id that takes one, and a box of dimension 0
+BAD_MODEL_VALUES = [(m, k, "abc", f"bad '{k}' value 'abc': ") for m, k in NUMERIC_MODEL_KEYS] + [
+    (m, k, str(MAX_STATES + 1), f"n must be <= {MAX_STATES}, the desk-scale state budget, "
+     f"got {MAX_STATES + 1}") for m, k in MODEL_KEYS if k == "n"] + [
+    ("box", "d", "0", "d must be >= 1, got 0")]
 # a value for each key that an id requires
 REQUIRED = {"n": "4", "alpha": "1.0", "q": "0 1 ; 1 0"}
 
@@ -207,13 +213,12 @@ class TestKeyTable:
         msg = self._refused(tmp_path, capsys, monkeypatch, model_config(model_id, bad), bad)
         assert msg.startswith(f"unknown key '{key}{key[-1]}'; model '{model_id}' has ")
 
-    @pytest.mark.parametrize("model_id,key", NUMERIC_MODEL_KEYS,
-                             ids=[f"{m}-{k}" for m, k in NUMERIC_MODEL_KEYS])
-    def test_non_numeric_model_value_is_refused_on_its_line(
-            self, tmp_path, capsys, monkeypatch, model_id, key):
-        text = model_config(model_id, **{key: "abc"})
-        msg = self._refused(tmp_path, capsys, monkeypatch, text, f"{key} = abc")
-        assert msg.startswith(f"bad '{key}' value 'abc': ")
+    @pytest.mark.parametrize("model_id,key,value,msg", BAD_MODEL_VALUES,
+                             ids=[f"{m}-{k}-{v}" for m, k, v, _ in BAD_MODEL_VALUES])
+    def test_bad_model_value_is_refused_on_its_line(
+            self, tmp_path, capsys, monkeypatch, model_id, key, value, msg):
+        text = model_config(model_id, **{key: value})
+        assert self._refused(tmp_path, capsys, monkeypatch, text, f"{key} = {value}").startswith(msg)
 
     def test_unknown_model_id_is_refused_on_the_id_line(self, tmp_path, capsys, monkeypatch):
         text = BIRTHDEATH_FULL.read_text().replace("id = birthdeath", "id = birthdeth")
@@ -230,7 +235,8 @@ class TestKeyTable:
         ("beta = 2.0", "bta = 2.0", "unknown key 'bta'; model 'birthdeath' has n, potential, beta, "
                                     "scale, mu"),
         ("n = 12", "n = twelve", "bad 'n' value 'twelve': not an integer"),
-    ], ids=["misspelt_beta", "word_for_n"])
+        ("n = 12", "n = 2002", "n must be <= 2001, the desk-scale state budget, got 2002"),
+    ], ids=["misspelt_beta", "word_for_n", "n_past_the_state_budget"])
     def test_shipped_config_with_a_bad_model_key_is_refused_on_its_line(
             self, tmp_path, capsys, monkeypatch, old, new, msg):
         text = BIRTHDEATH_FULL.read_text()
@@ -273,9 +279,15 @@ class TestKeyTable:
         text = BIRTHDEATH_FULL.read_text().replace("n = 20000\nseed = 1234\n", "")
         assert parse_config(write_config(tmp_path, text)).mc == defaults
         asked = []
-        monkeypatch.setattr(cli, "_mc_problem", lambda *args: asked.append(args) or ("n", "stop"))
+
+        def no_simulation(*args):  # the batch rule is asked first, then the estimator
+            asked.append(args[-2:])
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(cli, "check_batch", lambda *args: asked.append(args))
+        monkeypatch.setattr(cli, "fk_estimate", no_simulation)
         assert main(["mc", "swap2"]) == 1
-        assert asked == [(defaults["n"], defaults["seed"], 1.0)]
+        assert asked == [(defaults["n"], 1.0), (defaults["n"], defaults["seed"])]
 
     def test_verdict_file_lists_the_default_tolerances(self, tmp_path):
         out = tmp_path / "o"
@@ -992,11 +1004,15 @@ class TestMainEntry:
         (["--n", "1"], "--n"), (["--n", "0"], "--n"), (["--n", "-5"], "--n"),
         (["--t", "-1"], "--t"), (["--t", "0"], "--t"), (["--t", "nan"], "--t"),
         (["--t", "inf"], "--t"), (["--seed", "-1"], "--seed"),
-        (["--n", "100000", "--t", "1000"], "largest usable n is 33554"),
-        # a short horizon still costs every path a step: 1e9 paths are ~16 GB of state
-        (["--n", "1000000000", "--t", "0.001"], f"largest usable n is {MAX_PATH_STEPS}"),
+        # --n and --seed are read by the [mc] rows, so a word is refused as in a config
+        (["--n", "ten"], "--n: bad 'n' value 'ten': not an integer"),
+        (["--seed", "1.5"], "--seed: bad 'seed' value '1.5': not an integer"),
+        (["--n", "100000", "--t", "1000"], "largest usable n is 25492"),
+        # a short horizon is still charged ~10 steps a path: 1e9 paths fill ~16 GB of jump times
+        (["--n", "1000000000", "--t", "0.001"], "largest usable n is 3355107"),
     ], ids=["n_one", "n_zero", "n_negative", "t_negative", "t_zero", "t_nan", "t_inf",
-            "seed_negative", "past_the_budget", "short_horizon_past_the_budget"])
+            "seed_negative", "n_word", "seed_fraction", "past_the_budget",
+            "short_horizon_past_the_budget"])
     def test_mc_bad_option_exits_one(self, capsys, monkeypatch, args, named):
         import qergo.cli as cli
 
@@ -1040,6 +1056,9 @@ class TestMainEntry:
         ("ho(6, -0.1)", "lattice h must be finite and positive"),
         ("ho(6, nan)", "lattice h must be finite and positive"),
         ("ho(0, 0.1)", "lattice half_width must be finite and positive"),
+        ("complete(2002)", f"n must be <= {MAX_STATES}, the desk-scale state budget, got 2002"),
+        ("box(0, 4)", "d must be >= 1, got 0"),
+        ("box(-1, 4)", "d must be >= 1, got -1"),
     ])
     def test_malformed_model_string_exits_one(self, capsys, text, named):
         assert main(["spectral", text]) == 1
@@ -1263,9 +1282,9 @@ class TestMainEntry:
         ("[mc]\nn = 20000\nseed = 1234\n", "n = 20000"), ("[mc]\nseed = 1234\n", "[mc]"),
     ], ids=["n", "default_n"])
     def test_mc_past_the_path_step_budget_exits_one(self, tmp_path, capsys, monkeypatch, mc, bad):
-        # 20000 (or the default 10000) paths to t = 6000 are ~1e8 path steps, past
-        # the 2^25 budget; refused on the [mc] n line (or the [mc] line when n is
-        # left out) before any model is built or output written
+        # 20000 (or the default 10000) paths to t = 6000 are ~1.4e8 (~6.8e7) path
+        # steps, past the 2^25 budget; refused on the [mc] n line (or the [mc] line
+        # when n is left out) before any model is built or output written
         import qergo.models as models
 
         def no_model(*args):
@@ -1282,14 +1301,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         line = text.splitlines().index(bad) + 1
         assert err.startswith(f"error: {path}:{line}: ")
-        assert f"largest usable n is {MAX_PATH_STEPS // 6000}" in err
+        assert "largest usable n is 4952" in err
         assert not (tmp_path / "o").exists()
 
     def test_shipped_mc_blocks_are_within_the_budget(self):
         # the shipped config and the README's `qergo mc` example must still run
         cfg = parse_config(str(BIRTHDEATH_FULL))
-        assert _mc_problem(cfg.mc["n"], cfg.mc["seed"], cfg.t_grid[-1]) is None
-        assert _mc_problem(2000, 7, 1.0) is None
+        check_batch(cfg.mc["n"], cfg.t_grid[-1])
+        check_batch(2000, 1.0)
 
     def test_readme_mc_example_checks_a_survival_below_one(self, capsys):
         # frac carries a potential, so U_t 1 < 1 and the 3-sigma check can fail

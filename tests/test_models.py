@@ -5,6 +5,7 @@ import pytest
 
 from qergo.errors import BadKeyError, ClassifierError, ModelError
 from qergo.models import (
+    MAX_STATES,
     LevyProfile,
     OscillatorOracle,
     PotentialSpec,
@@ -65,6 +66,21 @@ class TestCtmcRecipes:
     def test_bad_recipe_rejected(self):
         with pytest.raises(ModelError, match="recipe"):
             build_ctmc_model(4, "moebius")
+        for recipe in ("box:0", "box:-1"):  # once a ZeroDivisionError
+            with pytest.raises(ModelError, match="d >= 1"):
+                build_ctmc_model(4, recipe)
+
+    @pytest.mark.parametrize("recipe", ["birth-death", "box:1", "complete", "cycle"])
+    def test_past_the_state_budget_is_refused_before_any_array(self, recipe):
+        n = MAX_STATES + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=f"{n} points exceed .* {MAX_STATES}"):
+                build_ctmc_model(n, recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n  # not one n-vector, let alone an n x n array
 
     def test_potential_spec_applied_to_coords(self):
         pot = PotentialSpec("power", beta=2.0, scale=0.1)
@@ -127,18 +143,25 @@ class TestFractionalModel:
             LevyProfile("exponential", alpha=1.0, delta=0.5)
 
     def test_state_budget_enforced(self):
-        with pytest.raises(ModelError, match="2000"):
+        with pytest.raises(ModelError, match="budget of 2001"):
             build_fractional_model((2000.0, 0.5), LevyProfile("polynomial", alpha=1.0),
                                    PotentialSpec("log-power", beta=1.0))
 
     def test_lattice_budget_is_shared_by_frac_and_ho(self):
         # the check sits in lattice_space, so the oscillator lattice is bounded
         # too, and n = 2001 is the largest lattice either family may build
-        assert lattice_space(500.0, 0.5).n == 2001
-        with pytest.raises(ModelError, match="2003 points .* 2000"):
+        assert lattice_space(500.0, 0.5).n == MAX_STATES == 2001
+        with pytest.raises(ModelError, match="2003 points .* 2001"):
             lattice_space(500.5, 0.5)
-        with pytest.raises(ModelError, match="2000"):
+        with pytest.raises(ModelError, match="budget of 2001"):
             zoo_build("ho", {"half_width": 6.0, "h": 0.004})
+        # a builder given a space of its own checks it too
+        xs = np.arange(2003.0)
+        space = StateSpace(tuple(range(2003)), np.ones(2003), xs[:, None])
+        with pytest.raises(ModelError, match="2003 points"):
+            build_ho_discretization(space, 1.0)
+        with pytest.raises(ModelError, match="2003 points"):
+            build_fractional_model(space, LevyProfile("polynomial", alpha=1.0), PotentialSpec("power"))
 
     @pytest.mark.parametrize("half_width,h", [
         (6.0, 0.0), (6.0, -0.1), (6.0, float("nan")), (6.0, float("inf")),

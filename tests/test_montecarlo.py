@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from qergo.cli import parse_config
 from qergo.diagnostics import qsd_from_spectral
+from qergo.errors import BadKeyError
 from qergo.models import PotentialSpec, build_ctmc_model, zoo_build
 from qergo.montecarlo import (
     _GUIDE_BUCKETS,
+    MAX_PATH_STEPS,
     EstimateWithError,
     _simulate_batch,
+    check_batch,
     exit_probability,
     fk_conditioned_estimate,
     fk_estimate,
@@ -213,9 +216,21 @@ class TestFkEstimate:
         )
         assert hits >= 95
 
-    def test_needs_two_samples(self, birthdeath5):
-        with pytest.raises(ValueError):
-            fk_estimate(birthdeath5, 0, 1.0, np.ones(5), 1, rng=0)
+    @pytest.mark.parametrize("n,t,key", [
+        (1, 1.0, "n"), (0, 1.0, "n"), (2, 0.0, "t"), (2, float("nan"), "t"), (2, float("inf"), "t"),
+        (3050403, 1.0, "n"), (2**25, 1.0, "n"), (3355108, 0.001, "n"),
+    ], ids=["one", "none", "t_zero", "t_nan", "t_inf", "past_the_budget_at_t1",
+            "two_to_the_25_paths_at_t1", "past_the_budget_at_a_short_horizon"])
+    def test_batch_rule_refuses_before_any_draw(self, birthdeath5, n, t, key):
+        # a BadKeyError is a ValueError; the generator's state is untouched
+        for estimate in (lambda gen: fk_estimate(birthdeath5, 0, t, np.ones(5), n, gen),
+                         lambda gen: exit_probability(birthdeath5, 0, t, 1.0, n, gen)):
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            with pytest.raises(ValueError) as caught:
+                estimate(gen)
+            assert isinstance(caught.value, BadKeyError) and caught.value.key == key
+            assert gen.bit_generator.state == state
 
     def test_conditioned_estimate_approaches_qsd_mean(self, birthdeath5):
         spec = principal_triple(birthdeath5)
@@ -298,12 +313,37 @@ class TestLevyEstimator:
     def test_needs_minimum_steps(self):
         with pytest.raises(ValueError):
             fk_estimate_levy(1.0, PotentialSpec("power", beta=1.0), 0.0, 1.0, 2, 100, rng=0)
+        with pytest.raises(ValueError, match="n >= 2"):  # and two paths, by the batch rule
+            fk_estimate_levy(1.0, PotentialSpec("power", beta=1.0), 0.0, 1.0, 8, 1, rng=0)
 
     def test_reproducible(self):
         pot = PotentialSpec("power", beta=1.0)
         a = fk_estimate_levy(1.0, pot, 0.0, 0.5, 32, 2000, rng=55)
         b = fk_estimate_levy(1.0, pot, 0.0, 0.5, 32, 2000, rng=55)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_path_budget_bounds_the_array_a_batch_fills():
+    """At each horizon the largest n that check_batch admits fills an n x M array of jump
+    times, M the largest of n Poisson(t) counts; by the union bound over the paths, that
+    array passes 1.1 times the budget with a chance below 1e-3, from t = 1e-3 to the t
+    where the budget admits two paths."""
+    from scipy.stats import poisson
+
+    worst = 0.0
+    for t in np.logspace(-3, 8, 2000):
+        steps = t + 10.0 * np.sqrt(max(t, 1.0))
+        n = int(MAX_PATH_STEPS // steps)
+        if n < 2:
+            break
+        check_batch(n, t)
+        with pytest.raises(BadKeyError):
+            check_batch(n + 1, t)
+        # M * n > 1.1 budget needs M > floor(1.1 budget / n)
+        worst = max(worst, n * poisson.sf(np.floor(1.1 * MAX_PATH_STEPS / n), t))
+    assert t > 1e7 and worst < 1e-3
+    # the shipped chain_mc block is far inside: 20000 paths to t = 13.2
+    check_batch(20000, 13.2)
 
 
 def test_estimate_validation():
