@@ -37,6 +37,7 @@ from .statespace import ExhaustingFamily, ball_indicator, tabulated_radius
 _FMT = ".17g"
 _NO_SPECTRAL = "SKIPPED: no spectral data (reducible chain)"
 _NO_FAMILY = "SKIPPED: no [family] section"
+_MC_NEEDS = "Monte Carlo needs a Markov generator; zoo id {!r} is kernel-only"
 _LOG_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 
 
@@ -167,7 +168,9 @@ def parse_config(path: str) -> ExperimentConfig:
         t_grid = [float(v) for v in sections["times"]["t_grid"].split()]
     except ValueError as exc:
         raise _fail_config(path, "t_grid", f"bad t_grid: {exc}")
-    if any(s >= t for s, t in zip(t_grid, t_grid[1:])) or not t_grid:
+    if not t_grid:
+        raise _fail_config(path, "t_grid", "t_grid needs at least one time")
+    if any(s >= t for s, t in zip(t_grid, t_grid[1:])):
         raise _fail_config(path, "t_grid", "t_grid must be strictly increasing")
     if not all(0.0 < t < np.inf for t in t_grid):  # nan fails too
         raise _fail_config(path, "t_grid", "t_grid times must be finite and > 0")
@@ -204,6 +207,8 @@ def parse_config(path: str) -> ExperimentConfig:
                                "family parameter kappa reads (min(a, b) t_grid[0])", "family")
     mc = sections["mc"] if cp.has_section("mc") else None
     if mc is not None:
+        if not zoo._zoo_entry(cp["model"]["id"]).generator:
+            raise _fail_config(path, "mc", "[mc]: " + _MC_NEEDS.format(cp["model"]["id"]), "mc")
         try:
             check_batch(mc["n"], t_grid[-1])
         except BadKeyError as exc:  # an n left out names the [mc] line
@@ -245,17 +250,17 @@ def _parse_sigma(cfg: ExperimentConfig, space) -> np.ndarray:
 
 @dataclass
 class _Run:
-    """One run: its inputs, the survivals and reads of each grid time, and the
-    rows it writes.  It holds no n x n array: each read takes what it needs
-    of U_t while the grid pass holds it, the kernel limit by row blocks."""
+    """One run: its inputs, the survivals and reads of each grid time in grid
+    order, and the rows it writes.  It holds no n x n array: each read takes
+    what it needs of U_t while the grid pass holds it, the kernel limit by row blocks."""
 
     cfg: ExperimentConfig
     model: object
     spec: object
     fam: ExhaustingFamily | None
     sigma: np.ndarray | None
-    ops: list = field(default_factory=list)
-    reads: dict = field(default_factory=dict)
+    ops: list
+    reads: dict
     series_rows: list = field(default_factory=list)
     summary_rows: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
@@ -296,11 +301,8 @@ def run_experiment(cfg: ExperimentConfig):
     fam = _build_family(cfg, model.space)
     sigma = _parse_sigma(cfg, model.space) if "quasi_ergodic" in cfg.diagnostics else None
     if not isinstance(model, MarkovModel):
-        if cfg.mc is not None:
-            raise _fail_config(cfg.source, "mc", "[mc]: needs a Markov generator; "
-                               f"the {model.label} oracle is kernel-only")
-        # the triple reads U_1: built here, each build is a step of the run in a
-        # traced bench run, as the grid's are; the engine keeps it first
+        # the triple reads U_1, built here so that a traced bench run sees each
+        # build as a step of the run; the grid pass reads it first, if t = 1 is on it
         model.operator(1.0)
     try:  # before the grid, so that a grid past the double range below fails before any operator
         spec = principal_triple(model)
@@ -313,17 +315,18 @@ def run_experiment(cfg: ExperimentConfig):
                 cfg.source, "t_grid", f"e^(lambda0 t) overflows: lambda0 = {spec.lambda0:.6g}, "
                 f"so the largest usable t is {_LOG_MAX / spec.lambda0:.6g}")
 
-    run = _Run(cfg, model, spec, fam, sigma)
     entries = {name: _DIAGNOSTICS[name] for name in cfg.diagnostics}
     skipped = {name: _NO_SPECTRAL if entry.spectral and spec is None
                else _NO_FAMILY if entry.family and fam is None else None
                for name, entry in entries.items()}
     readers = [name for name, entry in entries.items() if entry.read and not skipped[name]]
-    for i, t in enumerate(cfg.t_grid):  # once, ascending: U_t is read, then dropped but its survivals
-        op = model.operator(t)
+    k = len(cfg.t_grid)  # each U_t once, held ones first, then ascending; stored by grid index
+    run = _Run(cfg, model, spec, fam, sigma, [None] * k, {name: [None] * k for name in readers})
+    for i in sorted(range(k), key=lambda i: not model.holds(cfg.t_grid[i])):
+        op = model.operator(cfg.t_grid[i])
         for name in readers:
-            run.reads.setdefault(name, []).append(entries[name].read(run, i, op))
-        run.ops.append(Survivals(t, op.space, op.survival, op.dual_survival))
+            run.reads[name][i] = entries[name].read(run, i, op)
+        run.ops[i] = Survivals(op.t, op.space, op.survival, op.dual_survival)
         del op  # before the next build: only the engine's rule keeps an operator
     for name, entry in entries.items():
         if skipped[name]:
@@ -598,9 +601,10 @@ def main(argv=None) -> int:
                 check_batch(mc["n"], args.t)
             except BadKeyError as exc:
                 raise ConfigError(f"--{exc.key}: {exc}") from None
-            model = zoo.zoo_build(*parse_model_string(args.model))
-            if not isinstance(model, MarkovModel):
-                raise ModelError(f"mc needs a Markov model, not the {model.label} oracle")
+            model_id, params = parse_model_string(args.model)
+            if not zoo._zoo_entry(model_id).generator:
+                raise ModelError(_MC_NEEDS.format(model_id))
+            model = zoo.zoo_build(model_id, params)
             x0 = model.space.points[0] if args.x0 is None else _state(model.space, "--x0", args.x0)
             op = feynman_kac_operator(model, args.t)
             est, target, row = _mc_check(model, x0, op, mc["n"], mc["seed"])

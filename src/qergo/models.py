@@ -316,8 +316,7 @@ def build_ho_discretization(grid: StateSpace | tuple, t: float) -> KernelOperato
 class OscillatorOracle(Engine):
     """Kernel-only model of the oscillator on a lattice: it has a space, a
     label and ``operator(t)`` like a MarkovModel, but no Q, V or generator.
-
-    It is its own engine, whose operator at time t is the Mehler kernel.
+    It is its own engine of Mehler kernels, and holds one of them at a time.
     """
 
     label = "ho"
@@ -435,12 +434,14 @@ def _chain(recipe: str, label: str) -> Callable:
 
 class _ZooEntry(NamedTuple):
     """``build`` makes the model from the values that ``keys`` reads; ``args``
-    names the keys that the compact form's positions fill, in order."""
+    names the keys that the compact form's positions fill, in order; a model
+    without a ``generator`` is kernel-only, and Monte Carlo cannot run on it."""
 
     schema: str
     keys: dict
     build: Callable
     args: tuple = ()
+    generator: bool = True
 
 
 _CHAIN = {"n": _Key(int, ..., *_IN_BUDGET), **_POTENTIAL}
@@ -468,7 +469,8 @@ _ZOO = {
     "ho": _ZooEntry(
         "ho(half_width, h) closed-form oscillator kernel lattice",
         {"half_width": _Key(float, 8.0), "h": _Key(float, 0.05)},
-        lambda v: OscillatorOracle(lattice_space(v["half_width"], v["h"])), ("half_width", "h")),
+        lambda v: OscillatorOracle(lattice_space(v["half_width"], v["h"])), ("half_width", "h"),
+        generator=False),
     "swap2": _ZooEntry(
         "swap2 canonical 2-state swap",
         _POTENTIAL, lambda v: build_ctmc_model(2, "swap2", V=_potential(v), label="swap2")),

@@ -228,22 +228,24 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
 
 class Engine:
     """U_t of one model for any finite t > 0, built by the subclass hook ``_build(t)``.
-    It keeps what a later build or the triple reads again: the most recent
-    operator and, if it ``keeps_first``, the first (the step U_s of an ascending
-    grid composed as U_t = U_{t-s} U_s, or the U_1 of a kernel-only triple).  An
-    engine that ``composes`` keeps its most recent operator through the next
-    build, as the factor U_{t-s}; any other releases it before the build."""
+    It keeps its most recent operator, and an older one only as the factor of a
+    later build: one that ``composes`` keeps its first (the step U_s of a grid
+    composed as U_t = U_{t-s} U_s) and its most recent through the next build;
+    any other releases its one operator before the next build."""
 
     composes = False
-    keeps_first = True
 
     @cached_property
     def _ops(self) -> dict[float, KernelOperator]:
         return {}
 
     def _release(self) -> None:
-        for s in list(self._ops)[int(self.keeps_first):]:
+        for s in list(self._ops)[int(self.composes):]:
             del self._ops[s]
+
+    def holds(self, t: float) -> bool:
+        """Whether U_t is held, so that ``operator(t)`` builds nothing."""
+        return float(t) in self._ops
 
     def operator(self, t: float) -> KernelOperator:
         if not 0 < t < np.inf:  # nan fails too, before any build
@@ -287,7 +289,7 @@ class MarkovModel(Engine):
     times max u, max U_t 1 and <U_t 1, 1>_mu where mu is far from uniform.
     The eigenvalue problem of a symmetric matrix is well conditioned, so this
     agrees with the exponential to round-off.  Its builds read only the
-    spectrum: it keeps no first operator and releases its latest before each build.
+    spectrum: it does not compose, so it releases its latest before each build.
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
@@ -295,8 +297,8 @@ class MarkovModel(Engine):
     step is formed in the generator's own array, and the series in place
     over it.  A time that is the sum of two cached times is instead their
     product, one GEMM, so an equally spaced ascending grid costs one
-    exponential; such a model ``composes``, and keeps its most recent
-    operator through the next build as a factor.  After
+    exponential; such a model ``composes``, and keeps its first and its most
+    recent operators through the next build as factors.  After
     the step, each squaring and each product, the transition form is clamped
     at 0 and entries below 2^-500 max(P) are zeroed.  That floor lies ~1e-135
     below the exponential's normwise error eps max(P), so it drops nothing the
@@ -336,11 +338,9 @@ class MarkovModel(Engine):
 
     @property
     def composes(self) -> bool:
-        """Whether a build may read the first and the most recent operators: a
-        non-reversible U_t is the product of two cached ones where it can be."""
+        """Whether a build may read earlier operators, the first and the most recent, which
+        the engine then keeps: a non-reversible U_t is the product of two cached ones."""
         return not self.reversible
-
-    keeps_first = composes
 
     def generator(self) -> np.ndarray:
         """G = Q - I - diag(V), acting on functions: a copy of Q with

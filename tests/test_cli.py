@@ -480,29 +480,40 @@ dir = {out}
         checked = [line.split()[1] for line in open(paths["verdict"]) if not line.startswith("#")]
         assert checked == ["kappa_progressive_bound", "uniqueness_condition"]
 
-    def test_ho_oracle_with_mc_section_exits_one(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["run", "mc"])
+    def test_ho_oracle_with_mc_exits_one_before_any_build(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the zoo entry says that "ho" has no generator: a config's [mc] is
+        # refused on its line at parse, and `qergo mc` before its build
         import qergo.models as models
 
-        def no_operator(*args):
-            raise AssertionError("an operator was built before the [mc] check")
+        def no_model(*args):
+            raise AssertionError("a model was built before the generator check")
 
-        monkeypatch.setattr(models, "build_ho_discretization", no_operator)
+        monkeypatch.setattr(models, "zoo_build", no_model)
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
-        path = write_config(tmp_path, HO_ORACLE.read_text() + "\n[mc]\nn = 100\nseed = 1\n")
-        assert main(["run", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "[mc]" in err and "kernel-only" in err
+        text = HO_ORACLE.read_text() + "\n[mc]\nn = 100\nseed = 1\n"
+        path = write_config(tmp_path, text)
+        assert main(["run", path] if command == "run" else ["mc", "ho(4,0.1)"]) == 1
+        out, err = capsys.readouterr()
+        where = f"{path}:{text.splitlines().index('[mc]') + 1}: [mc]: " if command == "run" else ""
+        assert out == "" and not (tmp_path / "o").exists()
+        assert err == f"error: {where}Monte Carlo needs a Markov generator; zoo id 'ho' is kernel-only\n"
 
     @pytest.mark.parametrize("names,mc,key", [
         ("heat_content kappa", "[mc]\nn = 10\n", "[mc]"),
     ], ids=["mc"])
-    def test_ho_oracle_generator_error_names_the_config_line(self, tmp_path, names, mc, key):
+    def test_ho_oracle_generator_error_names_the_config_line(
+            self, tmp_path, monkeypatch, names, mc, key):
+        import qergo.models as models
+
+        monkeypatch.setattr(models, "zoo_build", lambda *args: pytest.fail("model built"))
         text = ("[model]\nid = ho\nhalf_width = 2.0\nh = 0.5\n\n[times]\nt_grid = 0.5 1.0\n\n"
                 f"[diagnostics]\nnames = {names}\n\n{mc}")
         path = write_config(tmp_path, text)
         line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(key))
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:{line}: .*kernel-only"):
-            run_experiment(parse_config(path))
+            parse_config(path)
 
     def test_ho_run_writes_the_triple_of_u1(self, tmp_path, monkeypatch):
         # the middle grid time is 1.1; the oracle's triple is still taken at t = 1
@@ -757,13 +768,14 @@ def series_order(model, t):
 
 
 class TestOneGridPass:
-    """A run takes the triple first, then visits the grid once in ascending
-    order and keeps only the survivals of each U_t, which it drops before the
-    next build.  Its engine holds only what a later build may read: the first
-    operator and the most recent one on a non-reversible model, U_1 on the
-    oracle, and on a reversible model, whose builds read only its spectrum,
-    the most recent one alone.  An engine that does not compose releases the
-    most recent one before each build."""
+    """A run takes the triple first, then visits the grid once: first the times
+    whose U_t the engine already holds (the oracle's U_1, which its triple
+    read), then the rest in ascending order.  It keeps only the survivals and
+    reads of each U_t, stored by grid index, and drops U_t before the next
+    build.  Its engine holds an older operator only as the factor of a later
+    build: the first and the most recent one on a non-reversible model, which
+    composes.  The oracle and a reversible model, whose builds read only its
+    spectrum, hold the most recent one alone and release it before each build."""
 
     def test_a_run_holds_two_operator_sized_arrays_past_its_model(self, tmp_path, monkeypatch):
         # frac at n = 401 with every diagnostic.  Q and the spectrum's B live
@@ -795,14 +807,16 @@ class TestOneGridPass:
         assert builds.held == [0] * 6
         assert [r().t for r in builds.refs if r() is not None] == []
 
-    def test_an_oracle_run_holds_u1_u_t_and_the_kernel_error_blocks(self, tmp_path, monkeypatch):
-        # ho_oracle.ini, n = 121: past its space the run holds the engine's
-        # U_1, which the triple reads, and the U_t being read, and the kernel
-        # error adds its two 64 x n blocks; the bound allows 2^17 bytes for
-        # numpy's ufunc buffers (8192 doubles each).  The traced run is the
-        # second, so what a first call imports is left out.  It peaks at 3.79
-        # n x n arrays under a bound of 4.18; with the n x n kernel limit held
-        # through the grid it peaked at 4.39
+    def test_an_oracle_run_holds_one_operator_and_the_kernel_error_blocks(
+            self, tmp_path, monkeypatch):
+        # ho_oracle.ini, n = 121: past its space the run holds one U_t at a
+        # time, first the U_1 that the triple read, and the kernel error
+        # adds its two 64 x n blocks; the bound allows 2^17 bytes
+        # for numpy's ufunc buffers (8192 doubles each).  The traced run is the
+        # second, so what a first call imports is left out.  It peaks at 2.82
+        # n x n arrays under a bound of 3.18; a run whose engine kept U_1
+        # through the grid peaked at 3.82, and with the n x n kernel limit
+        # held as well, at 4.39
         monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
         cfg = parse_config(str(HO_ORACLE))
         run_experiment(cfg)
@@ -817,10 +831,10 @@ class TestOneGridPass:
             tracemalloc.stop()
         n = run.model.n
         assert n == 121 and builds.times == [1.0, 0.5, 0.75, 1.25]
-        assert peak <= 2 * 8 * n * n + 2 * 64 * 8 * n + 2**17
+        assert peak <= 8 * n * n + 2 * 64 * 8 * n + 2**17
 
     @pytest.mark.parametrize("config,held", [
-        (HO_ORACLE.read_text(), [0, 1, 1, 1]),  # U_1 for the triple, then 0.5, 0.75, 1.25
+        (HO_ORACLE.read_text(), [0, 0, 0, 0]),  # U_1 for the triple, released before 0.5
         (FACTORIZATION_CONFIG.format(  # the first and the latest: U_t = U_{t-2} U_2
             model="cycle", n=8, grid="2 4 6 8 10 12", out="{out}", kappa=""), [0, 1, 2, 2, 2, 2]),
         # the six grid times, then kappa's t0 = 1 off the grid: a reversible
@@ -866,6 +880,39 @@ class TestOneGridPass:
         cfg = parse_config(write_config(tmp_path, config.replace("{out}", str(tmp_path / "o"))))
         run_experiment(cfg)
         assert len(builds.times) == len(set(builds.times)) and set(cfg.t_grid) <= set(builds.times)
+
+    @pytest.mark.parametrize("grid", [
+        "1.0 1.25 1.5 1.75", "0.5 0.75 1.0 1.25 1.5", "0.25 0.5 0.75 1.0", "0.5 0.8 1.1 1.4",
+    ], ids=["first", "middle", "last", "absent"])
+    def test_an_oracle_pass_reads_the_held_u1_first_to_the_same_bits(
+            self, tmp_path, monkeypatch, grid):
+        # wherever t = 1 falls on the grid, or off it, no time is built twice
+        # and no build begins with an operator alive; every diagnostic writes
+        # what the ascending pass writes once the engine's U_1 is dropped
+        import qergo.cli as cli
+
+        text = HO_ORACLE.read_text().replace("t_grid = 0.5 0.75 1.0 1.25", f"t_grid = {grid}")
+        text = text.replace("names = heat_content kernel_convergence gsd", f"names = {ALL_NAMES}")
+        cfg = parse_config(write_config(tmp_path, text))
+        builds = record_builds(monkeypatch)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "held"))
+        _, paths, code = run_experiment(cfg)
+        assert builds.times == [1.0] + [t for t in cfg.t_grid if t != 1.0]
+        assert builds.held == [0] * len(builds.times)
+
+        def emptied(model, triple=cli.principal_triple):
+            spec = triple(model)
+            model._ops.clear()
+            return spec
+
+        monkeypatch.setattr(cli, "principal_triple", emptied)
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "ascending"))
+        first = len(builds.times)
+        _, ascending, ascending_code = run_experiment(cfg)
+        assert builds.times[first:] == [1.0] + cfg.t_grid and code == ascending_code
+        for key in ("series", "summary", "verdict"):  # past the timestamped first line
+            held, fresh = (open(p[key]).read().splitlines()[1:] for p in (paths, ascending))
+            assert held == fresh and len(held) > 2
 
 
 class TestNoDualKernel:
@@ -1036,11 +1083,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{x0}'" in err and "6-state" in err
 
-    def test_run_bad_config_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid,msg", [
+        ("3 2 1", "t_grid must be strictly increasing"), ("", "t_grid needs at least one time"),
+    ], ids=["decreasing", "empty"])
+    def test_run_bad_config_exits_one(self, tmp_path, capsys, grid, msg):
         path = tmp_path / "bad.ini"
-        path.write_text("[model]\nid = swap2\n[times]\nt_grid = 3 2 1\n")
+        path.write_text(f"[model]\nid = swap2\n[times]\nt_grid = {grid}\n")
         assert main(["run", str(path)]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}:4: {msg}\n"
 
     def test_unknown_model_exits_one(self, capsys):
         assert main(["spectral", "nonexistent(3)"]) == 1

@@ -15,9 +15,11 @@ from qergo.diagnostics import heat_content, qsd_from_spectral, qsd_residual
 from qergo.errors import ModelError
 from qergo.models import (
     LevyProfile,
+    OscillatorOracle,
     PotentialSpec,
     build_ctmc_model,
     build_fractional_model,
+    lattice_space,
     zoo_build,
 )
 from qergo.operators import (
@@ -343,6 +345,18 @@ class TestSemigroupEngine:
         again = model.operator(2.0)  # dropped, so built again, to the same bits
         assert again is not ops[1] and np.array_equal(again.density, ops[1].density)
         assert list(model._ops) == ([2.0] if reversible else [1.0, 2.0])
+
+    def test_the_oracle_keeps_only_its_most_recent_operator(self, monkeypatch):
+        # the oracle composes nothing: each build begins with its one operator
+        # released, so the U_1 that its triple reads goes at the next build
+        oracle = OscillatorOracle(lattice_space(2.0, 0.25))
+        held, build = [], OscillatorOracle._build
+        monkeypatch.setattr(
+            OscillatorOracle, "_build", lambda self, t: held.append(list(self._ops)) or build(self, t))
+        ops = [weakref.ref(oracle.operator(t)) for t in (1.0, 0.5, 0.75, 1.0)]
+        assert held == [[]] * 4 and list(oracle._ops) == [1.0]
+        assert [r() is not None for r in ops] == [False, False, False, True]
+        assert oracle.holds(1) and not oracle.holds(0.75) and oracle.operator(1.0) is ops[3]()
 
     def test_nonreversible_exponentials_are_memoized(self, zoo_model):
         # every engine, reversible ones included, builds U_t once per t
