@@ -178,10 +178,10 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
     blocks with equal Perron roots); the left Perron vector of u D is D^{1/2} S x0.
     Any other U_t takes the two largest-modulus eigenvalues of the adjoint
     transition matrix from ``_arnoldi`` (k = 2), the non-reversible triple's
-    Krylov solver with its dense eig fallback.  Emits NonuniquenessWarning
-    when the dominant eigenvalue is not simple within 1e-10 (relative): the
-    measure is then one of several quasi-stationary candidates.  Otherwise a direction
-    with mixed signs raises PositivityError.
+    Krylov solver, which raises NondegeneracyError past 400 steps.  Emits
+    NonuniquenessWarning when the dominant eigenvalue is not simple within 1e-10
+    (relative): the measure is then one of several quasi-stationary candidates.
+    Otherwise a direction with mixed signs raises PositivityError.
     """
     if op.self_adjoint():
         r = np.sqrt(op.space.mu)

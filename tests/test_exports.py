@@ -22,14 +22,25 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def _scipy_loaded_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def _loaded_after(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     src = os.path.dirname(os.path.dirname(qergo.__file__))
-    probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = code + "\nimport sys\nprint(sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def _scipy_loaded_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    return [m for m in _loaded_after(code) if m.split(".")[0] == "scipy"]
+
+
+def _run_code(path: Path, out: Path) -> str:
+    """Code that runs ``qergo run path`` with its output under ``out``."""
+    return (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(out)!r}\n"
+            f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
 
 
 def _loaded_by_cli_import(module: str) -> bool:
@@ -102,10 +113,13 @@ def test_reversible_or_oracle_run_loads_no_scipy(tmp_path, config):
         path.write_text(text)
     else:
         path = ROOT / "configs" / f"{config}.ini"
-    code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
-            f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
-    assert _scipy_loaded_after(code) == []
+    assert _scipy_loaded_after(_run_code(path, tmp_path / "o")) == []
     assert (tmp_path / "o" / "verdict.txt").exists()
+
+
+CYCLE12 = ("[model]\nid = cycle\nn = 12\npotential = power\nbeta = 2.0\nscale = 0.05\n\n"
+           "[times]\nt_grid = 1 2\n\n[diagnostics]\nnames = heat_content\n\n"
+           "[family]\nbase_point = 0\nradius = linear:0.6\n")
 
 
 @pytest.mark.parametrize("config", ["cycle12", "cycle_nonrev"])
@@ -115,15 +129,39 @@ def test_nonreversible_run_loads_no_scipy(tmp_path, config):
     # is the benchmark's n = 500 workload with every diagnostic
     path = tmp_path / "cycle.ini"
     if config == "cycle12":
-        path.write_text("[model]\nid = cycle\nn = 12\npotential = power\nbeta = 2.0\nscale = 0.05\n\n"
-                        "[times]\nt_grid = 1 2\n\n[diagnostics]\nnames = heat_content\n\n"
-                        "[family]\nbase_point = 0\nradius = linear:0.6\n")
+        path.write_text(CYCLE12)
     else:
         write_config = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["write_config"]
         write_config(ROOT, config, 0, path)
-    code = (f"import os, sys\nos.environ['QERGO_OUTPUT_DIR'] = {str(tmp_path / 'o')!r}\n"
-            f"from qergo.cli import main\nassert main(['run', {str(path)!r}]) in (0, 2)")
-    assert _scipy_loaded_after(code) == []
+    assert _scipy_loaded_after(_run_code(path, tmp_path / "o")) == []
+    assert (tmp_path / "o" / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize("config,loads", [
+    ("ho_oracle", False), ("frac_401", False), ("birthdeath_full", True), ("cycle12", True)])
+def test_only_sampling_and_arnoldi_load_numpy_random(tmp_path, config, loads):
+    # every self-adjoint solve, the oscillator triple and a reversible
+    # find_qsd, is a block iteration from a fixed golden-ratio block, so a run
+    # with no [mc] and no non-reversible solve never imports numpy.random, nor
+    # the secrets, hashlib and OpenSSL modules it pulls in.  birthdeath_full.ini
+    # still loads it: its [mc] paths are drawn from a seeded numpy Generator.
+    # So does a cycle: Arnoldi starts from a seeded uniform draw, since the
+    # golden-ratio start moves cycle_nonrev's gap toward the bench's bar
+    if config == "frac_401":  # reversible, n = 401, every diagnostic
+        path = tmp_path / "frac.ini"
+        text = SMALL_FRAC
+        for old, new in [("half_width = 20.0\nh = 0.5", "half_width = 50.0\nh = 0.25"),
+                         ("15.9 19.0 22.2 25.4 28.5 31.7", "31.2 37.4 43.6 49.9 56.1 62.3"),
+                         ("point:40", "point:200"), ("base_point = 40", "base_point = 200")]:
+            assert old in text
+            text = text.replace(old, new)
+        path.write_text(text)
+    elif config == "cycle12":
+        path = tmp_path / "cycle.ini"
+        path.write_text(CYCLE12)
+    else:
+        path = ROOT / "configs" / f"{config}.ini"
+    assert ("numpy.random" in _loaded_after(_run_code(path, tmp_path / "o"))) is loads
     assert (tmp_path / "o" / "verdict.txt").exists()
 
 

@@ -17,6 +17,7 @@ from qergo.operators import (
     feynman_kac_operator,
 )
 from qergo.spectral import (
+    _arnoldi,
     eigen_residuals,
     principal_triple,
     principal_triple_from_operator,
@@ -121,14 +122,25 @@ class TestPrincipalTriple:
 def nonreversible_chains(draw):
     """Non-reversible chain on 4-40 states, on both sides of the triple's dense
     fallback (n <= 7), with its invariant mu and a V >= 0; a rotation of
-    weight >= 0.2 keeps it irreducible."""
-    n = draw(st.integers(4, 40))
+    weight >= 0.2 keeps it irreducible.  A clustered draw couples two copies
+    of a chain on n/2 states, with equal V, at rate eps in [1e-4, 5e-4]:
+    -G = (1 - eps)(I - Q) + V on the symmetric vectors and that plus 2 eps on
+    the antisymmetric ones, so the gap is at most 2 eps and the top ratio
+    e^{-gap} of U_1 is >= 0.999.  The Perron vectors' condition grows as
+    1 / gap: with eps down to 1e-5, two dense eigs of one U_{1/2} on 6 states
+    differed by 1.004e-10 in L1."""
+    clustered = draw(st.booleans())
+    n = draw(st.integers(2, 20) if clustered else st.integers(4, 40))
     W = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)))
     Q = W.reshape(n, n) + draw(st.floats(0.2, 1.0)) * np.roll(np.eye(n), 1, axis=1)
     Q /= Q.sum(axis=1, keepdims=True)
+    V = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    if clustered:
+        eps = draw(st.floats(1e-4, 5e-4))
+        Q = np.block([[(1 - eps) * Q, eps * np.eye(n)], [eps * np.eye(n), (1 - eps) * Q]])
+        n, V = 2 * n, np.tile(V, 2)
     A = np.vstack([(Q.T - np.eye(n))[:-1], np.ones(n)])
     mu = n * np.linalg.solve(A, np.eye(n)[-1])
-    V = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
     return build_ctmc_model(n, Q, mu=mu, V=V)
 
 
@@ -230,6 +242,59 @@ def test_find_qsd_of_a_nonreversible_chain_matches_dense_eig(model, t):
     w, vl = eig(op.transition(), left=True, right=False)
     v = np.abs(np.real(vl[:, np.argmax(np.abs(w))]))
     assert np.abs(find_qsd(op).weights - v / v.sum()).sum() <= 1e-10
+
+
+class TestArnoldiCap:
+    """``_arnoldi`` grows its Krylov space past 80 steps up to 400, and raises
+    where it used to take a dense eig."""
+
+    def test_clustered_top_converges_past_80_steps_without_a_dense_eig(self, dense_eigs):
+        # M = X diag(d) X^{-1} at n = 500 with d = (1, 0.999, a bulk in
+        # [-0.9, 0.9]): the top ratio is 0.999, and the Ritz pairs settle at
+        # 160 steps
+        n = 500
+        rng = np.random.default_rng(5)
+        d = np.concatenate([[1.0, 0.999], np.linspace(-0.9, 0.9, n - 2)])
+        X = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+        M = np.linalg.solve(X.T, (X * d).T).T
+
+        class Counted:
+            calls = 0
+
+            def __len__(self):
+                return n
+
+            def __matmul__(self, v):
+                Counted.calls += 1
+                return M @ v
+
+        theta, v = _arnoldi(Counted(), 2)
+        assert 80 < Counted.calls <= 400 and dense_eigs == []
+        w, Xd = eig(M)
+        dense_eigs.clear()
+        top = np.argsort(-np.abs(w))[:2]
+        # the stopping test bounds the Ritz residual ||M x - theta x|| by
+        # 1e-14 |theta0|, and the Arnoldi relation holds to n eps ||M|| in
+        # floating point.  For the unit-column eigenvector matrix Xd (Bauer-
+        # Fike) an eigenvalue then sits within kappa(Xd) rho of theta, and the
+        # Ritz vector within kappa(Xd) rho / delta of the eigendirection, delta
+        # being the distance to the rest of the spectrum (>= 1e-3 here); the
+        # dense reference has the same bound with its own backward error
+        Xd = Xd / np.linalg.norm(Xd, axis=0)
+        rho = 1e-14 * abs(theta[0]) + n * np.finfo(float).eps * np.linalg.norm(M, 2)
+        kappa = np.linalg.cond(Xd)
+        np.testing.assert_allclose(theta, w[top], rtol=0, atol=2 * kappa * rho)
+        v, x0 = np.real(v) / np.linalg.norm(v), np.real(Xd[:, top[0]])
+        delta = np.abs(w[top[0]] - np.delete(w, top[0])).min() - kappa * rho
+        assert min(np.linalg.norm(v - x0), np.linalg.norm(v + x0)) <= 2 * 2 * kappa * rho / delta
+
+    def test_rotation_raises_at_the_cap(self, dense_eigs):
+        # every eigenvalue of a rotation has modulus 1: no Ritz pair settles,
+        # and 500 states are more than the 400-step cap
+        R = np.roll(np.eye(500), 1, axis=1)
+        with pytest.raises(NondegeneracyError, match=r"400 steps: residual \d\.\de[-+]\d+ \|theta0\|"):
+            _arnoldi(R, 2)
+        assert dense_eigs == []
 
 
 class TestHODiscretization:
