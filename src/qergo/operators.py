@@ -181,20 +181,30 @@ def _symmetric_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], W
 
 
-def _exp_step(S: np.ndarray) -> np.ndarray:
+def _exp_step(S: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """e^S for a step S with off-diagonal entries >= 0, as the series
     e^{-c} sum_{j<=N} B^j / j! of B = S + cI >= 0, c = -min diag S.
 
     Every term is >= 0, so each entry is accurate, not only the norm (Xue &
     Ye, Numer. Math. 2008).  N is the first order whose term bound
-    ||B||_1^N / N! is below eps/10 of the partial sum of those bounds.  The
-    sum is taken Paterson-Stockmeyer style: Horner's rule in B^s over blocks
-    of the powers B^0 ... B^{s-1}, s = floor(sqrt N), which is s - 1 + N // s
-    products (8 at ||B||_1 = 2).
+    ||B||_1^N / N! is below eps/10 of the partial sum of those bounds.
+    S is overwritten by B.
 
-    S is overwritten by B.  Past the powers B ... B^s the sum holds three
-    n x n arrays: two that take the Horner products and block sums in turn,
-    and one buffer of the divisions; B^0 is written as a diagonal.
+    ``cols``, when given, holds the columns of every off-diagonal nonzero of
+    each row of S, n x d padded with the row's own index
+    (``MarkovModel.jump_columns``, d <= 2).  The sum is then Horner's rule
+    P <- I + (B P) / j, j = N ... 1, in the style of Al-Mohy & Higham (SIAM
+    J. Sci. Comput. 2011): B P is diag(B) P plus, per column of ``cols``, the
+    rows of P gathered there and scaled by B's entries, no GEMM.  Once those
+    entries are read, S's array is a Horner buffer, so the series holds three
+    n x n arrays: P, the next P and the gathered rows.
+
+    Otherwise the sum is taken Paterson-Stockmeyer style: Horner's rule in
+    B^s over blocks of the powers B^0 ... B^{s-1}, s = floor(sqrt N), which
+    is s - 1 + N // s products (8 at ||B||_1 = 2).  Past the powers B ... B^s
+    it holds three n x n arrays: two that take the Horner products and block
+    sums in turn, and one buffer of the divisions; B^0 is written as a
+    diagonal.
     """
     c = -S.diagonal().min()
     B = S
@@ -203,6 +213,23 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
     while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
         bounds.append(bounds[-1] * b / len(bounds))
     N = len(bounds) - 1
+    if cols is not None:
+        rows = np.arange(len(B))[:, None]
+        diag, w = B.diagonal().copy(), np.where(cols == rows, 0.0, B[rows, cols])
+        P, Y, g = np.divide(B, N), B, np.empty_like(B)  # P = I + B / N, the step j = N
+        np.fill_diagonal(P, P.diagonal() + 1.0)
+        for j in range(N - 1, 0, -1):
+            np.multiply(diag[:, None], P, out=Y)
+            for m in range(cols.shape[1]):
+                # mode "raise" would buffer ``out``: one more n x n array
+                np.take(P, cols[:, m], axis=0, out=g, mode="wrap")
+                g *= w[:, m, None]
+                Y += g
+            Y /= j
+            np.fill_diagonal(Y, Y.diagonal() + 1.0)
+            P, Y = Y, P
+        P *= math.exp(-c)
+        return P
     s = max(math.isqrt(N), 1)
     powers = [B]  # B^1 ... B^s
     for _ in range(s - 1):
@@ -228,20 +255,23 @@ def _exp_step(S: np.ndarray) -> np.ndarray:
 
 class Engine:
     """U_t of one model for any finite t > 0, built by the subclass hook ``_build(t)``.
-    It keeps its most recent operator, and an older one only as the factor of a
-    later build: one that ``composes`` keeps its first (the step U_s of a grid
-    composed as U_t = U_{t-s} U_s) and its most recent through the next build;
-    any other releases its one operator before the next build."""
+    It keeps its most recent operator until the next build no longer reads it.
+    One that ``composes`` also keeps its first operator, once a later build
+    begins, but only as the transition form P_s that ``_factors`` reads (the
+    step U_s of a grid composed as U_t = U_s U_{t-s}); any other releases its
+    one operator before the next build."""
 
     composes = False
 
     @cached_property
     def _ops(self) -> dict[float, KernelOperator]:
+        """The most recent operator by its time: one at most."""
         return {}
 
-    def _release(self) -> None:
-        for s in list(self._ops)[int(self.composes):]:
-            del self._ops[s]
+    @cached_property
+    def _first(self) -> dict[float, np.ndarray]:
+        """The first operator's transition form by its time, once a later build begins."""
+        return {}
 
     def holds(self, t: float) -> bool:
         """Whether U_t is held, so that ``operator(t)`` builds nothing."""
@@ -253,11 +283,34 @@ class Engine:
         key = float(t)
         if key not in self._ops:
             if not self.composes:
-                self._release()
+                self._ops.clear()
+            elif self._ops and not self._first:  # formed once, by transition()'s arithmetic
+                s = next(iter(self._ops))
+                self._first[s] = self._ops[s].transition()
             op = self._build(key)
-            self._release()
+            self._ops.clear()
             self._ops[key] = op
         return self._ops[key]
+
+    def _factors(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The transition forms (P_s, P_r) of the first pair of held times whose
+        sum is t within 4 ulp(t), so that a decimal grid such as 0.1 0.2 0.3
+        composes: (first, first), (first, latest) or (latest, latest); None
+        when no pair sums to t.  The latest operator leaves the engine here, so
+        that a pair which reads it holds only its transition form at the product."""
+        f, F = next(iter(self._first.items()), (math.nan, None))
+        r, latest = next(iter(self._ops.items()), (math.nan, None))
+        self._ops.clear()
+
+        def near(a: float, b: float) -> bool:
+            return abs(a + b - t) <= 4 * math.ulp(t)
+
+        if near(f, f):
+            return F, F
+        if near(f, r) or near(r, r):
+            L = latest.transition()
+            return (F, L) if near(f, r) else (L, L)
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,13 +346,14 @@ class MarkovModel(Engine):
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
-    step (t / 2^k) G is squared k times, about 8 + k GEMMs and no solve.  The
-    step is formed in the generator's own array, and the series in place
-    over it.  A time that is the sum of two cached times is instead their
-    product, one GEMM, so an equally spaced ascending grid costs one
-    exponential; such a model ``composes``, and keeps its first and its most
-    recent operators through the next build as factors.  After
-    the step, each squaring and each product, the transition form is clamped
+    step (t / 2^k) G is squared k times, and no solve.  The series takes no
+    GEMM when no row of Q has more than 2 jumps (``jump_columns``), and
+    about 8 otherwise.  The step is formed in the generator's own array, and
+    the series in place over it.  A time within 4 ulp of the sum of two held
+    times is instead their product, one GEMM, so an equally spaced ascending
+    grid costs one exponential; such a model ``composes``, and keeps its
+    most recent operator and its first one's transition form as factors.
+    After the step, each squaring and each product, the transition form is clamped
     at 0 and entries below 2^-500 max(P) are zeroed.  That floor lies ~1e-135
     below the exponential's normwise error eps max(P), so it drops nothing the
     error bound resolves, and it keeps the spatially decaying entries of a
@@ -338,9 +392,26 @@ class MarkovModel(Engine):
 
     @property
     def composes(self) -> bool:
-        """Whether a build may read earlier operators, the first and the most recent, which
-        the engine then keeps: a non-reversible U_t is the product of two cached ones."""
+        """Whether a build may read earlier operators, the most recent and the first, which
+        the engine then keeps as its transition form: a non-reversible U_t is the
+        product of two held ones."""
         return not self.reversible
+
+    @cached_property
+    def jump_columns(self) -> np.ndarray | None:
+        """The columns of the off-diagonal nonzeros of each row of Q, ascending,
+        as an n x d array padded with the row's own index, d the most any row
+        has; None when some row has more than 2.  ``_exp_step`` gathers the
+        rows of its series there."""
+        Q = self.Q
+        count = np.count_nonzero(Q, axis=1) - (Q.diagonal() != 0)
+        if count.max() > 2:
+            return None
+        rows, cols = np.nonzero(Q)
+        rows, cols = rows[rows != cols], cols[rows != cols]
+        jumps = np.repeat(np.arange(self.n)[:, None], count.max(), axis=1)
+        jumps[rows, np.arange(rows.size) - (np.cumsum(count) - count)[rows]] = cols
+        return _read_only(jumps)
 
     def generator(self) -> np.ndarray:
         """G = Q - I - diag(V), acting on functions: a copy of Q with
@@ -400,17 +471,17 @@ class MarkovModel(Engine):
             u = (B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T
             np.maximum(u, 0.0, out=u)
             return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
-        s = next((s for s in self._ops if s < t and t - s in self._ops), None)
-        if s is None:  # tG and its step tG / 2^k in one array, which the series overwrites
+        factors = self._factors(t)
+        if factors is None:  # tG and its step tG / 2^k in one array, which the series overwrites
             P = self.generator()
             P *= t
             k = max(math.frexp(np.linalg.norm(P, 1))[1], 0)  # ||tG||_1 / 2^k < 1
             P /= 2.0**k
-            P = _floored(_exp_step(P))
+            P = _floored(_exp_step(P, self.jump_columns))
             for _ in range(k):
                 P = _floored(P @ P)
-        else:  # U_t = U_s U_{t-s}: one product of nonnegative cached factors
-            P = _floored(self._ops[s].transition() @ self._ops[t - s].transition())
+        else:  # U_t = U_s U_r: one product of nonnegative held factors
+            P = _floored(np.matmul(*factors))
         return KernelOperator(t, np.divide(P, space.mu, out=P), space, {"method": "expm"})
 
 

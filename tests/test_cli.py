@@ -24,6 +24,7 @@ from qergo.cli import (
 from qergo.models import (
     _ZOO,
     MAX_STATES,
+    build_ctmc_model,
     build_ho_discretization,
     lattice_space,
     zoo_build,
@@ -647,9 +648,9 @@ class TestFactorizationCounts:
             model="cycle", n=8, grid="2 4 6", out=tmp_path / "o",
             kappa=f"[diagnostics.kappa]\nt0 = {t0}\n")
         run_experiment(parse_config(write_config(tmp_path, text)))
-        # the engine keeps the first operator it built and the most recent one,
-        # which a non-reversible model holds through the next build as a factor
-        assert list(built[0]._ops) == keys
+        # the engine keeps the transition form of the first operator it built
+        # and the most recent operator, the factors a non-reversible build reads
+        assert [*built[0]._first, *built[0]._ops] == keys
         assert counts["_exp_step"] == steps
 
     @pytest.mark.parametrize("h,base_point", [("0.1", "60"), ("0.01", "600")],
@@ -755,8 +756,12 @@ def record_builds(monkeypatch) -> Builds:
 
 
 def series_order(model, t):
-    """(N, s) of the first step series of U_t: the order and block size of
-    ``_exp_step`` on the unit-norm step of t G."""
+    """(N, series, arrays) of the first step series of U_t: the order of
+    ``_exp_step`` on the unit-norm step of t G, the series it takes, "rows"
+    when no row of Q has more than 2 jumps and "paterson-stockmeyer"
+    otherwise, and the n x n arrays that series holds with the step: three
+    for the row gathers, s + 3 for the powers B ... B^s, s = floor(sqrt N),
+    and three more."""
     A = t * model.generator()
     A /= 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
     np.fill_diagonal(A, A.diagonal() - A.diagonal().min())
@@ -764,7 +769,11 @@ def series_order(model, t):
     bounds = [1.0]
     while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
         bounds.append(bounds[-1] * b / len(bounds))
-    return len(bounds) - 1, max(math.isqrt(len(bounds) - 1), 1)
+    N = len(bounds) - 1
+    jumps = np.count_nonzero(model.Q, axis=1) - (model.Q.diagonal() != 0)
+    if jumps.max() <= 2:
+        return N, "rows", 3
+    return N, "paterson-stockmeyer", max(math.isqrt(N), 1) + 3
 
 
 class TestOneGridPass:
@@ -772,9 +781,9 @@ class TestOneGridPass:
     whose U_t the engine already holds (the oracle's U_1, which its triple
     read), then the rest in ascending order.  It keeps only the survivals and
     reads of each U_t, stored by grid index, and drops U_t before the next
-    build.  Its engine holds an older operator only as the factor of a later
-    build: the first and the most recent one on a non-reversible model, which
-    composes.  The oracle and a reversible model, whose builds read only its
+    build.  Its engine holds the most recent operator, and on a non-reversible
+    model, which composes, the first one's transition form as a factor of later
+    builds.  The oracle and a reversible model, whose builds read only its
     spectrum, hold the most recent one alone and release it before each build."""
 
     def test_a_run_holds_two_operator_sized_arrays_past_its_model(self, tmp_path, monkeypatch):
@@ -835,8 +844,10 @@ class TestOneGridPass:
 
     @pytest.mark.parametrize("config,held", [
         (HO_ORACLE.read_text(), [0, 0, 0, 0]),  # U_1 for the triple, released before 0.5
-        (FACTORIZATION_CONFIG.format(  # the first and the latest: U_t = U_{t-2} U_2
-            model="cycle", n=8, grid="2 4 6 8 10 12", out="{out}", kappa=""), [0, 1, 2, 2, 2, 2]),
+        # U_t = U_2 U_{t-2}: the latest, which the build releases once it has
+        # taken its transition form, and the first, held as that form alone
+        (FACTORIZATION_CONFIG.format(
+            model="cycle", n=8, grid="2 4 6 8 10 12", out="{out}", kappa=""), [0, 1, 1, 1, 1, 1]),
         # the six grid times, then kappa's t0 = 1 off the grid: a reversible
         # build reads only the spectrum, so none begins with an operator alive
         (BIRTHDEATH_FULL.read_text(), [0] * 7),
@@ -849,14 +860,19 @@ class TestOneGridPass:
         run_experiment(parse_config(write_config(tmp_path, config)))
         assert builds.held == held
 
-    def test_the_first_nonreversible_exponential_holds_its_powers_and_three_arrays(
-            self, monkeypatch):
-        # the step B is formed in the generator's one array; the series then
-        # holds B^2 ... B^s, two Horner buffers and one of the divisions:
-        # s + 3 n x n arrays with B, 6.02 at s = 3.  The former series peaked
-        # at 10 here
-        model = zoo_build("cycle", {"n": 200, "potential": "power", "beta": "1.0", "scale": "2e-4"})
-        n, (N, s) = model.n, series_order(model, 20.0)
+    @pytest.mark.parametrize("series,margin", [("rows", 0.1), ("paterson-stockmeyer", 1.0)])
+    def test_the_first_nonreversible_exponential_holds_its_series_arrays(
+            self, monkeypatch, series, margin):
+        # the step B is formed in the generator's one array.  cycle(400) has
+        # one jump per row: its series holds B's array as a Horner buffer, the
+        # next P and the gathered rows, 3.07 n x n arrays with numpy's 2^16-byte
+        # ufunc buffer.  Three jumps per row take Paterson-Stockmeyer: B^2 ...
+        # B^s, two Horner buffers and one of the divisions, s + 3 with B, 6.01
+        # at s = 3
+        cycle = zoo_build("cycle", {"n": 400, "potential": "power", "beta": "1.0", "scale": "2e-4"})
+        model = cycle if series == "rows" else build_ctmc_model(
+            400, sum(np.roll(np.eye(400), k, axis=1) for k in (1, 2, 3)) / 3.0, V=cycle.V)
+        n, (N, taken, arrays) = model.n, series_order(model, 20.0)
         assert not model.reversible  # found once, before the trace
         builds = record_builds(monkeypatch)
         tracemalloc.start()
@@ -864,8 +880,32 @@ class TestOneGridPass:
             model.operator(20.0)
         finally:
             tracemalloc.stop()
-        assert N >= 10 and builds.times == [20.0]
-        assert builds.peaks[0] <= (s + 4) * 8 * n * n
+        assert N >= 10 and taken == series and builds.times == [20.0]
+        assert builds.peaks[0] <= (arrays + margin) * 8 * n * n, builds.peaks[0] / (8 * n * n)
+
+    def test_a_composed_build_holds_one_transition_form_besides_the_engine(self):
+        # at rest the engine holds its latest operator and the first one's
+        # transition form.  A composed build takes the latest's transition
+        # form and releases that operator before the product: 1.20 n x n
+        # arrays above its entry, with the floor's mask and numpy's ufunc
+        # buffer.  A build that formed both factors' transition forms beside
+        # the first and the latest operators took 3.00
+        model = zoo_build("cycle", {"n": 200, "potential": "power", "beta": "1.0", "scale": "2e-4"})
+        n, peaks = model.n, []
+        assert not model.reversible and model.jump_columns is not None
+        tracemalloc.start()
+        try:
+            for t in (20.0, 40.0, 60.0):  # the first; first + first; first + latest
+                live = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                model.operator(t)
+                peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            at_rest = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert max(peaks[1:]) <= 2.1 * 8 * n * n
+        assert list(model._first) == [20.0] and list(model._ops) == [60.0]
+        assert at_rest <= 2.1 * 8 * n * n
 
     @pytest.mark.parametrize("config", [
         BIRTHDEATH_FULL.read_text(), HO_ORACLE.read_text(),

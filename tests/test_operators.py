@@ -273,6 +273,10 @@ ENGINE_ZOO = {
         True),
     "dual_cycle": (
         lambda: dual_model(build_ctmc_model(4, "cycle", V=np.array([0.0, 0.3, 0.8, 0.2]))), False),
+    # four jumps per row: the one non-reversible entry whose series is Paterson-Stockmeyer
+    "circulant": (
+        lambda: build_ctmc_model(5, sum(a * np.roll(np.eye(5), k, axis=1) for k, a in enumerate(
+            (0.1, 0.4, 0.2, 0.2, 0.1))), V=np.linspace(0.0, 1.0, 5)), False),
 }
 ENGINE_TIMES = (0.3, 1.0, 4.0, 15.0)
 
@@ -331,20 +335,20 @@ class TestSemigroupEngine:
         assert modes == sorted(modes, reverse=True)
 
     def test_engine_keeps_the_operators_a_later_build_reads(self, zoo_model):
-        # a non-reversible engine keeps the first operator, a factor of later
-        # products, and the most recent one; a reversible build reads only the
-        # spectrum, so that engine keeps the most recent operator alone
+        # every engine keeps its most recent operator alone; a non-reversible
+        # one also keeps the first operator's transition form, a factor of
+        # later products, formed once by transition()'s arithmetic.  A
+        # reversible build reads only the spectrum
         model, reversible = zoo_model
         ops = [model.operator(t) for t in (1.0, 2.0, 3.0)]
-        assert list(model._ops) == ([3.0] if reversible else [1.0, 3.0])
+        assert list(model._ops) == [3.0] and list(model._first) == ([] if reversible else [1.0])
+        assert reversible or np.array_equal(model._first[1.0], ops[0].transition())
         assert model.operator(3) is ops[2]
-        first = model.operator(1.0)  # a reversible U_1 was released: built again, same bits
-        assert (first is ops[0]) is not reversible
-        assert np.array_equal(first.density, ops[0].density)
-        assert list(model._ops) == ([1.0] if reversible else [1.0, 3.0])
-        again = model.operator(2.0)  # dropped, so built again, to the same bits
+        first = model.operator(1.0)  # released, so built again, to the same bits
+        assert first is not ops[0] and np.array_equal(first.density, ops[0].density)
+        again = model.operator(2.0)  # a non-reversible U_2 is U_1 U_1 again, from the kept form
         assert again is not ops[1] and np.array_equal(again.density, ops[1].density)
-        assert list(model._ops) == ([2.0] if reversible else [1.0, 2.0])
+        assert list(model._ops) == [2.0] and list(model._first) == ([] if reversible else [1.0])
 
     def test_the_oracle_keeps_only_its_most_recent_operator(self, monkeypatch):
         # the oracle composes nothing: each build begins with its one operator
@@ -408,12 +412,29 @@ class TestSemigroupEngine:
         import qergo.operators as operators
 
         calls, step = [], operators._exp_step
-        monkeypatch.setattr(operators, "_exp_step", lambda S: calls.append(1) or step(S))
+        monkeypatch.setattr(operators, "_exp_step", lambda *a: calls.append(1) or step(*a))
         model = ENGINE_ZOO[name][0]()
         for t in np.arange(2.0, 21.0, 2.0):  # ascending, so every t > 2 is composed
             ref = np.maximum(expm(t * model.generator()), 0.0) / model.space.mu[None, :]
             op = model.operator(t)
             assert np.max(np.abs(op.density - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), (1.1, 2.2, 3.3, 4.4)],
+                             ids=["tenths", "elevenths"])
+    def test_a_decimal_grid_takes_one_exponential(self, grid, monkeypatch):
+        # 0.3 - 0.1 != 0.2 and 3.3 - 1.1 != 2.2 as floats, but 0.1 + 0.2 and
+        # 1.1 + 2.2 lie within 4 ulp of 0.3 and 3.3: every later time is a
+        # product of held factors, as on an exactly spaced grid
+        import qergo.operators as operators
+
+        calls, step = [], operators._exp_step
+        monkeypatch.setattr(operators, "_exp_step", lambda *a: calls.append(1) or step(*a))
+        model = zoo_build("cycle", {"n": 50})
+        for t in grid:
+            ref = np.maximum(expm(t * model.generator()), 0.0) / model.space.mu[None, :]
+            got = model.operator(t).density
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref), t
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(k for k, (_, rev) in ENGINE_ZOO.items() if rev))
@@ -837,17 +858,52 @@ def former_exp_step(S):
     return math.exp(-c) * P
 
 
+def step_jumps(S):
+    """The columns of the off-diagonal nonzeros of each row of S, ascending."""
+    return [[y for y in np.flatnonzero(row) if y != x] for x, row in enumerate(S)]
+
+
+def reference_row_series(S):
+    """_exp_step's row-gather series as a plain loop: B = S + cI as a new
+    array, Horner's rule P <- I + (B P) / j from P = I down to j = 1, and each
+    row of B P a new sum, B(x, x) P(x) first, then B(x, y) P(y) for the jumps
+    y of row x in ascending order."""
+    n = len(S)
+    c = -S.diagonal().min()
+    B = S + c * np.eye(n)
+    b, bounds = np.linalg.norm(B, 1), [1.0]
+    while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
+        bounds.append(bounds[-1] * b / len(bounds))
+    P = np.eye(n)
+    for j in range(len(bounds) - 1, 0, -1):
+        BP = np.empty((n, n))
+        for x, jumps in enumerate(step_jumps(S)):
+            row = B[x, x] * P[x]
+            for y in jumps:
+                row = row + B[x, y] * P[y]
+            BP[x] = row
+        P = BP / j + np.eye(n)
+    return math.exp(-c) * P
+
+
+def reference_exp_step(S):
+    """The series a step takes: the row gathers when no row of S has more
+    than 2 off-diagonal nonzeros, the former Paterson-Stockmeyer sum otherwise."""
+    dense = max(map(len, step_jumps(S))) > 2
+    return former_exp_step(S) if dense else reference_row_series(S)
+
+
 def former_step_density(model, t, factors=()):
     """The density of a non-reversible U_t as MarkovModel._build formed it
     before the step was taken in place: the exponential of t G from the step
-    A / 2^k of a new array A = t G, or the product of the transition forms of
-    the two ``factors``."""
+    A / 2^k of a new array A = t G by ``reference_exp_step``, or the product
+    of the transition forms of the two ``factors``."""
     if factors:
         P = _floored(factors[0].transition() @ factors[1].transition())
     else:
         A = t * model.generator()
         k = max(math.frexp(np.linalg.norm(A, 1))[1], 0)
-        P = _floored(former_exp_step(A / 2.0**k))
+        P = _floored(reference_exp_step(A / 2.0**k))
         for _ in range(k):
             P = _floored(P @ P)
     return P / model.space.mu
@@ -886,21 +942,54 @@ def dented_chains(draw):
 NONREVERSIBLE_ZOO = sorted(k for k, (_, rev) in ENGINE_ZOO.items() if not rev)
 
 
+@st.composite
+def sparse_chains(draw):
+    """Chain on 2-120 states, invariant for the uniform mu: a mix of the
+    identity and one or two permutations of random subsets, so that a row has
+    at most 2 jumps and one that every permutation fixes has none.  Then some
+    zero off-diagonal entries of rows with at most one jump are set in
+    [-1e-12, 0), at most one per row and column."""
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3)))
+    weights[0] *= draw(st.booleans())  # with or without the identity part
+    weights /= weights.sum()
+    Q = weights[0] * np.eye(n)
+    for w in weights[1:]:
+        perm = np.arange(n)
+        moved = rng.choice(n, rng.integers(0, n, endpoint=True), replace=False)
+        perm[moved] = rng.permutation(moved)
+        Q[np.arange(n), perm] += w
+    dent = rng.permutation(n)
+    jumps = np.count_nonzero(Q, axis=1) - (Q.diagonal() != 0)
+    rows = np.flatnonzero((Q[np.arange(n), dent] == 0.0) & (dent != np.arange(n)) & (jumps < 2))
+    rows = rows[rng.random(rows.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))]
+    Q[rows, dent[rows]] = -rng.uniform(1e-15, 0.99e-12, rows.size)
+    space = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+    return MarkovModel(space, Q, rng.uniform(0.0, 2.0, n))
+
+
 class TestInPlaceBitIdentity:
     """The non-reversible step formed in the generator's array and the
-    triple's shift formed in place give the bits of the former arithmetic."""
+    triple's shift formed in place give the bits of the former arithmetic: a
+    chain with more than 2 jumps in some row the former Paterson-Stockmeyer
+    sum, any other the reference row-gather series."""
 
     @pytest.mark.parametrize("name", NONREVERSIBLE_ZOO)
     def test_operator_is_the_former_arithmetic(self, name):
         model = ENGINE_ZOO[name][0]()
         G = model.generator()
-        # 0.25 takes no squaring and 4 at least one; 4.25 = 4 + 0.25 is composed
+        assert (model.jump_columns is None) is (name == "circulant")
+        # 0.25 takes no squaring and 4 at least one; 4.25 = 0.25 + 4 is the
+        # first and the latest composed, and 8.5 = 4.25 + 4.25 the latest twice
         assert np.linalg.norm(0.25 * G, 1) < 1.0 <= np.linalg.norm(4.0 * G, 1)
         fresh, squared = model.operator(0.25), model.operator(4.0)
         composed = model.operator(4.25)
         assert np.array_equal(fresh.density, former_step_density(model, 0.25))
         assert np.array_equal(squared.density, former_step_density(model, 4.0))
         assert np.array_equal(composed.density, former_step_density(model, 4.25, (fresh, squared)))
+        twice = model.operator(8.5)
+        assert np.array_equal(twice.density, former_step_density(model, 8.5, (composed, composed)))
 
     @settings(max_examples=60, deadline=None)
     @given(model=dented_chains(), t=st.floats(0.05, 30.0))
@@ -910,6 +999,8 @@ class TestInPlaceBitIdentity:
         event(f"n: {'1, 2' if model.n <= 2 else '3-40'}, reversible: {model.reversible}")
         event(f"an entry of Q in [-1e-12, 0): {bool(model.Q.min() < 0)}")
         assert np.array_equal(_exp_step(S.copy()), former_exp_step(S))
+        if model.jump_columns is not None:
+            assert np.array_equal(_exp_step(S.copy(), model.jump_columns), reference_row_series(S))
         if not model.reversible:
             fresh = model.operator(t)
             assert np.array_equal(fresh.density, former_step_density(model, t))
@@ -928,6 +1019,32 @@ class TestInPlaceBitIdentity:
         assert (got.lambda0.hex(), got.gap.hex()) == (want.lambda0.hex(), want.gap.hex())
         for a, b in ((got.phi0, want.phi0), (got.psi0, want.psi0)):
             assert list(map(float.hex, a)) == list(map(float.hex, b))
+
+
+class TestRowSeries:
+    """A chain with at most 2 jumps in every row takes its step series by row
+    gathers.  Its terms are the Paterson-Stockmeyer sum's, so the two agree in
+    every entry above the 2^-500 floor of the transition form, not only in
+    norm: to round-off of the entry itself when B >= 0, and of the entry of
+    the series of |B| when some entry of Q lies in [-1e-12, 0)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=sparse_chains(), t=st.floats(0.05, 30.0))
+    def test_matches_paterson_stockmeyer_entrywise(self, model, t):
+        cols, jumps = model.jump_columns, step_jumps(model.Q)
+        d = max(map(len, jumps))
+        event(f"n: {'2-9' if model.n < 10 else '10-120'}, jumps per row: {d}")
+        event(f"an entry of Q in [-1e-12, 0): {bool(model.Q.min() < 0)}")
+        assert cols.shape == (model.n, d) and not cols.flags.writeable
+        assert [list(row) for row in cols] == [js + [x] * (d - len(js)) for x, js in enumerate(jumps)]
+        A = t * model.generator()
+        S = A / 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
+        rows, ps = _exp_step(S.copy(), cols), _exp_step(S.copy())
+        M = np.abs(S)  # the series of |B|: the size of each entry's terms
+        np.fill_diagonal(M, S.diagonal())
+        size = _exp_step(M)
+        keep = size >= 2.0**-500 * size.max()
+        assert np.all(np.abs(rows - ps)[keep] <= 1e-13 * size[keep])
 
 
 class TestAdjointCompose:
