@@ -188,23 +188,17 @@ def _exp_step(S: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     Every term is >= 0, so each entry is accurate, not only the norm (Xue &
     Ye, Numer. Math. 2008).  N is the first order whose term bound
     ||B||_1^N / N! is below eps/10 of the partial sum of those bounds.
-    S is overwritten by B.
+    S is overwritten by B.  The sum is Horner's rule P <- I + (B P) / j,
+    j = N ... 1, in the style of Al-Mohy & Higham (SIAM J. Sci. Comput. 2011),
+    which holds three n x n arrays: P, the next P and a third.
 
     ``cols``, when given, holds the columns of every off-diagonal nonzero of
     each row of S, n x d padded with the row's own index
-    (``MarkovModel.jump_columns``, d <= 2).  The sum is then Horner's rule
-    P <- I + (B P) / j, j = N ... 1, in the style of Al-Mohy & Higham (SIAM
-    J. Sci. Comput. 2011): B P is diag(B) P plus, per column of ``cols``, the
-    rows of P gathered there and scaled by B's entries, no GEMM.  Once those
-    entries are read, S's array is a Horner buffer, so the series holds three
-    n x n arrays: P, the next P and the gathered rows.
-
-    Otherwise the sum is taken Paterson-Stockmeyer style: Horner's rule in
-    B^s over blocks of the powers B^0 ... B^{s-1}, s = floor(sqrt N), which
-    is s - 1 + N // s products (8 at ||B||_1 = 2).  Past the powers B ... B^s
-    it holds three n x n arrays: two that take the Horner products and block
-    sums in turn, and one buffer of the divisions; B^0 is written as a
-    diagonal.
+    (``MarkovModel.jump_columns``, d <= 2).  B P is then diag(B) P plus, per
+    column of ``cols``, the rows of P gathered there and scaled by B's
+    entries, no GEMM; once those entries are read, S's array is a Horner
+    buffer and the third array takes the gathered rows.  Otherwise B P is one
+    GEMM into the third array, beside B.
     """
     c = -S.diagonal().min()
     B = S
@@ -213,42 +207,27 @@ def _exp_step(S: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
         bounds.append(bounds[-1] * b / len(bounds))
     N = len(bounds) - 1
-    if cols is not None:
+    P = np.divide(B, N)  # P = I + B / N, the step j = N
+    np.fill_diagonal(P, P.diagonal() + 1.0)
+    if cols is None:
+        Y = np.empty_like(B)
+    else:
         rows = np.arange(len(B))[:, None]
         diag, w = B.diagonal().copy(), np.where(cols == rows, 0.0, B[rows, cols])
-        P, Y, g = np.divide(B, N), B, np.empty_like(B)  # P = I + B / N, the step j = N
-        np.fill_diagonal(P, P.diagonal() + 1.0)
-        for j in range(N - 1, 0, -1):
-            np.multiply(diag[:, None], P, out=Y)
+        Y, g = B, np.empty_like(B)
+    for j in range(N - 1, 0, -1):
+        if cols is None:
+            np.matmul(B, P, out=Y)
+        else:
+            np.einsum("i,ij->ij", diag, P, out=Y)
             for m in range(cols.shape[1]):
                 # mode "raise" would buffer ``out``: one more n x n array
                 np.take(P, cols[:, m], axis=0, out=g, mode="wrap")
                 g *= w[:, m, None]
                 Y += g
-            Y /= j
-            np.fill_diagonal(Y, Y.diagonal() + 1.0)
-            P, Y = Y, P
-        P *= math.exp(-c)
-        return P
-    s = max(math.isqrt(N), 1)
-    powers = [B]  # B^1 ... B^s
-    for _ in range(s - 1):
-        powers.append(powers[-1] @ B)
-    quotient = np.empty_like(B)
-
-    def block(i: int, C: np.ndarray) -> np.ndarray:
-        """C overwritten by sum_{j < s, is + j <= N} B^j / (is + j)!, added in order of j."""
-        C.fill(0.0)
-        np.fill_diagonal(C, 1.0 / math.factorial(i * s))
-        for j in range(1, min(s, N - i * s + 1)):
-            C += np.divide(powers[j - 1], math.factorial(i * s + j), out=quotient)
-        return C
-
-    P, C = block(N // s, np.empty_like(B)), np.empty_like(B)
-    for i in range(N // s - 1, -1, -1):
-        np.matmul(P, powers[-1], out=C)
-        P, C = C, P  # the block is written over the product it follows
-        P += block(i, C)
+        Y /= j
+        np.fill_diagonal(Y, Y.diagonal() + 1.0)
+        P, Y = Y, P
     P *= math.exp(-c)
     return P
 
@@ -346,10 +325,11 @@ class MarkovModel(Engine):
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
-    step (t / 2^k) G is squared k times, and no solve.  The series takes no
-    GEMM when no row of Q has more than 2 jumps (``jump_columns``), and
-    about 8 otherwise.  The step is formed in the generator's own array, and
-    the series in place over it.  A time within 4 ulp of the sum of two held
+    step (t / 2^k) G is squared k times, and no solve.  The series is one
+    Horner loop of N <= 24 terms in three n x n arrays: its B P takes no GEMM
+    when no row of Q has more than 2 jumps (``jump_columns``), and one a term
+    otherwise.  The step is formed in the generator's own array, and the
+    series in place over it.  A time within 4 ulp of the sum of two held
     times is instead their product, one GEMM, so an equally spaced ascending
     grid costs one exponential; such a model ``composes``, and keeps its
     most recent operator and its first one's transition form as factors.

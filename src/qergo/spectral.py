@@ -242,10 +242,10 @@ def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
     r = np.sqrt(mu)
     (rho0, rho1), Sw0 = _top_two(u, r)
     rho1 = abs(rho1)
+    if abs(rho0) - rho1 < _DEGEN_TOL * abs(rho0):  # a +-rho pair too, either first
+        raise NondegeneracyError("dominant eigenvalue of U_t is not simple")
     if rho0 <= 0:
         raise NondegeneracyError("dominant transition eigenvalue is not positive")
-    if rho0 - rho1 < _DEGEN_TOL * rho0:
-        raise NondegeneracyError("dominant eigenvalue of U_t is not simple")
     lam0 = -np.log(rho0) / op.t
     gap = (-np.log(rho1) / op.t - lam0) if rho1 > 0 else np.inf
     phi = _positive_direction(Sw0 / r, "principal eigenfunction", irreducible=True)

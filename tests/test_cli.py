@@ -756,12 +756,9 @@ def record_builds(monkeypatch) -> Builds:
 
 
 def series_order(model, t):
-    """(N, series, arrays) of the first step series of U_t: the order of
-    ``_exp_step`` on the unit-norm step of t G, the series it takes, "rows"
-    when no row of Q has more than 2 jumps and "paterson-stockmeyer"
-    otherwise, and the n x n arrays that series holds with the step: three
-    for the row gathers, s + 3 for the powers B ... B^s, s = floor(sqrt N),
-    and three more."""
+    """(N, series) of the first step series of U_t: the order of
+    ``_exp_step`` on the unit-norm step of t G, and how it forms B P, "rows"
+    when no row of Q has more than 2 jumps and "gemm" otherwise."""
     A = t * model.generator()
     A /= 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
     np.fill_diagonal(A, A.diagonal() - A.diagonal().min())
@@ -771,9 +768,7 @@ def series_order(model, t):
         bounds.append(bounds[-1] * b / len(bounds))
     N = len(bounds) - 1
     jumps = np.count_nonzero(model.Q, axis=1) - (model.Q.diagonal() != 0)
-    if jumps.max() <= 2:
-        return N, "rows", 3
-    return N, "paterson-stockmeyer", max(math.isqrt(N), 1) + 3
+    return N, "rows" if jumps.max() <= 2 else "gemm"
 
 
 class TestOneGridPass:
@@ -860,19 +855,19 @@ class TestOneGridPass:
         run_experiment(parse_config(write_config(tmp_path, config)))
         assert builds.held == held
 
-    @pytest.mark.parametrize("series,margin", [("rows", 0.1), ("paterson-stockmeyer", 1.0)])
+    @pytest.mark.parametrize("series", ["rows", "gemm"])
     def test_the_first_nonreversible_exponential_holds_its_series_arrays(
-            self, monkeypatch, series, margin):
-        # the step B is formed in the generator's one array.  cycle(400) has
-        # one jump per row: its series holds B's array as a Horner buffer, the
-        # next P and the gathered rows, 3.07 n x n arrays with numpy's 2^16-byte
-        # ufunc buffer.  Three jumps per row take Paterson-Stockmeyer: B^2 ...
-        # B^s, two Horner buffers and one of the divisions, s + 3 with B, 6.01
-        # at s = 3
+            self, monkeypatch, series):
+        # the step B is formed in the generator's one array, and the Horner
+        # loop holds three n x n arrays.  cycle(400) has one jump per row: its
+        # series holds B's array as a Horner buffer, the next P and the
+        # gathered rows.  Three jumps per row take B P by GEMM: B, P and the
+        # product's buffer.  A Paterson-Stockmeyer sum held B ... B^s, two
+        # Horner buffers and one of the divisions, 6.01 arrays at s = 3
         cycle = zoo_build("cycle", {"n": 400, "potential": "power", "beta": "1.0", "scale": "2e-4"})
         model = cycle if series == "rows" else build_ctmc_model(
             400, sum(np.roll(np.eye(400), k, axis=1) for k in (1, 2, 3)) / 3.0, V=cycle.V)
-        n, (N, taken, arrays) = model.n, series_order(model, 20.0)
+        n, (N, taken) = model.n, series_order(model, 20.0)
         assert not model.reversible  # found once, before the trace
         builds = record_builds(monkeypatch)
         tracemalloc.start()
@@ -881,7 +876,7 @@ class TestOneGridPass:
         finally:
             tracemalloc.stop()
         assert N >= 10 and taken == series and builds.times == [20.0]
-        assert builds.peaks[0] <= (arrays + margin) * 8 * n * n, builds.peaks[0] / (8 * n * n)
+        assert builds.peaks[0] <= 3.1 * 8 * n * n, builds.peaks[0] / (8 * n * n)
 
     def test_a_composed_build_holds_one_transition_form_besides_the_engine(self):
         # at rest the engine holds its latest operator and the first one's
@@ -1015,6 +1010,21 @@ class TestVerdictSequence:
                for ok, line in report.verdicts]
         assert got == sequence
         assert code == (0 if all(row.startswith("PASS") for row in sequence) else 2)
+
+    def test_a_ratio_above_the_first_fails_kappa(self, tmp_path, monkeypatch, capsys):
+        # the family's radius jumps from 0 to 20, the whole chain, at 3.5: the
+        # ball at b t = 3.53 takes it at t = 10.6, where E / kappa_b jumps
+        # from 0.00494 to 0.165 against C = 0.015, the ratio at the first time
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        config = BIRTHDEATH_FULL.read_text().split("[mc]")[0].replace(
+            "radius = linear:0.6", "radius = table:0:0,3.4:0,3.5:20")
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+            "kappa_progressive_bound"]
+        kappa = next(line for line in lines if "kappa_progressive_bound" in line)
+        assert kappa.startswith("FAIL kappa_progressive_bound C=0.0150")
+        assert "t=9.3:E/kb=0.00494 t=10.6:E/kb=0.165 " in kappa
 
     def test_no_run_forms_an_n_by_n_kernel_limit(self, tmp_path, monkeypatch):
         # the kernel error forms the limit's rows of each 64-row block in a

@@ -273,7 +273,7 @@ ENGINE_ZOO = {
         True),
     "dual_cycle": (
         lambda: dual_model(build_ctmc_model(4, "cycle", V=np.array([0.0, 0.3, 0.8, 0.2]))), False),
-    # four jumps per row: the one non-reversible entry whose series is Paterson-Stockmeyer
+    # four jumps per row: the one non-reversible entry whose series forms B P by GEMM
     "circulant": (
         lambda: build_ctmc_model(5, sum(a * np.roll(np.eye(5), k, axis=1) for k, a in enumerate(
             (0.1, 0.4, 0.2, 0.2, 0.1))), V=np.linspace(0.0, 1.0, 5)), False),
@@ -836,17 +836,25 @@ class TestNonreversibleProperties:
         assert qsd_residual(qsd, ust) <= 1e-9
 
 
-def former_exp_step(S):
-    """_exp_step as it read before it formed the series in place: B = S + cI
-    as a new array, the powers from B^0 = I, and each block a new sum of new
-    quotients."""
-    n = len(S)
+def shifted_series(S):
+    """(c, B, N) of the step series of S: c = -min diag S, B = S + cI as a
+    new array, and the first order N whose term bound ||B||_1^N / N! is below
+    eps/10 of the partial sum of those bounds."""
     c = -S.diagonal().min()
-    B = S + c * np.eye(n)
+    B = S + c * np.eye(len(S))
     b, bounds = np.linalg.norm(B, 1), [1.0]
     while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
         bounds.append(bounds[-1] * b / len(bounds))
-    N = len(bounds) - 1
+    return c, B, len(bounds) - 1
+
+
+def former_exp_step(S):
+    """The step series as a Paterson-Stockmeyer sum, an independent reference
+    for _exp_step's Horner loop: the powers from B^0 = I, Horner's rule in B^s
+    over blocks of B^0 ... B^{s-1}, s = floor(sqrt N), and each block a new
+    sum of new quotients."""
+    n = len(S)
+    c, B, N = shifted_series(S)
     s = max(math.isqrt(N), 1)
     powers = [np.eye(n), B]
     for _ in range(s - 1):
@@ -869,13 +877,9 @@ def reference_row_series(S):
     row of B P a new sum, B(x, x) P(x) first, then B(x, y) P(y) for the jumps
     y of row x in ascending order."""
     n = len(S)
-    c = -S.diagonal().min()
-    B = S + c * np.eye(n)
-    b, bounds = np.linalg.norm(B, 1), [1.0]
-    while bounds[-1] > 0.1 * np.finfo(float).eps * sum(bounds):
-        bounds.append(bounds[-1] * b / len(bounds))
+    c, B, N = shifted_series(S)
     P = np.eye(n)
-    for j in range(len(bounds) - 1, 0, -1):
+    for j in range(N, 0, -1):
         BP = np.empty((n, n))
         for x, jumps in enumerate(step_jumps(S)):
             row = B[x, x] * P[x]
@@ -886,11 +890,33 @@ def reference_row_series(S):
     return math.exp(-c) * P
 
 
+def reference_gemm_series(S):
+    """_exp_step's series without ``cols`` as a plain loop: B = S + cI as a
+    new array and Horner's rule P <- I + (B @ P) / j from P = I down to j = 1."""
+    n = len(S)
+    c, B, N = shifted_series(S)
+    P = np.eye(n)
+    for j in range(N, 0, -1):
+        P = (B @ P) / j + np.eye(n)
+    return math.exp(-c) * P
+
+
 def reference_exp_step(S):
     """The series a step takes: the row gathers when no row of S has more
-    than 2 off-diagonal nonzeros, the former Paterson-Stockmeyer sum otherwise."""
+    than 2 off-diagonal nonzeros, the GEMM loop otherwise."""
     dense = max(map(len, step_jumps(S))) > 2
-    return former_exp_step(S) if dense else reference_row_series(S)
+    return reference_gemm_series(S) if dense else reference_row_series(S)
+
+
+def assert_matches_paterson_stockmeyer(P, S):
+    """P agrees with the Paterson-Stockmeyer sum of S in every entry above
+    the 2^-500 floor of the transition form, to 1e-13 of the entry of the
+    series of |B| (the size of that entry's terms), not only in norm."""
+    M = np.abs(S)
+    np.fill_diagonal(M, S.diagonal())
+    size = former_exp_step(M)
+    keep = size >= 2.0**-500 * size.max()
+    assert np.all(np.abs(P - former_exp_step(S))[keep] <= 1e-13 * size[keep])
 
 
 def former_step_density(model, t, factors=()):
@@ -972,8 +998,8 @@ def sparse_chains(draw):
 class TestInPlaceBitIdentity:
     """The non-reversible step formed in the generator's array and the
     triple's shift formed in place give the bits of the former arithmetic: a
-    chain with more than 2 jumps in some row the former Paterson-Stockmeyer
-    sum, any other the reference row-gather series."""
+    chain with more than 2 jumps in some row the reference GEMM series, any
+    other the reference row-gather series."""
 
     @pytest.mark.parametrize("name", NONREVERSIBLE_ZOO)
     def test_operator_is_the_former_arithmetic(self, name):
@@ -998,7 +1024,9 @@ class TestInPlaceBitIdentity:
         S = A / 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
         event(f"n: {'1, 2' if model.n <= 2 else '3-40'}, reversible: {model.reversible}")
         event(f"an entry of Q in [-1e-12, 0): {bool(model.Q.min() < 0)}")
-        assert np.array_equal(_exp_step(S.copy()), former_exp_step(S))
+        dense = _exp_step(S.copy())
+        assert np.array_equal(dense, reference_gemm_series(S))
+        assert_matches_paterson_stockmeyer(dense, S)
         if model.jump_columns is not None:
             assert np.array_equal(_exp_step(S.copy(), model.jump_columns), reference_row_series(S))
         if not model.reversible:
@@ -1039,12 +1067,7 @@ class TestRowSeries:
         assert [list(row) for row in cols] == [js + [x] * (d - len(js)) for x, js in enumerate(jumps)]
         A = t * model.generator()
         S = A / 2.0 ** max(math.frexp(np.linalg.norm(A, 1))[1], 0)
-        rows, ps = _exp_step(S.copy(), cols), _exp_step(S.copy())
-        M = np.abs(S)  # the series of |B|: the size of each entry's terms
-        np.fill_diagonal(M, S.diagonal())
-        size = _exp_step(M)
-        keep = size >= 2.0**-500 * size.max()
-        assert np.all(np.abs(rows - ps)[keep] <= 1e-13 * size[keep])
+        assert_matches_paterson_stockmeyer(_exp_step(S.copy(), cols), S)
 
 
 class TestAdjointCompose:

@@ -384,6 +384,16 @@ class TestHODiscretization:
         with pytest.raises(NondegeneracyError):
             principal_triple_from_operator(KernelOperator(1.0, u, space))
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_bipartite_kernel_is_not_simple(self, n):
+        # a connected bipartite support has -rho0 beside rho0: two eigenvalues
+        # of equal modulus, which the iteration may return -rho0 first
+        u = np.zeros((n, n))
+        u[np.arange(n), (np.arange(n) + 1) % n] = u[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+        space = StateSpace(tuple(range(n)), np.ones(n), np.arange(n))
+        with pytest.raises(NondegeneracyError, match="not simple"):
+            principal_triple_from_operator(KernelOperator(1.0, u, space))
+
     def test_nonsymmetric_density_rejected(self):
         space = lattice_space(2.0, 0.5)
         u = build_ho_discretization(space, 1.0).density.copy()
