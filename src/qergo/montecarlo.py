@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadKeyError
 from .models import PotentialSpec
-from .operators import MarkovModel
+from .operators import _GUIDE_BUCKETS, MarkovModel
 
 __all__ = [
     "EstimateWithError",
@@ -48,7 +48,7 @@ class EstimateWithError:
         return abs(self.mean - target) <= max(k * self.stderr, atol)
 
 
-# desk-scale path budget: the doubles of a batch's one n x M array of jump times
+# desk-scale path budget: the doubles of a batch's one M x n array of jump times
 MAX_PATH_STEPS = 2**25
 
 
@@ -70,26 +70,8 @@ def _normalize_rng(rng) -> tuple[np.random.Generator, int | None]:
     return np.random.default_rng(rng), int(rng) if isinstance(rng, (int, np.integer)) else None
 
 
-# buckets of the guide table; a power of two, so floor(x * B) is exact
-_GUIDE_BUCKETS = 1024
-
-
-def _guide_table(cum: np.ndarray) -> np.ndarray:
-    """Guide table of the inverse-transform step (Chen & Asau 1974).
-
-    ``G[s, b]`` is #{j : cum[s, j] < b/B} when no threshold of row s lies in
-    the bucket [b/B, (b+1)/B); that count is then exact for every r in the
-    bucket, whether or not the row is monotone.  Buckets that hold a
-    threshold are -1 and need the full count.  G is returned flat, so that
-    entry (s, b) sits at s * B + b.
-    """
-    n, B = cum.shape[0], _GUIDE_BUCKETS
-    # bucket of each threshold: -1 below 0, B at or above 1
-    idx = np.clip(np.floor(cum * B), -1, B).astype(np.intp) + 1
-    slots = np.bincount((np.arange(n)[:, None] * (B + 2) + idx).ravel(), minlength=n * (B + 2))
-    slots = slots.reshape(n, B + 2)
-    below = np.cumsum(slots[:, :B], axis=1)
-    return np.where(slots[:, 1:B + 1] == 0, below, -1).ravel()
+# paths per row block of the jump-time draw, so that a block is far smaller than the batch
+_DRAW_ROWS = 1024
 
 
 def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
@@ -97,42 +79,45 @@ def _simulate_batch(model: MarkovModel, x0, t: float, n: int, gen, radius=None):
 
     Returns (weights, end_state_indices, stayed) where ``stayed`` flags paths
     whose every visited state lies within the closed ball B_radius(x0); it is
-    all-True when radius is None.  A jump from state s to the first j with
-    cum[s, j] >= r is read from a guide table in O(1), with the exact O(n)
-    count only where r falls in a bucket that holds a threshold.
+    all-True when radius is None.  Row k of the M x n jump times is every path's
+    k-th jump, or t past its last.  A jump from state s to the first j with
+    cum[s, j] >= r is read from the model's guide table in O(1), with the
+    exact O(n) count only where r falls in a bucket that holds a threshold.
     """
     check_batch(n, t)
     i0 = model.space.index(x0)
     counts = gen.poisson(t, n)
     M = int(counts.max())
-    # jump times, masked and sorted in place: the batch's one n x M array
-    times = gen.uniform(0.0, t, (n, M))
-    times[np.arange(M)[None, :] >= counts[:, None]] = np.inf
-    times.sort(axis=1)
-    cum = np.cumsum(model.Q, axis=1)
-    guide = _guide_table(cum)
+    times = np.empty((M, n))
+    for i in range(0, n, _DRAW_ROWS):  # rows i, i + 1, ... of the one (n, M) draw
+        block = gen.uniform(0.0, t, (min(_DRAW_ROWS, n - i), M))
+        block[np.arange(M) >= counts[i:i + _DRAW_ROWS, None]] = t
+        block.sort(axis=1)
+        times[:, i:i + _DRAW_ROWS] = block.T
+    cum, guide = model.jump_guide
+    V, B = model.V, _GUIDE_BUCKETS
     dist_row = model.space.distances(i0)
     state = np.full(n, i0)
     logw = np.zeros(n)
     stayed = np.ones(n, dtype=bool)
     prev = np.zeros(n)
+    done = np.bincount(counts, minlength=M)  # done[k]: paths with exactly k jumps
+    active = np.arange(n)
     for k in range(M):
-        live = counts > k
-        end = np.minimum(times[:, k], t)  # a masked time is inf, a live one <= t
-        logw -= model.V[state] * (end - prev)
-        prev = end
-        active = np.flatnonzero(live)  # never empty: k < M = counts.max()
+        logw -= V[state] * (times[k] - prev)
+        prev = times[k]
+        if done[k]:  # the live set shrinks; never empty, as k < M = counts.max()
+            active = np.flatnonzero(counts > k)
         r = gen.random(active.size)
         src = state[active]
-        nxt = guide.take(src * _GUIDE_BUCKETS + (r * _GUIDE_BUCKETS).astype(np.intp))
+        nxt = guide.take(src * B + (r * B).astype(np.intp))
         amb = np.flatnonzero(nxt < 0)
         if amb.size:
-            nxt[amb] = (cum[src[amb]] < r[amb, None]).sum(axis=1)
-        np.minimum(nxt, model.n - 1, out=nxt)
+            nxt[amb] = np.minimum((cum[src[amb]] < r[amb, None]).sum(axis=1), model.n - 1)
         state[active] = nxt
         if radius is not None:
             stayed[active] &= dist_row[nxt] <= radius
-    logw -= model.V[state] * (t - prev)
+    logw -= V[state] * (t - prev)
     return np.exp(logw), state, stayed
 
 

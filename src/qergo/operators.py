@@ -51,6 +51,30 @@ def _abs_max(blocks) -> float:
     return float(np.max([np.abs(d, out=d).max(initial=0.0) for d in blocks], initial=0.0))
 
 
+# buckets of the jump guide table; a power of two, so floor(x * B) is exact
+_GUIDE_BUCKETS = 1024
+
+
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """Guide table of the inverse-transform jump step (Chen & Asau 1974).
+
+    ``G[s, b]`` is min(#{j : cum[s, j] < b/B}, n - 1) when no threshold of
+    row s lies in the bucket [b/B, (b+1)/B); that count is then exact for
+    every r in the bucket, whether or not the row is monotone.  Buckets that
+    hold a threshold are -1 and need the full count.  G is formed 64 rows at a
+    time and returned flat, so that entry (s, b) sits at s * B + b.
+    """
+    n, B = cum.shape[0], _GUIDE_BUCKETS
+    G = np.empty((n, B), dtype=np.intp)
+    for r in _rows(n):
+        # bucket of each threshold: -1 below 0, B at or above 1
+        idx = np.clip(np.floor(cum[r] * B), -1, B).astype(np.intp) + 1
+        idx += np.arange(len(idx))[:, None] * (B + 2)
+        slots = np.bincount(idx.ravel(), minlength=len(idx) * (B + 2)).reshape(-1, B + 2)
+        G[r] = np.where(slots[:, 1:B + 1] == 0, np.minimum(np.cumsum(slots[:, :B], axis=1), n - 1), -1)
+    return G.ravel()
+
+
 def _dual_rows(Q: np.ndarray, mu: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """Rows of the dual kernel D^{-1} Q^T D, D = diag(mu): (Q(y, x) mu(y)) / mu(x)
     at (x, y), rows contiguous as Q's are."""
@@ -392,6 +416,13 @@ class MarkovModel(Engine):
         jumps = np.repeat(np.arange(self.n)[:, None], count.max(), axis=1)
         jumps[rows, np.arange(rows.size) - (np.cumsum(count) - count)[rows]] = cols
         return _read_only(jumps)
+
+    @cached_property
+    def jump_guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cum, G): the cumulative rows of Q and their guide table, which a
+        Monte Carlo path reads at each jump; built once per model."""
+        cum = np.cumsum(self.Q, axis=1)
+        return _read_only(cum), _read_only(_guide_table(cum))
 
     def generator(self) -> np.ndarray:
         """G = Q - I - diag(V), acting on functions: a copy of Q with

@@ -1,14 +1,17 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qergo.cli import parse_config
+import qergo.operators as operators
+from qergo.cli import main, parse_config
 from qergo.diagnostics import qsd_from_spectral
 from qergo.errors import BadKeyError
 from qergo.models import PotentialSpec, build_ctmc_model, zoo_build
 from qergo.montecarlo import (
+    _DRAW_ROWS,
     _GUIDE_BUCKETS,
     MAX_PATH_STEPS,
     EstimateWithError,
@@ -22,6 +25,26 @@ from qergo.montecarlo import (
 )
 from qergo.operators import feynman_kac_operator
 from qergo.spectral import principal_triple
+
+
+BIRTHDEATH_FULL = Path(__file__).parents[1] / "configs" / "birthdeath_full.ini"
+# fk_estimate on configs/birthdeath_full.ini at its [mc] seed, as the
+# full-count simulator gave them: the stream behind every mc.csv
+PINNED_ESTIMATES = {
+    6.7: ("0x1.31c0c978d0f91p-14", "0x1.166076457b6a5p-17"),
+    8.0: ("0x1.79c9b560a89d1p-15", "0x1.38f8d89e19d9cp-18"),
+    9.3: ("0x1.108f701630be4p-15", "0x1.2cf3a9ca0085fp-18"),
+    10.6: ("0x1.63ba750c84527p-16", "0x1.80c184305e3ecp-19"),
+    11.9: ("0x1.014f2c78f8396p-16", "0x1.bfa704c705831p-19"),
+    13.2: ("0x1.ee54613fa5c40p-18", "0x1.4dbb9c1cc6725p-20"),
+}
+
+
+@pytest.fixture(scope="module")
+def full_config():
+    """(config, model) of configs/birthdeath_full.ini."""
+    cfg = parse_config(str(BIRTHDEATH_FULL))
+    return cfg, zoo_build(cfg.model_id, cfg.model_params)
 
 
 class TestPathSampler:
@@ -154,23 +177,93 @@ class TestGuideTable:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_shipped_config_estimates_are_pinned(self):
-        # fk_estimate on configs/birthdeath_full.ini at its [mc] seed, as the
-        # full-count simulator gave them: the stream behind every mc.csv
-        cfg = parse_config(str(Path(__file__).parents[1] / "configs" / "birthdeath_full.ini"))
-        model = zoo_build(cfg.model_id, cfg.model_params)
-        pinned = {
-            6.7: ("0x1.31c0c978d0f91p-14", "0x1.166076457b6a5p-17"),
-            8.0: ("0x1.79c9b560a89d1p-15", "0x1.38f8d89e19d9cp-18"),
-            9.3: ("0x1.108f701630be4p-15", "0x1.2cf3a9ca0085fp-18"),
-            10.6: ("0x1.63ba750c84527p-16", "0x1.80c184305e3ecp-19"),
-            11.9: ("0x1.014f2c78f8396p-16", "0x1.bfa704c705831p-19"),
-            13.2: ("0x1.ee54613fa5c40p-18", "0x1.4dbb9c1cc6725p-20"),
-        }
-        assert cfg.t_grid == list(pinned) and cfg.mc == {"n": 20000, "seed": 1234}
-        for t, (mean, stderr) in pinned.items():
+    def test_table_is_the_clamped_count_or_minus_one(self):
+        # rows that end short of 1 - 1/B: a count there reaches n and is clamped to n - 1
+        n, B = 70, _GUIDE_BUCKETS  # more than one block of 64 rows
+        cum = np.cumsum(np.random.default_rng(3).random((n, n)), axis=1) / n * 1.5 - 0.25
+        edges = np.arange(B) / B
+        count = (cum[:, None, :] < edges[None, :, None]).sum(axis=2)
+        split = ((cum[:, None, :] >= edges[None, :, None])
+                 & (cum[:, None, :] < edges[None, :, None] + 1 / B)).any(axis=2)
+        want = np.where(split, -1, np.minimum(count, n - 1))
+        assert (count == n).any() and np.array_equal(operators._guide_table(cum), want.ravel())
+
+    def test_shipped_config_estimates_are_pinned(self, full_config):
+        cfg, model = full_config
+        assert cfg.t_grid == list(PINNED_ESTIMATES) and cfg.mc == {"n": 20000, "seed": 1234}
+        for t, (mean, stderr) in PINNED_ESTIMATES.items():
             est = fk_estimate(model, model.space.points[0], t, np.ones(model.n), 20000, 1234)
             assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr), t
+
+    def test_an_mc_block_builds_the_guide_table_once(self, full_config, tmp_path, monkeypatch):
+        # one table per model, not one per grid time; the estimates keep their bits
+        builds, build = [], operators._guide_table
+        monkeypatch.setattr(operators, "_guide_table", lambda cum: builds.append(cum.shape) or build(cum))
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path))
+        assert main(["run", str(BIRTHDEATH_FULL)]) == 0
+        assert builds == [(12, 12)]
+        rows = (tmp_path / "mc.csv").read_text().splitlines()[2:]
+        got = {float(t): (float(m), float(e)) for _, _, t, m, e, *_ in (r.split(",") for r in rows)}
+        assert got == {t: (float.fromhex(m), float.fromhex(e)) for t, (m, e) in PINNED_ESTIMATES.items()}
+
+
+class TestStepMajorBatch:
+    """The step-major batch, drawn in row blocks of the (n, M) uniform draw,
+    against the simulator that draws and sorts the whole n x M array."""
+
+    @staticmethod
+    def assert_same_batch(model, x0, t, n, gen, radius=None):
+        got = _simulate_batch(model, x0, t, n, gen(), radius=radius)
+        want = reference_batch(model, x0, t, n, gen(), radius=radius)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1234, 109])  # 109 fails two verdicts of the pinned seeds
+    def test_shipped_config_grid(self, full_config, seed):
+        cfg, model = full_config
+        for t in cfg.t_grid:
+            self.assert_same_batch(model, model.space.points[0], t, cfg.mc["n"],
+                                   lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("t,n,radius,edges", [
+        (1e-12, 50, None, False), (13.2, 2, None, False), (9.3, 3 * _DRAW_ROWS + 5, 2.0, False),
+        (9.3, 3 * _DRAW_ROWS + 5, 2.0, True), (0.7, 2 * _DRAW_ROWS, None, True),
+    ], ids=["no_jumps", "two_paths", "radius", "edge_draws_radius", "edge_draws_short"])
+    def test_edge_cases(self, full_config, t, n, radius, edges):
+        _, model = full_config
+        cum = np.cumsum(model.Q, axis=1)
+        seed = 109
+        if t < 1e-6:
+            assert not np.random.default_rng(seed).poisson(t, n).any()  # M = 0
+        self.assert_same_batch(model, model.space.points[3], t, n, lambda: (
+            EdgeDraws(seed, cum) if edges else np.random.default_rng(seed)), radius)
+
+    @pytest.mark.parametrize("n,M,rows", [(5, 3, 2), (20000, 33, _DRAW_ROWS), (7, 0, 3), (9, 4, 9)])
+    def test_row_block_draws_are_the_one_draw(self, n, M, rows):
+        # the property the layout rests on: the generator fills (n, M) in row order
+        one, gen = np.random.default_rng(7), np.random.default_rng(7)
+        whole = one.uniform(0.0, 13.2, (n, M))
+        blocks = [gen.uniform(0.0, 13.2, (min(rows, n - i), M)) for i in range(0, n, rows)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert gen.bit_generator.state == one.bit_generator.state
+
+    def test_peak_memory_is_the_time_array_and_a_block(self, full_config):
+        # the M x n jump times, one row block of draws and its mask, and at most
+        # twelve n-vectors of a step; the whole-array layout also held two n x M
+        # boolean temporaries
+        _, model = full_config
+        model.jump_guide  # built once per model, before the batch
+        n, t = 20000, 13.2
+        M = int(np.random.default_rng(1234).poisson(t, n).max())
+        tracemalloc.start()
+        try:
+            _simulate_batch(model, model.space.points[0], t, n, np.random.default_rng(1234))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = 12 * 8 * n
+        assert 8 * M * n < peak <= 8 * M * n + 9 * _DRAW_ROWS * M + steps
+        assert peak < 8 * M * n + 2 * M * n + steps
 
 
 class TestFkEstimate:
