@@ -252,7 +252,7 @@ def _parse_sigma(cfg: ExperimentConfig, space) -> np.ndarray:
 class _Run:
     """One run: its inputs, the survivals and reads of each grid time in grid
     order, and the rows it writes.  It holds no n x n array: each read takes
-    what it needs of U_t while the grid pass holds it, the kernel limit by row blocks."""
+    what it needs of U_t through its products while the grid pass holds it."""
 
     cfg: ExperimentConfig
     model: object
@@ -501,7 +501,7 @@ def _report_uniqueness(run, name):
 
 class _Diagnostic(NamedTuple):
     """``report(run, name)`` writes samples, fits and verdicts after the grid
-    pass; ``read(run, i, U_t)`` is what it takes of the density at grid index i."""
+    pass; ``read(run, i, U_t)`` is what it takes of U_t at grid index i."""
 
     report: Callable
     read: Callable | None = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSupportError, FitError, NonuniquenessWarning
-from .operators import KernelOperator, MarkovModel, _abs_max, _rows
+from .operators import KernelOperator, MarkovModel, ModalOperator, _rows
 from .spectral import _DEGEN_TOL, SpectralData, _arnoldi, _positive_direction, _top_two
 from .statespace import ExhaustingFamily, StateSpace, _radius_crossing, ball_indicator, exhaustion_time
 
@@ -162,7 +162,7 @@ def qsd_residual(sigma, op: KernelOperator) -> float:
     """
     w = _as_weights(sigma)
     mu = op.space.mu
-    evolved = (w @ op.density) * mu
+    evolved = op.left(w) * mu
     mass = evolved.sum()
     if mass <= 0:
         raise DegenerateSupportError("sigma(U_t 1) vanishes")
@@ -185,7 +185,7 @@ def find_qsd(op: KernelOperator) -> QuasiStationaryMeasure:
     """
     if op.self_adjoint():
         r = np.sqrt(op.space.mu)
-        w, Sx0 = _top_two(op.density, r)  # one Ritz value when n = 1
+        w, Sx0 = _top_two(op, r)  # one Ritz value when n = 1
         v = r * Sx0
     else:
         w, v = _arnoldi(op.transition().T, 2)
@@ -227,20 +227,36 @@ def kernel_limit(
 def kernel_convergence_error(op: KernelOperator, spec: SpectralData) -> float:
     """sup_{x,y} |e^{lambda0 t} u_t(x,y) - phi0(x) psi0(y) / Lambda| at the time of ``op``.
 
-    Each 64-row block of the density, scaled, is compared with the same rows
-    of ``kernel_limit``, each formed in its own preallocated 64 x n buffer, so
-    no run forms the n x n limit and no temporary is larger than a block; the
-    value is the unblocked expression's bit for bit.  A nan entry gives nan.
+    On a ``ModalOperator`` of the model whose triple is ``spec`` the difference
+    is the positive semidefinite sum_{k>=1} e^{-(lambda_k - lambda0) t} b_k b_k^T
+    over the kept modes, so |E_xy| <= sqrt(E_xx E_yy) and the sup is its
+    largest diagonal entry, summed with no cancellation.  Otherwise each
+    64-row block of the density, scaled, is compared with the same rows of
+    ``kernel_limit`` in two preallocated 64 x n buffers.  No entry of a block
+    exceeds max(s max u, max phi0 max psi0 / Lambda) + s max(0, -min u) in
+    floating point (s = e^{lambda0 t}, phi0, psi0 >= 0), so blocks are read by
+    descending bound and one at most the running sup is skipped: the value is
+    the unblocked expression's bit for bit.  KernelOperator refuses nan; a nan
+    density handed in otherwise gives nan.
     """
-    n, scale = len(spec.phi0), np.exp(spec.lambda0 * op.t)
-    buf, lim = np.empty((64, n)), np.empty((64, n))
-
-    def block(r):
-        u = op.density[r]
-        diff = np.multiply(scale, u, out=buf[:len(u)])
-        diff -= kernel_limit(spec, r, lim[:len(u)])
-        return diff
-    return _abs_max(block(r) for r in _rows(n))
+    scale = np.exp(spec.lambda0 * op.t)
+    if isinstance(op, ModalOperator):
+        return float((op.X[:, :-1] ** 2 @ (scale * op.c[:-1])).max(initial=0.0))
+    u, phi, psi = op.density, spec.phi0, spec.psi0
+    buf, lim = np.empty((64, len(phi))), np.empty((64, len(phi)))
+    blocks = list(_rows(len(phi)))
+    bound = np.array([max(scale * u[r].max(), phi[r].max() * psi.max() / spec.Lambda)
+                      + scale * max(0.0, -u[r].min()) for r in blocks])
+    if min(phi.min(), psi.min()) < 0 or not spec.Lambda > 0:
+        bound[:] = np.inf  # a signed limit bounds nothing: every block is read
+    sup = 0.0
+    for i in np.argsort(-bound, kind="stable"):
+        if not bound[i] <= sup:  # a nan bound or sup visits every block
+            rows = u[blocks[i]]
+            diff = np.multiply(scale, rows, out=buf[:len(rows)])
+            diff -= kernel_limit(spec, blocks[i], lim[:len(diff)])
+            sup = np.maximum(sup, np.abs(diff, out=diff).max())
+    return float(sup)
 
 
 def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> float:
@@ -251,7 +267,7 @@ def quasi_ergodic_error(op: KernelOperator, spec: SpectralData, sigma, p) -> flo
     """
     w = _as_weights(sigma)
     mu = op.space.mu
-    su = w @ op.density
+    su = op.left(w)
     mass = su @ mu
     if mass <= 0:
         raise DegenerateSupportError("sigma(U_t 1) vanishes")
@@ -264,7 +280,7 @@ def progressive_error(op: KernelOperator, spec: SpectralData, mask: np.ndarray) 
     ||u_t(x, .) / (U_t 1)(x) - m||_{L^1(mu)}, the L^inf quasi-ergodic error
     of the point masses at the masked points taken all at once."""
     mu = op.space.mu
-    u = op.density[mask]  # the one copy: divided, shifted and taken |.| in place
+    u = op.rows(mask)  # the one copy: divided, shifted and taken |.| in place
     u /= (u @ mu)[:, None]
     u -= spec.psi0 / np.sum(spec.psi0 * mu)
     return float((np.abs(u, out=u) @ mu).max())

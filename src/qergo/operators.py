@@ -23,6 +23,7 @@ __all__ = [
     "strongly_connected",
     "Engine",
     "KernelOperator",
+    "ModalOperator",
     "Survivals",
     "feynman_kac_operator",
     "compose",
@@ -101,10 +102,12 @@ def strongly_connected(adj: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Kernel density u_t(x, y) of U_t with respect to mu, at a fixed time t."""
+    """Kernel density u_t(x, y) of U_t with respect to mu, at a fixed time t.
+    Readers reach it through ``rows``, the left product w u and the right
+    product u F, which a ``ModalOperator`` forms from its modes."""
 
     t: float
-    density: np.ndarray
+    density: np.ndarray = field(repr=False)  # a modal one is formed only on a read
     space: StateSpace
     meta: dict = field(default_factory=dict)
 
@@ -117,23 +120,35 @@ class KernelOperator:
             raise ValueError("kernel density must be nonnegative, with no nan entry")
         object.__setattr__(self, "density", _read_only(u))
 
+    def rows(self, idx) -> np.ndarray:
+        """The density's rows at the index array or mask ``idx``, a new array."""
+        return self.density[idx]
+
+    def left(self, w) -> np.ndarray:
+        """w u for a vector w (or rows of vectors)."""
+        return w @ self.density
+
+    def right(self, F) -> np.ndarray:
+        """u F for a vector F (or columns of vectors)."""
+        return self.density @ F
+
     def apply(self, f) -> np.ndarray:
         """U_t f(x) = sum_y u(x,y) f(y) mu(y)."""
-        return self.density @ (np.asarray(f, float) * self.space.mu)
+        return self.right(np.asarray(f, float) * self.space.mu)
 
     def apply_adjoint(self, g) -> np.ndarray:
         """U*_t g(y) = sum_x u(x,y) g(x) mu(x)."""
-        return self.density.T @ (np.asarray(g, float) * self.space.mu)
+        return self.left(np.asarray(g, float) * self.space.mu)
 
     @cached_property
     def survival(self) -> np.ndarray:
         """U_t 1 per point, formed on first use and read-only."""
-        return _read_only(self.density @ self.space.mu)
+        return _read_only(self.right(self.space.mu))
 
     @cached_property
     def dual_survival(self) -> np.ndarray:
         """U*_t 1 per point, formed on first use and read-only."""
-        return _read_only(self.density.T @ self.space.mu)
+        return _read_only(self.left(self.space.mu))
 
     def transition(self) -> np.ndarray:
         """Transition form P_t(x,y) = u(x,y) mu(y)."""
@@ -147,6 +162,34 @@ class KernelOperator:
         u = self.density  # max |u - u^T| by mirror tile pairs
         asymmetry = _abs_max(u[I, J] - u[J, I].T for I, J in _mirror_tiles(len(u)))
         return bool(asymmetry <= _REV_TOL * max(u.max(), -u.min()))
+
+
+class ModalOperator(KernelOperator):
+    """U_t of a reversible model as its kept modes X = B[:, k:], ground mode
+    last, and scales c = e^{t w[k:]} (``MarkovModel._build``): each product
+    costs O(n m) for m modes, unclamped, and the density, the build's
+    (X c) X^T clamped at 0, is formed only when something reads it."""
+
+    def __init__(self, t: float, X: np.ndarray, c: np.ndarray, space: StateSpace, meta: dict):
+        for name, value in (("t", t), ("X", X), ("c", c), ("space", space), ("meta", meta)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        return _read_only(self.rows(slice(None)))
+
+    def rows(self, idx) -> np.ndarray:
+        u = (self.X[idx] * self.c) @ self.X.T
+        return np.maximum(u, 0.0, out=u)
+
+    def left(self, w) -> np.ndarray:
+        return ((w @ self.X) * self.c) @ self.X.T
+
+    def right(self, F) -> np.ndarray:
+        return self.X @ ((F.T @ self.X) * self.c).T
+
+    def self_adjoint(self) -> bool:
+        return True
 
 
 class Survivals(NamedTuple):
@@ -337,15 +380,16 @@ class MarkovModel(Engine):
     the shipped reversible models.  The spectrum then takes ~0.05 s against
     ~0.10 s at n = 801, and ~0.5 s against ~1.4 s at n = 2001 (one BLAS
     thread).  With
-    S = W diag(w) W^T and B = D^{-1/2} W, the density is u_t = B e^{tw} B^T,
-    one GEMM over the modes with t (w_k - max w) >= log(eps c) only, where
+    S = W diag(w) W^T and B = D^{-1/2} W, U_t is the ``ModalOperator`` of
+    u_t = B e^{tw} B^T over the modes with t (w_k - max w) >= log(eps c), where
     c = min(min(mu) max g^2, (g.mu)^2 / sum(mu)) <= 1 for the ground mode g.
     The modes dropped have L2(mu) norm below eps ||U_t||, under the error
     ~t eps ||S|| the eigh already leaves in e^{tw}; c also puts them below eps
     times max u, max U_t 1 and <U_t 1, 1>_mu where mu is far from uniform.
     The eigenvalue problem of a symmetric matrix is well conditioned, so this
-    agrees with the exponential to round-off.  Its builds read only the
-    spectrum: it does not compose, so it releases its latest before each build.
+    agrees with the exponential to round-off.  A build forms no n x n array
+    and reads only the spectrum, so it does not compose and the engine
+    releases its latest operator before each build.
 
     Other models scale and square: with k the fewest halvings that bring
     t ||G||_1 below 1, the nonnegative series ``_exp_step`` of the unit-norm
@@ -479,9 +523,8 @@ class MarkovModel(Engine):
             # even top one) or nan bounds nothing: every mode is kept
             floor = np.finfo(float).eps * c
             k = int(np.searchsorted(t * (w - w[-1]), np.log(floor))) if 0 < c < np.inf else 0
-            u = (B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T
-            np.maximum(u, 0.0, out=u)
-            return KernelOperator(t, u, space, {"method": "eigh", "modes": w.size - k})
+            meta = {"method": "eigh", "modes": w.size - k}
+            return ModalOperator(t, _read_only(B[:, k:]), np.exp(t * w[k:]), space, meta)
         factors = self._factors(t)
         if factors is None:  # tG and its step tG / 2^k in one array, which the series overwrites
             P = self.generator()

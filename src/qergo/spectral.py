@@ -192,18 +192,19 @@ def principal_triple(model) -> SpectralData:
     return SpectralData(float(lam0), phi, psi, Lam, gap)
 
 
-def _top_two(u: np.ndarray, r: np.ndarray):
-    """The two eigenvalues of S = D^{1/2} u D^{1/2} (r = diag D^{1/2}) of largest
-    modulus, in order, and S times the first eigenvector (every entry to a few
-    ulps when u >= 0): subspace iteration with Rayleigh-Ritz (Rutishauser, 1970)
-    from a fixed golden-ratio block, no PRNG, until both residuals are <= 4 n eps
-    |theta0|, else a dense eigh of S after 100 steps."""
+def _top_two(op: KernelOperator, r: np.ndarray):
+    """The two eigenvalues of S = D^{1/2} u D^{1/2} (u the density of ``op``,
+    r = diag D^{1/2}) of largest modulus, in order, and S times the first
+    eigenvector (every entry to a few ulps when u >= 0): subspace iteration
+    with Rayleigh-Ritz (Rutishauser, 1970) on the right product ``op.right``
+    from a fixed golden-ratio block, no PRNG, until both residuals are <= 4 n
+    eps |theta0|, else a dense eigh of S after 100 steps."""
     n = len(r)
     p = min(n, 8)  # with n <= 8 the first step is exact
     start = 0.5 + np.arange(1, n * p + 1) * 0.6180339887498949 % 1.0
     Q = np.linalg.qr(start.reshape(p, n).T)[0]
     for _ in range(100):
-        Z = r[:, None] * (u @ (r[:, None] * Q))
+        Z = r[:, None] * op.right(r[:, None] * Q)
         theta, Y = np.linalg.eigh(Q.T @ Z)
         top = np.argsort(-np.abs(theta), kind="stable")[:2]
         theta, SX = theta[top], Z @ Y[:, top]
@@ -211,7 +212,7 @@ def _top_two(u: np.ndarray, r: np.ndarray):
         if p == n or resid <= 4 * n * np.finfo(float).eps * abs(theta[0]):
             return theta, SX[:, 0]
         Q = np.linalg.qr(Z)[0]
-    S = r[:, None] * u * r
+    S = r[:, None] * op.density * r
     w, W = np.linalg.eigh(S)
     top = np.argsort(-np.abs(w), kind="stable")[:2]
     return w[top], S @ W[:, top[0]]
@@ -240,7 +241,7 @@ def principal_triple_from_operator(op: KernelOperator) -> SpectralData:
         if not strongly_connected(adj | adj.T):
             raise NondegeneracyError("kernel is reducible: its support graph is not connected")
     r = np.sqrt(mu)
-    (rho0, rho1), Sw0 = _top_two(u, r)
+    (rho0, rho1), Sw0 = _top_two(op, r)
     rho1 = abs(rho1)
     if abs(rho0) - rho1 < _DEGEN_TOL * abs(rho0):  # a +-rho pair too, either first
         raise NondegeneracyError("dominant eigenvalue of U_t is not simple")

@@ -779,18 +779,21 @@ class TestOneGridPass:
     build.  Its engine holds the most recent operator, and on a non-reversible
     model, which composes, the first one's transition form as a factor of later
     builds.  The oracle and a reversible model, whose builds read only its
-    spectrum, hold the most recent one alone and release it before each build."""
+    spectrum, hold the most recent one alone and release it before each build.
+    A reversible U_t is its kept modes, views of the spectrum's B, so its
+    builds and reads form no n x n array."""
 
     def test_a_run_holds_two_operator_sized_arrays_past_its_model(self, tmp_path, monkeypatch):
         # frac at n = 401 with every diagnostic.  Q and the spectrum's B live
         # as long as the model, which forms no n x n dual kernel, and the
-        # spectrum writes its eigenvectors over S; while a grid time is read
-        # the run adds its U_t and the reads' temporaries: the kernel error's
-        # two 64 x n blocks, find_qsd's iteration and kappa's masked rows,
-        # 3.99 n x n arrays in all.  The bound leaves 0.11 of margin.  A run
-        # that held the kernel limit past the first grid time and took the
-        # spectrum's vectors in a fresh array peaked at 5.41 n x n arrays, one
-        # holding the whole grid of six operators at 12, one that kept U_t
+        # spectrum writes its eigenvectors over S, so the run peaks while the
+        # spectrum is solved: 2.85 n x n arrays, under a bound that leaves 0.15
+        # of margin.  A grid time adds only its reads' temporaries to Q and B,
+        # kappa's masked rows the largest: 2.35 at the last, under 2.5; a build
+        # adds its modes' scales, 0.005.  A run that formed each U_t's density
+        # peaked at 3.99, one that also held the kernel limit past the first
+        # grid time and took the spectrum's vectors in a fresh array at 5.41,
+        # one holding the whole grid of six operators at 12, one that kept U_t
         # alive through the next build at 7.66, and one that formed Q_dual and
         # kept the first operator at 7.41
         n = 401
@@ -805,11 +808,33 @@ class TestOneGridPass:
             gc.enable()
             tracemalloc.stop()
         assert builds.times == cfg.t_grid
-        assert peak < 4.1 * 8 * n * n
+        assert peak < 3.0 * 8 * n * n
+        assert max(builds._peaks_between[1:]) < 2.5 * 8 * n * n
+        assert max(builds.peaks) < 0.05 * 8 * n * n
         # each build begins with no earlier operator alive, and once the run
         # has returned and been dropped none is left
         assert builds.held == [0] * 6
         assert [r().t for r in builds.refs if r() is not None] == []
+
+    @pytest.mark.parametrize("config", ["frac_401", "birthdeath_full"])
+    def test_a_reversible_run_never_forms_a_density(self, tmp_path, monkeypatch, config):
+        # every diagnostic reads a reversible U_t through its mode products
+        # and the kernel error through its modes; frac at n = 401, and the
+        # shipped chain with its Monte Carlo targets
+        import qergo.operators as operators
+
+        made, formed = [], []
+        init, density = operators.ModalOperator.__init__, operators.ModalOperator.density.func
+        monkeypatch.setattr(operators.ModalOperator, "__init__",
+                            lambda op, t, *rest: made.append(t) or init(op, t, *rest))
+        monkeypatch.setattr(operators.ModalOperator, "density",
+                            property(lambda op: formed.append(op.t) or density(op)))
+        monkeypatch.setenv("QERGO_OUTPUT_DIR", str(tmp_path / "o"))
+        text = (FRAC_401.format(out=tmp_path / "o") if config == "frac_401"
+                else BIRTHDEATH_FULL.read_text())
+        cfg = parse_config(write_config(tmp_path, text))
+        run_experiment(cfg)
+        assert made[:len(cfg.t_grid)] == cfg.t_grid and formed == []
 
     def test_an_oracle_run_holds_one_operator_and_the_kernel_error_blocks(
             self, tmp_path, monkeypatch):
@@ -1027,10 +1052,11 @@ class TestVerdictSequence:
         assert "t=9.3:E/kb=0.00494 t=10.6:E/kb=0.165 " in kappa
 
     def test_no_run_forms_an_n_by_n_kernel_limit(self, tmp_path, monkeypatch):
-        # the kernel error forms the limit's rows of each 64-row block in a
+        # the kernel error forms the limit's rows of a 64-row block in a
         # 64 x n buffer, so no run holds the n x n limit, through the grid
         # pass or through kappa's off-grid U_t0 after it: cycle at n = 130,
-        # three blocks (the last short) per grid time
+        # three blocks (the last short) per grid time, of which the pass by
+        # descending bound reads only the first, where the sup lies
         import qergo.diagnostics as dg
 
         calls, kernel_limit = [], dg.kernel_limit
@@ -1044,7 +1070,7 @@ class TestVerdictSequence:
                                            kappa="[diagnostics.kappa]\nt0 = 2\n")
         run, _, _ = run_experiment(parse_config(write_config(tmp_path, text)))
         blocks = [(slice(0, 64), (64, 130)), (slice(64, 128), (64, 130)), (slice(128, 192), (2, 130))]
-        assert calls == blocks * 4
+        assert calls == blocks[:1] * 4
         assert not hasattr(run, "limit")
 
 

@@ -34,11 +34,19 @@ from qergo.errors import (
     NonuniquenessWarning,
     PositivityError,
 )
-from qergo.models import build_ctmc_model, build_ho_discretization, lattice_space
+import qergo.diagnostics as dg
+from qergo.models import (
+    build_ctmc_model,
+    build_ho_discretization,
+    lattice_space,
+    parse_model_string,
+    zoo_build,
+)
 from qergo.operators import (
     Survivals,
     KernelOperator,
     MarkovModel,
+    _rows,
     feynman_kac_operator,
 )
 from qergo.spectral import SpectralData, principal_triple, principal_triple_from_operator
@@ -371,6 +379,111 @@ class TestKernelConvergence:
                 series.append(t, kernel_convergence_error(op, spec))
             rate, _, _ = fit_exponential_rate(series, tail_fraction=0.5)
             assert -rate == pytest.approx(spec.gap, rel=0.05)
+
+
+def unpruned_kernel_error(op, spec):
+    """The blocked sweep over every 64-row block, with no block skipped."""
+    scale = np.exp(spec.lambda0 * op.t)
+    return float(np.max([np.abs(scale * op.density[r] - kernel_limit(spec, r)).max()
+                         for r in _rows(len(spec.phi0))], initial=0.0))
+
+
+def frac_rev_model():
+    """The frac_rev bench model, n = 801."""
+    return zoo_build("frac", {"kind": "polynomial", "alpha": "1.0", "potential": "log-power",
+                              "beta": "2.0", "scale": "1.0", "half_width": "100.0", "h": "0.25"})
+
+
+class TestKernelErrorPruning:
+    """The dense kernel error visits 64-row blocks by descending bound and
+    skips one whose bound is at most the running sup: the value of the sweep
+    over every block, bit for bit."""
+
+    @pytest.mark.parametrize("model, grid", [
+        ("ho(6,0.01)", (0.5, 0.75, 1.0, 1.25)),
+        ("cycle", (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)),
+    ], ids=["ho_kernel", "cycle_nonrev"])
+    def test_bench_models_give_the_unpruned_value(self, model, grid, monkeypatch):
+        # the bench workloads' models and grids; the pass reads fewer blocks
+        if model == "cycle":
+            m = zoo_build("cycle", {"n": "500", "potential": "power", "beta": "1.0", "scale": "2e-4"})
+        else:
+            m = zoo_build(*parse_model_string(model))
+        spec = principal_triple(m)
+        calls = []
+        monkeypatch.setattr(dg, "kernel_limit",
+                            lambda spec, r, out: calls.append(r) or kernel_limit(spec, r, out))
+        for t in grid:
+            op = m.operator(t)
+            assert kernel_convergence_error(op, spec) == unpruned_kernel_error(op, spec)
+        assert 0 < len(calls) < len(grid) * len(list(_rows(m.n)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_kernels_with_tiny_negatives_give_the_unpruned_value(self, seed):
+        # nonnegative kernels spread over many decades, entries down to
+        # KernelOperator's -1e-14, limits with rows near 0, near the kernel or far
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        sp = StateSpace(tuple(range(n)), rng.uniform(0.5, 2.0, n), np.arange(n, dtype=float)[:, None])
+        phi, psi = rng.uniform(0.0, 1.0, (2, n)) ** rng.uniform(1.0, 30.0)
+        lam0, Lam = float(rng.uniform(-1.0, 1.0)), float(np.sum(phi * psi * sp.mu))
+        spec = SpectralData(lam0, phi, psi, Lam, 0.1)
+        t = float(rng.uniform(0.1, 3.0))
+        near = np.exp(-spec.lambda0 * t) * np.outer(phi, psi) / spec.Lambda
+        density = near * (1.0 + rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-16, 0))
+        density[rng.uniform(size=(n, n)) < 0.05] = -1e-14 * rng.uniform()
+        op = KernelOperator(t, density, sp)
+        assert kernel_convergence_error(op, spec) == unpruned_kernel_error(op, spec)
+
+    def test_negative_entries_widen_the_bound(self):
+        # rows 192-255 have a zero limit and entries of -1e-14 alone, the
+        # largest difference by far: a bound of max(s max u, max limit) = 0
+        # there would skip them
+        n, t = 256, 1.0
+        sp = StateSpace(tuple(range(n)), np.ones(n), np.arange(n, dtype=float)[:, None])
+        phi, psi = (np.arange(n) < 192).astype(float), np.ones(n)
+        spec = SpectralData(0.0, phi, psi, float(np.sum(phi * psi)), 0.1)
+        density = np.outer(phi, psi) / spec.Lambda
+        density[192:] = -1e-14
+        err = kernel_convergence_error(KernelOperator(t, density, sp), spec)
+        assert err == 1e-14 == unpruned_kernel_error(KernelOperator(t, density, sp), spec)
+
+
+class TestKernelErrorModes:
+    """On a reversible U_t the kernel error is the largest diagonal entry of
+    the remainder sum_{k>=1} e^{-(lambda_k - lambda0) t} b_k b_k^T, positive
+    semidefinite: no difference of near-equal numbers."""
+
+    def test_mode_form_agrees_with_the_blocked_difference_on_the_frac_rev_grid(self):
+        model = frac_rev_model()
+        spec = principal_triple(model)
+        for t in (31.2, 37.4, 43.6, 49.9, 56.1, 62.3):
+            op = model.operator(t)
+            dense = KernelOperator(t, op.density, model.space)
+            assert kernel_convergence_error(op, spec) == pytest.approx(
+                kernel_convergence_error(dense, spec), rel=1e-12, abs=0.0)
+
+    def test_mode_form_is_free_of_the_difference_round_off(self):
+        # the frac_rev model at t = 400: the remainder is 4.5e-18, where the
+        # difference of the scaled density and the limit reads the limit's
+        # round-off, 1.1e-16 at one BLAS thread
+        model = frac_rev_model()
+        spec = principal_triple(model)
+        op = model.operator(400.0)
+        err = kernel_convergence_error(op, spec)
+        assert 0.0 < err <= 1e-17
+        assert kernel_convergence_error(KernelOperator(400.0, op.density, model.space), spec) > 10 * err
+
+    def test_mode_form_is_the_remainder_diagonal(self, weighted_bd):
+        spec = principal_triple(weighted_bd)
+        w, B = weighted_bd.spectrum
+        for t in (0.3, 4.0, 31.2):
+            op = weighted_bd.operator(t)
+            k = weighted_bd.n - op.meta["modes"]
+            rest = (B[:, k:-1] * np.exp(t * (w[k:-1] - w[-1]))) @ B[:, k:-1].T
+            diag = rest.diagonal()
+            assert np.all(np.abs(rest) <= np.sqrt(np.outer(diag, diag)) * (1 + 1e-12))
+            assert kernel_convergence_error(op, spec) == pytest.approx(rest.diagonal().max(), rel=1e-12)
 
 
 class TestQuasiErgodicError:

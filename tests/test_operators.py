@@ -11,7 +11,13 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eig, expm
 
-from qergo.diagnostics import heat_content, qsd_from_spectral, qsd_residual
+from qergo.diagnostics import (
+    heat_content,
+    progressive_error,
+    qsd_from_spectral,
+    qsd_residual,
+    quasi_ergodic_error,
+)
 from qergo.errors import ModelError
 from qergo.models import (
     LevyProfile,
@@ -20,6 +26,7 @@ from qergo.models import (
     build_ctmc_model,
     build_fractional_model,
     lattice_space,
+    parse_model_string,
     zoo_build,
 )
 from qergo.operators import (
@@ -27,6 +34,7 @@ from qergo.operators import (
     Engine,
     KernelOperator,
     MarkovModel,
+    ModalOperator,
     _abs_max,
     _exp_step,
     _floored,
@@ -313,13 +321,22 @@ class TestSemigroupEngine:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_survivals_are_formed_once_and_read_only(self, zoo_model):
-        model, _ = zoo_model
+        # a dense operator's survivals are its density's row and column sums bit
+        # for bit; a modal one's are its right and left mode products, which
+        # agree with those sums to round-off
+        model, reversible = zoo_model
         op = model.operator(1.0)
-        for name, want in (("survival", op.density @ op.space.mu),
-                           ("dual_survival", op.density.T @ op.space.mu)):
+        mu = op.space.mu
+        assert isinstance(op, ModalOperator) is reversible
+        for name, want, product in (("survival", op.density @ mu, op.right),
+                                    ("dual_survival", op.density.T @ mu, op.left)):
             first = getattr(op, name)
             assert getattr(op, name) is first
-            np.testing.assert_array_equal(first, want)
+            if reversible:
+                np.testing.assert_array_equal(first, product(mu))
+                np.testing.assert_allclose(first, want, rtol=1e-13, atol=0.0)
+            else:
+                np.testing.assert_array_equal(first, want)
             with pytest.raises(ValueError, match="read-only"):
                 first[0] = 0.0
 
@@ -527,6 +544,113 @@ class TestReversibleTruncation:
         mu = model.space.mu
         z = (full @ mu) @ mu
         assert abs(heat_content(op) - z) <= 1e-13 * z
+
+
+MODAL_ZOO = {
+    "frac401": lambda: build_fractional_model(
+        (50.0, 0.25), LevyProfile("polynomial", alpha=1.0),
+        PotentialSpec("log-power", beta=2.0, scale=1.0)),
+    "weighted_birthdeath": lambda: build_ctmc_model(
+        6, "birth-death", mu=2.0 ** -np.arange(6.0), V=0.1 * np.arange(6.0)),
+    "box": lambda: zoo_build(*parse_model_string("box(2,25)")),
+    "complete": lambda: zoo_build(*parse_model_string("complete(7)")),
+    "swap2": lambda: zoo_build("swap2", {}),
+}
+# every mode kept (0.3), some dropped (4.0, frac401), and the frac_rev grid's ends
+MODAL_TIMES = (0.3, 4.0, 31.2, 62.3)
+
+
+@pytest.fixture(scope="module", params=sorted(MODAL_ZOO))
+def modal_model(request):
+    model = MODAL_ZOO[request.param]()
+    return model, principal_triple(model)
+
+
+def near(got, want, scale=None):
+    """|got - want| within 1e-13 of max |want|, or of ``scale``."""
+    want = np.asarray(want)
+    bound = 1e-13 * (np.max(np.abs(want)) if scale is None else scale)
+    return float(np.max(np.abs(np.asarray(got) - want))) <= bound
+
+
+class TestModalOperator:
+    """A reversible U_t is held as its kept modes X = B[:, k:] and scales
+    c = e^{t w[k:]}.  Its density, formed only on a read, is the former
+    build's product bit for bit; its products, O(n m), agree with the dense
+    operator's to round-off."""
+
+    def test_density_is_the_former_build_product_bit_for_bit(self, modal_model):
+        model, _ = modal_model
+        w, B = model.spectrum
+        for t in MODAL_TIMES:
+            op = model.operator(t)
+            assert isinstance(op, ModalOperator) and op.self_adjoint()
+            assert "density" not in vars(op)  # not formed by the build
+            k = model.n - op.meta["modes"]
+            want = (B[:, k:] * np.exp(t * w[k:])) @ B[:, k:].T
+            np.maximum(want, 0.0, out=want)
+            np.testing.assert_array_equal(op.density, want)
+            assert op.density is op.density and not op.density.flags.writeable
+
+    def test_products_agree_with_the_dense_operator(self, modal_model):
+        # the scalar diagnostics are differences of probability densities, so
+        # they are compared at the scale 1 of those densities
+        model, spec = modal_model
+        n, mu = model.n, model.space.mu
+        rng = np.random.default_rng(n)
+        mask = rng.uniform(size=n) < 0.5
+        mask[0] = True
+        w, F = rng.uniform(size=n), rng.uniform(size=(n, 3))
+        point = np.eye(n)[n // 2]
+        m = qsd_from_spectral(spec, model.space)
+        for t in MODAL_TIMES:
+            op = model.operator(t)
+            dense = KernelOperator(t, op.density, model.space)
+            for got, want in ((op.rows(mask), dense.rows(mask)), (op.left(w), dense.left(w)),
+                              (op.left(F.T), dense.left(F.T)), (op.right(w), dense.right(w)),
+                              (op.right(F), dense.right(F)), (op.survival, dense.survival),
+                              (op.dual_survival, dense.dual_survival)):
+                assert near(got, want)
+            for p in (1, 2, np.inf):
+                assert near(quasi_ergodic_error(op, spec, point, p),
+                            quasi_ergodic_error(dense, spec, point, p), scale=1.0)
+            assert near(progressive_error(op, spec, mask), progressive_error(dense, spec, mask),
+                        scale=1.0)
+            for sigma in (point, m):
+                assert near(qsd_residual(sigma, op), qsd_residual(sigma, dense), scale=1.0)
+
+    def test_products_read_the_modes_only(self, modal_model):
+        model, spec = modal_model
+        op = model.operator(50.0)  # a time the other tests leave unbuilt
+        mask = np.arange(model.n) < 3
+        op.rows(mask), op.left(model.space.mu), op.right(model.space.mu), op.apply(1.0)
+        op.apply_adjoint(1.0), op.survival, op.dual_survival
+        progressive_error(op, spec, mask), quasi_ergodic_error(op, spec, np.eye(model.n)[0], 2)
+        qsd_residual(qsd_from_spectral(spec, model.space), op)
+        assert "density" not in vars(op)
+
+    @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
+    def test_survival_is_the_right_product_and_dual_survival_the_left(self, monkeypatch, modal):
+        # heat_content's duality check sums U_t 1 and U*_t 1: on every operator
+        # they come from the two different products, as a dense kernel's row
+        # and column sums do
+        model = MODAL_ZOO["weighted_birthdeath"]()
+        op = model.operator(4.0)
+        if not modal:
+            op = KernelOperator(op.t, op.density, op.space)
+        calls = []
+
+        def recorded(name, product):
+            def call(self, v):
+                calls.append(name)
+                return product(self, v)
+            return call
+
+        for name in ("left", "right"):
+            monkeypatch.setattr(type(op), name, recorded(name, getattr(type(op), name)))
+        assert np.array_equal(op.survival, op.right(model.space.mu))
+        assert np.array_equal(op.dual_survival, op.left(model.space.mu))
+        assert calls == ["right", "right", "left", "left"]
 
 
 @st.composite
